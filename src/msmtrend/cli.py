@@ -62,21 +62,15 @@ def read_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes or malformed JSON
         raise DataValidationError(f"{path}: malformed JSON ({exc})") from exc
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
 
 
 def write_csv(path, header: list, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row[h]) for h in header) + "\n")
+            fh.write(",".join(panel_mod.format_number(row[h]) for h in header) + "\n")
 
 
 def _require(args, names) -> None:
@@ -98,7 +92,7 @@ def _load_trend(path) -> estimator.TrendSeries:
     doc = read_json(path)
     try:
         return estimator.TrendSeries.from_json_dict(doc)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: not a trend-series document ({exc})") from exc
 
 
@@ -136,7 +130,8 @@ def cmd_fit_msm(args) -> int:
     else:
         wave_times = tuple(sorted(np.unique(pnl.times)))
         structure = markov.default_structure(pnl.ages, wave_times)
-    result = estimator.fit_msm(pnl, structure, maxiter=args.maxiter)
+    # checked above, before the default structure reads the ages
+    result = estimator.fit_msm(pnl, structure, maxiter=args.maxiter, validate=False)
     doc = result.to_json_dict()
     doc["structure"] = {
         "knots": list(structure.knots),
@@ -238,13 +233,10 @@ def cmd_test_trend(args) -> int:
     )
     write_json(args.out, report.to_json_dict())
     if args.out_critical:
-        table = trendtests.simulate_critical_values(
-            "bridge" if args.critical_functional == "bridge" else "wiener",
-            n_grid=args.mc_grid,
-            reps=args.mc_reps,
-            seed=args.seed,
-        )
-        rows = [{"level": lv, "value": v} for lv, v in sorted(table.quantiles.items())]
+        # the table run_trend_tests drew for this functional, seed and grid
+        functional = "bridge" if args.critical_functional == "bridge" else "wiener"
+        quantiles = report.mc_settings[f"{functional}_quantiles"]
+        rows = [{"level": lv, "value": v} for lv, v in sorted(quantiles.items())]
         write_csv(args.out_critical, ["level", "value"], rows)
     print(
         f"t_nu={report.t_nu:.4f} (p_normal={report.t_nu_p_normal:.4f}), "
@@ -463,6 +455,10 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"error: validation: missing file: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a directory, no permission, ...: still an input problem
+        where = f": {exc.filename}" if exc.filename else ""
+        print(f"error: validation: {exc.strerror or exc}{where}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)

@@ -23,8 +23,17 @@ from .errors import (
     InvalidSpecError,
     NumericalError,
 )
-from .markov import HazardParams, ModelStructure, _expm1_ratio, spline_basis, spline_basis_matrix
+from .markov import (
+    HazardParams,
+    ModelStructure,
+    covariate_design,
+    log_intensities,
+    param_layout,
+    transition_entries,
+)
+from .numdiff import gradient_fd, hessian_fd
 from .panel import Panel, validate_panel
+from .trend import TrendSeries
 
 __all__ = [
     "param_names",
@@ -61,61 +70,29 @@ def misclassification_matrix(e12: float, e21: float) -> np.ndarray:
 
 def param_names(structure: ModelStructure) -> list[str]:
     """Fixed parameter ordering used by the flat vector and all reports."""
-    names = [f"beta_{k}" for k in range(1, structure.n_waves + 1)]
-    names += ["female_12"]
-    names += [f"age_spline_12_{j}" for j in range(1, structure.n_basis + 1)]
-    names += [f"age_spline_f_12_{j}" for j in range(1, structure.n_basis + 1)]
-    names += ["log_q13_0", "female_13", "age_13", "trend_13"]
-    names += ["log_q23_0", "female_23", "age_23", "trend_23"]
-    names += ["logit_e12", "logit_e21", "logit_p2"]
+    names = []
+    for name, size in param_layout(structure):
+        names += [name] if size is None else [f"{name}_{k}" for k in range(1, size + 1)]
     return names
 
 
 def pack_params(params: HazardParams, structure: ModelStructure) -> np.ndarray:
     params.validate(structure)
-    return np.concatenate(
-        [
-            params.beta,
-            [params.female_12],
-            params.age_spline_12,
-            params.age_spline_f_12,
-            [params.log_q13_0, params.female_13, params.age_13, params.trend_13],
-            [params.log_q23_0, params.female_23, params.age_23, params.trend_23],
-            [params.logit_e12, params.logit_e21, params.logit_p2],
-        ]
-    )
+    layout = param_layout(structure)
+    return np.concatenate([np.atleast_1d(getattr(params, name)) for name, _ in layout])
 
 
 def unpack_params(gamma: np.ndarray, structure: ModelStructure) -> HazardParams:
     gamma = np.asarray(gamma, dtype=float)
-    T, nb = structure.n_waves, structure.n_basis
-    if gamma.size != T + 1 + 2 * nb + 11:
-        raise InvalidSpecError(
-            f"parameter vector has length {gamma.size}, expected {T + 1 + 2 * nb + 11}"
-        )
-    i = T
-    beta = gamma[:T]
-    female_12 = gamma[i]; i += 1
-    sp = gamma[i: i + nb]; i += nb
-    spf = gamma[i: i + nb]; i += nb
-    rest = gamma[i:]
-    return HazardParams(
-        beta=beta,
-        female_12=float(female_12),
-        age_spline_12=sp,
-        age_spline_f_12=spf,
-        log_q13_0=float(rest[0]),
-        female_13=float(rest[1]),
-        age_13=float(rest[2]),
-        trend_13=float(rest[3]),
-        log_q23_0=float(rest[4]),
-        female_23=float(rest[5]),
-        age_23=float(rest[6]),
-        trend_23=float(rest[7]),
-        logit_e12=float(rest[8]),
-        logit_e21=float(rest[9]),
-        logit_p2=float(rest[10]),
-    )
+    layout = param_layout(structure)
+    expected = sum(size or 1 for _, size in layout)
+    if gamma.size != expected:
+        raise InvalidSpecError(f"parameter vector has length {gamma.size}, expected {expected}")
+    values, i = {}, 0
+    for name, size in layout:
+        values[name] = float(gamma[i]) if size is None else gamma[i: i + size]
+        i += size or 1
+    return HazardParams(**values)
 
 
 class PanelDesign:
@@ -133,48 +110,41 @@ class PanelDesign:
                 raise DataValidationError("; ".join(problems[:10]))
         p = panel.sort()
         self.structure = structure
-        slices = list(p.individual_slices())
-        if not slices:
+        if len(p) == 0:
             raise DataValidationError("panel is empty")
-        self.n = len(slices)
-        counts = np.array([sl.stop - sl.start for _, sl in slices])
+        starts = np.flatnonzero(np.r_[True, p.ids[1:] != p.ids[:-1]])
+        counts = np.diff(np.r_[starts, len(p)])
         if not np.any(counts >= 2):
             raise DataValidationError("need at least one individual with two observations")
+        self.n = starts.size
         self.n_transitions = int(np.sum(counts - 1))
         mmax = int(counts.max())
         self.n_steps = mmax - 1
         self.counts = counts
 
+        # (individual, observation) cell of every sorted row
+        row = np.repeat(np.arange(self.n), counts)
+        col = np.arange(len(p)) - np.repeat(starts, counts)
         self.states = np.zeros((self.n, mmax), dtype=np.int64)
+        self.states[row, col] = p.states
         self.valid = np.zeros((self.n, mmax), dtype=bool)
-        widths = np.zeros((self.n, self.n_steps))
-        waves = np.ones((self.n, self.n_steps), dtype=np.int64)
+        self.valid[row, col] = True
+        self.female = p.female[starts].astype(float)
+        # rows whose successor belongs to the same individual open a step
+        left = np.flatnonzero(col[1:] != 0)
+        cell = row[left], col[left]
+        self.widths = np.zeros((self.n, self.n_steps))
+        self.widths[cell] = p.times[left + 1] - p.times[left]
+        self.waves = np.ones((self.n, self.n_steps), dtype=np.int64)
+        self.waves[cell] = structure.wave_indices(p.times[left])
         age_left = np.full((self.n, self.n_steps), structure.ref_age)
-        self.female = np.zeros(self.n)
-        for row, (_id, sl) in enumerate(slices):
-            m = sl.stop - sl.start
-            st = p.states[sl]
-            if validate and st[0] == 3:
-                raise DataValidationError(f"id {_id} is dead at its first observation")
-            self.states[row, :m] = st
-            self.valid[row, :m] = True
-            self.female[row] = p.female[sl][0]
-            t = p.times[sl]
-            for j in range(m - 1):
-                widths[row, j] = t[j + 1] - t[j]
-                waves[row, j] = structure.wave_index(t[j])
-                age_left[row, j] = p.ages[sl][j]
-        self.widths = widths
-        self.waves = waves
+        age_left[cell] = p.ages[left]
         # step j is real when the individual has an observation j+1
         self.active = self.valid[:, 1:]
-        # centered spline design at the interval's left endpoint
-        basis = spline_basis_matrix(age_left.ravel(), structure.knots) - spline_basis(
-            structure.ref_age, structure.knots
+        # covariate design at the interval's left endpoint
+        self.basis, self.basis_f, self.age_centered = covariate_design(
+            structure, age_left, self.female[:, None]
         )
-        self.basis = basis.reshape(self.n, self.n_steps, structure.n_basis)
-        self.basis_f = self.basis * self.female[:, None, None]
-        self.age_centered = age_left - structure.ref_age
         self.state_idx = np.where(self.valid, self.states - 1, 0)
 
     def param_scales(self) -> np.ndarray:
@@ -207,36 +177,14 @@ class PanelDesign:
         Reuses an internal transition buffer, so concurrent calls must use
         separate PanelDesign instances; the sum runs in fixed id order.
         """
-        st = self.structure
-        T, nb = st.n_waves, st.n_basis
-        g = np.asarray(gamma, dtype=float)
-        beta = g[:T]
-        i = T
-        female_12 = g[i]; i += 1
-        w_sp = g[i: i + nb]; i += nb
-        w_spf = g[i: i + nb]; i += nb
-        (lq13, fem13, age13, tr13, lq23, fem23, age23, tr23, l_e12, l_e21, l_p2) = g[i:]
-
-        lin12 = (
-            beta[self.waves - 1]
-            + female_12 * self.female[:, None]
-            + self.basis @ w_sp
-            + self.basis_f @ w_spf
+        params = unpack_params(gamma, self.structure)
+        lin12, lin13, lin23 = log_intensities(
+            params, self.waves, self.female[:, None], self.basis, self.basis_f, self.age_centered
         )
-        lin13 = lq13 + fem13 * self.female[:, None] + age13 * self.age_centered + tr13 * self.waves
-        lin23 = lq23 + fem23 * self.female[:, None] + age23 * self.age_centered + tr23 * self.waves
         q12 = np.exp(np.clip(lin12, -_LIN_CLIP, _LIN_CLIP))
         q13 = np.exp(np.clip(lin13, -_LIN_CLIP, _LIN_CLIP))
         q23 = np.exp(np.clip(lin23, -_LIN_CLIP, _LIN_CLIP))
-
-        a = q12 + q13
-        b = q23
-        w = self.widths
-        p11 = np.exp(-a * w)
-        p22 = np.exp(-b * w)
-        p12 = q12 * w * np.exp(-np.minimum(a, b) * w) * _expm1_ratio(-np.abs(a - b) * w)
-        p13 = np.maximum(1.0 - p11 - p12, 0.0)
-        p23 = 1.0 - p22
+        p11, p12, p13, p22, p23 = transition_entries(q12, q13, q23, self.widths)
 
         if not hasattr(self, "_trans_buf"):
             self._trans_buf = np.zeros((self.n, self.n_steps, 3, 3))
@@ -248,8 +196,10 @@ class PanelDesign:
         trans[:, :, 1, 1] = p22
         trans[:, :, 1, 2] = p23
 
-        emission = misclassification_matrix(float(expit(l_e12)), float(expit(l_e21)))
-        p2 = expit(l_p2)
+        emission = misclassification_matrix(
+            float(expit(params.logit_e12)), float(expit(params.logit_e21))
+        )
+        p2 = expit(params.logit_p2)
         init = np.array([1.0 - p2, p2, 0.0])
 
         alpha = init[None, :] * emission[:, self.state_idx[:, 0]].T
@@ -282,55 +232,7 @@ def forward_loglik(panel: Panel, structure: ModelStructure, gamma, validate: boo
 
 
 # ---------------------------------------------------------------------------
-# numerical derivatives
-
-
-def gradient_fd(fun, x, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient with per-coordinate relative steps."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        h = step * max(1.0, abs(x[i]))
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        g[i] = (fun(xp) - fun(xm)) / (2 * h)
-    return g
-
-
-def _hessian_central(fun, x, steps) -> np.ndarray:
-    n = x.size
-    H = np.empty((n, n))
-    f0 = fun(x)
-    for i in range(n):
-        hi = steps[i]
-        xp = x.copy(); xp[i] += hi
-        xm = x.copy(); xm[i] -= hi
-        H[i, i] = (fun(xp) - 2 * f0 + fun(xm)) / hi**2
-    for i in range(n):
-        for j in range(i + 1, n):
-            hi, hj = steps[i], steps[j]
-            xpp = x.copy(); xpp[i] += hi; xpp[j] += hj
-            xpm = x.copy(); xpm[i] += hi; xpm[j] -= hj
-            xmp = x.copy(); xmp[i] -= hi; xmp[j] += hj
-            xmm = x.copy(); xmm[i] -= hi; xmm[j] -= hj
-            H[i, j] = H[j, i] = (fun(xpp) - fun(xpm) - fun(xmp) + fun(xmm)) / (4 * hi * hj)
-    return H
-
-
-def hessian_fd(fun, x, step: float = 1e-4, richardson: bool = True) -> np.ndarray:
-    """Central-difference Hessian, optionally Richardson-extrapolated.
-
-    Richardson combines estimates at h and h/2 as (4 H(h/2) - H(h)) / 3,
-    cancelling the leading O(h^2) truncation term.
-    """
-    x = np.asarray(x, dtype=float)
-    steps = step * np.maximum(1.0, np.abs(x))
-    H1 = _hessian_central(fun, x, steps)
-    if not richardson:
-        return 0.5 * (H1 + H1.T)
-    H2 = _hessian_central(fun, x, steps / 2)
-    H = (4 * H2 - H1) / 3
-    return 0.5 * (H + H.T)
+# observed information
 
 
 def hessian_covariance(loglik_fun, gamma_hat, step: float = 1e-4, richardson: bool = True,
@@ -419,7 +321,7 @@ class EstimationResult:
 
 def _default_start(design: PanelDesign, structure: ModelStructure) -> np.ndarray:
     """Heuristic start: crude rates for levels, zeros for covariate effects."""
-    states, valid = design.states, design.valid
+    states = design.states
     active = design.active
     from1 = (states[:, :-1] == 1) & active
     from2 = (states[:, :-1] == 2) & active
@@ -455,6 +357,7 @@ def fit_msm(
     compute_cov: bool = True,
     maxiter: int = 500,
     polish: bool = True,
+    validate: bool = True,
 ) -> EstimationResult:
     """Maximize the misclassified-panel likelihood.
 
@@ -463,9 +366,10 @@ def fit_msm(
     followed by damped Newton polish steps using a finite-difference
     Hessian.  ``fixed`` maps parameter names to frozen values, e.g. to pin
     the misclassification at the identity.  Non-convergence is flagged on
-    the result, never raised.
+    the result, never raised.  ``validate=False`` skips the schema checks
+    of a panel the caller has already passed through :func:`validate_panel`.
     """
-    design = PanelDesign(panel, structure)
+    design = PanelDesign(panel, structure, validate=validate)
     names = param_names(structure)
     p = len(names)
 
@@ -557,11 +461,6 @@ def fit_msm(
     if compute_cov:
         # Hessian in the scaled coordinates (well conditioned), mapped back
         # to the natural parameterization: cov_gamma = S^{-1} cov_z S^{-1}
-        def ll_z(zf):
-            x = x_full.copy()
-            x[idx_free] = zf / scale
-            return design.loglik(x)
-
         try:
             # refresh the Hessian only if polish moved the optimum by a
             # non-negligible fraction of a standard error
@@ -569,7 +468,7 @@ def fit_msm(
             tol_move = 0.05 * np.sqrt(np.maximum(np.abs(diag_cov), 1e-300))
             if np.any(np.abs(moved) > tol_move):
                 H_nll = hessian_fd(nll, z_free, step=1e-4, richardson=True)
-            cov_z, cov_warnings = hessian_covariance(ll_z, z_free, hessian=-H_nll)
+            cov_z, cov_warnings = hessian_covariance(lambda z: -nll(z), z_free, hessian=-H_nll)
             cov_free = cov_z / np.outer(scale, scale)
             warnings.extend(cov_warnings)
         except CurvatureError as exc:
@@ -594,58 +493,6 @@ def fit_msm(
 
 # ---------------------------------------------------------------------------
 # trend series
-
-
-@dataclass
-class TrendSeries:
-    """Wave-dummy estimates with their sampling covariance block."""
-
-    beta: np.ndarray
-    cov: np.ndarray
-    n_transitions: int | None = None
-
-    def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.cov = np.asarray(self.cov, dtype=float)
-        T = self.beta.size
-        if self.cov.shape != (T, T):
-            raise InvalidSpecError("covariance block does not match series length")
-        if np.max(np.abs(self.cov - self.cov.T)) > 1e-10 * max(1.0, np.abs(self.cov).max()):
-            raise InvalidSpecError("covariance block is not symmetric")
-        if np.linalg.eigvalsh(0.5 * (self.cov + self.cov.T)).min() < -1e-8:
-            raise InvalidSpecError("covariance block is not positive semidefinite")
-        if np.any(np.diag(self.cov) <= 0):
-            raise InvalidSpecError("covariance diagonal must be positive")
-
-    @property
-    def n_waves(self) -> int:
-        return int(self.beta.size)
-
-    @property
-    def var_diag(self) -> np.ndarray:
-        return np.diag(self.cov).copy()
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "T": self.n_waves,
-            "beta": self.beta.tolist(),
-            "cov": self.cov.tolist(),
-            "var_diag": self.var_diag.tolist(),
-        }
-        if self.n_transitions is not None:
-            doc["n_transitions"] = int(self.n_transitions)
-        return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TrendSeries":
-        beta = np.asarray(doc["beta"], dtype=float)
-        if "cov" in doc:
-            cov = np.asarray(doc["cov"], dtype=float)
-        elif "var_diag" in doc:
-            cov = np.diag(np.asarray(doc["var_diag"], dtype=float))
-        else:
-            raise InvalidSpecError("trend series needs 'cov' or 'var_diag'")
-        return cls(beta=beta, cov=cov, n_transitions=doc.get("n_transitions"))
 
 
 def extract_trend(result: EstimationResult, structure: ModelStructure) -> TrendSeries:

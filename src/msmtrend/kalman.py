@@ -22,7 +22,8 @@ from .errors import (
     InvalidArgumentError,
     InvalidSpecError,
 )
-from .estimator import TrendSeries, hessian_fd
+from .numdiff import hessian_fd
+from .trend import TrendSeries
 
 __all__ = [
     "VARIANTS",

@@ -6,13 +6,19 @@ transition matrix has a closed form.  Log intensities are linear in
 covariates: the 1->2 transition carries a natural cubic spline in age, a
 female indicator, their interaction and one free dummy per wave; the two
 mortality transitions are linear in age, female and the wave index.
+
+One hazard kernel serves the likelihood, the simulator and the scalar
+wrappers: :func:`covariate_design` and :func:`log_intensities` map
+covariates and parameters to log intensities, and
+:func:`transition_entries` maps intensities and interval widths to the
+closed-form transition probabilities.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +34,10 @@ __all__ = [
     "spline_basis_matrix",
     "build_intensity",
     "transition_probability",
+    "covariate_design",
+    "log_intensities",
+    "transition_entries",
+    "param_layout",
     "load_model_spec",
     "save_model_spec",
 ]
@@ -133,15 +143,25 @@ class ModelStructure:
     def n_basis(self) -> int:
         return len(self.knots) - 1
 
-    def wave_index(self, time: float) -> int:
-        """1-based interval index whose left endpoint is ``time``."""
+    def wave_indices(self, times) -> np.ndarray:
+        """1-based interval indices whose left endpoints are ``times``.
+
+        Each time is matched to its nearest wave (the earlier one on a tie);
+        the first time in array order that is off the grid, or is the final
+        wave and so starts no interval, raises.
+        """
         wt = np.asarray(self.wave_times)
-        j = int(np.argmin(np.abs(wt - time)))
-        if abs(wt[j] - time) > 1e-9:
-            raise InvalidArgumentError(f"time {time} is not on the wave grid {self.wave_times}")
-        if j >= self.n_waves:
-            # last wave time starts no interval; callers only ask for left endpoints
-            raise InvalidArgumentError(f"time {time} is the final wave, no interval starts there")
+        t = np.asarray(times, dtype=float)
+        hi = np.minimum(np.searchsorted(wt, t), wt.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        j = np.where(np.abs(wt[hi] - t) < np.abs(wt[lo] - t), hi, lo)
+        off = ~(np.abs(wt[j] - t) <= 1e-9)
+        bad = off | (j >= self.n_waves)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if off[k]:
+                raise InvalidArgumentError(f"time {t[k]} is not on the wave grid {self.wave_times}")
+            raise InvalidArgumentError(f"time {t[k]} is the final wave, no interval starts there")
         return j + 1
 
 
@@ -198,29 +218,18 @@ class HazardParams:
         nb = structure.n_basis
         if self.age_spline_12.shape != (nb,) or self.age_spline_f_12.shape != (nb,):
             raise InvalidSpecError(f"spline weights must have length {nb}")
-        vals = np.concatenate(
-            [
-                self.beta,
-                self.age_spline_12,
-                self.age_spline_f_12,
-                [
-                    self.female_12,
-                    self.log_q13_0,
-                    self.female_13,
-                    self.age_13,
-                    self.trend_13,
-                    self.log_q23_0,
-                    self.female_23,
-                    self.age_23,
-                    self.trend_23,
-                    self.logit_e12,
-                    self.logit_e21,
-                    self.logit_p2,
-                ],
-            ]
-        )
+        vals = np.concatenate([np.atleast_1d(getattr(self, f.name)) for f in fields(self)])
         if not np.all(np.isfinite(vals)):
             raise NumericalError("non-finite parameter value")
+
+
+def param_layout(structure: ModelStructure) -> list:
+    """(name, length) of each :class:`HazardParams` field in declaration
+    order, which is also the order of the flat parameter vector; scalar
+    fields have length None."""
+    sizes = {"beta": structure.n_waves, "age_spline_12": structure.n_basis,
+             "age_spline_f_12": structure.n_basis}
+    return [(f.name, sizes.get(f.name)) for f in fields(HazardParams)]
 
 
 @dataclass(frozen=True)
@@ -278,27 +287,37 @@ class TransitionMatrix:
             raise NumericalError("triangular structure violated")
 
 
-def _linear_predictors(structure: ModelStructure, params: HazardParams, ages, female, wave):
-    """Vectorized log intensities (log q12, log q13, log q23).
+def covariate_design(structure: ModelStructure, ages, female):
+    """Centered spline basis, its female interaction and centered age.
 
-    ``wave`` is the 1-based index of the interval's left endpoint.  Spline
-    terms are centered at ``structure.ref_age``.
+    ``female`` broadcasts against ``ages``; the basis arrays gain a trailing
+    axis of length K-1.  Spline terms are centered at ``structure.ref_age``.
     """
     ages = np.asarray(ages, dtype=float)
     female = np.asarray(female, dtype=float)
-    wave = np.asarray(wave, dtype=int)
-    basis = spline_basis_matrix(ages, structure.knots) - spline_basis(
+    basis = spline_basis_matrix(ages.ravel(), structure.knots) - spline_basis(
         structure.ref_age, structure.knots
     )
+    basis = basis.reshape(ages.shape + (structure.n_basis,))
+    return basis, basis * female[..., None], ages - structure.ref_age
+
+
+def log_intensities(params: HazardParams, wave, female, basis, basis_f, age_centered):
+    """Log intensities (log q12, log q13, log q23) on a covariate design.
+
+    ``wave`` is the 1-based index of the interval's left endpoint; the other
+    arrays come from :func:`covariate_design` and broadcast together.
+    """
     lin12 = (
         params.beta[wave - 1]
         + params.female_12 * female
         + basis @ params.age_spline_12
-        + (basis * female[..., None]) @ params.age_spline_f_12
+        + basis_f @ params.age_spline_f_12
     )
-    age_c = ages - structure.ref_age
-    lin13 = params.log_q13_0 + params.female_13 * female + params.age_13 * age_c + params.trend_13 * wave
-    lin23 = params.log_q23_0 + params.female_23 * female + params.age_23 * age_c + params.trend_23 * wave
+    lin13 = (params.log_q13_0 + params.female_13 * female + params.age_13 * age_centered
+             + params.trend_13 * wave)
+    lin23 = (params.log_q23_0 + params.female_23 * female + params.age_23 * age_centered
+             + params.trend_23 * wave)
     return lin12, lin13, lin23
 
 
@@ -309,8 +328,9 @@ def build_intensity(
     if not 1 <= wave <= structure.n_waves:
         raise InvalidArgumentError(f"wave must be in 1..{structure.n_waves}, got {wave}")
     params.validate(structure)
-    lin12, lin13, lin23 = _linear_predictors(
-        structure, params, [z.age], [z.female], [wave]
+    female = np.array([float(z.female)])
+    lin12, lin13, lin23 = log_intensities(
+        params, np.array([wave], dtype=int), female, *covariate_design(structure, [z.age], female)
     )
     q12, q13, q23 = math.exp(lin12[0]), math.exp(lin13[0]), math.exp(lin23[0])
     if not all(map(math.isfinite, (q12, q13, q23))):
@@ -334,7 +354,7 @@ def _expm1_ratio(x):
     return out
 
 
-def _transition_entries(q12, q13, q23, w):
+def transition_entries(q12, q13, q23, w):
     """Closed-form entries of exp(wQ) for the triangular generator.
 
     Eigenvalues are -(q12+q13), -q23 and 0.  The off-diagonal entry
@@ -345,7 +365,8 @@ def _transition_entries(q12, q13, q23, w):
     same closed form rearranged so the degenerate direction a -> b (where the
     naive difference cancels catastrophically) is exact, the a == b limit
     q12 * w * e^{-aw} is taken explicitly, and the expm1 argument is never
-    positive, so nothing overflows for any intensity scale.
+    positive, so nothing overflows for any intensity scale.  p13 takes the
+    rest of row one, floored at 0 against roundoff.
     """
     q12 = np.asarray(q12, dtype=float)
     q13 = np.asarray(q13, dtype=float)
@@ -355,7 +376,7 @@ def _transition_entries(q12, q13, q23, w):
     p11 = np.exp(-a * w)
     p22 = np.exp(-b * w)
     p12 = q12 * w * np.exp(-np.minimum(a, b) * w) * _expm1_ratio(-np.abs(a - b) * w)
-    p13 = 1.0 - p11 - p12
+    p13 = np.maximum(1.0 - p11 - p12, 0.0)
     p23 = 1.0 - p22
     return p11, p12, p13, p22, p23
 
@@ -364,7 +385,7 @@ def transition_probability(Q: IntensityMatrix, w: float) -> TransitionMatrix:
     """Interval transition matrix P = exp(wQ) over an interval of width ``w``."""
     if not (w > 0 and math.isfinite(w)):
         raise InvalidArgumentError(f"interval width must be positive, got {w}")
-    p11, p12, p13, p22, p23 = _transition_entries(Q.q12, Q.q13, Q.q23, float(w))
+    p11, p12, p13, p22, p23 = transition_entries(Q.q12, Q.q13, Q.q23, float(w))
     p = np.array(
         [
             [float(p11), float(p12), float(p13)],
@@ -379,23 +400,7 @@ def transition_probability(Q: IntensityMatrix, w: float) -> TransitionMatrix:
 
 
 def params_to_dict(params: HazardParams) -> dict:
-    return {
-        "beta": params.beta.tolist(),
-        "female_12": params.female_12,
-        "age_spline_12": params.age_spline_12.tolist(),
-        "age_spline_f_12": params.age_spline_f_12.tolist(),
-        "log_q13_0": params.log_q13_0,
-        "female_13": params.female_13,
-        "age_13": params.age_13,
-        "trend_13": params.trend_13,
-        "log_q23_0": params.log_q23_0,
-        "female_23": params.female_23,
-        "age_23": params.age_23,
-        "trend_23": params.trend_23,
-        "logit_e12": params.logit_e12,
-        "logit_e21": params.logit_e21,
-        "logit_p2": params.logit_p2,
-    }
+    return {f.name: np.asarray(getattr(params, f.name)).tolist() for f in fields(params)}
 
 
 def save_model_spec(path, structure: ModelStructure, params: HazardParams | None = None) -> None:
@@ -420,8 +425,11 @@ def save_model_spec(path, structure: ModelStructure, params: HazardParams | None
 
 def load_model_spec(path):
     """Read a model-spec JSON; returns (structure, params_or_None)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise InvalidSpecError(f"{path}: malformed JSON ({exc})") from exc
     try:
         structure = ModelStructure(
             knots=tuple(doc["knots"]),
@@ -430,14 +438,21 @@ def load_model_spec(path):
         )
     except KeyError as exc:
         raise InvalidSpecError(f"model spec missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpecError(f"model spec: {exc}") from exc
     params = None
     if "params" in doc:
-        p = dict(doc["params"])
-        params = HazardParams(
-            beta=np.asarray(p.pop("beta"), dtype=float),
-            age_spline_12=np.asarray(p.pop("age_spline_12"), dtype=float),
-            age_spline_f_12=np.asarray(p.pop("age_spline_f_12"), dtype=float),
-            **p,
-        )
-        params.validate(structure)
+        try:
+            p = dict(doc["params"])
+            params = HazardParams(
+                beta=np.asarray(p.pop("beta"), dtype=float),
+                age_spline_12=np.asarray(p.pop("age_spline_12"), dtype=float),
+                age_spline_f_12=np.asarray(p.pop("age_spline_f_12"), dtype=float),
+                **p,
+            )
+            params.validate(structure)
+        except KeyError as exc:
+            raise InvalidSpecError(f"model spec params missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpecError(f"model spec params: {exc}") from exc
     return structure, params

@@ -51,19 +51,12 @@ class Panel:
             self.ages[order], self.female[order],
         )
 
-    def individual_slices(self):
-        """Yield (id, slice) pairs assuming the panel is sorted by id."""
-        ids = self.ids
-        if ids.size == 0:
-            return
-        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-        ends = np.r_[starts[1:], ids.size]
-        for s, e in zip(starts, ends):
-            yield int(ids[s]), slice(int(s), int(e))
 
-
-def _fmt(x: float) -> str:
-    # shortest decimal that round-trips to the same double
+def format_number(x) -> str:
+    """Integers as digits, floats as the shortest decimal that round-trips
+    to the same double; every CSV the package writes goes through here."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
     return repr(float(x))
 
 
@@ -72,8 +65,8 @@ def panel_to_csv(panel: Panel) -> str:
     buf.write(CSV_HEADER + "\n")
     for i in range(len(panel)):
         buf.write(
-            f"{panel.ids[i]},{_fmt(panel.times[i])},{panel.states[i]},"
-            f"{_fmt(panel.ages[i])},{panel.female[i]}\n"
+            f"{panel.ids[i]},{format_number(panel.times[i])},{panel.states[i]},"
+            f"{format_number(panel.ages[i])},{panel.female[i]}\n"
         )
     return buf.getvalue()
 
@@ -85,8 +78,11 @@ def write_panel(path, panel: Panel) -> None:
 
 def read_panel(path) -> Panel:
     """Parse a panel CSV, raising DataValidationError with row numbers."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not lines or lines[0].strip() != CSV_HEADER:
         raise DataValidationError(f"expected header '{CSV_HEADER}'")
     cols = ([], [], [], [], [])
@@ -113,31 +109,35 @@ def validate_panel(panel: Panel) -> list[str]:
     Messages carry 1-based row numbers in (id, time) sorted order, counting
     the header as row 1 to match the CSV layout.
     """
-    problems: list[str] = []
     p = panel.sort()
     if len(p) == 0:
-        problems.append("panel is empty")
-        return problems
+        return ["panel is empty"]
     finite = np.isfinite(p.times) & np.isfinite(p.ages)
-    for idx in np.flatnonzero(~finite):
-        problems.append(f"row {idx + 2}: non-finite time or age")
-    bad_state = ~np.isin(p.states, (1, 2, 3))
-    for idx in np.flatnonzero(bad_state):
-        problems.append(f"row {idx + 2}: state {p.states[idx]} outside {{1,2,3}}")
-    bad_female = ~np.isin(p.female, (0, 1))
-    for idx in np.flatnonzero(bad_female):
-        problems.append(f"row {idx + 2}: female {p.female[idx]} outside {{0,1}}")
-    for idx in np.flatnonzero(p.ages <= 0):
-        problems.append(f"row {idx + 2}: age {p.ages[idx]} must be positive")
-    for _id, sl in p.individual_slices():
-        t = p.times[sl]
-        s = p.states[sl]
-        if np.any(np.diff(t) <= 0):
-            j = int(np.flatnonzero(np.diff(t) <= 0)[0])
-            problems.append(f"row {sl.start + j + 3}: times not strictly increasing for id {_id}")
-        dead = np.flatnonzero(s == 3)
-        if dead.size and dead[0] < s.size - 1:
-            problems.append(
-                f"row {sl.start + int(dead[0]) + 3}: id {_id} has observations after death"
-            )
-    return problems
+    problems = [f"row {i + 2}: non-finite time or age" for i in np.flatnonzero(~finite)]
+    problems += [f"row {i + 2}: state {p.states[i]} outside {{1,2,3}}"
+                 for i in np.flatnonzero(~np.isin(p.states, (1, 2, 3)))]
+    problems += [f"row {i + 2}: female {p.female[i]} outside {{0,1}}"
+                 for i in np.flatnonzero(~np.isin(p.female, (0, 1)))]
+    problems += [f"row {i + 2}: age {p.ages[i]} must be positive"
+                 for i in np.flatnonzero(p.ages <= 0)]
+    # per-individual checks, in id order; within an individual: dead at the
+    # first observation, then times, then observations after death
+    first = np.r_[True, p.ids[1:] != p.ids[:-1]]
+    group = np.cumsum(first) - 1
+    has_next = np.r_[~first[1:], False]
+    dead_first = np.flatnonzero(first & (p.states == 3))
+    stalled = _first_per_group(np.flatnonzero(has_next[:-1] & (np.diff(p.times) <= 0)), group)
+    after_death = _first_per_group(np.flatnonzero(p.states == 3), group)
+    after_death = after_death[has_next[after_death]]
+    found = [(group[i], 0, f"row {i + 2}: id {p.ids[i]} is dead at its first observation")
+             for i in dead_first]
+    found += [(group[i], 1, f"row {i + 3}: times not strictly increasing for id {p.ids[i]}")
+              for i in stalled]
+    found += [(group[i], 2, f"row {i + 3}: id {p.ids[i]} has observations after death")
+              for i in after_death]
+    return problems + [text for *_, text in sorted(found)]
+
+
+def _first_per_group(rows: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """The first of ascending ``rows`` in each individual ``group``."""
+    return rows[np.unique(group[rows], return_index=True)[1]]

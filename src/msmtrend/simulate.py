@@ -15,17 +15,16 @@ order or chunking.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import InvalidArgumentError, InvalidSpecError
-from .markov import HazardParams, ModelStructure, _linear_predictors
+from .errors import InvalidSpecError
+from .markov import HazardParams, ModelStructure, covariate_design, log_intensities
 from .panel import Panel
 
-__all__ = ["SimulationConfig", "simulate_individual_path", "apply_observation_scheme", "simulate_panel"]
+__all__ = ["SimulationConfig", "simulate_panel"]
 
 _DRAWS_PER_INTERVAL = 3  # event clock, destination pick, onward clock
 
@@ -63,74 +62,14 @@ def _individual_uniforms(seed: int, ident: int, n_waves: int) -> np.ndarray:
     return rng.random(3 + _DRAWS_PER_INTERVAL * n_waves + (n_waves + 1))
 
 
-def simulate_individual_path(
-    structure: ModelStructure,
-    params: HazardParams,
-    age0: float,
-    female: int,
-    u: np.ndarray,
-    state0: int = 1,
-) -> np.ndarray:
-    """Latent state at each wave time for one individual.
-
-    ``u`` supplies the path uniforms (3 per interval).  Within interval k the
-    intensities are evaluated at the interval's left endpoint (age advances
-    deterministically with the wave clock) and the exit time from the current
-    state is an exponential clock; a second clock covers an onward 2->3 move
-    within the same interval.
-    """
-    T = structure.n_waves
-    wt = structure.wave_times
-    states = np.empty(T + 1, dtype=np.int64)
-    states[0] = state0
-    state = state0
-    for k in range(1, T + 1):
-        if state == 3:
-            states[k] = 3
-            continue
-        t_left = wt[k - 1]
-        width = wt[k] - wt[k - 1]
-        lin12, lin13, lin23 = _linear_predictors(
-            structure, params, [age0 + t_left], [female], [k]
-        )
-        q12, q13, q23 = math.exp(lin12[0]), math.exp(lin13[0]), math.exp(lin23[0])
-        u1, u2, u3 = u[3 * (k - 1): 3 * k]
-        if state == 1:
-            total = q12 + q13
-            t_event = math.inf if total == 0.0 else -math.log(1.0 - u1) / total
-            if t_event >= width:
-                states[k] = 1
-                continue
-            if u2 < q12 / total:
-                # onset within the interval; may still die before the next wave
-                remaining = width - t_event
-                t_death = math.inf if q23 == 0.0 else -math.log(1.0 - u3) / q23
-                state = 3 if t_death < remaining else 2
-            else:
-                state = 3
-        else:  # state == 2
-            t_death = math.inf if q23 == 0.0 else -math.log(1.0 - u1) / q23
-            if t_death < width:
-                state = 3
-        states[k] = state
-    return states
-
-
-def apply_observation_scheme(latent: np.ndarray, e12: float, e21: float, u: np.ndarray) -> np.ndarray:
-    """Misreport latent states 1 and 2; death is observed exactly."""
-    observed = latent.copy()
-    flip1 = (latent == 1) & (u[: latent.size] < e12)
-    flip2 = (latent == 2) & (u[: latent.size] < e21)
-    observed[flip1] = 2
-    observed[flip2] = 1
-    return observed
-
-
 def _latent_paths_vectorized(config: SimulationConfig, u: np.ndarray, age0, fem, state0):
     """All individuals' latent wave states at once.
 
-    Replays exactly the clock logic of :func:`simulate_individual_path` on
-    the shared uniform layout, so the two agree element for element.
+    ``u`` supplies the path uniforms (3 per interval).  Within interval k the
+    intensities are evaluated at the interval's left endpoint (age advances
+    deterministically with the wave clock) and the exit time from the
+    current state is an exponential clock; a second clock covers an onward
+    2->3 move within the same interval.
     """
     structure, params = config.structure, config.params
     T = structure.n_waves
@@ -141,8 +80,8 @@ def _latent_paths_vectorized(config: SimulationConfig, u: np.ndarray, age0, fem,
     state = state0.copy()
     for k in range(1, T + 1):
         width = wt[k] - wt[k - 1]
-        lin12, lin13, lin23 = _linear_predictors(
-            structure, params, age0 + wt[k - 1], fem, np.full(n, k)
+        lin12, lin13, lin23 = log_intensities(
+            params, np.full(n, k), fem, *covariate_design(structure, age0 + wt[k - 1], fem)
         )
         q12 = np.exp(lin12)
         q13 = np.exp(lin13)
@@ -209,21 +148,3 @@ def simulate_panel(config: SimulationConfig) -> Panel:
     ages = (age0[:, None] + wt[None, :])[keep]
     female = np.repeat(fem, rows_per)
     return Panel(ids, times, states, ages, female)
-
-
-def crude_incidence_rate(panel: Panel) -> float:
-    """Observed 1->2 events per person-year of state-1 exposure."""
-    p = panel.sort()
-    events = 0
-    person_years = 0.0
-    for _id, sl in p.individual_slices():
-        s = p.states[sl]
-        t = p.times[sl]
-        for j in range(s.size - 1):
-            if s[j] == 1:
-                person_years += t[j + 1] - t[j]
-                if s[j + 1] == 2:
-                    events += 1
-    if person_years == 0.0:
-        raise InvalidArgumentError("no state-1 exposure in panel")
-    return events / person_years

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import chi2, f as f_dist, norm, t as t_dist
 
 from .errors import InvalidArgumentError
-from .estimator import TrendSeries
+from .trend import TrendSeries
 
 __all__ = [
     "bartlett_weight",

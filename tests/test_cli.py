@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from msmtrend import trendtests
 from msmtrend.markov import HazardParams, save_model_spec
 
 from conftest import paperlike_structure
@@ -269,3 +270,115 @@ def test_test_trend_deterministic(pipeline, tmp_path):
                       "--mc-reps", 2000, "--out", out)
         assert res.returncode == 0, res.stderr
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# input failures: one stderr line, exit 1
+
+
+def fit_msm_args(panel, tmp_path, spec=None):
+    args = ["fit-msm", "--panel", panel, "--out-estimate", tmp_path / "e.json",
+            "--out-trend", tmp_path / "t.json"]
+    return args + (["--model-spec", spec] if spec else [])
+
+
+@pytest.mark.parametrize("with_spec", [False, True])
+def test_fit_msm_rejects_malformed_panel(spec_file, tmp_path, with_spec):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "id,time,state,age,female\n"
+        "1,0.0,1,70.0,0\n"
+        "1,2.0,3,72.0,0\n"
+        "1,4.0,1,74.0,0\n"
+        "2,0.0,1,nan,1\n"
+        "2,2.0,1,67.0,1\n"
+    )
+    res = run_cli(*fit_msm_args(path, tmp_path, spec_file if with_spec else None))
+    assert res.returncode == 1
+    assert res.stderr == (
+        "error: validation: row 5: non-finite time or age; "
+        "row 4: id 1 has observations after death\n"
+    )
+    assert not (tmp_path / "e.json").exists()
+
+
+def test_dead_at_first_observation_rejected_by_validate_and_fit(spec_file, tmp_path):
+    path = tmp_path / "dead.csv"
+    path.write_text(
+        "id,time,state,age,female\n"
+        "1,0.0,1,70.0,0\n"
+        "1,2.0,2,72.0,0\n"
+        "2,0.0,3,64.0,1\n"
+    )
+    res = run_cli("validate", "--panel", path)
+    assert res.returncode == 1
+    assert res.stdout.splitlines() == ["row 4: id 2 is dead at its first observation"]
+    res = run_cli(*fit_msm_args(path, tmp_path, spec_file))
+    assert res.returncode == 1
+    assert res.stderr == "error: validation: row 4: id 2 is dead at its first observation\n"
+
+
+def test_validate_directory_is_one_line_error(tmp_path):
+    res = run_cli("validate", "--panel", tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: validation:")
+    assert res.stderr.count("\n") == 1
+
+
+def test_non_utf8_inputs_are_one_line_errors(tmp_path):
+    path = tmp_path / "binary"
+    path.write_bytes(b"id,time\xff\xfe\n")
+    for args in (["validate", "--panel", path],
+                 ["fit-filter", "--trend", path, "--out", tmp_path / "f.json"]):
+        res = run_cli(*args)
+        assert res.returncode == 1, args
+        assert res.stderr.startswith("error: validation:")
+        assert res.stderr.count("\n") == 1
+
+
+def test_trend_with_non_numeric_beta_is_one_line_error(tmp_path):
+    path = tmp_path / "trend.json"
+    path.write_text(json.dumps({"beta": ["a", 1.0, 2.0], "var_diag": [0.01, 0.01, 0.01]}))
+    for args in (["fit-filter", "--trend", path, "--out", tmp_path / "f.json"],
+                 ["test-trend", "--trend", path, "--seed", 1, "--out", tmp_path / "t.json"]):
+        res = run_cli(*args)
+        assert res.returncode == 1, args
+        assert res.stderr.startswith("error: validation:")
+        assert res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("functional", ["bridge", "wiener"])
+def test_critical_csv_is_the_simulated_table(pipeline, tmp_path, functional):
+    crit = tmp_path / "crit.csv"
+    res = run_cli("test-trend", "--trend", pipeline["trend"], "--seed", 3, "--mc-grid", 50,
+                  "--mc-reps", 1000, "--out", tmp_path / "t.json", "--out-critical", crit,
+                  "--critical-functional", functional)
+    assert res.returncode == 0, res.stderr
+    table = trendtests.simulate_critical_values(functional, n_grid=50, reps=1000, seed=3)
+    want = "level,value\n" + "".join(
+        f"{float(lv)!r},{float(v)!r}\n" for lv, v in sorted(table.quantiles.items())
+    )
+    assert crit.read_text() == want
+
+
+@pytest.mark.parametrize("edit", ["truncate", "drop_field", "bad_value", "bad_scalar", "bad_knots"])
+def test_malformed_model_spec_is_one_line_error(spec_file, tmp_path, edit):
+    path = tmp_path / "spec.json"
+    text = spec_file.read_text()
+    if edit == "truncate":
+        path.write_text(text[:40])
+    else:
+        doc = json.loads(text)
+        if edit == "drop_field":
+            del doc["params"]["age_spline_12"]
+        elif edit == "bad_value":
+            doc["params"]["beta"][0] = "x"
+        elif edit == "bad_scalar":
+            doc["params"]["female_12"] = "x"
+        else:
+            doc["knots"] = ["a", "b", "c"]
+        path.write_text(json.dumps(doc))
+    res = run_cli("simulate", "--model-spec", path, "--n", 5, "--seed", 1, "--out", tmp_path / "p.csv")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: validation:")
+    assert res.stderr.count("\n") == 1

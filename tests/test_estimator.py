@@ -11,6 +11,7 @@ from msmtrend.panel import Panel
 from msmtrend.simulate import SimulationConfig, simulate_panel
 
 from conftest import WAVE_TIMES, paperlike_params, paperlike_structure
+from oracles import individual_slices
 
 
 SMALL_STRUCTURE = ModelStructure(knots=(58.0, 68.0, 80.0), wave_times=(0.0, 2.0, 4.0, 6.0))
@@ -69,7 +70,7 @@ def enumeration_loglik(panel: Panel, structure, params: HazardParams) -> float:
     init = np.array([1 - p2, p2, 0.0])
     total = 0.0
     p = panel.sort()
-    for _id, sl in p.individual_slices():
+    for _id, sl in individual_slices(p):
         obs = p.states[sl] - 1
         t = p.times[sl]
         ages = p.ages[sl]
@@ -77,7 +78,7 @@ def enumeration_loglik(panel: Panel, structure, params: HazardParams) -> float:
         m = obs.size
         mats = []
         for j in range(m - 1):
-            wave = structure.wave_index(t[j])
+            wave = int(structure.wave_indices([t[j]])[0])
             q = build_intensity(structure, params, Covariates(float(ages[j]), fem), wave)
             mats.append(transition_probability(q, float(t[j + 1] - t[j])).matrix)
         lik = 0.0
@@ -197,6 +198,54 @@ def test_observation_after_death_rejected():
 
 
 # ---------------------------------------------------------------------------
+# design construction errors
+
+
+def small_panel(ids, times, states):
+    n = len(ids)
+    return Panel(np.array(ids, dtype=np.int64), np.array(times, dtype=float),
+                 np.array(states, dtype=np.int64), 66.0 + np.array(times, dtype=float),
+                 np.zeros(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_design_rejects_off_grid_time(validate):
+    # the first offending left endpoint in (id, time) order is reported
+    panel = small_panel([2, 2, 2, 1, 1, 1], [0.0, 2.5, 4.0, 0.0, 1.0, 2.0], [1] * 6)
+    with pytest.raises(InvalidArgumentError, match=r"^time 1\.0 is not on the wave grid"):
+        est.PanelDesign(panel, SMALL_STRUCTURE, validate=validate)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_design_rejects_final_wave_left_endpoint(validate):
+    panel = small_panel([1, 1, 1, 1], [0.0, 4.0, 6.0, 7.0], [1, 1, 1, 1])
+    with pytest.raises(InvalidArgumentError, match=r"^time 6\.0 is the final wave"):
+        est.PanelDesign(panel, SMALL_STRUCTURE, validate=validate)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_design_rejects_empty_panel(validate):
+    with pytest.raises(DataValidationError, match=r"^panel is empty$"):
+        est.PanelDesign(small_panel([], [], []), SMALL_STRUCTURE, validate=validate)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_design_rejects_single_observation_panel(validate):
+    # every individual seen once: no transition to learn from, whatever the times
+    panel = small_panel([1, 2, 3], [0.0, 2.0, 1.0], [1, 2, 1])
+    with pytest.raises(DataValidationError, match="at least one individual with two observations"):
+        est.PanelDesign(panel, SMALL_STRUCTURE, validate=validate)
+
+
+def test_design_rejects_dead_at_first_observation():
+    panel = small_panel([1, 1, 2], [0.0, 2.0, 0.0], [1, 2, 3])
+    with pytest.raises(DataValidationError, match="id 2 is dead at its first observation"):
+        est.PanelDesign(panel, SMALL_STRUCTURE)
+    # the unchecked design still builds: the likelihood floors the impossible sequence
+    est.PanelDesign(panel, SMALL_STRUCTURE, validate=False)
+
+
+# ---------------------------------------------------------------------------
 # numerical Hessian
 
 
@@ -265,7 +314,7 @@ def test_death_only_mle_matches_closed_form():
     structure, panel = flat_death_panel(n=4000, h=0.06, seed=13)
     p = panel.sort()
     exposures = deaths = 0
-    for _id, sl in p.individual_slices():
+    for _id, sl in individual_slices(p):
         s = p.states[sl]
         exposures += s.size - 1
         deaths += int(s[-1] == 3)

@@ -144,6 +144,18 @@ def test_wave_out_of_range():
         build_intensity(st, params, Covariates(70.0, 0), wave=9)
 
 
+def test_wave_indices_snap_to_nearest_wave():
+    st = ModelStructure(knots=(55.0, 70.0, 85.0), wave_times=(0.0, 2.0, 4.0, 6.0))
+    times = [0.0, 2.0 + 5e-10, 4.0 - 5e-10, 2.0, 5e-10]
+    np.testing.assert_array_equal(st.wave_indices(times), [1, 2, 3, 2, 1])
+    with pytest.raises(InvalidArgumentError, match=r"^time 6\.0 is the final wave"):
+        st.wave_indices([0.0, 6.0, 3.0])
+    with pytest.raises(InvalidArgumentError, match=r"^time 3\.0 is not on the wave grid"):
+        st.wave_indices([0.0, 3.0, 6.0])
+    with pytest.raises(InvalidArgumentError, match="not on the wave grid"):
+        st.wave_indices([float("nan")])
+
+
 # ---------------------------------------------------------------------------
 # transition probabilities
 

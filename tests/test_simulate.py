@@ -5,16 +5,15 @@ from scipy.special import expit
 from msmtrend.errors import InvalidSpecError
 from msmtrend.markov import HazardParams, ModelStructure, transition_probability, build_intensity, Covariates
 from msmtrend.panel import panel_to_csv, validate_panel
-from msmtrend.simulate import (
-    SimulationConfig,
-    _individual_uniforms,
-    apply_observation_scheme,
-    crude_incidence_rate,
-    simulate_individual_path,
-    simulate_panel,
-)
+from msmtrend.simulate import SimulationConfig, _individual_uniforms, simulate_panel
 
 from conftest import WAVE_TIMES, paperlike_params, paperlike_structure
+from oracles import (
+    apply_observation_scheme,
+    crude_incidence_rate,
+    individual_slices,
+    simulate_individual_path,
+)
 
 
 def constant_rate_params(rate12: float, rate13: float, rate23: float) -> HazardParams:
@@ -111,7 +110,7 @@ def test_dead_never_reported_alive():
     cfg = SimulationConfig(n=2000, structure=st, params=paperlike_params(), seed=21)
     panel = simulate_panel(cfg).sort()
     assert not validate_panel(panel)
-    for _id, sl in panel.individual_slices():
+    for _id, sl in individual_slices(panel):
         s = panel.states[sl]
         dead = np.flatnonzero(s == 3)
         if dead.size:
