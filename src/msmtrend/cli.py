@@ -342,7 +342,7 @@ def build_parser() -> _Parser:
 
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, parser=p)
         p.add_argument("--config", help="JSON file supplying defaults for any flag")
         p.add_argument("--threads", type=int, default=None,
                        help="reserved; results never depend on thread count")
@@ -432,14 +432,41 @@ _DEFAULTS = {
 
 
 def _apply_config(args) -> None:
-    """Fill unset flags from --config, then from built-in defaults."""
-    config = {}
+    """Fill unset flags from --config, then from built-in defaults.
+
+    Config values pass through the subcommand's own argparse actions, so a
+    value of the wrong type, outside the choices or under an unknown key
+    fails as it would on the command line.
+    """
     if getattr(args, "config", None):
         config = read_json(args.config)
         if not isinstance(config, dict):
             raise DataValidationError(f"{args.config}: config must be a JSON object")
-    defaults = _DEFAULTS.get(args.command, {})
-    for key, value in {**defaults, **{k.replace("-", "_"): v for k, v in config.items()}}.items():
+        actions = {a.dest: a for a in args.parser._actions
+                   if a.option_strings and a.dest not in ("help", "config")}
+        tokens, dests = [], []
+        for key, value in config.items():
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
+                raise CliUsageError(f"{args.config}: unknown key {key!r} for {args.command}")
+            flag = action.option_strings[-1]
+            if action.nargs == 0:  # store_true switch
+                if not isinstance(value, bool):
+                    raise CliUsageError(f"{args.config}: {key!r} must be true or false")
+                tokens += [flag] if value else []
+            elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+                tokens.append(f"{flag}={value}")
+            else:
+                raise CliUsageError(f"{args.config}: {key!r} must be a number or a string")
+            dests.append(action.dest)
+        try:
+            parsed = args.parser.parse_args(tokens)
+        except CliUsageError as exc:
+            raise CliUsageError(f"{args.config}: {exc}") from exc
+        for dest in dests:
+            if getattr(args, dest) is None:
+                setattr(args, dest, getattr(parsed, dest))
+    for key, value in _DEFAULTS.get(args.command, {}).items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
 

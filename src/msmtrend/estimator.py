@@ -157,18 +157,18 @@ class PanelDesign:
             vals = col[act]
             return max(1.0, float(np.sqrt(np.mean(vals**2))))
 
-        scales = np.ones(st.n_waves + 2 * st.n_basis + 12)
-        i = st.n_waves + 1
+        at, i = {}, 0
+        for name, size in param_layout(st):
+            at[name] = i
+            i += size or 1
+        scales = np.ones(i)
         for j in range(st.n_basis):
-            scales[i + j] = rms(self.basis[:, :, j])
-            scales[i + st.n_basis + j] = rms(self.basis_f[:, :, j])
-        i += 2 * st.n_basis
+            scales[at["age_spline_12"] + j] = rms(self.basis[:, :, j])
+            scales[at["age_spline_f_12"] + j] = rms(self.basis_f[:, :, j])
         age_rms = rms(self.age_centered)
         wave_rms = rms(self.waves.astype(float))
-        scales[i + 2] = age_rms
-        scales[i + 3] = wave_rms
-        scales[i + 6] = age_rms
-        scales[i + 7] = wave_rms
+        scales[[at["age_13"], at["age_23"]]] = age_rms
+        scales[[at["trend_13"], at["trend_23"]]] = wave_rms
         return scales
 
     def loglik(self, gamma: np.ndarray) -> float:
@@ -235,22 +235,16 @@ def forward_loglik(panel: Panel, structure: ModelStructure, gamma, validate: boo
 # observed information
 
 
-def hessian_covariance(loglik_fun, gamma_hat, step: float = 1e-4, richardson: bool = True,
-                       hessian: np.ndarray | None = None):
+def hessian_covariance(hessian: np.ndarray):
     """Covariance of an ML estimate from the inverse observed information.
 
-    Returns (Sigma, warnings).  An eigenvalue of the information matrix
-    below -1e-6 signals wrong curvature and raises; eigenvalues that are
-    only numerically zero trigger a pseudo-inverse with a warning, which is
-    what a variance parameter estimated on its boundary produces.  A
-    precomputed ``hessian`` skips the finite differencing.
+    ``hessian`` is the Hessian of the log likelihood at the estimate.  Returns
+    (Sigma, warnings).  An eigenvalue of the information matrix below -1e-6
+    signals wrong curvature and raises; eigenvalues that are only
+    numerically zero trigger a pseudo-inverse with a warning, which is what
+    a variance parameter estimated on its boundary produces.
     """
-    gamma_hat = np.asarray(gamma_hat, dtype=float)
-    if hessian is not None:
-        H = hessian
-    else:
-        H = hessian_fd(loglik_fun, gamma_hat, step=step, richardson=richardson)
-    info = -H
+    info = -hessian
     eigvals = np.linalg.eigvalsh(info)
     warnings: list[str] = []
     if eigvals.min() < -1e-6:
@@ -356,7 +350,6 @@ def fit_msm(
     fixed: dict | None = None,
     compute_cov: bool = True,
     maxiter: int = 500,
-    polish: bool = True,
     validate: bool = True,
 ) -> EstimationResult:
     """Maximize the misclassified-panel likelihood.
@@ -423,35 +416,30 @@ def fit_msm(
     converged = bool(res.success)
     warnings: list[str] = []
 
-    need_hessian = polish or compute_cov
-    H_nll = None
-    if need_hessian:
-        H_nll = hessian_fd(nll, z_free, step=1e-4, richardson=True)
+    H_nll = hessian_fd(nll, z_free, step=1e-4, richardson=True)
 
-    moved = np.zeros_like(z_free)
-    if polish:
-        # a few damped Newton steps sharpen the optimum well past what
-        # finite-difference L-BFGS-B can resolve
-        z_start = z_free.copy()
-        for _ in range(3):
-            g = gradient_fd(nll, z_free, step=1e-6)
-            if np.max(np.abs(g)) < 1e-9 * max(1.0, abs(res.fun)):
+    # a few damped Newton steps sharpen the optimum well past what
+    # finite-difference L-BFGS-B can resolve
+    z_start = z_free.copy()
+    for _ in range(3):
+        g = gradient_fd(nll, z_free, step=1e-6)
+        if np.max(np.abs(g)) < 1e-9 * max(1.0, abs(res.fun)):
+            break
+        try:
+            delta = np.linalg.solve(H_nll, g)
+        except np.linalg.LinAlgError:
+            break
+        f_cur = nll(z_free)
+        damp = 1.0
+        for _ in range(6):
+            cand = z_free - damp * delta
+            if nll(cand) < f_cur:
+                z_free = cand
                 break
-            try:
-                delta = np.linalg.solve(H_nll, g)
-            except np.linalg.LinAlgError:
-                break
-            f_cur = nll(z_free)
-            damp = 1.0
-            for _ in range(6):
-                cand = z_free - damp * delta
-                if nll(cand) < f_cur:
-                    z_free = cand
-                    break
-                damp *= 0.5
-            else:
-                break
-        moved = z_free - z_start
+            damp *= 0.5
+        else:
+            break
+    moved = z_free - z_start
 
     x_hat = x_full.copy()
     x_hat[idx_free] = z_free / scale
@@ -468,7 +456,7 @@ def fit_msm(
             tol_move = 0.05 * np.sqrt(np.maximum(np.abs(diag_cov), 1e-300))
             if np.any(np.abs(moved) > tol_move):
                 H_nll = hessian_fd(nll, z_free, step=1e-4, richardson=True)
-            cov_z, cov_warnings = hessian_covariance(lambda z: -nll(z), z_free, hessian=-H_nll)
+            cov_z, cov_warnings = hessian_covariance(-H_nll)
             cov_free = cov_z / np.outer(scale, scale)
             warnings.extend(cov_warnings)
         except CurvatureError as exc:

@@ -1,10 +1,10 @@
 """Small-sample behavior of the constrained filter.
 
 Gain and normalized-variance recursions driven by the signal-to-noise
-sequence s_k = sigma_eta^2 / sigma_kk^2, their fixed points and contraction
-margins, the expansion of the filter update K_k v_k in past process and
-measurement shocks (exact, brute-force and steady-state forms), and the
-implied analytic power and size for detecting the sign of a shock.
+sequence s_k = sigma_eta^2 / sigma_kk^2, their fixed points, the expansion
+of the filter update K_k v_k in past process and measurement shocks (exact
+and steady-state forms), and the implied analytic power and size for
+detecting the sign of a shock.
 
 Indexing: the library's K_1 = 1 is the diffuse step, so the first non-diffuse
 gain is K_2 = s/(s+1).  Narrative conventions elsewhere often start counting
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.stats import norm
@@ -25,20 +24,16 @@ from .errors import InvalidArgumentError
 __all__ = [
     "GainTrajectory",
     "gain_sequence",
-    "variance_map_iterate",
     "FixedPoint",
     "fixed_point",
-    "contraction_check",
     "LinearMapStep",
     "linear_map_decomposition",
     "CoefficientTable",
     "exact_coefficients",
-    "enumerate_coefficients_oracle",
     "asymptotic_coefficients",
     "PowerCurve",
     "power",
     "size",
-    "mc_power",
 ]
 
 
@@ -46,18 +41,15 @@ __all__ = [
 class GainTrajectory:
     """Gain and normalized-variance path for a signal-to-noise sequence.
 
-    ``paper_labels`` shifts the index so the first non-diffuse gain is
-    labeled 1, matching the narrative convention.
+    ``A`` holds the gain history A_k and ``nu_var`` = s_k A_k the normalized
+    posterior variances P_{k|k} / sigma_kk^2.
     """
 
     s: np.ndarray
     gains: np.ndarray
+    A: np.ndarray
     nu_var: np.ndarray
     iota: np.ndarray
-
-    @property
-    def paper_labels(self) -> np.ndarray:
-        return np.arange(len(self.gains))  # K_1 diffuse gets label 0
 
     def as_rows(self):
         for k in range(len(self.gains)):
@@ -84,47 +76,14 @@ def gain_sequence(s) -> GainTrajectory:
         raise InvalidArgumentError("signal-to-noise ratios must be positive and finite")
     T = s.size
     gains = np.empty(T)
+    A = np.empty(T)
     gains[0] = 1.0
-    a = 0.0  # A_1 = 1 - K_1
+    A[0] = 0.0  # A_1 = 1 - K_1
     for k in range(1, T):
-        gains[k] = s[k] * (a + 1.0) / (s[k] * a + s[k] + 1.0)
-        a = (1.0 - gains[k]) * (a + 1.0)
-    nu_var = _nu_from_gains(s, gains)
+        gains[k] = s[k] * (A[k - 1] + 1.0) / (s[k] * A[k - 1] + s[k] + 1.0)
+        A[k] = (1.0 - gains[k]) * (A[k - 1] + 1.0)
     iota = 1.0 - s[1:] / s[:-1] if T > 1 else np.empty(0)
-    return GainTrajectory(s=s, gains=gains, nu_var=nu_var, iota=iota)
-
-
-def _nu_from_gains(s: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Normalized posterior variances P_{k|k}/sigma_kk^2 = s_k A_k."""
-    out = np.empty_like(gains)
-    a = 0.0
-    out[0] = 0.0
-    for k in range(1, gains.size):
-        a = (1.0 - gains[k]) * (a + 1.0)
-        out[k] = s[k] * a
-    return out
-
-
-def variance_map_iterate(nu0: float, s, iota) -> np.ndarray:
-    """Iterate the normalized posterior-variance map.
-
-        nu_{k+1} = (1 - iota_k) (nu_k + s_k) / (nu_k + s_k + 1)
-
-    Returns the trajectory starting at nu0 (length len(s) + 1).
-    """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    iota = np.atleast_1d(np.asarray(iota, dtype=float))
-    if iota.size == 1:
-        iota = np.full(s.size, iota[0])
-    if iota.size != s.size:
-        raise InvalidArgumentError("iota and s must have matching lengths")
-    out = np.empty(s.size + 1)
-    out[0] = nu0
-    nu = float(nu0)
-    for k in range(s.size):
-        nu = (1.0 - iota[k]) * (nu + s[k]) / (nu + s[k] + 1.0)
-        out[k + 1] = nu
-    return out
+    return GainTrajectory(s=s, gains=gains, A=A, nu_var=s * A, iota=iota)
 
 
 @dataclass(frozen=True)
@@ -150,17 +109,6 @@ def fixed_point(s: float, iota: float = 0.0) -> FixedPoint:
     nu_inf = 0.5 * (-c1 + math.sqrt(c1 * c1 + 4.0 * s * (1.0 - iota)))
     k_inf = (nu_inf + s) / (nu_inf + s + 1.0)
     return FixedPoint(s=float(s), iota=float(iota), nu_inf=float(nu_inf), k_inf=float(k_inf))
-
-
-def contraction_check(s_k: float, nu_k: float, variance_ratio: float):
-    """Whether the variance map contracts at this step.
-
-    True iff sigma_kk^2 / sigma_{k+1,k+1}^2 < (1 + s_k + nu_k)^2 (strict);
-    returns (flag, margin) with margin = bound - ratio.
-    """
-    bound = (1.0 + s_k + nu_k) ** 2
-    margin = bound - variance_ratio
-    return (variance_ratio < bound), float(margin)
 
 
 @dataclass(frozen=True)
@@ -190,13 +138,10 @@ def linear_map_decomposition(s, k: int) -> LinearMapStep:
     if s.size < k + 1:
         raise InvalidArgumentError(f"need s_1..s_{k + 1} to decompose step {k}")
     traj = gain_sequence(s[: k + 1])
-    gains = traj.gains
-    a_prev = 0.0  # A_{k-1}
-    for j in range(1, k - 1):
-        a_prev = (1.0 - gains[j]) * (a_prev + 1.0)
-    k_next = gains[k]  # K_{k+1}, 0-based index k
+    a_prev = traj.A[k - 2]  # A_{k-1}, 0-based index k - 2
+    k_next = traj.gains[k]  # K_{k+1}, 0-based index k
     slope = -s[k] * (a_prev + 1.0) * (1.0 - k_next) ** 2
-    intercept = k_next - slope * gains[k - 1]
+    intercept = k_next - slope * traj.gains[k - 1]
     return LinearMapStep(k=k, slope=float(slope), intercept=float(intercept), next_gain=float(k_next))
 
 
@@ -222,8 +167,8 @@ def exact_coefficients(k: int, gains) -> CoefficientTable:
         c_i(j+1) = (-K_{j+1}) (-1 + sum_{s=i..j} c_i(s)),   c_i(i) = K_i
         d_i(j+1) = (-K_{j+1}) sum_{s=i..j} d_i(s),          d_i(i) = K_i
 
-    Linear cost per coefficient, equal to the signed-subset expansion that
-    :func:`enumerate_coefficients_oracle` builds explicitly.
+    Linear cost per coefficient, equal to the signed-subset expansion
+    (sums of signed products of gains over subsets of {i..k}).
     """
     if k < 2:
         raise InvalidArgumentError(f"order must be >= 2, got {k}")
@@ -246,47 +191,6 @@ def exact_coefficients(k: int, gains) -> CoefficientTable:
         c[i - 1] = c_cur
         d[i - 1] = d_cur
     return CoefficientTable(order=k, c=c, d=d, mode="exact", gains=gains[:k].copy())
-
-
-def enumerate_coefficients_oracle(k: int, gains):
-    """Brute-force signed-subset expansion of the coefficients.
-
-    c_i(k) sums (-1)^{len+1} prod K over all subsets of {i..k} whose largest
-    element is k; d_i(k) over subsets containing both i and k.  Exponential
-    cost, refused above order 10.  Returns (table, c_terms, d_terms) where
-    the term lists hold (sign, indices) tuples.
-    """
-    if k < 2:
-        raise InvalidArgumentError(f"order must be >= 2, got {k}")
-    if k > 10:
-        raise InvalidArgumentError("enumeration oracle is exponential; order capped at 10")
-    gains = np.asarray(gains, dtype=float)
-    if gains.size < k:
-        raise InvalidArgumentError(f"need {k} gains, got {gains.size}")
-    c = np.zeros(k)
-    d = np.zeros(k)
-    c_terms: dict = {}
-    d_terms: dict = {}
-    for i in range(1, k + 1):
-        ct: list = []
-        dt: list = []
-        pool = range(i, k)  # optional members besides the mandatory k
-        for size in range(0, k - i + 1):
-            for combo in combinations(pool, size):
-                idx = tuple(sorted(combo + (k,)))
-                sign = (-1.0) ** (len(idx) + 1)
-                prod = float(np.prod(gains[np.array(idx) - 1]))
-                ct.append((sign, idx))
-                c[i - 1] += sign * prod
-                if i in idx:
-                    dt.append((sign, idx))
-                    d[i - 1] += sign * prod
-        # d_k(k) comes from the singleton {k}; for i < k the subsets above
-        # that contain i cover the definition
-        c_terms[i] = ct
-        d_terms[i] = dt
-    table = CoefficientTable(order=k, c=c, d=d, mode="exact", gains=gains[:k].copy())
-    return table, c_terms, d_terms
 
 
 def asymptotic_coefficients(k: int, k_inf: float) -> CoefficientTable:
@@ -375,41 +279,4 @@ def size(eta_std, k: int, s: float, mode: str = "exact") -> PowerCurve:
     x = np.atleast_1d(np.asarray(eta_std, dtype=float))
     if np.any(x < 0):
         raise InvalidArgumentError("size is defined on nonnegative standardized shocks")
-    curve = power(x, k, s, mode)
-    return PowerCurve(eta_std=curve.eta_std, theta=curve.theta, k=k, s=float(s), mode=mode)
-
-
-def mc_power(k: int, s: float, eta_std: float, reps: int, seed: int = 0) -> float:
-    """Monte-Carlo oracle for :func:`power`, running the actual filter.
-
-    Simulates random-walk histories with the shock at time k pinned to
-    eta_std standard deviations, filters each, and counts how often the
-    posterior falls.  Replications share nothing with the coefficient
-    machinery.  Vectorized over replications; each block of 10000 draws its
-    own substream so the result is chunking-independent.
-    """
-    if k < 2:
-        raise InvalidArgumentError(f"k must be >= 2, got {k}")
-    gains = gain_sequence(np.full(k, s)).gains
-    block = 10_000
-    falls = 0
-    done = 0
-    chunk_idx = 0
-    while done < reps:
-        m = min(block, reps - done)
-        rng = np.random.default_rng([seed, chunk_idx])
-        eta = rng.standard_normal((block, k))
-        eps = rng.standard_normal((block, k)) / math.sqrt(s)
-        eta = eta[:m]
-        eps = eps[:m]
-        eta[:, k - 1] = eta_std
-        beta_hat = np.cumsum(eta, axis=1) + eps
-        post = beta_hat[:, 0].copy()
-        prev = post
-        for j in range(1, k):
-            prev = post
-            post = post + gains[j] * (beta_hat[:, j] - post)
-        falls += int(np.sum(post < prev))
-        done += m
-        chunk_idx += 1
-    return falls / reps
+    return power(x, k, s, mode)

@@ -11,7 +11,7 @@ the Gaussian prediction-error likelihood runs over the remaining waves only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar, minimize
@@ -82,10 +82,7 @@ class FilterModel:
     @property
     def n_params(self) -> int:
         """Count of freely estimated parameters (constrained-mode noise not counted)."""
-        count = {"zero_drift": 1, "const_drift": 2, "stoch_drift": 2}[self.variant]
-        if self.mode == "free":
-            count += 1
-        return count
+        return len(self.free_names())
 
     def free_names(self) -> list:
         names = ["sigma_eta"]
@@ -100,7 +97,11 @@ class FilterModel:
 
 @dataclass
 class FilterOutput:
-    """Per-wave filter quantities; diffuse steps carry infinite prior variance."""
+    """Per-wave filter quantities; diffuse steps carry infinite prior variance.
+
+    ``drift_mean`` is the filtered nu per wave and ``final_state_cov`` the
+    2x2 covariance of (beta, nu) after the last wave, for every variant.
+    """
 
     prior_mean: np.ndarray
     prior_var: np.ndarray
@@ -111,8 +112,8 @@ class FilterOutput:
     post_var: np.ndarray
     loglik: float
     n_diffuse: int
-    drift_mean: np.ndarray | None = None
-    final_state_cov: np.ndarray | None = None
+    drift_mean: np.ndarray
+    final_state_cov: np.ndarray
 
     @property
     def std_residuals(self) -> np.ndarray:
@@ -149,6 +150,11 @@ def run_filter(series, model: FilterModel, meas_var=None) -> FilterOutput:
     ``series`` is a TrendSeries (its diagonal supplies the constrained
     measurement variances) or a plain vector, in which case ``meas_var``
     supplies them.  Free mode ignores both in favor of ``model.sigma_eps``.
+
+    Every variant runs the same recursion over the state (beta, nu) with
+    transition [[1, 1], [0, 1]].  Zero and constant drift hold nu fixed at 0
+    or ``model.nu`` with no nu noise, so its row of the state covariance
+    stays zero; stochastic drift starts nu diffuse.
     """
     beta_hat, series_var = _as_series(series)
     if meas_var is not None:
@@ -156,113 +162,68 @@ def run_filter(series, model: FilterModel, meas_var=None) -> FilterOutput:
     T = beta_hat.size
     if T < 2:
         raise InvalidArgumentError("need at least two waves")
-    h = _meas_var(T, series_var, model)
-    if model.variant == "stoch_drift":
-        if T < 3:
-            raise InvalidArgumentError("stochastic drift needs at least three waves")
-        return _run_filter_2state(beta_hat, h, model)
-    return _run_filter_scalar(beta_hat, h, model)
+    h = _meas_var(T, series_var, model).tolist()
+    y = beta_hat.tolist()
+    d = model.n_diffuse
+    if T <= d:
+        raise InvalidArgumentError("stochastic drift needs at least three waves")
+    q_eta, q_xi = _process_var(model)
 
+    prior_mean = [0.0] * T
+    prior_var = [math.inf] * d + [0.0] * (T - d)
+    innovation = [0.0] * T
+    innovation_var = list(prior_var)
+    gain = [1.0] * d + [0.0] * (T - d)
+    post_mean = [0.0] * T
+    post_var = [0.0] * T
+    drift_mean = [0.0] * T
 
-def _run_filter_scalar(y: np.ndarray, h: np.ndarray, model: FilterModel) -> FilterOutput:
-    T = y.size
-    drift = model.nu if model.variant == "const_drift" else 0.0
-    q = model.sigma_eta**2
-
-    prior_mean = np.zeros(T)
-    prior_var = np.zeros(T)
-    innovation = np.zeros(T)
-    innovation_var = np.zeros(T)
-    gain = np.zeros(T)
-    post_mean = np.zeros(T)
-    post_var = np.zeros(T)
-
-    # diffuse first step: gain one, posterior pinned to the observation
-    prior_mean[0] = drift
-    prior_var[0] = np.inf
-    innovation[0] = y[0] - prior_mean[0]
-    innovation_var[0] = np.inf
-    gain[0] = 1.0
-    post_mean[0] = y[0]
-    post_var[0] = 0.0
+    # diffuse steps: gain one, the posterior pinned to the observations
+    nu = float(model.nu) if model.variant == "const_drift" else 0.0
+    prior_mean[0] = nu
+    innovation[0] = y[0] - nu
+    m0, m1, p00, p01, p11 = y[0], nu, 0.0, 0.0, 0.0
+    if d == 2:
+        # the second observation pins the drift, leaving only the transition
+        # noise accumulated between the two waves
+        innovation[1] = y[1] - y[0]
+        m0, m1, p11 = y[1], y[1] - y[0], q_eta + q_xi
+    post_mean[:d] = y[:d]
+    drift_mean[d - 1] = m1
 
     loglik = 0.0
-    for k in range(1, T):
-        prior_mean[k] = post_mean[k - 1] + drift
-        prior_var[k] = post_var[k - 1] + q
-        innovation[k] = y[k] - prior_mean[k]
-        F = prior_var[k] + h[k]
+    for k in range(d, T):
+        m0, m1, p00, p01, p11 = _predict(m0, m1, p00, p01, p11, q_eta, q_xi)
+        v = y[k] - m0
+        F = p00 + h[k]
         if F <= 0.0:
             raise DegenerateVarianceError(f"innovation variance is {F} at wave {k + 1}")
-        innovation_var[k] = F
-        gain[k] = prior_var[k] / F
-        post_mean[k] = prior_mean[k] + gain[k] * innovation[k]
-        post_var[k] = (1.0 - gain[k]) * prior_var[k]
-        loglik -= 0.5 * (LOG2PI + math.log(F) + innovation[k] ** 2 / F)
+        k0, k1 = p00 / F, p01 / F
+        prior_mean[k], prior_var[k], innovation[k], innovation_var[k], gain[k] = m0, p00, v, F, k0
+        m0, m1 = m0 + k0 * v, m1 + k1 * v
+        p11 -= k1 * p01
+        p00, p01 = (1.0 - k0) * p00, (1.0 - k0) * p01
+        post_mean[k], post_var[k], drift_mean[k] = m0, p00, m1
+        loglik -= 0.5 * (LOG2PI + math.log(F) + v**2 / F)
 
     return FilterOutput(
-        prior_mean, prior_var, innovation, innovation_var, gain,
-        post_mean, post_var, float(loglik), n_diffuse=1,
+        *map(np.array, (prior_mean, prior_var, innovation, innovation_var, gain,
+                        post_mean, post_var)),
+        loglik=loglik, n_diffuse=d, drift_mean=np.array(drift_mean),
+        final_state_cov=np.array([[p00, p01], [p01, p11]]),
     )
 
 
-def _run_filter_2state(y: np.ndarray, h: np.ndarray, model: FilterModel) -> FilterOutput:
-    T = y.size
-    q = np.diag([model.sigma_eta**2, model.sigma_xi**2])
-    trans = np.array([[1.0, 1.0], [0.0, 1.0]])
+def _process_var(model: FilterModel) -> tuple[float, float]:
+    """(sigma_eta^2, sigma_xi^2); a known drift carries no noise."""
+    q_xi = model.sigma_xi**2 if model.variant == "stoch_drift" else 0.0
+    return float(model.sigma_eta**2), float(q_xi)
 
-    prior_mean = np.zeros(T)
-    prior_var = np.full(T, np.inf)
-    innovation = np.zeros(T)
-    innovation_var = np.full(T, np.inf)
-    gain = np.zeros(T)
-    post_mean = np.zeros(T)
-    post_var = np.zeros(T)
-    drift_mean = np.zeros(T)
 
-    # two diffuse steps: the first two observations pin (beta, nu) exactly,
-    # leaving only the transition noise accumulated between them
-    innovation[0] = y[0]
-    gain[0] = 1.0
-    post_mean[0] = y[0]
-    post_var[0] = 0.0
-
-    m = np.array([y[1], y[1] - y[0]])
-    P = np.array([[0.0, 0.0], [0.0, model.sigma_eta**2 + model.sigma_xi**2]])
-    innovation[1] = y[1] - y[0]
-    gain[1] = 1.0
-    post_mean[1] = m[0]
-    post_var[1] = P[0, 0]
-    drift_mean[0] = 0.0
-    drift_mean[1] = m[1]
-
-    loglik = 0.0
-    for k in range(2, T):
-        m = trans @ m
-        P = trans @ P @ trans.T + q
-        P = 0.5 * (P + P.T)
-        prior_mean[k] = m[0]
-        prior_var[k] = P[0, 0]
-        innovation[k] = y[k] - m[0]
-        F = P[0, 0] + h[k]
-        if F <= 0.0:
-            raise DegenerateVarianceError(f"innovation variance is {F} at wave {k + 1}")
-        innovation_var[k] = F
-        K = P[:, 0] / F
-        gain[k] = K[0]
-        m = m + K * innovation[k]
-        P = P - np.outer(K, P[0, :])
-        P = 0.5 * (P + P.T)
-        post_mean[k] = m[0]
-        post_var[k] = P[0, 0]
-        drift_mean[k] = m[1]
-        loglik -= 0.5 * (LOG2PI + math.log(F) + innovation[k] ** 2 / F)
-
-    return FilterOutput(
-        prior_mean, prior_var, innovation, innovation_var, gain,
-        post_mean, post_var, float(loglik), n_diffuse=2, drift_mean=drift_mean,
-        final_state_cov=P.copy(),
-    )
+def _predict(m0, m1, p00, p01, p11, q_eta, q_xi):
+    """One transition of the state mean (m0, m1) and covariance
+    [[p00, p01], [p01, p11]] under [[1, 1], [0, 1]] plus diag(q_eta, q_xi)."""
+    return m0 + m1, m1, p00 + 2.0 * p01 + p11 + q_eta, p01 + p11, p11 + q_xi
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +257,7 @@ def _pack_free(model: FilterModel) -> tuple[list, np.ndarray]:
 
 
 def _unpack_free(model: FilterModel, names, x) -> FilterModel:
-    kwargs = {
-        "variant": model.variant,
-        "mode": model.mode,
-        "sigma_eta": model.sigma_eta,
-        "nu": model.nu,
-        "sigma_xi": model.sigma_xi,
-        "sigma_eps": model.sigma_eps,
-    }
-    for name, v in zip(names, x):
-        kwargs[name] = v if name == "nu" else math.exp(v)
-    return FilterModel(**kwargs)
+    return replace(model, **{name: v if name == "nu" else math.exp(v) for name, v in zip(names, x)})
 
 
 def fit_filter(
@@ -451,35 +402,22 @@ class Forecast:
 
 
 def forecast(output: FilterOutput, model: FilterModel, horizon: int, level: float = 0.90) -> Forecast:
-    """Forecast ``horizon`` steps past the last filtered wave."""
+    """Forecast ``horizon`` steps past the last filtered wave by iterating
+    the filter's prediction step from its final state."""
     if horizon < 1:
         raise InvalidArgumentError(f"horizon must be >= 1, got {horizon}")
     z = norm.ppf(0.5 + level / 2.0)
-    hs = np.arange(1, horizon + 1)
-    q_eta = model.sigma_eta**2
-
-    if model.variant == "stoch_drift":
-        if output.drift_mean is None or output.final_state_cov is None:
-            raise InvalidArgumentError("filter output lacks the drift state")
-        trans = np.array([[1.0, 1.0], [0.0, 1.0]])
-        q = np.diag([q_eta, model.sigma_xi**2])
-        m = np.array([output.post_mean[-1], output.drift_mean[-1]])
-        P = output.final_state_cov.copy()
-        mean = np.zeros(horizon)
-        var = np.zeros(horizon)
-        for i in range(horizon):
-            m = trans @ m
-            P = trans @ P @ trans.T + q
-            mean[i] = m[0]
-            var[i] = P[0, 0]
-    else:
-        drift = model.nu if model.variant == "const_drift" else 0.0
-        mean = output.post_mean[-1] + drift * hs
-        var = output.post_var[-1] + hs * q_eta
+    q_eta, q_xi = _process_var(model)
+    (p00, p01), (_, p11) = output.final_state_cov.tolist()
+    state = (float(output.post_mean[-1]), float(output.drift_mean[-1]), p00, p01, p11)
+    mean, var = np.empty(horizon), np.empty(horizon)
+    for i in range(horizon):
+        state = _predict(*state, q_eta, q_xi)
+        mean[i], var[i] = state[0], state[2]
 
     lower = mean - z * np.sqrt(var)
     upper = mean + z * np.sqrt(var)
-    return Forecast(hs, mean, var, lower, upper, np.exp(mean), level)
+    return Forecast(np.arange(1, horizon + 1), mean, var, lower, upper, np.exp(mean), level)
 
 
 # ---------------------------------------------------------------------------

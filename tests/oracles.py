@@ -1,15 +1,20 @@
-"""Scalar, per-individual reference implementations.
+"""Reference implementations the tests judge the package against.
 
-The package computes these on whole arrays; the loops here restate them
-one individual at a time so the equivalence tests have something written
-apart from the code they judge.
+The package computes the panel quantities on whole arrays; the loops here
+restate them one individual at a time.  The filter references are the
+separate level-only and 2x2-matrix recursions that the package's one
+level-plus-drift loop replaced.  The gain references (variance map,
+contraction margin, brute-force coefficient expansion, Monte-Carlo power)
+are written apart from the closed forms they check.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
 from msmtrend.errors import InvalidArgumentError
+from msmtrend.gain import CoefficientTable, gain_sequence
 from msmtrend.markov import Covariates, build_intensity
 
 
@@ -150,3 +155,243 @@ def design_cells(panel, structure):
             waves[row, j] = structure.wave_indices([t[j]])[0]
             age_left[row, j] = p.ages[sl][j]
     return states, valid, widths, waves, age_left, female
+
+
+# ---------------------------------------------------------------------------
+# step two: the filter as two separate recursions and a closed-form forecast
+
+
+def filter_scalar(y, h, sigma_eta, drift=0.0):
+    """Level-only filter (zero or constant drift) with one diffuse step.
+
+    Returns a dict of the per-wave arrays plus ``loglik``.
+    """
+    T = y.size
+    q = sigma_eta**2
+
+    prior_mean = np.zeros(T)
+    prior_var = np.zeros(T)
+    innovation = np.zeros(T)
+    innovation_var = np.zeros(T)
+    gain = np.zeros(T)
+    post_mean = np.zeros(T)
+    post_var = np.zeros(T)
+
+    prior_mean[0] = drift
+    prior_var[0] = np.inf
+    innovation[0] = y[0] - prior_mean[0]
+    innovation_var[0] = np.inf
+    gain[0] = 1.0
+    post_mean[0] = y[0]
+    post_var[0] = 0.0
+
+    loglik = 0.0
+    for k in range(1, T):
+        prior_mean[k] = post_mean[k - 1] + drift
+        prior_var[k] = post_var[k - 1] + q
+        innovation[k] = y[k] - prior_mean[k]
+        F = prior_var[k] + h[k]
+        innovation_var[k] = F
+        gain[k] = prior_var[k] / F
+        post_mean[k] = prior_mean[k] + gain[k] * innovation[k]
+        post_var[k] = (1.0 - gain[k]) * prior_var[k]
+        loglik -= 0.5 * (math.log(2.0 * math.pi) + math.log(F) + innovation[k] ** 2 / F)
+
+    return dict(prior_mean=prior_mean, prior_var=prior_var, innovation=innovation,
+                innovation_var=innovation_var, gain=gain, post_mean=post_mean,
+                post_var=post_var, loglik=float(loglik))
+
+
+def filter_2state(y, h, sigma_eta, sigma_xi):
+    """Level-plus-drift filter (stochastic drift) on 2x2 matrices, with two
+    diffuse steps that pin (beta, nu) to the first two observations."""
+    T = y.size
+    q = np.diag([sigma_eta**2, sigma_xi**2])
+    trans = np.array([[1.0, 1.0], [0.0, 1.0]])
+
+    prior_mean = np.zeros(T)
+    prior_var = np.full(T, np.inf)
+    innovation = np.zeros(T)
+    innovation_var = np.full(T, np.inf)
+    gain = np.zeros(T)
+    post_mean = np.zeros(T)
+    post_var = np.zeros(T)
+    drift_mean = np.zeros(T)
+
+    innovation[0] = y[0]
+    gain[0] = 1.0
+    post_mean[0] = y[0]
+    post_var[0] = 0.0
+
+    m = np.array([y[1], y[1] - y[0]])
+    P = np.array([[0.0, 0.0], [0.0, sigma_eta**2 + sigma_xi**2]])
+    innovation[1] = y[1] - y[0]
+    gain[1] = 1.0
+    post_mean[1] = m[0]
+    post_var[1] = P[0, 0]
+    drift_mean[1] = m[1]
+
+    loglik = 0.0
+    for k in range(2, T):
+        m = trans @ m
+        P = trans @ P @ trans.T + q
+        P = 0.5 * (P + P.T)
+        prior_mean[k] = m[0]
+        prior_var[k] = P[0, 0]
+        innovation[k] = y[k] - m[0]
+        F = P[0, 0] + h[k]
+        innovation_var[k] = F
+        K = P[:, 0] / F
+        gain[k] = K[0]
+        m = m + K * innovation[k]
+        P = P - np.outer(K, P[0, :])
+        P = 0.5 * (P + P.T)
+        post_mean[k] = m[0]
+        post_var[k] = P[0, 0]
+        drift_mean[k] = m[1]
+        loglik -= 0.5 * (math.log(2.0 * math.pi) + math.log(F) + innovation[k] ** 2 / F)
+
+    return dict(prior_mean=prior_mean, prior_var=prior_var, innovation=innovation,
+                innovation_var=innovation_var, gain=gain, post_mean=post_mean,
+                post_var=post_var, loglik=float(loglik), drift_mean=drift_mean,
+                final_state_cov=P.copy())
+
+
+def forecast_mean_var(out: dict, horizon, sigma_eta, drift=0.0, sigma_xi=None):
+    """Forecast mean and variance: closed form for a known drift, the
+    2x2 prediction iterated from the final state when ``sigma_xi`` is given."""
+    hs = np.arange(1, horizon + 1)
+    if sigma_xi is None:
+        return out["post_mean"][-1] + drift * hs, out["post_var"][-1] + hs * sigma_eta**2
+    trans = np.array([[1.0, 1.0], [0.0, 1.0]])
+    q = np.diag([sigma_eta**2, sigma_xi**2])
+    m = np.array([out["post_mean"][-1], out["drift_mean"][-1]])
+    P = out["final_state_cov"].copy()
+    mean = np.zeros(horizon)
+    var = np.zeros(horizon)
+    for i in range(horizon):
+        m = trans @ m
+        P = trans @ P @ trans.T + q
+        mean[i] = m[0]
+        var[i] = P[0, 0]
+    return mean, var
+
+
+# ---------------------------------------------------------------------------
+# gain theory: references for the closed forms and the coefficient recursions
+
+
+def variance_map_iterate(nu0: float, s, iota) -> np.ndarray:
+    """Iterate the normalized posterior-variance map.
+
+        nu_{k+1} = (1 - iota_k) (nu_k + s_k) / (nu_k + s_k + 1)
+
+    Returns the trajectory starting at nu0 (length len(s) + 1).
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    iota = np.atleast_1d(np.asarray(iota, dtype=float))
+    if iota.size == 1:
+        iota = np.full(s.size, iota[0])
+    if iota.size != s.size:
+        raise InvalidArgumentError("iota and s must have matching lengths")
+    out = np.empty(s.size + 1)
+    out[0] = nu0
+    nu = float(nu0)
+    for k in range(s.size):
+        nu = (1.0 - iota[k]) * (nu + s[k]) / (nu + s[k] + 1.0)
+        out[k + 1] = nu
+    return out
+
+
+
+
+def contraction_check(s_k: float, nu_k: float, variance_ratio: float):
+    """Whether the variance map contracts at this step.
+
+    True iff sigma_kk^2 / sigma_{k+1,k+1}^2 < (1 + s_k + nu_k)^2 (strict);
+    returns (flag, margin) with margin = bound - ratio.
+    """
+    bound = (1.0 + s_k + nu_k) ** 2
+    margin = bound - variance_ratio
+    return (variance_ratio < bound), float(margin)
+
+
+
+
+def enumerate_coefficients_oracle(k: int, gains):
+    """Brute-force signed-subset expansion of the coefficients.
+
+    c_i(k) sums (-1)^{len+1} prod K over all subsets of {i..k} whose largest
+    element is k; d_i(k) over subsets containing both i and k.  Exponential
+    cost, refused above order 10.  Returns (table, c_terms, d_terms) where
+    the term lists hold (sign, indices) tuples.
+    """
+    if k < 2:
+        raise InvalidArgumentError(f"order must be >= 2, got {k}")
+    if k > 10:
+        raise InvalidArgumentError("enumeration oracle is exponential; order capped at 10")
+    gains = np.asarray(gains, dtype=float)
+    if gains.size < k:
+        raise InvalidArgumentError(f"need {k} gains, got {gains.size}")
+    c = np.zeros(k)
+    d = np.zeros(k)
+    c_terms: dict = {}
+    d_terms: dict = {}
+    for i in range(1, k + 1):
+        ct: list = []
+        dt: list = []
+        pool = range(i, k)  # optional members besides the mandatory k
+        for size in range(0, k - i + 1):
+            for combo in combinations(pool, size):
+                idx = tuple(sorted(combo + (k,)))
+                sign = (-1.0) ** (len(idx) + 1)
+                prod = float(np.prod(gains[np.array(idx) - 1]))
+                ct.append((sign, idx))
+                c[i - 1] += sign * prod
+                if i in idx:
+                    dt.append((sign, idx))
+                    d[i - 1] += sign * prod
+        # d_k(k) comes from the singleton {k}; for i < k the subsets above
+        # that contain i cover the definition
+        c_terms[i] = ct
+        d_terms[i] = dt
+    table = CoefficientTable(order=k, c=c, d=d, mode="exact", gains=gains[:k].copy())
+    return table, c_terms, d_terms
+
+
+
+
+def mc_power(k: int, s: float, eta_std: float, reps: int, seed: int = 0) -> float:
+    """Monte-Carlo oracle for :func:`power`, running the actual filter.
+
+    Simulates random-walk histories with the shock at time k pinned to
+    eta_std standard deviations, filters each, and counts how often the
+    posterior falls.  Replications share nothing with the coefficient
+    machinery.  Vectorized over replications; each block of 10000 draws its
+    own substream so the result is chunking-independent.
+    """
+    if k < 2:
+        raise InvalidArgumentError(f"k must be >= 2, got {k}")
+    gains = gain_sequence(np.full(k, s)).gains
+    block = 10_000
+    falls = 0
+    done = 0
+    chunk_idx = 0
+    while done < reps:
+        m = min(block, reps - done)
+        rng = np.random.default_rng([seed, chunk_idx])
+        eta = rng.standard_normal((block, k))
+        eps = rng.standard_normal((block, k)) / math.sqrt(s)
+        eta = eta[:m]
+        eps = eps[:m]
+        eta[:, k - 1] = eta_std
+        beta_hat = np.cumsum(eta, axis=1) + eps
+        post = beta_hat[:, 0].copy()
+        prev = post
+        for j in range(1, k):
+            prev = post
+            post = post + gains[j] * (beta_hat[:, j] - post)
+        falls += int(np.sum(post < prev))
+        done += m
+        chunk_idx += 1
+    return falls / reps

@@ -18,14 +18,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 import msmtrend.estimator as est
-from msmtrend.gain import (
-    enumerate_coefficients_oracle,
-    exact_coefficients,
-    fixed_point,
-    gain_sequence,
-    mc_power,
-    power,
-)
+from msmtrend.gain import exact_coefficients, fixed_point, gain_sequence, power
 from msmtrend.kalman import FilterModel, bic, diagnostics, fit_filter, run_filter
 from msmtrend.markov import IntensityMatrix, save_model_spec, transition_probability
 from msmtrend.simulate import SimulationConfig, simulate_panel
@@ -43,6 +36,7 @@ from conftest import (
     record_acceptance,
     taylor_expm,
 )
+from oracles import enumerate_coefficients_oracle, mc_power
 from test_estimator import SMALL_STRUCTURE, enumeration_loglik, random_panel, random_params
 
 

@@ -236,6 +236,35 @@ def test_config_file_supplies_defaults(spec_file, tmp_path):
     assert (tmp_path / "d.csv").read_text() == (tmp_path / "c.csv").read_text()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"n": "abc"}, "argument --n: invalid int value: 'abc'"),
+    ({"n": 2.5}, "argument --n: invalid int value: '2.5'"),
+    ({"n": True}, "'n' must be a number or a string"),
+    ({"female_share": None}, "'female_share' must be a number or a string"),
+    ({"bogus": 3}, "unknown key 'bogus' for simulate"),
+], ids=["bad_int", "float_for_int", "bool_for_int", "null", "unknown_key"])
+def test_config_values_pass_through_argparse(spec_file, tmp_path, doc, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 5, "seed": 1, "out": str(tmp_path / "c.csv"), **doc}))
+    res = run_cli("simulate", "--model-spec", spec_file, "--config", config)
+    assert res.returncode == 1
+    assert res.stderr.strip() == f"error: validation: {config}: {message}"
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_config_choices_and_switches_pass_through_argparse(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"variant": "nope"}))
+    res = run_cli("fit-filter", "--trend", tmp_path / "t.json", "--config", config)
+    assert res.returncode == 1
+    assert "argument --variant: invalid choice: 'nope'" in res.stderr
+    config.write_text(json.dumps({"double-offdiag": "yes"}))
+    res = run_cli("test-trend", "--trend", tmp_path / "t.json", "--config", config)
+    assert res.returncode == 1
+    assert res.stderr.strip() == f"error: validation: {config}: 'double-offdiag' must be true or false"
+
+
 def test_gain_analysis_from_trend(pipeline, tmp_path):
     gt, gf = tmp_path / "traj.csv", tmp_path / "fp.csv"
     res = run_cli("gain-analysis", "--trend", pipeline["trend"], "--sigma-eta", 0.15,

@@ -259,7 +259,7 @@ def test_hessian_covariance_exact_for_quadratic():
         d = x - a
         return -0.5 * d @ A @ d
 
-    sigma, warnings = est.hessian_covariance(loglik, a + 0.1)
+    sigma, warnings = est.hessian_covariance(est.hessian_fd(loglik, a + 0.1))
     assert not warnings
     np.testing.assert_allclose(sigma, np.linalg.inv(A), atol=1e-6)
     np.testing.assert_allclose(sigma, sigma.T)
@@ -268,14 +268,14 @@ def test_hessian_covariance_exact_for_quadratic():
 
 def test_hessian_wrong_curvature_raises():
     with pytest.raises(CurvatureError):
-        est.hessian_covariance(lambda x: 0.5 * float(x @ x), np.zeros(3))
+        est.hessian_covariance(est.hessian_fd(lambda x: 0.5 * float(x @ x), np.zeros(3)))
 
 
 def test_hessian_near_zero_eigenvalue_pseudo_inverse():
     def loglik(x):
         return -0.5 * x[0] ** 2  # flat in x[1]
 
-    sigma, warnings = est.hessian_covariance(loglik, np.zeros(2))
+    sigma, warnings = est.hessian_covariance(est.hessian_fd(loglik, np.zeros(2)))
     assert warnings and "pseudo-inverse" in warnings[0]
     assert sigma[0, 0] == pytest.approx(1.0, rel=1e-6)
 

@@ -7,18 +7,21 @@ from scipy.stats import norm
 from msmtrend.errors import InvalidArgumentError
 from msmtrend.gain import (
     asymptotic_coefficients,
-    contraction_check,
-    enumerate_coefficients_oracle,
     exact_coefficients,
     fixed_point,
     gain_sequence,
     linear_map_decomposition,
-    mc_power,
     power,
     size,
-    variance_map_iterate,
 )
 from msmtrend.kalman import FilterModel, run_filter
+
+from oracles import (
+    contraction_check,
+    enumerate_coefficients_oracle,
+    mc_power,
+    variance_map_iterate,
+)
 
 
 # ---------------------------------------------------------------------------

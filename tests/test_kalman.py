@@ -14,6 +14,8 @@ from msmtrend.kalman import (
     run_filter,
 )
 
+import oracles
+
 
 def rw_series(rng, T, sigma_eta, sigma_eps, nu=0.0):
     eta = rng.normal(0, sigma_eta, size=T)
@@ -306,3 +308,62 @@ def test_trend_series_input():
     series = TrendSeries(beta=rng.normal(size=8), cov=cov)
     out = run_filter(series, FilterModel(sigma_eta=0.2))
     assert out.post_mean.shape == (8,)
+
+
+# ---------------------------------------------------------------------------
+# the one level-plus-drift recursion against the separate reference recursions
+
+FILTER_FIELDS = ("prior_mean", "prior_var", "innovation", "innovation_var", "gain",
+                 "post_mean", "post_var")
+
+
+def random_filter_case(rng, variant):
+    T = int(rng.integers(3, 41))
+    y = rng.normal(scale=rng.uniform(0.1, 3.0), size=T)
+    h = rng.uniform(1e-3, 2.0, size=T)
+    model = FilterModel(
+        variant=variant,
+        sigma_eta=float(rng.uniform(0.0, 1.5)),
+        nu=float(rng.normal(scale=0.3)),
+        sigma_xi=float(rng.uniform(1e-3, 0.5)),  # ignored unless the drift is stochastic
+    )
+    return y, h, model
+
+
+@pytest.mark.parametrize("variant", ["zero_drift", "const_drift"])
+def test_known_drift_filter_bit_identical_to_reference(variant):
+    rng = np.random.default_rng(2024 if variant == "zero_drift" else 2025)
+    for _ in range(1000):
+        y, h, model = random_filter_case(rng, variant)
+        drift = model.nu if variant == "const_drift" else 0.0
+        want = oracles.filter_scalar(y, h, model.sigma_eta, drift)
+        out = run_filter(y, model, meas_var=h)
+        for name in FILTER_FIELDS:
+            assert np.array_equal(getattr(out, name), want[name]), name
+        assert out.loglik == want["loglik"]
+        horizon = int(rng.integers(1, 15))
+        fc = forecast(out, model, horizon)
+        mean, var = oracles.forecast_mean_var(want, horizon, model.sigma_eta, drift)
+        np.testing.assert_allclose(fc.mean_log, mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fc.variance, var, rtol=1e-12, atol=0)
+
+
+def test_stoch_drift_filter_matches_reference():
+    rng = np.random.default_rng(2026)
+    for _ in range(1000):
+        y, h, model = random_filter_case(rng, "stoch_drift")
+        want = oracles.filter_2state(y, h, model.sigma_eta, model.sigma_xi)
+        out = run_filter(y, model, meas_var=h)
+        for name in FILTER_FIELDS:
+            got, ref = getattr(out, name), want[name]
+            assert np.array_equal(got[:2], ref[:2]), name  # the diffuse steps
+            np.testing.assert_allclose(got[2:], ref[2:], rtol=1e-10, atol=0, err_msg=name)
+        assert np.array_equal(out.drift_mean[:2], want["drift_mean"][:2])
+        np.testing.assert_allclose(out.drift_mean, want["drift_mean"], rtol=1e-10, atol=0)
+        assert out.loglik == pytest.approx(want["loglik"], rel=1e-10)
+        horizon = int(rng.integers(1, 15))
+        fc = forecast(out, model, horizon)
+        mean, var = oracles.forecast_mean_var(want, horizon, model.sigma_eta,
+                                              sigma_xi=model.sigma_xi)
+        np.testing.assert_allclose(fc.mean_log, mean, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(fc.variance, var, rtol=1e-9, atol=1e-12)
