@@ -5,7 +5,7 @@ illness-death chain.  Individual likelihood contributions are computed by
 the forward algorithm over latent states, with per-step rescaling against
 underflow; this equals the nested sum over all latent paths.  Standard
 errors come from the inverse observed information, estimated by central
-finite differences with Richardson extrapolation.
+finite differences.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .markov import (
     param_layout,
     transition_entries,
 )
-from .numdiff import gradient_fd, hessian_fd
+from .numdiff import gradient_fd, hessian_covariance, hessian_fd
 from .panel import Panel, validate_panel
 from .trend import TrendSeries
 
@@ -172,11 +172,8 @@ class PanelDesign:
         return scales
 
     def loglik(self, gamma: np.ndarray) -> float:
-        """Total forward-algorithm log likelihood at parameter vector gamma.
-
-        Reuses an internal transition buffer, so concurrent calls must use
-        separate PanelDesign instances; the sum runs in fixed id order.
-        """
+        """Total forward-algorithm log likelihood at parameter vector gamma;
+        the sum runs in fixed id order."""
         params = unpack_params(gamma, self.structure)
         lin12, lin13, lin23 = log_intensities(
             params, self.waves, self.female[:, None], self.basis, self.basis_f, self.age_centered
@@ -185,16 +182,6 @@ class PanelDesign:
         q13 = np.exp(np.clip(lin13, -_LIN_CLIP, _LIN_CLIP))
         q23 = np.exp(np.clip(lin23, -_LIN_CLIP, _LIN_CLIP))
         p11, p12, p13, p22, p23 = transition_entries(q12, q13, q23, self.widths)
-
-        if not hasattr(self, "_trans_buf"):
-            self._trans_buf = np.zeros((self.n, self.n_steps, 3, 3))
-            self._trans_buf[:, :, 2, 2] = 1.0
-        trans = self._trans_buf
-        trans[:, :, 0, 0] = p11
-        trans[:, :, 0, 1] = p12
-        trans[:, :, 0, 2] = p13
-        trans[:, :, 1, 1] = p22
-        trans[:, :, 1, 2] = p23
 
         emission = misclassification_matrix(
             float(expit(params.logit_e12)), float(expit(params.logit_e21))
@@ -207,7 +194,13 @@ class PanelDesign:
         loglik = np.log(norm)
         alpha = alpha / norm[:, None]
         for j in range(self.n_steps):
-            step = np.einsum("nx,nxy->ny", alpha, trans[:, j])
+            # alpha times the upper-triangular transition matrix, death absorbing
+            a0, a1, a2 = alpha.T
+            step = np.column_stack((
+                a0 * p11[:, j],
+                a0 * p12[:, j] + a1 * p22[:, j],
+                a0 * p13[:, j] + a1 * p23[:, j] + a2,
+            ))
             step = step * emission[:, self.state_idx[:, j + 1]].T
             norm = np.maximum(step.sum(axis=1), 1e-300)
             act = self.active[:, j]
@@ -229,38 +222,6 @@ def forward_loglik(panel: Panel, structure: ModelStructure, gamma, validate: boo
         gamma = pack_params(gamma, structure)
     design = PanelDesign(panel, structure, validate=validate)
     return design.loglik(gamma)
-
-
-# ---------------------------------------------------------------------------
-# observed information
-
-
-def hessian_covariance(hessian: np.ndarray):
-    """Covariance of an ML estimate from the inverse observed information.
-
-    ``hessian`` is the Hessian of the log likelihood at the estimate.  Returns
-    (Sigma, warnings).  An eigenvalue of the information matrix below -1e-6
-    signals wrong curvature and raises; eigenvalues that are only
-    numerically zero trigger a pseudo-inverse with a warning, which is what
-    a variance parameter estimated on its boundary produces.
-    """
-    info = -hessian
-    eigvals = np.linalg.eigvalsh(info)
-    warnings: list[str] = []
-    if eigvals.min() < -1e-6:
-        raise CurvatureError(
-            f"information matrix has negative eigenvalue {eigvals.min():.3e}; not a maximum"
-        )
-    if eigvals.min() <= 1e-10 * max(eigvals.max(), 1.0):
-        warnings.append(
-            f"information matrix has a numerically zero eigenvalue ({eigvals.min():.3e}); "
-            "using pseudo-inverse"
-        )
-        sigma = np.linalg.pinv(info, hermitian=True)
-    else:
-        sigma = np.linalg.inv(info)
-    sigma = 0.5 * (sigma + sigma.T)
-    return sigma, warnings
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +315,7 @@ def fit_msm(
 ) -> EstimationResult:
     """Maximize the misclassified-panel likelihood.
 
-    Quasi-Newton (L-BFGS-B) with a 3-point finite-difference gradient, a
+    Quasi-Newton (L-BFGS-B) with a 2-point finite-difference gradient, a
     relative-likelihood stopping rule of 1e-10 and gradient tolerance 1e-6,
     followed by damped Newton polish steps using a finite-difference
     Hessian.  ``fixed`` maps parameter names to frozen values, e.g. to pin
@@ -416,7 +377,7 @@ def fit_msm(
     converged = bool(res.success)
     warnings: list[str] = []
 
-    H_nll = hessian_fd(nll, z_free, step=1e-4, richardson=True)
+    H_nll = hessian_fd(nll, z_free)
 
     # a few damped Newton steps sharpen the optimum well past what
     # finite-difference L-BFGS-B can resolve
@@ -455,7 +416,7 @@ def fit_msm(
             diag_cov = np.diag(np.linalg.pinv(H_nll, hermitian=True))
             tol_move = 0.05 * np.sqrt(np.maximum(np.abs(diag_cov), 1e-300))
             if np.any(np.abs(moved) > tol_move):
-                H_nll = hessian_fd(nll, z_free, step=1e-4, richardson=True)
+                H_nll = hessian_fd(nll, z_free)
             cov_z, cov_warnings = hessian_covariance(-H_nll)
             cov_free = cov_z / np.outer(scale, scale)
             warnings.extend(cov_warnings)

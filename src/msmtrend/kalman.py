@@ -18,11 +18,12 @@ from scipy.optimize import minimize_scalar, minimize
 from scipy.stats import chi2, norm
 
 from .errors import (
+    CurvatureError,
     DegenerateVarianceError,
     InvalidArgumentError,
     InvalidSpecError,
 )
-from .numdiff import hessian_fd
+from .numdiff import hessian_covariance, hessian_fd
 from .trend import TrendSeries
 
 __all__ = [
@@ -260,6 +261,24 @@ def _unpack_free(model: FilterModel, names, x) -> FilterModel:
     return replace(model, **{name: v if name == "nu" else math.exp(v) for name, v in zip(names, x)})
 
 
+def _local_min(fun, names, x0, hi) -> tuple[np.ndarray, bool]:
+    """Minimize ``fun`` over the parameters ``names`` from ``x0``; returns
+    (x clipped to the log-sd range, converged).
+
+    A lone log-sd is searched over the bounded interval [log 1e-8, ``hi``];
+    otherwise Nelder-Mead runs from ``x0`` and two shifted starts and the
+    best end point wins.
+    """
+    if len(names) == 1 and names[0] != "nu":
+        res = minimize_scalar(fun, bounds=(_LOG_FLOOR, hi), method="bounded",
+                              options={"xatol": 1e-10})
+    else:
+        res = min((minimize(fun, x0 + jitter, method="Nelder-Mead",
+                            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000})
+                   for jitter in (0.0, 1.0, -1.0)), key=lambda r: r.fun)
+    return np.clip(np.atleast_1d(res.x), _LOG_FLOOR, 50.0), bool(res.success)
+
+
 def fit_filter(
     series,
     variant: str = "zero_drift",
@@ -272,9 +291,10 @@ def fit_filter(
     Variance parameters are optimized on the log-standard-deviation scale,
     so their confidence intervals are delta-method normal in logs and
     asymmetric on the natural scale.  Estimates that sink to the zero
-    boundary are reported as 0 with a boundary flag and no interval, and a
-    numerically singular information matrix suppresses intervals for the
-    affected parameters.
+    boundary are reported as 0 with a boundary flag and no interval, and
+    the parameters still free are then re-optimized with the boundary ones
+    held at zero.  A numerically singular information matrix suppresses
+    intervals for the affected parameters.
     """
     beta_hat, series_var = _as_series(series)
     if meas_var is not None:
@@ -305,26 +325,8 @@ def fit_filter(
             return 1e12
         return -out.loglik if np.isfinite(out.loglik) else 1e12
 
-    converged = True
     hi = math.log(max(100.0 * scale, 10.0 * float(np.std(beta_hat)), 1e-3))
-    if len(names) == 1:
-        res = minimize_scalar(nll, bounds=(_LOG_FLOOR, hi), method="bounded",
-                              options={"xatol": 1e-10})
-        x_hat = np.array([res.x])
-        converged = bool(res.success)
-    else:
-        best = None
-        for jitter in (0.0, 1.0, -1.0):
-            res = minimize(
-                nll, x0 + jitter, method="Nelder-Mead",
-                options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000},
-            )
-            if best is None or res.fun < best.fun:
-                best = res
-        res = best
-        x_hat = np.asarray(res.x, dtype=float)
-        converged = bool(res.success)
-    x_hat = np.clip(x_hat, _LOG_FLOOR, 50.0)
+    x_hat, converged = _local_min(nll, names, x0, hi)
 
     # a variance parameter sits on the zero boundary when pushing it to the
     # floor costs no likelihood: the optimizer then stopped inside a flat
@@ -340,6 +342,22 @@ def fit_filter(
             boundary.append(name)
             x_hat[i] = _LOG_FLOOR
 
+    freeidx = [i for i, name in enumerate(names) if name not in boundary]
+
+    def nll_free(xsub) -> float:
+        x = x_hat.copy()
+        x[freeidx] = xsub
+        return nll(x)
+
+    if boundary and freeidx:
+        # the interior optimum of the other parameters is stale once a
+        # variance is pinned at zero
+        x_sub, refit_converged = _local_min(nll_free, [names[i] for i in freeidx],
+                                            x_hat[freeidx], hi)
+        if nll_free(x_sub) < nll_free(x_hat[freeidx]):
+            x_hat[freeidx] = x_sub
+            converged = converged and refit_converged
+
     model = _unpack_free(proto, names, x_hat)
     for name in boundary:
         setattr(model, name, 0.0)
@@ -348,22 +366,17 @@ def fit_filter(
     ci: dict = {}
     no_ci: list = list(boundary)
     warnings: list = []
-    freeidx = [i for i, name in enumerate(names) if name not in boundary]
     if freeidx:
-        def ll_sub(xsub):
-            x = x_hat.copy()
-            x[freeidx] = xsub
-            return -nll(x)
-
-        H = hessian_fd(ll_sub, x_hat[freeidx], step=1e-4)
-        info = -H
-        eig = np.linalg.eigvalsh(info)
-        z = norm.ppf(0.5 + level / 2.0)
-        if eig.min() <= 1e-10 * max(eig.max(), 1.0):
+        H = hessian_fd(lambda xsub: -nll_free(xsub), x_hat[freeidx])
+        try:
+            cov, cov_warnings = hessian_covariance(H)
+        except CurvatureError as exc:
+            cov_warnings = [str(exc)]
+        if cov_warnings:
             warnings.append("zero eigenvalue in the information matrix; intervals suppressed")
             no_ci.extend(names[i] for i in freeidx)
         else:
-            cov = np.linalg.inv(info)
+            z = norm.ppf(0.5 + level / 2.0)
             for pos, i in enumerate(freeidx):
                 se = math.sqrt(max(cov[pos, pos], 0.0))
                 name = names[i]

@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from msmtrend.markov import HazardParams, ModelStructure
+
+# pytest puts src/ on this process's path (pyproject ``pythonpath``); the
+# CLI tests run ``python -m msmtrend`` in child processes, which see it only
+# through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 # ---------------------------------------------------------------------------
 # acceptance reporting: collected lines are printed in the terminal summary

@@ -280,17 +280,22 @@ def test_hessian_near_zero_eigenvalue_pseudo_inverse():
     assert sigma[0, 0] == pytest.approx(1.0, rel=1e-6)
 
 
-def test_richardson_agrees_with_plain_central():
+def test_hessian_fd_matches_analytic_quartic():
+    # one central pass: 2n^2 + 1 evaluations, and the error is the round-off
+    # of second differences (about eps |f| / h^2), not truncation (2 h^2 here)
     rng = np.random.default_rng(3)
     a = rng.normal(size=3)
+    calls = []
 
     def fun(x):
+        calls.append(1)
         return float(-np.sum((x - a) ** 4) - np.sum((x - a) ** 2))
 
-    h_plain = est.hessian_fd(fun, np.zeros(3), step=1e-4, richardson=False)
-    h_rich = est.hessian_fd(fun, np.zeros(3), step=1e-4, richardson=True)
-    denom = np.abs(h_plain).max()
-    assert np.abs(h_rich - h_plain).max() / denom < 1e-4
+    h = est.hessian_fd(fun, np.zeros(3))
+    exact = np.diag(-12.0 * a**2 - 2.0)
+    assert len(calls) == 2 * 3**2 + 1
+    np.testing.assert_array_equal(h, h.T)
+    assert np.abs(h - exact).max() / np.abs(exact).max() < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,33 @@ def test_boundary_sigma_eta_flagged():
     assert "sigma_eta" not in fit.ci
 
 
+def test_boundary_refit_reoptimizes_drift():
+    # with sigma_eta pinned at zero the walk is a line through y_1, so the
+    # best drift is the weighted least-squares slope of y_k - y_1 on k - 1
+    rng = np.random.default_rng(86)
+    T, h = 8, np.full(8, 0.133**2)
+    s = np.sqrt(1.26) * 0.133 * rng.uniform(0.05, 1.0)
+    y = np.cumsum(rng.normal(-0.02, s, T)) + rng.normal(0, 0.133, T)
+    fit = fit_filter(y, variant="const_drift", mode="constrained", meas_var=h)
+    k = np.arange(T)
+    nu = np.sum(k * (y - y[0]) / h) / np.sum(k**2 / h)
+    best = run_filter(y, FilterModel(variant="const_drift", nu=nu), meas_var=h).loglik
+    assert fit.boundary == ["sigma_eta"] and fit.model.sigma_eta == 0.0
+    assert fit.model.nu == pytest.approx(nu, abs=1e-7)
+    assert fit.loglik == pytest.approx(best, abs=1e-9)
+    assert "nu" in fit.ci
+
+
+def test_singular_information_suppresses_every_interval():
+    # three waves leave the stochastic-drift model one likelihood term, so
+    # the information over (sigma_eta, sigma_xi, sigma_eps) has rank one
+    fit = fit_filter(np.array([0.0, 0.0, 1.0]), variant="stoch_drift", mode="free")
+    assert fit.boundary == []
+    assert fit.warnings == ["zero eigenvalue in the information matrix; intervals suppressed"]
+    assert fit.no_ci == ["sigma_eps", "sigma_eta", "sigma_xi"]
+    assert fit.ci == {}
+
+
 def test_fit_consistency_T500():
     rng = np.random.default_rng(2039)
     sigma_eta, sigma_eps = 0.148, 0.133
