@@ -360,7 +360,7 @@ def build_parser() -> _Parser:
     p = add("fit-msm", cmd_fit_msm, "fit the multi-state model to a panel CSV")
     p.add_argument("--panel")
     p.add_argument("--model-spec", help="structure JSON; defaults derived from the panel")
-    p.add_argument("--maxiter", type=int, default=None)
+    p.add_argument("--maxiter", type=int, default=None, help="bound on trust-region iterations")
     p.add_argument("--out-estimate")
     p.add_argument("--out-trend")
 

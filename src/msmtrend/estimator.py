@@ -3,9 +3,12 @@
 The observed panel is modeled as a misclassified snapshot of the latent
 illness-death chain.  Individual likelihood contributions are computed by
 the forward algorithm over latent states, with per-step rescaling against
-underflow; this equals the nested sum over all latent paths.  Standard
-errors come from the inverse observed information, estimated by central
-finite differences.
+underflow; this equals the nested sum over all latent paths.  The adjoint
+of that recursion (a backward pass) gives the analytic per-individual
+scores.  The fit is a trust-region Newton method whose curvature is first
+the outer product of those scores (BHHH) and then the exact information,
+taken as central differences of the score.  Standard errors come from the
+inverse of that exact information at the estimate.
 """
 
 from __future__ import annotations
@@ -30,8 +33,11 @@ from .markov import (
     log_intensities,
     param_layout,
     transition_entries,
+    transition_entries_vjp,
 )
-from .numdiff import gradient_fd, hessian_covariance, hessian_fd
+# gradient_fd and hessian_fd are no longer on the fit path but stay bound
+# here: tests and the benchmark's trace points reach them as estimator.*
+from .numdiff import gradient_fd, hessian_covariance, hessian_fd, jacobian_fd  # noqa: F401
 from .panel import Panel, validate_panel
 from .trend import TrendSeries
 
@@ -52,6 +58,18 @@ __all__ = [
 # linear predictors are clipped here during optimization; exp(30) rates are
 # already far beyond any feasible region and the clip keeps exps finite
 _LIN_CLIP = 30.0
+
+# fit_msm moves from BHHH to exact curvature after _BHHH_BUDGET trust-region
+# iterations, or once an accepted one gains less than _SWITCH_GAIN in log
+# likelihood, and stops when the Euclidean norm of the score in its scaled
+# coordinates is below _GTOL.  Log rates and logits beyond +-_Z_BOX (scaled)
+# are indistinguishable from the boundary: a fit whose iterate leaves that
+# box, as unidentified parameter combinations of a tiny panel do, stops
+# there and is flagged
+_SWITCH_GAIN = 1e-6
+_BHHH_BUDGET = 50
+_GTOL = 1e-5
+_Z_BOX = 60.0
 
 
 def misclassification_matrix(e12: float, e21: float) -> np.ndarray:
@@ -174,14 +192,23 @@ class PanelDesign:
     def loglik(self, gamma: np.ndarray) -> float:
         """Total forward-algorithm log likelihood at parameter vector gamma;
         the sum runs in fixed id order."""
+        return float(self._forward(gamma, None).sum())
+
+    def _forward(self, gamma: np.ndarray, tape: dict | None) -> np.ndarray:
+        """Per-individual log likelihoods by the rescaled forward recursion.
+
+        With a ``tape`` dict, also records what the backward pass of
+        :meth:`loglik_and_score` needs: parameters, log intensities, rates,
+        transition entries, and per observation the emission factors, the
+        filtered state probabilities, the predicted (pre-emission)
+        probabilities and the unfloored normalisers.
+        """
         params = unpack_params(gamma, self.structure)
-        lin12, lin13, lin23 = log_intensities(
+        lins = log_intensities(
             params, self.waves, self.female[:, None], self.basis, self.basis_f, self.age_centered
         )
-        q12 = np.exp(np.clip(lin12, -_LIN_CLIP, _LIN_CLIP))
-        q13 = np.exp(np.clip(lin13, -_LIN_CLIP, _LIN_CLIP))
-        q23 = np.exp(np.clip(lin23, -_LIN_CLIP, _LIN_CLIP))
-        p11, p12, p13, p22, p23 = transition_entries(q12, q13, q23, self.widths)
+        q12, q13, q23 = (np.exp(np.clip(lin, -_LIN_CLIP, _LIN_CLIP)) for lin in lins)
+        p11, p12, p13, p22, p23 = entries = transition_entries(q12, q13, q23, self.widths)
 
         emission = misclassification_matrix(
             float(expit(params.logit_e12)), float(expit(params.logit_e21))
@@ -189,24 +216,116 @@ class PanelDesign:
         p2 = expit(params.logit_p2)
         init = np.array([1.0 - p2, p2, 0.0])
 
-        alpha = init[None, :] * emission[:, self.state_idx[:, 0]].T
-        norm = np.maximum(alpha.sum(axis=1), 1e-300)
+        obs = emission[:, self.state_idx[:, 0]].T
+        alpha = init[None, :] * obs
+        raw = alpha.sum(axis=1)
+        norm = np.maximum(raw, 1e-300)
         loglik = np.log(norm)
         alpha = alpha / norm[:, None]
+        if tape is not None:
+            tape.update(params=params, lins=lins, rates=(q12, q13, q23), entries=entries,
+                        obs=[obs], alpha=[alpha], pred=[np.broadcast_to(init, obs.shape)],
+                        raw=[raw])
         for j in range(self.n_steps):
             # alpha times the upper-triangular transition matrix, death absorbing
             a0, a1, a2 = alpha.T
-            step = np.column_stack((
+            pred = np.column_stack((
                 a0 * p11[:, j],
                 a0 * p12[:, j] + a1 * p22[:, j],
                 a0 * p13[:, j] + a1 * p23[:, j] + a2,
             ))
-            step = step * emission[:, self.state_idx[:, j + 1]].T
-            norm = np.maximum(step.sum(axis=1), 1e-300)
+            obs = emission[:, self.state_idx[:, j + 1]].T
+            step = pred * obs
+            raw = step.sum(axis=1)
+            norm = np.maximum(raw, 1e-300)
             act = self.active[:, j]
             loglik = loglik + np.where(act, np.log(norm), 0.0)
             alpha = np.where(act[:, None], step / norm[:, None], alpha)
-        return float(loglik.sum())
+            if tape is not None:
+                for key, value in (("obs", obs), ("alpha", alpha), ("pred", pred), ("raw", raw)):
+                    tape[key].append(value)
+        return loglik
+
+    def loglik_and_score(self, gamma: np.ndarray) -> tuple[float, np.ndarray]:
+        """Log likelihood (equal to :meth:`loglik`) and the per-individual
+        score matrix, one row per individual in id order, one column per
+        parameter.
+
+        One forward pass is followed by its adjoint: with rescaled backward
+        variables beta_j, dl/dP_j(r, s) = alpha_{j-1}(r) e_j(s) beta_j(s) / c_j,
+        and similarly for the emission and initial-state entries.  The
+        transition adjoints go through :func:`transition_entries_vjp` and
+        exp(clip(lin)) to the three log-intensity grids, which are then
+        contracted with the compact design.  Conventions: the score is the
+        derivative of the clipped function, so it is zero in a cell where
+        |lin| >= 30; and a step whose normaliser sits on the 1e-300 floor is
+        treated as constant, passing no adjoint back (the score stays finite
+        wherever the log likelihood is).
+        """
+        tape: dict = {}
+        loglik = float(self._forward(gamma, tape).sum())
+        n, steps = self.n, self.n_steps
+        p11, p12, p13, p22, p23 = tape["entries"]
+        alphas, obs, raws = tape["alpha"], tape["obs"], tape["raw"]
+
+        def step_adjoint(abar, k):
+            # adjoint of the unnormalised step k from that of its normalised
+            # result and of its log-normaliser term
+            g = abar - np.sum(abar * alphas[k], axis=1, keepdims=True) + 1.0
+            live = raws[k] >= 1e-300
+            return np.where(live[:, None], g / np.maximum(raws[k], 1e-300)[:, None], 0.0)
+
+        bars = np.zeros((5, n, steps))
+        gs = [None] * (steps + 1)
+        abar = np.zeros((n, 3))
+        for j in range(steps - 1, -1, -1):
+            act = self.active[:, j]
+            gs[j + 1] = g = np.where(act[:, None], step_adjoint(abar, j + 1), 0.0)
+            pb = g * obs[j + 1]
+            a0, a1 = alphas[j][:, 0], alphas[j][:, 1]
+            bars[:, :, j] = a0 * pb[:, 0], a0 * pb[:, 1], a0 * pb[:, 2], a1 * pb[:, 1], a1 * pb[:, 2]
+            back = np.column_stack((
+                p11[:, j] * pb[:, 0] + p12[:, j] * pb[:, 1] + p13[:, j] * pb[:, 2],
+                p22[:, j] * pb[:, 1] + p23[:, j] * pb[:, 2],
+                pb[:, 2],
+            ))
+            abar = np.where(act[:, None], back, abar)
+        gs[0] = step_adjoint(abar, 0)
+        # adjoint of each emission factor E[s, o_j]: g_j(s) times the
+        # predicted probability (the initial distribution at j = 0)
+        d_obs = np.stack(gs, axis=1) * np.stack(tape["pred"], axis=1)
+        # d E[0, o] / d e12 for observed o = 1, 2, 3; d E[1, o] / d e21 is its negative
+        sign = np.array([-1.0, 1.0, 0.0])[self.state_idx]
+        d_e12 = np.sum(d_obs[:, :, 0] * sign, axis=1)
+        d_e21 = -np.sum(d_obs[:, :, 1] * sign, axis=1)
+        d_p2 = gs[0][:, 1] * obs[0][:, 1] - gs[0][:, 0] * obs[0][:, 0]
+
+        q12, q13, q23 = tape["rates"]
+        qbars = transition_entries_vjp(q12, q13, q23, self.widths, bars)
+        # d exp(clip(lin)) / d lin = q inside the clip, 0 outside
+        l12, l13, l23 = (qb * q * (np.abs(lin) < _LIN_CLIP)
+                         for qb, q, lin in zip(qbars, tape["rates"], tape["lins"]))
+        T = self.structure.n_waves
+        cell = np.arange(n)[:, None] * T + self.waves - 1
+        fem = self.female
+        params = tape["params"]
+        e12, e21, p2 = expit([params.logit_e12, params.logit_e21, params.logit_p2])
+        cols = {
+            "beta": np.bincount(cell.ravel(), l12.ravel(), minlength=n * T).reshape(n, T),
+            "female_12": fem * l12.sum(axis=1),
+            "age_spline_12": np.einsum("ij,ijk->ik", l12, self.basis),
+            "age_spline_f_12": np.einsum("ij,ijk->ik", l12, self.basis_f),
+            "logit_e12": d_e12 * e12 * (1.0 - e12),
+            "logit_e21": d_e21 * e21 * (1.0 - e21),
+            "logit_p2": d_p2 * p2 * (1.0 - p2),
+        }
+        for k, lin in (("13", l13), ("23", l23)):
+            total = lin.sum(axis=1)
+            cols[f"log_q{k}_0"] = total
+            cols[f"female_{k}"] = fem * total
+            cols[f"age_{k}"] = np.sum(lin * self.age_centered, axis=1)
+            cols[f"trend_{k}"] = np.sum(lin * self.waves, axis=1)
+        return loglik, np.column_stack([cols[name] for name, _ in param_layout(self.structure)])
 
 
 def forward_loglik(panel: Panel, structure: ModelStructure, gamma, validate: bool = True) -> float:
@@ -315,13 +434,31 @@ def fit_msm(
 ) -> EstimationResult:
     """Maximize the misclassified-panel likelihood.
 
-    Quasi-Newton (L-BFGS-B) with a 2-point finite-difference gradient, a
-    relative-likelihood stopping rule of 1e-10 and gradient tolerance 1e-6,
-    followed by damped Newton polish steps using a finite-difference
-    Hessian.  ``fixed`` maps parameter names to frozen values, e.g. to pin
-    the misclassification at the identity.  Non-convergence is flagged on
-    the result, never raised.  ``validate=False`` skips the schema checks
-    of a panel the caller has already passed through :func:`validate_panel`.
+    A trust-region Newton method (scipy ``trust-exact``) runs on the
+    analytic score of :meth:`PanelDesign.loglik_and_score`.  Its curvature
+    starts as the BHHH matrix, the sum of outer products of the
+    per-individual scores, which comes from the same pass.  Once an
+    accepted iteration gains less than 1e-6 in log likelihood, or after 50
+    BHHH iterations, the fit continues with the exact curvature: the
+    central-difference Jacobian of the score, 2p score passes for p free
+    parameters.  It stops when the
+    score's Euclidean norm in the scaled coordinates is below 1e-5, or when
+    the exact model can no longer predict a gain above round-off.  The
+    covariance is the inverse of the exact information at the final point.
+    ``iterations`` counts trust-region iterations over both phases, and
+    ``maxiter`` bounds that count.  ``fixed`` maps parameter names to
+    frozen values, e.g. to pin the misclassification at the identity.
+    Non-convergence is flagged on the result, never raised.
+    ``validate=False`` skips the schema checks of a panel the caller has
+    already passed through :func:`validate_panel`.
+
+    A wave dummy whose wave has no events does not run away: once its log
+    intensity passes the -30 clip the likelihood is flat in it, so its
+    score and curvature are exactly zero there, and the trust region bounds
+    every step on the way.  Parameter combinations that a panel does not
+    identify can still run off; an iterate with a scaled parameter beyond
+    +-60 stops the fit, which is then flagged as not converged with a
+    warning that names those parameters.
     """
     design = PanelDesign(panel, structure, validate=validate)
     names = param_names(structure)
@@ -348,90 +485,104 @@ def fit_msm(
     if idx_free.size == 0:
         raise InvalidArgumentError("no free parameters")
 
-    # optimize z = scale * gamma so every coordinate moves the likelihood at
-    # a comparable rate; covariate columns with large typical magnitude would
-    # otherwise give the surface a hopeless condition number
+    # optimize z = scale * gamma so that the trust region, a ball, is not
+    # stretched by covariate columns of large typical magnitude
     scale = design.param_scales()[idx_free]
 
-    def nll(z_free: np.ndarray) -> float:
+    def gamma_of(z_free: np.ndarray) -> np.ndarray:
         x = x_full.copy()
         x[idx_free] = z_free / scale
-        value = design.loglik(x)
-        if not np.isfinite(value):
-            return 1e12
-        return -value
+        return x
 
-    # generous box: log rates and logits beyond +-60 are numerically
-    # indistinguishable from the boundary (e.g. a wave with no observed
-    # events drives its dummy to -inf); the box stops runaway iterations
-    res = minimize(
-        nll,
-        x_full[idx_free] * scale,
-        method="L-BFGS-B",
-        jac="2-point",
-        bounds=[(-60.0, 60.0)] * idx_free.size,
-        options={"maxiter": maxiter, "maxfun": 100 * maxiter, "ftol": 1e-10, "gtol": 1e-6},
-    )
-    z_free = res.x.copy()
+    def nll_and_grad(z_free: np.ndarray):
+        value, scores = design.loglik_and_score(gamma_of(z_free))
+        scores = scores[:, idx_free] / scale
+        if not (np.isfinite(value) and np.all(np.isfinite(scores))):
+            # a point the trust region must reject
+            return 1e12, np.zeros(idx_free.size), np.zeros_like(scores)
+        return -value, -scores.sum(axis=0), scores
+
+    # trust-exact asks for the value, gradient and Hessian at each proposed
+    # point separately; one score pass answers all three
+    last: dict = {}
+
+    def at(z_free: np.ndarray):
+        if not np.array_equal(last.get("z"), z_free):
+            last.update(z=z_free.copy(), out=nll_and_grad(z_free))
+        return last["out"]
+
+    def bhhh(z_free: np.ndarray) -> np.ndarray:
+        scores = at(z_free)[2]
+        return scores.T @ scores
+
+    exact: dict = {}
+
+    def exact_hessian(z_free: np.ndarray) -> np.ndarray:
+        if not np.array_equal(exact.get("z"), z_free):
+            H = jacobian_fd(lambda z: nll_and_grad(z)[1], z_free)
+            exact.update(z=z_free.copy(), H=0.5 * (H + H.T))
+        return exact["H"]
+
+    watch = {"bhhh": True, "k": 0, "f": np.inf, "stop": None}
+
+    def monitor(intermediate_result):
+        z, f = intermediate_result.x, intermediate_result.fun
+        watch["k"] += 1
+        if np.max(np.abs(z)) > _Z_BOX:
+            watch["stop"] = "box"
+            raise StopIteration
+        # BHHH hands over to exact curvature after _BHHH_BUDGET iterations,
+        # or sooner once an accepted step gains less than _SWITCH_GAIN (a
+        # rejected step leaves f unchanged); a hand-over due on the last
+        # allowed iteration is left to end as "maxiter"
+        gain, watch["f"] = watch["f"] - f, f
+        stalled = 0.0 < gain < _SWITCH_GAIN or watch["k"] >= _BHHH_BUDGET
+        if watch["bhhh"] and stalled and watch["k"] < maxiter:
+            watch["stop"] = "switch"
+            raise StopIteration
+
+    def trust_region(z0, hess, iterations):
+        return minimize(lambda z: at(z)[:2], z0, method="trust-exact", jac=True, hess=hess,
+                        callback=monitor, options={"maxiter": iterations, "gtol": _GTOL})
+
+    res = trust_region(x_full[idx_free] * scale, bhhh, maxiter)
     iterations = int(res.nit)
-    converged = bool(res.success)
+    if watch["stop"] == "switch" or res.status in (2, 3):
+        # BHHH stalled or could not model the surface: exact curvature from here
+        watch.update(bhhh=False, stop=None)
+        res = trust_region(res.x, exact_hessian, maxiter - iterations)
+        iterations += int(res.nit)
+    # status 2 with exact curvature: the model predicts no gain above the
+    # round-off of the log likelihood, which marks a stationary point
+    converged = watch["stop"] is None and (
+        res.status == 0 or (res.status == 2 and not watch["bhhh"]))
+    z_free = res.x
+    x_hat = gamma_of(z_free)
     warnings: list[str] = []
-
-    H_nll = hessian_fd(nll, z_free)
-
-    # a few damped Newton steps sharpen the optimum well past what
-    # finite-difference L-BFGS-B can resolve
-    z_start = z_free.copy()
-    for _ in range(3):
-        g = gradient_fd(nll, z_free, step=1e-6)
-        if np.max(np.abs(g)) < 1e-9 * max(1.0, abs(res.fun)):
-            break
-        try:
-            delta = np.linalg.solve(H_nll, g)
-        except np.linalg.LinAlgError:
-            break
-        f_cur = nll(z_free)
-        damp = 1.0
-        for _ in range(6):
-            cand = z_free - damp * delta
-            if nll(cand) < f_cur:
-                z_free = cand
-                break
-            damp *= 0.5
-        else:
-            break
-    moved = z_free - z_start
-
-    x_hat = x_full.copy()
-    x_hat[idx_free] = z_free / scale
-    loglik_hat = design.loglik(x_hat)
+    if watch["stop"] == "box":
+        far = ", ".join(names[i] for i in idx_free[np.abs(z_free) > _Z_BOX])
+        warnings.append(f"stopped where {far} left the scaled box [-{_Z_BOX:g}, {_Z_BOX:g}]; "
+                        "the panel does not identify them")
+    elif not converged:
+        warnings.append(f"optimizer message: {res.message}")
 
     cov_free = None
     if compute_cov:
         # Hessian in the scaled coordinates (well conditioned), mapped back
         # to the natural parameterization: cov_gamma = S^{-1} cov_z S^{-1}
         try:
-            # refresh the Hessian only if polish moved the optimum by a
-            # non-negligible fraction of a standard error
-            diag_cov = np.diag(np.linalg.pinv(H_nll, hermitian=True))
-            tol_move = 0.05 * np.sqrt(np.maximum(np.abs(diag_cov), 1e-300))
-            if np.any(np.abs(moved) > tol_move):
-                H_nll = hessian_fd(nll, z_free)
-            cov_z, cov_warnings = hessian_covariance(-H_nll)
+            cov_z, cov_warnings = hessian_covariance(-exact_hessian(z_free))
             cov_free = cov_z / np.outer(scale, scale)
             warnings.extend(cov_warnings)
         except CurvatureError as exc:
             warnings.append(str(exc))
             converged = False
 
-    if not res.success:
-        warnings.append(f"optimizer message: {res.message}")
-
     return EstimationResult(
         names=names,
         estimates=x_hat,
         free=free,
-        loglik=float(loglik_hat),
+        loglik=float(design.loglik(x_hat)),
         converged=converged,
         iterations=iterations,
         n_transitions=design.n_transitions,

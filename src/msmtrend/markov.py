@@ -11,7 +11,8 @@ One hazard kernel serves the likelihood, the simulator and the scalar
 wrappers: :func:`covariate_design` and :func:`log_intensities` map
 covariates and parameters to log intensities, and
 :func:`transition_entries` maps intensities and interval widths to the
-closed-form transition probabilities.
+closed-form transition probabilities; :func:`transition_entries_vjp`
+carries derivatives back along the same chain for the likelihood score.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ __all__ = [
     "covariate_design",
     "log_intensities",
     "transition_entries",
+    "transition_entries_vjp",
+    "p12_ratio_grad",
     "param_layout",
     "load_model_spec",
     "save_model_spec",
@@ -365,8 +368,9 @@ def transition_entries(q12, q13, q23, w):
     same closed form rearranged so the degenerate direction a -> b (where the
     naive difference cancels catastrophically) is exact, the a == b limit
     q12 * w * e^{-aw} is taken explicitly, and the expm1 argument is never
-    positive, so nothing overflows for any intensity scale.  p13 takes the
-    rest of row one, floored at 0 against roundoff.
+    positive, so nothing overflows for any intensity scale.  The exit
+    probabilities p23 = -expm1(-bw) and p13 = -expm1(-aw) - p12 keep full
+    relative precision at small rates; p13 is floored at 0 against round-off.
     """
     q12 = np.asarray(q12, dtype=float)
     q13 = np.asarray(q13, dtype=float)
@@ -376,9 +380,63 @@ def transition_entries(q12, q13, q23, w):
     p11 = np.exp(-a * w)
     p22 = np.exp(-b * w)
     p12 = q12 * w * np.exp(-np.minimum(a, b) * w) * _expm1_ratio(-np.abs(a - b) * w)
-    p13 = np.maximum(1.0 - p11 - p12, 0.0)
-    p23 = 1.0 - p22
+    p13 = np.maximum(-np.expm1(-a * w) - p12, 0.0)
+    p23 = -np.expm1(-b * w)
     return p11, p12, p13, p22, p23
+
+
+# Taylor coefficients in (-x)^k, k = 0..19, of the moments psi and phi1 in
+# p12_ratio_grad; at x < 1 the first omitted term is below 1e-19 of the sum
+_PSI_SERIES = np.array([1.0 / math.factorial(k + 2) for k in range(20)])[::-1]
+_PHI1_SERIES = np.array([(k + 1) / math.factorial(k + 2) for k in range(20)])[::-1]
+
+
+def p12_ratio_grad(a, b, w):
+    """Partial derivatives of f = p12/q12 = w * integral of
+    e^{-w(a(1-s) + bs)} over s in [0, 1] with respect to a = q12+q13 and
+    b = q23.
+
+    df/da = -w^2 * integral of (1-s) e^{...} and df/db = -w^2 * integral of
+    s e^{...}.  The exponent is factored at min(a, b), as in
+    :func:`transition_entries`, so nothing overflows.  The remaining
+    moments psi and phi1 of e^{-xs}, x = |a-b|w, come from a short series
+    below x = 1, where any closed form cancels, and from the closed forms
+    (1 - phi0)/x and (phi0 - e^{-x})/x, phi0 = -expm1(-x)/x, above it.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    x = np.abs(a - b) * w
+    small = x < 1.0
+    xs = np.where(small, -x, 0.0)
+    xl = np.where(small, 1.0, x)
+    phi0 = -np.expm1(-xl) / xl
+    psi = np.where(small, np.polyval(_PSI_SERIES, xs), (1.0 - phi0) / xl)
+    phi1 = np.where(small, np.polyval(_PHI1_SERIES, xs), (phi0 - np.exp(-xl)) / xl)
+    scale = -w * w * np.exp(-np.minimum(a, b) * w)
+    # with a <= b the weight e^{-xs} sits on s; otherwise on 1 - s
+    lo = a <= b
+    return scale * np.where(lo, psi, phi1), scale * np.where(lo, phi1, psi)
+
+
+def transition_entries_vjp(q12, q13, q23, w, bars):
+    """Pull adjoints back through :func:`transition_entries`.
+
+    ``bars`` holds the adjoints (derivatives of some scalar) of the five
+    entries (p11, p12, p13, p22, p23); returns the adjoints of (q12, q13,
+    q23).  The round-off floor on p13 is treated as inactive.
+    """
+    p11b, p12b, p13b, p22b, p23b = bars
+    q12 = np.asarray(q12, dtype=float)
+    a = q12 + q13
+    b = np.asarray(q23, dtype=float)
+    f = w * np.exp(-np.minimum(a, b) * w) * _expm1_ratio(-np.abs(a - b) * w)
+    fa, fb = p12_ratio_grad(a, b, w)
+    # p12 = q12 f(a, b) enters p13 = -expm1(-aw) - p12 with a minus sign;
+    # d(-expm1(-aw))/da = w p11 = -dp11/da
+    c12 = p12b - p13b
+    abar = w * np.exp(-a * w) * (p13b - p11b) + c12 * q12 * fa
+    q23b = w * np.exp(-b * w) * (p23b - p22b) + c12 * q12 * fb
+    return abar + c12 * f, abar, q23b
 
 
 def transition_probability(Q: IntensityMatrix, w: float) -> TransitionMatrix:

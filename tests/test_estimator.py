@@ -2,11 +2,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import msmtrend.estimator as est
 from msmtrend.errors import DataValidationError, CurvatureError, InvalidArgumentError
 from msmtrend.markov import Covariates, HazardParams, ModelStructure, build_intensity, transition_probability
+from msmtrend.numdiff import jacobian_fd
 from msmtrend.panel import Panel
 from msmtrend.simulate import SimulationConfig, simulate_panel
 
@@ -95,11 +98,16 @@ def enumeration_loglik(panel: Panel, structure, params: HazardParams) -> float:
 # forward algorithm against the oracle
 
 
-def test_forward_equals_enumeration():
+def enumeration_panels():
+    """Thirty small random panels, each with its own random parameters."""
     rng = np.random.default_rng(314)
     for _ in range(30):
         params = random_params(rng, SMALL_STRUCTURE)
-        panel = random_panel(rng, SMALL_STRUCTURE, n_individuals=5)
+        yield params, random_panel(rng, SMALL_STRUCTURE, n_individuals=5)
+
+
+def test_forward_equals_enumeration():
+    for params, panel in enumeration_panels():
         got = est.forward_loglik(panel, SMALL_STRUCTURE, params)
         want = enumeration_loglik(panel, SMALL_STRUCTURE, params)
         assert got == pytest.approx(want, abs=1e-12)
@@ -195,6 +203,113 @@ def test_observation_after_death_rejected():
     params = random_params(np.random.default_rng(0), SMALL_STRUCTURE)
     with pytest.raises(DataValidationError):
         est.forward_loglik(panel, SMALL_STRUCTURE, params)
+
+
+# ---------------------------------------------------------------------------
+# analytic score
+
+
+def assert_score_matches_fd(design, gamma):
+    _, scores = design.loglik_and_score(gamma)
+    want = est.gradient_fd(design.loglik, gamma, step=1e-6)
+    assert np.all(np.isfinite(scores))
+    assert np.abs(scores.sum(axis=0) - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_score_pass_loglik_equals_loglik():
+    for params, panel in enumeration_panels():
+        design = est.PanelDesign(panel, SMALL_STRUCTURE)
+        gamma = est.pack_params(params, SMALL_STRUCTURE)
+        loglik, scores = design.loglik_and_score(gamma)
+        assert loglik == design.loglik(gamma)
+        assert scores.shape == (design.n, gamma.size)
+
+
+def test_score_matches_gradient_fd_on_enumeration_panels():
+    for params, panel in enumeration_panels():
+        assert_score_matches_fd(est.PanelDesign(panel, SMALL_STRUCTURE),
+                                est.pack_params(params, SMALL_STRUCTURE))
+
+
+def test_score_matches_gradient_fd_beyond_the_clip():
+    # wave dummies and mortality baselines pushed well past |lin| = 30 on
+    # some cells: the score is that of the clipped function, zero there
+    rng = np.random.default_rng(2718)
+    names = est.param_names(SMALL_STRUCTURE)
+    for shift in ({"beta_1": -36.0}, {"beta_2": 36.0}, {"log_q13_0": -40.0},
+                  {"log_q23_0": 37.0, "beta_3": -45.0}):
+        params = random_params(rng, SMALL_STRUCTURE)
+        panel = random_panel(rng, SMALL_STRUCTURE, n_individuals=12)
+        gamma = est.pack_params(params, SMALL_STRUCTURE)
+        for name, value in shift.items():
+            gamma[names.index(name)] = value
+        design = est.PanelDesign(panel, SMALL_STRUCTURE)
+        assert_score_matches_fd(design, gamma)
+        _, scores = design.loglik_and_score(gamma)
+        assert np.all(scores[:, names.index(next(iter(shift)))] == 0.0)
+
+
+@pytest.fixture(scope="module")
+def pipeline_design():
+    """The benchmark's fixed CLI panel: paper-like truth, 2,000 people, seed 2."""
+    structure = paperlike_structure()
+    panel = simulate_panel(SimulationConfig(n=2000, structure=structure,
+                                            params=paperlike_params(), seed=2))
+    return est.PanelDesign(panel, structure)
+
+
+def test_score_matches_gradient_fd_on_pipeline_panel(pipeline_design):
+    rng = np.random.default_rng(99)
+    truth = est.pack_params(paperlike_params(), pipeline_design.structure)
+    for _ in range(3):
+        assert_score_matches_fd(pipeline_design, truth + rng.normal(0.0, 0.2, truth.size))
+
+
+def test_exact_information_matches_hessian_fd():
+    structure = paperlike_structure()
+    panel = simulate_panel(SimulationConfig(n=300, structure=structure,
+                                            params=paperlike_params(), seed=4))
+    design = est.PanelDesign(panel, structure)
+    gamma = est.pack_params(paperlike_params(), structure)
+    exact = jacobian_fd(lambda g: design.loglik_and_score(g)[1].sum(axis=0), gamma)
+    # hessian_fd's error at its 1e-4 step is round-off, about eps |l| / h^2
+    # (about 1e-7 here); the score differences' is far smaller
+    fd = est.hessian_fd(design.loglik, gamma)
+    assert np.abs(exact - fd).max() <= 1e-5 * np.abs(fd).max()
+    np.testing.assert_allclose(exact, exact.T, rtol=1e-6, atol=1e-6 * np.abs(exact).max())
+
+
+def test_score_handles_impossible_sequences():
+    # with validation off, a dead-then-alive sequence floors the forward
+    # recursion; the floored step passes no adjoint and the score is finite
+    panel = small_panel([1, 1, 1, 2, 2], [0.0, 2.0, 4.0, 0.0, 2.0], [1, 3, 1, 1, 2])
+    design = est.PanelDesign(panel, SMALL_STRUCTURE, validate=False)
+    gamma = est.pack_params(random_params(np.random.default_rng(8), SMALL_STRUCTURE),
+                            SMALL_STRUCTURE)
+    loglik, scores = design.loglik_and_score(gamma)
+    assert loglik == design.loglik(gamma) and np.isfinite(loglik)
+    assert np.all(np.isfinite(scores))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scores_invariant_to_relabelling_and_row_order(seed):
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, SMALL_STRUCTURE)
+    panel = random_panel(rng, SMALL_STRUCTURE, n_individuals=8)
+    gamma = est.pack_params(params, SMALL_STRUCTURE)
+    base = est.PanelDesign(panel, SMALL_STRUCTURE).loglik_and_score(gamma)[1]
+    # a random injective relabelling of the ids, then a random row order
+    old_ids = np.unique(panel.ids)
+    new_ids = rng.choice(10_000, size=old_ids.size, replace=False)
+    relabel = dict(zip(old_ids.tolist(), new_ids.tolist()))
+    perm = rng.permutation(len(panel))
+    moved = Panel(np.array([relabel[i] for i in panel.ids[perm]]), panel.times[perm],
+                  panel.states[perm], panel.ages[perm], panel.female[perm])
+    got = est.PanelDesign(moved, SMALL_STRUCTURE).loglik_and_score(gamma)[1]
+    # row k of ``base`` belongs to old_ids[k], which is now new_ids[k]
+    rows = np.searchsorted(np.sort(new_ids), new_ids)
+    np.testing.assert_allclose(got[rows], base, rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +474,67 @@ def test_fit_converges_and_gradient_small(small_fit):
 def test_refit_from_optimum_is_immediate(small_fit):
     structure, panel, result = small_fit
     again = est.fit_msm(panel, structure, start=result.estimates, compute_cov=False)
+    assert again.iterations <= 1
     assert again.loglik == pytest.approx(result.loglik, abs=1e-10 * max(1.0, abs(result.loglik)))
+
+
+def test_score_difference_step_leaves_se_unchanged(small_fit):
+    # the exact information from score differences is insensitive to its
+    # step: truncation is O(h^2) and round-off O(eps / h), both tiny here
+    structure, panel, result = small_fit
+    design = est.PanelDesign(panel, structure)
+    scale = design.param_scales()
+
+    def se(step):
+        H = jacobian_fd(lambda z: design.loglik_and_score(z / scale)[1].sum(axis=0) / scale,
+                        result.estimates * scale, step)
+        return np.sqrt(np.diag(np.linalg.inv(-0.5 * (H + H.T)))) / scale
+
+    coarse, fine = se(1e-4), se(1e-6)
+    np.testing.assert_allclose(coarse, fine, rtol=1e-6)
+    np.testing.assert_allclose(result.se, fine, rtol=1e-6)
+
+
+def test_fit_converges_along_flat_wave_dummy():
+    # paper-like truth, 1,000 people, seed 3: a quasi-Newton fit with
+    # finite-difference gradients stopped at maxiter at -1747.0384246692
+    # while crawling along a nearly flat wave-1 dummy
+    structure = paperlike_structure()
+    panel = simulate_panel(SimulationConfig(n=1000, structure=structure,
+                                            params=paperlike_params(), seed=3))
+    result = est.fit_msm(panel, structure)
+    assert result.converged
+    assert result.loglik >= -1747.0384246692
+    assert np.linalg.eigvalsh(result.cov_free).min() > 0.0
+    _, scores = est.PanelDesign(panel, structure).loglik_and_score(result.estimates)
+    assert np.abs(scores.sum(axis=0)).max() < 1e-4
+
+
+def test_unidentified_combination_stops_at_the_box():
+    # 20 people cannot pin 24 parameters: an unidentified combination runs
+    # off, and the fit stops once a scaled parameter leaves +-60, flagged,
+    # instead of iterating on to maxiter
+    structure = paperlike_structure()
+    panel = simulate_panel(SimulationConfig(n=20, structure=structure,
+                                            params=paperlike_params(), seed=2))
+    result = est.fit_msm(panel, structure)
+    assert not result.converged
+    assert "does not identify" in result.warnings[0]
+    assert result.iterations < 100
+    assert np.isfinite(result.loglik)
+
+
+def test_wave_without_events_does_not_run_away():
+    # no onsets in wave 3: the likelihood rises toward beta_3 -> -inf and is
+    # flat past the clip, so the dummy stops at a finite, very negative value
+    structure = paperlike_structure()
+    truth = paperlike_params()
+    truth.beta[2] = -40.0
+    panel = simulate_panel(SimulationConfig(n=1500, structure=structure, params=truth, seed=5))
+    result = est.fit_msm(panel, structure)
+    assert result.converged
+    assert -31.0 < result["beta_3"] < -10.0
+    assert np.all(np.isfinite(result.se))
 
 
 def test_extract_trend_shapes(small_fit):

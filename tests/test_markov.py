@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msmtrend.errors import InvalidArgumentError, InvalidSpecError
 from msmtrend.markov import (
@@ -9,9 +12,12 @@ from msmtrend.markov import (
     ModelStructure,
     build_intensity,
     load_model_spec,
+    p12_ratio_grad,
     save_model_spec,
     spline_basis,
     spline_basis_matrix,
+    transition_entries,
+    transition_entries_vjp,
     transition_probability,
 )
 
@@ -238,6 +244,78 @@ def test_invalid_width_and_invalid_generator():
         IntensityMatrix(np.array([[-1.0, 0.5, 0.5], [0.1, -0.1, 0.0], [0.0, 0.0, 0.0]]))
     with pytest.raises(InvalidSpecError):
         IntensityMatrix(np.array([[-1.0, 2.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
+def test_exit_probabilities_match_mpmath_at_small_rates():
+    # p23 = -expm1(-bw) and p13 = -expm1(-aw) - p12 keep their relative
+    # precision where 1 - p22 and 1 - p11 - p12 lose it; with q13 = 0.01 q12
+    # some p13 error is inherent (p13 is a hundredth of the expm1 term)
+    mpmath.mp.dps = 50
+    w = 2.0
+    for rate in (1e-12, 1e-9, 1e-3):
+        for q12, q13, q23 in ((rate, rate, rate), (rate, 0.01 * rate, 3 * rate)):
+            a, b, mw = mpmath.mpf(q12) + mpmath.mpf(q13), mpmath.mpf(q23), mpmath.mpf(w)
+            p12 = mpmath.mpf(q12) * (mpmath.exp(-a * mw) - mpmath.exp(-b * mw)) / (b - a)
+            want13 = 1 - mpmath.exp(-a * mw) - p12
+            want23 = 1 - mpmath.exp(-b * mw)
+            _, _, p13, _, p23 = transition_entries(q12, q13, q23, w)
+            assert abs((p23 - want23) / want23) <= 1e-15
+            assert abs((p13 - want13) / want13) <= 1e-13
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-6, 1e-2, 1.0, 30.0])
+def test_p12_ratio_grad_matches_mpmath(gap):
+    # f = p12/q12 = w * int_0^1 exp(-w(a(1-s) + bs)) ds; at |a - b| w = gap
+    # the derivatives need no difference quotient, so they keep full
+    # precision across a = b
+    mpmath.mp.dps = 50
+
+    def reference(a, b, w):
+        a, b, w = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(w)
+        kernel = lambda s: mpmath.exp(-w * (a * (1 - s) + b * s))  # noqa: E731
+        return (-w**2 * mpmath.quad(lambda s: (1 - s) * kernel(s), [0, 1]),
+                -w**2 * mpmath.quad(lambda s: s * kernel(s), [0, 1]))
+
+    for w in (0.5, 2.0):
+        for a in (1e-3, 0.3, 5.0):
+            for b in {a + gap / w, max(a - gap / w, 0.0)}:
+                got = p12_ratio_grad(a, b, w)
+                for g, want in zip(got, reference(a, b, w)):
+                    assert abs((g - want) / want) <= 1e-12, (a, b, w)
+
+
+def test_transition_entries_vjp_matches_central_differences():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        q = rng.uniform(0.0, 2.0, size=3)
+        if rng.random() < 0.3:
+            q[2] = q[0] + q[1]  # the a == b branch
+        w = float(rng.uniform(0.1, 3.0))
+        bars = rng.normal(size=5)
+        got = transition_entries_vjp(*q, w, bars)
+        for k in range(3):
+            h = 1e-6 * max(1.0, q[k])
+            up, down = q.copy(), q.copy()
+            up[k] += h
+            down[k] -= h
+            want = (np.dot(bars, transition_entries(*up, w))
+                    - np.dot(bars, transition_entries(*down, w))) / (2 * h)
+            assert got[k] == pytest.approx(want, rel=1e-7, abs=1e-9)
+
+
+_RATES = st.floats(min_value=1e-15, max_value=1e15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q12=_RATES, q13=_RATES, q23=_RATES, equal=st.booleans(),
+       w=st.floats(min_value=1e-3, max_value=30.0))
+def test_transition_rows_sum_to_one_over_extreme_generators(q12, q13, q23, equal, w):
+    if equal:
+        q23 = q12 + q13
+    p11, p12, p13, p22, p23 = transition_entries(q12, q13, q23, w)
+    assert min(p11, p12, p13, p22, p23) >= 0.0
+    assert p11 + p12 + p13 == pytest.approx(1.0, abs=4e-16)
+    assert p22 + p23 == pytest.approx(1.0, abs=4e-16)
 
 
 # ---------------------------------------------------------------------------
