@@ -10,6 +10,7 @@ the Gaussian prediction-error likelihood runs over the remaining waves only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -44,8 +45,13 @@ VARIANTS = ("zero_drift", "const_drift", "stoch_drift")
 MODES = ("constrained", "free")
 
 LOG2PI = math.log(2.0 * math.pi)
-# parameters whose log-scale estimate sinks to this floor sit on the zero boundary
-_LOG_FLOOR = math.log(1e-8)
+# the profile search: grid points per axis of an n-D profile, and the smallest
+# standard deviation (sd ratio in free mode) on the grid
+_GRID = {0: 1, 1: 200, 2: 40}
+_FLOOR = 1e-8
+_LOG_FLOOR = math.log(_FLOOR)
+# relative likelihood tolerance of the boundary rule and of a flat profile
+_TOL = 1e-7
 
 
 @dataclass
@@ -138,11 +144,13 @@ def _meas_var(series_len: int, series_var: np.ndarray | None, model: FilterModel
     return np.full(series_len, model.sigma_eps**2)
 
 
-def _as_series(series) -> tuple[np.ndarray, np.ndarray | None]:
+def _as_series(series, meas_var) -> tuple[np.ndarray, np.ndarray | None]:
+    """(trend, per-wave variances); ``meas_var`` overrides a TrendSeries' own."""
     if isinstance(series, TrendSeries):
-        return series.beta, series.var_diag
-    beta = np.asarray(series, dtype=float)
-    return beta, None
+        beta, var = series.beta, series.var_diag
+    else:
+        beta, var = np.asarray(series, dtype=float), None
+    return beta, var if meas_var is None else np.asarray(meas_var, dtype=float)
 
 
 def run_filter(series, model: FilterModel, meas_var=None) -> FilterOutput:
@@ -157,9 +165,7 @@ def run_filter(series, model: FilterModel, meas_var=None) -> FilterOutput:
     or ``model.nu`` with no nu noise, so its row of the state covariance
     stays zero; stochastic drift starts nu diffuse.
     """
-    beta_hat, series_var = _as_series(series)
-    if meas_var is not None:
-        series_var = np.asarray(meas_var, dtype=float)
+    beta_hat, series_var = _as_series(series, meas_var)
     T = beta_hat.size
     if T < 2:
         raise InvalidArgumentError("need at least two waves")
@@ -187,7 +193,7 @@ def run_filter(series, model: FilterModel, meas_var=None) -> FilterOutput:
     if d == 2:
         # the second observation pins the drift, leaving only the transition
         # noise accumulated between the two waves
-        innovation[1] = y[1] - y[0]
+        prior_mean[1], innovation[1] = y[0], y[1] - y[0]
         m0, m1, p11 = y[1], y[1] - y[0], q_eta + q_xi
     post_mean[:d] = y[:d]
     drift_mean[d - 1] = m1
@@ -245,156 +251,149 @@ class FilterFit:
     warnings: list = field(default_factory=list)
 
 
-def _pack_free(model: FilterModel) -> tuple[list, np.ndarray]:
-    names = model.free_names()
-    vals = []
-    for name in names:
-        v = getattr(model, name)
-        if name == "nu":
-            vals.append(v)
-        else:
-            vals.append(math.log(v) if v and v > 0 else _LOG_FLOOR)
-    return names, np.asarray(vals, dtype=float)
-
-
-def _unpack_free(model: FilterModel, names, x) -> FilterModel:
-    return replace(model, **{name: v if name == "nu" else math.exp(v) for name, v in zip(names, x)})
-
-
-def _local_min(fun, names, x0, hi) -> tuple[np.ndarray, bool]:
-    """Minimize ``fun`` over the parameters ``names`` from ``x0``; returns
-    (x clipped to the log-sd range, converged).
-
-    A lone log-sd is searched over the bounded interval [log 1e-8, ``hi``];
-    otherwise Nelder-Mead runs from ``x0`` and two shifted starts and the
-    best end point wins.
+def _search(fun, lo: float, hi: float, searched: np.ndarray, shift: bool):
+    """Minimize ``fun`` over the log sds marked in ``searched``, each in
+    [lo, hi], the others held at -inf (sd zero): a grid of ``_GRID[n]``
+    points per searched axis, then one polish from the best grid point.
+    ``shift`` marks log sds that are ratios to a unit sd which ``fun``
+    concentrates out.  Returns (x, fun(x), whether the grid is flat to
+    ``_TOL`` and so left unpolished, whether the polish converged).
     """
-    if len(names) == 1 and names[0] != "nu":
-        res = minimize_scalar(fun, bounds=(_LOG_FLOOR, hi), method="bounded",
-                              options={"xatol": 1e-10})
+    n = int(searched.sum())
+    grid = np.linspace(lo, hi, _GRID[n])
+    points = np.full((grid.size**n, searched.size), -math.inf)
+    points[:, searched] = list(itertools.product(grid, repeat=n))
+    values = np.array([fun(p) for p in points])
+    x, f = points[int(np.argmin(values))], float(values.min())
+    if n == 0 or values.max() - f <= _TOL * max(1.0, abs(f)):
+        return x, f, n > 0, True
+    # the polish runs on the variance scale relative to the largest variance
+    # at the start: there a variance near zero keeps the slope that the log
+    # scale flattens, so it can leave a shelf.  Under ``shift`` the unit
+    # variance joins it and the largest one stays fixed instead.
+    z = np.append(x[searched], 0.0) if shift else x[searched]
+    c = z.max()
+    move = np.arange(z.size) != (int(np.argmax(z)) if shift else -1)
+    u0 = np.exp(2.0 * (z[move] - c))
+    box = np.exp(2.0 * (np.array([lo, hi]) - (0.0 if shift else c)))
+
+    def at(u) -> np.ndarray:
+        w, full = z.copy(), x.copy()
+        w[move] = c + 0.5 * np.log(u)
+        full[searched] = w[:n] - w[n:].sum()
+        return full
+
+    if n == 1:  # Brent within the grid cells either side of the best point
+        r = math.exp(2.0 * (grid[1] - grid[0]))
+        res = minimize_scalar(lambda t: fun(at(t)), options={"xatol": 1e-10 * u0[0]},
+                              bounds=(max(box[0], u0[0] / r), min(box[1], u0[0] * r)), method="bounded")
     else:
-        res = min((minimize(fun, x0 + jitter, method="Nelder-Mead",
-                            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 4000})
-                   for jitter in (0.0, 1.0, -1.0)), key=lambda r: r.fun)
-    return np.clip(np.atleast_1d(res.x), _LOG_FLOOR, 50.0), bool(res.success)
+        res = minimize(lambda u: fun(at(u)), u0, method="L-BFGS-B", bounds=[box] * n,
+                       options={"gtol": 1e-10})
+    if res.fun < f:
+        x, f = at(res.x), float(res.fun)
+    return x, f, False, bool(res.success)
 
 
-def fit_filter(
-    series,
-    variant: str = "zero_drift",
-    mode: str = "constrained",
-    meas_var=None,
-    level: float = 0.90,
-) -> FilterFit:
+def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", meas_var=None,
+               level: float = 0.90) -> FilterFit:
     """ML estimation of the process parameters by prediction-error decomposition.
 
-    Variance parameters are optimized on the log-standard-deviation scale,
-    so their confidence intervals are delta-method normal in logs and
-    asymmetric on the natural scale.  Estimates that sink to the zero
-    boundary are reported as 0 with a boundary flag and no interval, and
-    the parameters still free are then re-optimized with the boundary ones
-    held at zero.  A numerically singular information matrix suppresses
-    intervals for the affected parameters.
+    The likelihood is profiled.  A constant drift nu enters the innovations
+    linearly and is concentrated out by GLS (de Jong 1991), and in free mode
+    sigma_eps^2 is concentrated out of a filter run on the variance ratios
+    (Harvey 1989, 3.4).  That leaves log sigma_eta, plus log sigma_xi for
+    stochastic drift (ratios to sigma_eps in free mode), searched on a log
+    grid from ``_FLOOR`` up to a cap set by the data, then polished once.
+
+    A variance is on the zero boundary, reported as 0 with a flag and no
+    interval, when the profile's best with it held at zero is within
+    ``_TOL`` max(1, |loglik|) of the overall best; the variances are tested
+    in ``free_names`` order, earlier boundary ones held at zero.  A profile
+    flat over its whole grid flags none.  Intervals come from the full
+    likelihood's Hessian over the other parameters, delta-method normal on
+    the log-sd scale; a numerically singular information matrix, or an
+    endpoint beyond the float range, suppresses them.
     """
-    beta_hat, series_var = _as_series(series)
-    if meas_var is not None:
-        series_var = np.asarray(meas_var, dtype=float)
+    beta_hat, series_var = _as_series(series, meas_var)
     T = beta_hat.size
     if T < 3:
         raise InvalidArgumentError("need at least three waves to estimate parameters")
+    free = mode == "free"
+    proto = FilterModel(variant=variant, mode=mode)
+    axes = ["sigma_eta", "sigma_xi"] if variant == "stoch_drift" else ["sigma_eta"]
+    d = proto.n_diffuse
 
-    scale = max(float(np.std(np.diff(beta_hat))), 1e-6)
-    proto = FilterModel(
-        variant=variant,
-        mode=mode,
-        sigma_eta=scale,
-        nu=float(np.mean(np.diff(beta_hat))) if variant == "const_drift" else 0.0,
-        sigma_xi=0.5 * scale if variant == "stoch_drift" else 0.0,
-        sigma_eps=scale if mode == "free" else None,
-    )
-    names, x0 = _pack_free(proto)
-
-    def nll(x) -> float:
-        # clip to the representable log-sd range; the upper cap only guards
-        # Nelder-Mead expansion steps from overflowing exp
-        x = np.clip(np.atleast_1d(x), _LOG_FLOOR, 50.0)
-        m = _unpack_free(proto, names, x)
+    def solve(x, eps: float = 1.0) -> tuple[FilterModel, float]:
+        """Model and log likelihood at profile point ``x`` (-inf is sd zero): log
+        sds, or in free mode log ratios to sigma_eps unless ``eps`` is 0."""
+        m = replace(proto, sigma_eps=eps if free else None, **{a: math.exp(v) for a, v in zip(axes, x)})
         try:
             out = run_filter(beta_hat, m, meas_var=series_var)
+            v, F = out.innovation[d:], out.innovation_var[d:]
+            if variant == "const_drift":
+                # the filter is linear in (y, nu): v = v0 + nu v1 with one F
+                v1 = run_filter(np.zeros(T), replace(m, nu=1.0), meas_var=series_var).innovation[d:]
+                m.nu = float(-np.sum(v * v1 / F) / np.sum(v1 * v1 / F))
+                v = v + m.nu * v1
         except DegenerateVarianceError:
-            return 1e12
-        return -out.loglik if np.isfinite(out.loglik) else 1e12
+            return m, -math.inf
+        s2 = float(np.mean(v * v / F)) if free and eps else 1.0
+        if s2 == 0.0:
+            raise DegenerateVarianceError("innovations all zero: sigma_eps has no positive ML value")
+        if s2 != 1.0:
+            s = math.sqrt(s2)
+            m = replace(m, sigma_eta=s * m.sigma_eta, sigma_xi=s * m.sigma_xi, sigma_eps=s)
+        return m, -0.5 * float(np.sum(LOG2PI + np.log(s2 * F) + v * v / (s2 * F)))
 
-    hi = math.log(max(100.0 * scale, 10.0 * float(np.std(beta_hat)), 1e-3))
-    x_hat, converged = _local_min(nll, names, x0, hi)
-
-    # a variance parameter sits on the zero boundary when pushing it to the
-    # floor costs no likelihood: the optimizer then stopped inside a flat
-    # shelf rather than at an interior optimum
-    f_hat = nll(x_hat)
-    boundary = []
-    for i, name in enumerate(names):
-        if name == "nu":
-            continue
-        probe = x_hat.copy()
-        probe[i] = _LOG_FLOOR
-        if nll(probe) <= f_hat + 1e-7 * max(1.0, abs(f_hat)):
+    scale = max(float(np.std(np.diff(beta_hat))), 1e-6)
+    hi_sd = math.log(max(100.0 * scale, 10.0 * float(np.std(beta_hat)), 1e-3))
+    hi = -_LOG_FLOOR if free else hi_sd
+    x, best, flat, converged = _search(lambda x: -solve(x)[1], _LOG_FLOOR, hi,
+                                       np.ones(len(axes), bool), free)
+    tol = _TOL * max(1.0, abs(best))
+    boundary: list = []
+    for name in [] if flat else axes + ["sigma_eps"] * free:
+        held = boundary + [name]
+        eps = 0.0 if name == "sigma_eps" else 1.0  # sigma_eps is tested last
+        xs, fi, _, ok = _search(lambda x: -solve(x, eps)[1], _LOG_FLOOR, hi if eps else hi_sd,
+                                np.array([a not in held for a in axes]), free and eps > 0)
+        if fi <= best + tol:
             boundary.append(name)
-            x_hat[i] = _LOG_FLOOR
-
-    freeidx = [i for i, name in enumerate(names) if name not in boundary]
-
-    def nll_free(xsub) -> float:
-        x = x_hat.copy()
-        x[freeidx] = xsub
-        return nll(x)
-
-    if boundary and freeidx:
-        # the interior optimum of the other parameters is stale once a
-        # variance is pinned at zero
-        x_sub, refit_converged = _local_min(nll_free, [names[i] for i in freeidx],
-                                            x_hat[freeidx], hi)
-        if nll_free(x_sub) < nll_free(x_hat[freeidx]):
-            x_hat[freeidx] = x_sub
-            converged = converged and refit_converged
-
-    model = _unpack_free(proto, names, x_hat)
-    for name in boundary:
-        setattr(model, name, 0.0)
+            x, best, converged = xs, min(best, fi), ok
+    model = solve(x, float("sigma_eps" not in boundary))[0]
     output = run_filter(beta_hat, model, meas_var=series_var)
+
+    names = [name for name in model.free_names() if name not in boundary]
+    x_hat = np.array([getattr(model, n) if n == "nu" else math.log(getattr(model, n)) for n in names])
+
+    def loglik(xs) -> float:
+        m = replace(model, **{n: v if n == "nu" else math.exp(v) for n, v in zip(names, xs)})
+        return run_filter(beta_hat, m, meas_var=series_var).loglik
 
     ci: dict = {}
     no_ci: list = list(boundary)
     warnings: list = []
-    if freeidx:
-        H = hessian_fd(lambda xsub: -nll_free(xsub), x_hat[freeidx])
+    if names:
         try:
-            cov, cov_warnings = hessian_covariance(H)
+            cov, cov_warnings = hessian_covariance(hessian_fd(loglik, x_hat))
         except CurvatureError as exc:
             cov_warnings = [str(exc)]
         if cov_warnings:
             warnings.append("zero eigenvalue in the information matrix; intervals suppressed")
-            no_ci.extend(names[i] for i in freeidx)
-        else:
-            z = norm.ppf(0.5 + level / 2.0)
-            for pos, i in enumerate(freeidx):
-                se = math.sqrt(max(cov[pos, pos], 0.0))
-                name = names[i]
-                if name == "nu":
-                    ci[name] = (x_hat[i] - z * se, x_hat[i] + z * se)
-                else:
-                    ci[name] = (math.exp(x_hat[i] - z * se), math.exp(x_hat[i] + z * se))
+            no_ci.extend(names)
+        z = norm.ppf(0.5 + level / 2.0)
+        for pos, name in enumerate([] if cov_warnings else names):
+            half = z * math.sqrt(max(cov[pos, pos], 0.0))
+            lo, up = x_hat[pos] - half, x_hat[pos] + half
+            try:
+                ci[name] = (lo, up) if name == "nu" else (math.exp(lo), math.exp(up))
+            except OverflowError:
+                warnings.append(f"{name} interval endpoint overflows a float; interval suppressed")
+                no_ci.append(name)
 
-    return FilterFit(
-        model=model,
-        output=output,
-        loglik=output.loglik,
-        converged=converged,
-        ci=ci,
-        boundary=boundary,
-        no_ci=sorted(set(no_ci)),
-        warnings=warnings,
-    )
+    return FilterFit(model, output, output.loglik, converged, ci, boundary, sorted(set(no_ci)),
+                     warnings)
 
 
 # ---------------------------------------------------------------------------

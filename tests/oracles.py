@@ -225,7 +225,9 @@ def filter_2state(y, h, sigma_eta, sigma_xi):
 
     m = np.array([y[1], y[1] - y[0]])
     P = np.array([[0.0, 0.0], [0.0, sigma_eta**2 + sigma_xi**2]])
-    innovation[1] = y[1] - y[0]
+    # the second wave's residual is against the first observation
+    prior_mean[1] = y[0]
+    innovation[1] = y[1] - prior_mean[1]
     gain[1] = 1.0
     post_mean[1] = m[0]
     post_var[1] = P[0, 0]

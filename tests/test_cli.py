@@ -376,6 +376,19 @@ def test_trend_with_non_numeric_beta_is_one_line_error(tmp_path):
         assert res.stderr.count("\n") == 1
 
 
+def test_three_wave_stochastic_drift_fit_is_flagged_not_a_traceback(tmp_path):
+    path = tmp_path / "trend.json"
+    path.write_text(json.dumps({"beta": [1.0, -0.5, 2.0], "var_diag": [0.01, 0.01, 0.01]}))
+    out = tmp_path / "f.json"
+    res = run_cli("fit-filter", "--trend", path, "--variant", "stoch_drift", "--out", out)
+    if res.returncode == 0:
+        flags = json.loads(out.read_text())["flags"]
+        assert flags["boundary"] or flags["no_ci"] or flags["warnings"]
+    else:
+        assert res.returncode in (1, 2)
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("functional", ["bridge", "wiener"])
 def test_critical_csv_is_the_simulated_table(pipeline, tmp_path, functional):
     crit = tmp_path / "crit.csv"

@@ -1,11 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from msmtrend import kalman
 from msmtrend.errors import DegenerateVarianceError, InvalidArgumentError
 from msmtrend.estimator import TrendSeries
 from msmtrend.kalman import (
+    VARIANTS,
     FilterModel,
     bic,
     diagnostics,
@@ -21,6 +26,14 @@ def rw_series(rng, T, sigma_eta, sigma_eps, nu=0.0):
     eta = rng.normal(0, sigma_eta, size=T)
     beta = np.cumsum(eta + nu)
     return beta + rng.normal(0, sigma_eps, size=T)
+
+
+def drift_series(seed, T):
+    """The walk of test_boundary_refit_reoptimizes_drift at any seed: drift
+    -0.02, sampling sd 0.133; returns (y, per-wave variances)."""
+    rng = np.random.default_rng(seed)
+    s = np.sqrt(1.26) * 0.133 * rng.uniform(0.05, 1.0)
+    return np.cumsum(rng.normal(-0.02, s, T)) + rng.normal(0, 0.133, T), np.full(T, 0.133**2)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +156,25 @@ def test_stoch_drift_two_diffuse_steps():
     assert np.all(out.innovation_var[2:] > 0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), data=st.data(),
+       sigma_eta=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+       sigma_xi=st.floats(0.0, 1e3), nu=st.floats(-10.0, 10.0))
+def test_gains_lie_in_the_unit_interval(variant, data, sigma_eta, sigma_xi, nu):
+    T = data.draw(st.integers(3, 12))
+    y = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=T, max_size=T)))
+    h = np.array(data.draw(st.lists(st.floats(0.0, 1e6), min_size=T, max_size=T)))
+    model = FilterModel(variant=variant, sigma_eta=sigma_eta, nu=nu, sigma_xi=sigma_xi)
+    try:
+        out = run_filter(y, model, meas_var=h)
+    except DegenerateVarianceError:
+        assume(False)  # a zero walk variance against an exact wave
+    gain = out.gain[out.n_diffuse:]
+    assert np.all((gain >= 0.0) & (gain <= 1.0))
+    if sigma_eta > 0:
+        assert np.all(gain > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # ML fitting
 
@@ -197,6 +229,72 @@ def test_singular_information_suppresses_every_interval():
     assert fit.warnings == ["zero eigenvalue in the information matrix; intervals suppressed"]
     assert fit.no_ci == ["sigma_eps", "sigma_eta", "sigma_xi"]
     assert fit.ci == {}
+
+
+def test_three_wave_ridge_is_flagged_with_finite_intervals():
+    # one likelihood term, maximal on the ridge 2 sigma_eta^2 + sigma_xi^2 = 0.99;
+    # its interval endpoints overflowed a float before they were taken in logs.
+    # The polish stops within about 1e-9 relative of the maximum (L-BFGS-B's ftol).
+    fit = fit_filter(np.array([0.0, 0.0, 1.0]), variant="stoch_drift", mode="constrained",
+                     meas_var=np.full(3, 0.01))
+    assert fit.loglik == pytest.approx(-0.5 * (math.log(2 * math.pi) + 1.0), rel=1e-9)
+    assert fit.boundary == ["sigma_eta"] and fit.model.sigma_eta == 0.0
+    assert fit.model.sigma_xi == pytest.approx(math.sqrt(0.99), rel=1e-6)
+    assert all(math.isfinite(end) for ends in fit.ci.values() for end in ends)
+
+
+def test_interval_beyond_the_float_range_is_suppressed(monkeypatch):
+    rng = np.random.default_rng(8)
+    y = rw_series(rng, 12, sigma_eta=0.15, sigma_eps=0.13)
+    monkeypatch.setattr(kalman, "hessian_covariance", lambda H: (np.diag([1e6, 1e-4]), []))
+    fit = fit_filter(y, variant="const_drift", mode="constrained", meas_var=np.full(12, 0.13**2))
+    assert fit.boundary == []
+    assert fit.no_ci == ["sigma_eta"] and list(fit.ci) == ["nu"]
+    assert fit.warnings == ["sigma_eta interval endpoint overflows a float; interval suppressed"]
+
+
+def oracle_loglik(y, h, variant, sigma_eta, nu, sigma_xi):
+    if variant == "stoch_drift":
+        return oracles.filter_2state(y, h, sigma_eta, sigma_xi)["loglik"]
+    return oracles.filter_scalar(y, h, sigma_eta, nu if variant == "const_drift" else 0.0)["loglik"]
+
+
+# T = 8 series whose fits a grid point beat by 0.06 to 0.22 in log likelihood
+# under the earlier Nelder-Mead search with a one-coordinate boundary probe
+@pytest.mark.parametrize("variant, mode, seed", [
+    ("zero_drift", "constrained", 59),
+    ("const_drift", "constrained", 10),
+    ("const_drift", "constrained", 16),
+    ("const_drift", "constrained", 22),
+    ("stoch_drift", "constrained", 72),
+    ("zero_drift", "free", 22),
+    ("const_drift", "free", 32),
+])
+def test_no_grid_point_beats_the_fit(variant, mode, seed):
+    y, h = drift_series(seed, 8)
+    fit = fit_filter(y, variant=variant, mode=mode, meas_var=h)
+    m = fit.model
+    sd = float(np.std(np.diff(y)))
+    names = m.free_names()
+    axes = []
+    for name in names:
+        c = getattr(m, name)
+        if name == "nu":
+            axes.append(np.r_[np.linspace(c - 3 * sd, c + 3 * sd, 41),
+                              c + max(abs(c), 0.05) * np.linspace(-0.5, 0.5, 21)])
+        else:
+            axes.append(np.exp(np.r_[np.linspace(math.log(1e-4 * sd), math.log(20 * sd), 41),
+                                     math.log(max(c, 1e-8)) + np.linspace(-0.5, 0.5, 21)]))
+    if len(axes) == 3:
+        axes = [a[::2] for a in axes]
+
+    def loglik(p):
+        hk = np.full(8, p["sigma_eps"] ** 2) if mode == "free" else h
+        return oracle_loglik(y, hk, variant, p["sigma_eta"], p.get("nu", 0.0), p.get("sigma_xi", 0.0))
+
+    assert fit.loglik == pytest.approx(loglik({n: getattr(m, n) for n in names}), rel=1e-9)
+    best = max(loglik(dict(zip(names, point))) for point in itertools.product(*axes))
+    assert best <= fit.loglik + 1e-6 * max(1.0, abs(fit.loglik))
 
 
 def test_fit_consistency_T500():
