@@ -43,6 +43,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidSpecError(f"individual count must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         lo, hi = self.age_range
         if not (0 < lo < hi):
             raise InvalidSpecError("age_range must satisfy 0 < lo < hi")

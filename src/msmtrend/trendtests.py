@@ -3,7 +3,8 @@
 Works on the demeaned first differences of the estimated wave effects.  The
 zero-drift t-test is judged against a normal or t(T-1) distribution; the two
 stochastic-drift statistics are judged against simulated distributions of
-the squared Brownian bridge and Wiener integrals.  Long-run variances come
+the squared Brownian bridge and Wiener integrals, both drawn from one set of
+Wiener paths, one per (seed, replication) substream.  Long-run variances come
 either from the sample autocovariances of the differenced series
 (homoskedastic) or from the first-stage sampling covariance (HAC).
 """
@@ -209,18 +210,67 @@ class CriticalValueTable:
         return float(1.0 - pos / self.draws.size)
 
 
-def _draw_functionals(functional: str, n_grid: int, reps: int, seed: int) -> np.ndarray:
-    """One squared-integral draw per replication, each from its own substream."""
-    out = np.empty(reps)
+# float64 elements in each of _draw_functionals' two work buffers (512 KiB);
+# a block holds max(1, _BLOCK_ELEMENTS // n_grid) replications
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _draw_functionals(n_grid: int, reps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unsorted (int B^2, int W^2) draws, one pair per replication.
+
+    Replication ``rep`` draws its ``n_grid`` increments from the substream
+    ``default_rng([seed, rep])``; the Wiener path is their partial sums and
+    the bridge is that path less r times its end point, so one draw serves
+    both functionals.  Replications are processed in blocks of rows with
+    the arithmetic done in place, element by element in the same order as
+    for a single path, and each row sum runs along the contiguous axis, so
+    it is the same pairwise sum ``np.sum`` takes of one path: every draw is
+    independent of the block size.
+    """
     grid_weight = 1.0 / n_grid
+    scale = math.sqrt(grid_weight)
     r = np.arange(1, n_grid + 1) / n_grid
-    for rep in range(reps):
-        rng = np.random.default_rng([seed, rep])
-        incr = rng.standard_normal(n_grid) * math.sqrt(grid_weight)
-        w = np.cumsum(incr)
-        path = w - r * w[-1] if functional == "bridge" else w
-        out[rep] = float(np.sum(path * path) * grid_weight)
-    return out
+    rows = max(1, _BLOCK_ELEMENTS // n_grid)
+    work, paths = np.empty((rows, n_grid)), np.empty((rows, n_grid))
+    bridge, wiener = np.empty(reps), np.empty(reps)
+    for start in range(0, reps, rows):
+        stop = min(start + rows, reps)
+        x, w = work[: stop - start], paths[: stop - start]
+        for i in range(stop - start):
+            np.random.default_rng([seed, start + i]).standard_normal(out=x[i])
+        x *= scale
+        np.cumsum(x, axis=1, out=w)
+        np.multiply(w, w, out=x)
+        np.sum(x, axis=1, out=wiener[start:stop])
+        np.multiply(r, w[:, -1:], out=x)
+        np.subtract(w, x, out=x)
+        np.multiply(x, x, out=x)
+        np.sum(x, axis=1, out=bridge[start:stop])
+    bridge *= grid_weight
+    wiener *= grid_weight
+    return bridge, wiener
+
+
+def _critical_tables(n_grid: int, reps: int, seed: int, levels) -> dict:
+    """Both functionals' tables from one pass over the (seed, rep) substreams."""
+    if n_grid < 2:
+        raise InvalidArgumentError("n_grid must be >= 2")
+    if reps < 1000:
+        raise InvalidArgumentError("need at least 1000 replications")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
+    levels = tuple(levels)
+    if any(not 0 < lv < 1 for lv in levels):
+        raise InvalidArgumentError("levels must lie strictly inside (0, 1)")
+    tables = {}
+    for functional, draws in zip(("bridge", "wiener"), _draw_functionals(n_grid, reps, seed)):
+        draws.sort()
+        tables[functional] = CriticalValueTable(
+            functional=functional, n_grid=n_grid, reps=reps, seed=seed,
+            quantiles={float(lv): float(np.quantile(draws, lv)) for lv in levels},
+            draws=draws,
+        )
+    return tables
 
 
 def simulate_critical_values(
@@ -236,23 +286,12 @@ def simulate_critical_values(
     N(0, 1/n_grid) increments and approximates the integral by a Riemann
     sum.  Replications use substreams keyed by (seed, index) and the draws
     are sorted before quantile extraction, so the result is deterministic
-    regardless of evaluation order.
+    regardless of evaluation order; both functionals come from the same
+    paths, so a bridge and a Wiener table with one seed share their draws.
     """
     if functional not in ("bridge", "wiener"):
         raise InvalidArgumentError("functional must be 'bridge' or 'wiener'")
-    if n_grid < 2:
-        raise InvalidArgumentError("n_grid must be >= 2")
-    if reps < 1000:
-        raise InvalidArgumentError("need at least 1000 replications")
-    levels = tuple(levels)
-    if any(not 0 < lv < 1 for lv in levels):
-        raise InvalidArgumentError("levels must lie strictly inside (0, 1)")
-    draws = np.sort(_draw_functionals(functional, n_grid, reps, seed))
-    quantiles = {float(lv): float(np.quantile(draws, lv)) for lv in levels}
-    return CriticalValueTable(
-        functional=functional, n_grid=n_grid, reps=reps, seed=seed,
-        quantiles=quantiles, draws=draws,
-    )
+    return _critical_tables(n_grid, reps, seed, levels)[functional]
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +357,10 @@ def run_trend_tests(
     first-stage covariance, "long_run" the sample autocovariances of the
     demeaned differences.  ``dist`` picks the reference distribution for the
     zero-drift statistic ("normal" or "t").  Critical values and p-values
-    for the two stochastic-drift statistics come from freshly simulated
-    integral functionals with the given seed.
+    for the two stochastic-drift statistics come from simulated integral
+    functionals: one set of ``(seed, rep)`` substreams gives each
+    replication's Wiener path, which serves both the bridge and the Wiener
+    table, as :func:`simulate_critical_values` would draw them.
     """
     if estimator not in ("hac", "long_run"):
         raise InvalidArgumentError("estimator must be 'hac' or 'long_run'")
@@ -342,8 +383,8 @@ def run_trend_tests(
     p_normal = 2.0 * float(norm.sf(abs(stats.t_nu)))
     p_t = 2.0 * float(t_dist.sf(abs(stats.t_nu), T - 1))
 
-    bridge = simulate_critical_values("bridge", mc_grid, mc_reps, seed, levels=(0.90, 0.95, 0.99))
-    wiener = simulate_critical_values("wiener", mc_grid, mc_reps, seed, levels=(0.90, 0.95, 0.99))
+    tables = _critical_tables(mc_grid, mc_reps, seed, levels=(0.90, 0.95, 0.99))
+    bridge, wiener = tables["bridge"], tables["wiener"]
 
     ftest = None
     if series.n_transitions is not None:

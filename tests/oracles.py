@@ -5,7 +5,9 @@ restate them one individual at a time.  The filter references are the
 separate level-only and 2x2-matrix recursions that the package's one
 level-plus-drift loop replaced.  The gain references (variance map,
 contraction margin, brute-force coefficient expansion, Monte-Carlo power)
-are written apart from the closed forms they check.
+are written apart from the closed forms they check.  The Monte-Carlo
+critical-value reference draws one functional per call, one replication at a
+time, as the package did before it drew both from blocks of paths.
 """
 
 import math
@@ -397,3 +399,21 @@ def mc_power(k: int, s: float, eta_std: float, reps: int, seed: int = 0) -> floa
         done += m
         chunk_idx += 1
     return falls / reps
+
+
+# ---------------------------------------------------------------------------
+# drift tests: the Monte-Carlo critical-value draws
+
+
+def draw_functional(functional: str, n_grid: int, reps: int, seed: int) -> np.ndarray:
+    """One squared-integral draw per replication, each from its own substream."""
+    out = np.empty(reps)
+    grid_weight = 1.0 / n_grid
+    r = np.arange(1, n_grid + 1) / n_grid
+    for rep in range(reps):
+        rng = np.random.default_rng([seed, rep])
+        incr = rng.standard_normal(n_grid) * math.sqrt(grid_weight)
+        w = np.cumsum(incr)
+        path = w - r * w[-1] if functional == "bridge" else w
+        out[rep] = float(np.sum(path * path) * grid_weight)
+    return out

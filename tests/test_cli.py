@@ -376,6 +376,25 @@ def test_trend_with_non_numeric_beta_is_one_line_error(tmp_path):
         assert res.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--n", 5, "--seed", -1],
+    ["test-trend", "--seed", -1],
+    ["test-trend", "--seed", 1, "--mc-reps", 999],
+    ["test-trend", "--seed", 1, "--mc-grid", 1],
+], ids=["simulate-seed", "test-trend-seed", "test-trend-mc-reps", "test-trend-mc-grid"])
+def test_out_of_domain_settings_are_one_line_errors(spec_file, tmp_path, args):
+    trend = tmp_path / "trend.json"
+    trend.write_text(json.dumps({"beta": [0.1, 0.3, 0.2, 0.5, 0.4, 0.7, 0.6, 0.9],
+                                 "var_diag": [0.01] * 8}))
+    source = ["--model-spec", spec_file] if args[0] == "simulate" else ["--trend", trend]
+    out = tmp_path / "out"
+    res = run_cli(*args, *source, "--out", out)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: validation:")
+    assert res.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_three_wave_stochastic_drift_fit_is_flagged_not_a_traceback(tmp_path):
     path = tmp_path / "trend.json"
     path.write_text(json.dumps({"beta": [1.0, -0.5, 2.0], "var_diag": [0.01, 0.01, 0.01]}))
@@ -401,6 +420,12 @@ def test_critical_csv_is_the_simulated_table(pipeline, tmp_path, functional):
         f"{float(lv)!r},{float(v)!r}\n" for lv, v in sorted(table.quantiles.items())
     )
     assert crit.read_text() == want
+    # the report's p-values and 95% values come from the same draws
+    report = json.loads((tmp_path / "t.json").read_text())
+    for stat, name in (("t_sd", "bridge"), ("t_s", "wiener")):
+        ref = trendtests.simulate_critical_values(name, n_grid=50, reps=1000, seed=3)
+        assert report[stat]["p"] == ref.p_value(report[stat]["stat"])
+        assert report[stat]["critical_95"] == ref.quantiles[0.95]
 
 
 @pytest.mark.parametrize("edit", ["truncate", "drop_field", "bad_value", "bad_scalar", "bad_knots"])

@@ -124,6 +124,8 @@ def test_config_validation(flat_structure):
         SimulationConfig(
             n=5, structure=flat_structure, params=paperlike_params(), seed=1, age_range=(80, 60)
         )
+    with pytest.raises(InvalidSpecError):
+        SimulationConfig(n=5, structure=flat_structure, params=paperlike_params(), seed=-1)
 
 
 def test_row_count_bounded_by_waves(flat_structure):

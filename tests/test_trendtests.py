@@ -5,6 +5,8 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import chi2
 
+import oracles
+from msmtrend import trendtests
 from msmtrend.errors import InvalidArgumentError
 from msmtrend.estimator import TrendSeries
 from msmtrend.trendtests import (
@@ -285,11 +287,33 @@ def test_invalid_settings():
     with pytest.raises(InvalidArgumentError):
         simulate_critical_values("brownian", 100, 2000, 0)
     with pytest.raises(InvalidArgumentError):
+        simulate_critical_values("bridge", 100, 2000, -1)
+    with pytest.raises(InvalidArgumentError):
         simulate_critical_values("bridge", 1, 2000, 0)
     with pytest.raises(InvalidArgumentError):
         simulate_critical_values("bridge", 100, 10, 0)
     with pytest.raises(InvalidArgumentError):
         simulate_critical_values("bridge", 100, 2000, 0, levels=(0.0, 0.95))
+
+
+# (n_grid, reps, seed, block budget): one block of 1000 rows at n_grid = 2; a
+# partial last block of 25 rows (1000 = 15 * 65 + 25); one-row blocks, with
+# the budget below n_grid; a last block of one row (1000 = 333 * 3 + 1)
+@pytest.mark.parametrize("n_grid, reps, seed, budget", [
+    (2, 1000, 7, None),
+    (1001, 1000, 5, None),
+    (50, 1000, 3, 40),
+    (50, 1000, 3, 150),
+])
+def test_draws_match_the_per_replication_reference(monkeypatch, n_grid, reps, seed, budget):
+    if budget is not None:
+        monkeypatch.setattr(trendtests, "_BLOCK_ELEMENTS", budget)
+    drawn = trendtests._draw_functionals(n_grid, reps, seed)
+    for functional, got in zip(("bridge", "wiener"), drawn):
+        want = oracles.draw_functional(functional, n_grid, reps, seed)
+        assert got.tobytes() == want.tobytes(), functional
+        table = simulate_critical_values(functional, n_grid, reps, seed)
+        assert table.draws.tobytes() == np.sort(want).tobytes(), functional
 
 
 # ---------------------------------------------------------------------------
