@@ -2,16 +2,17 @@
 
 All stochastic commands require an explicit --seed and are byte-reproducible
 from (seed, config).  Structured results go to JSON, series and curves to
-CSV; floats are serialized in shortest round-trip form, so re-reading an
-artifact recovers the exact doubles.  Exit codes: 0 success, 1 validation
+CSV; the commands hand their documents and result columns to the writers in
+:mod:`msmtrend.panel`, which serialize floats in shortest round-trip form, so
+re-reading an artifact recovers the exact doubles.  Every output directory is
+checked before any computation starts.  Exit codes: 0 success, 1 validation
 error, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
+import os
 import sys
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     MsmTrendError,
     NumericalError,
 )
+from .panel import read_json, write_csv, write_json
 
 
 class CliUsageError(MsmTrendError):
@@ -37,55 +39,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _sanitize(obj):
-    """Replace non-finite floats by None so artifacts stay strict JSON."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return _sanitize(obj.item())
-    return obj
-
-
-def write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_sanitize(doc), fh, indent=2)
-        fh.write("\n")
-
-
-def read_json(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # undecodable bytes or malformed JSON
-        raise DataValidationError(f"{path}: malformed JSON ({exc})") from exc
-
-
-def write_csv(path, header: list, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(panel_mod.format_number(row[h]) for h in header) + "\n")
-
-
 def _require(args, names) -> None:
     for name in names:
         if getattr(args, name.replace("-", "_")) is None:
             raise CliUsageError(f"--{name} is required")
-    # fail on unwritable output locations before any computation starts
-    import os
-
-    for name in names:
-        if name.startswith("out"):
-            path = getattr(args, name.replace("-", "_"))
+    # fail on unwritable output locations, required or optional, before any
+    # computation starts or any artifact is written
+    for dest, path in vars(args).items():
+        if path is not None and (dest.startswith("out") or dest.endswith("_out")):
             parent = os.path.dirname(os.path.abspath(str(path)))
             if not os.path.isdir(parent):
-                raise CliUsageError(f"--{name}: directory {parent} does not exist")
+                raise CliUsageError(f"--{dest.replace('_', '-')}: directory {parent} does not exist")
 
 
 def _load_trend(path) -> estimator.TrendSeries:
@@ -199,20 +163,9 @@ def cmd_fit_filter(args) -> int:
     write_json(args.out, doc)
     if args.out_forecast:
         fc = kalman.forecast(out, fit.model, args.horizon, level=args.level)
-        rows = [
-            {
-                "h": int(h),
-                "mean_log": m,
-                "var": v,
-                "lo": lo,
-                "hi": hi,
-                "mean_hazard_scale": hz,
-            }
-            for h, m, v, lo, hi, hz in zip(
-                fc.horizons, fc.mean_log, fc.variance, fc.lower, fc.upper, fc.mean_hazard_scale
-            )
-        ]
-        write_csv(args.out_forecast, ["h", "mean_log", "var", "lo", "hi", "mean_hazard_scale"], rows)
+        write_csv(args.out_forecast, {"h": fc.horizons, "mean_log": fc.mean_log, "var": fc.variance,
+                                      "lo": fc.lower, "hi": fc.upper,
+                                      "mean_hazard_scale": fc.mean_hazard_scale})
     flags = f" boundary={fit.boundary}" if fit.boundary else ""
     print(f"filter {fit.model.variant}/{fit.model.mode}: loglik={fit.loglik:.6f} bic={report.bic:.6f}{flags}")
     return 0
@@ -235,9 +188,8 @@ def cmd_test_trend(args) -> int:
     if args.out_critical:
         # the table run_trend_tests drew for this functional, seed and grid
         functional = "bridge" if args.critical_functional == "bridge" else "wiener"
-        quantiles = report.mc_settings[f"{functional}_quantiles"]
-        rows = [{"level": lv, "value": v} for lv, v in sorted(quantiles.items())]
-        write_csv(args.out_critical, ["level", "value"], rows)
+        levels, values = zip(*sorted(report.mc_settings[f"{functional}_quantiles"].items()))
+        write_csv(args.out_critical, {"level": levels, "value": values})
     print(
         f"t_nu={report.t_nu:.4f} (p_normal={report.t_nu_p_normal:.4f}), "
         f"t_sd={report.t_sd:.4f} (p={report.t_sd_p:.4f}), t_s={report.t_s:.4f} (p={report.t_s_p:.4f})"
@@ -255,25 +207,20 @@ def cmd_gain_analysis(args) -> int:
         _require(args, ["s", "periods"])
         s = np.full(args.periods, args.s)
     traj = gain.gain_sequence(s)
-    rows = list(traj.as_rows())
-    for row in rows:
-        k = row["k"]
-        if 2 <= k <= len(s) - 1:
-            step = gain.linear_map_decomposition(s, k)
-            row["slope"], row["intercept"] = step.slope, step.intercept
-        else:
-            row["slope"] = row["intercept"] = float("nan")
-    write_csv(
-        args.out_trajectory,
-        ["k", "k_paper", "s", "gain", "nu_var", "slope", "intercept"],
-        rows,
-    )
-    fp_rows = []
-    for k, sk in enumerate(s, start=1):
-        fp = gain.fixed_point(float(sk))
-        fp_rows.append({"k": k, "s": fp.s, "iota": fp.iota, "nu_inf": fp.nu_inf, "k_inf": fp.k_inf})
-    write_csv(args.out_fixed_point, ["k", "s", "iota", "nu_inf", "k_inf"], fp_rows)
-    print(f"wrote gain trajectory ({len(rows)} waves) and fixed points")
+    k = np.arange(1, len(s) + 1)
+    # the affine step is defined for 2 <= k <= len(s) - 1
+    slope, intercept = np.full(len(s), np.nan), np.full(len(s), np.nan)
+    for j in range(2, len(s)):
+        step = gain.linear_map_decomposition(s, j)
+        slope[j - 1], intercept[j - 1] = step.slope, step.intercept
+    write_csv(args.out_trajectory, {"k": k, "k_paper": k - 1, "s": traj.s, "gain": traj.gains,
+                                    "nu_var": traj.nu_var, "slope": slope, "intercept": intercept})
+    fps = [gain.fixed_point(float(sk)) for sk in s]
+    write_csv(args.out_fixed_point, {"k": k, "s": [fp.s for fp in fps],
+                                     "iota": [fp.iota for fp in fps],
+                                     "nu_inf": [fp.nu_inf for fp in fps],
+                                     "k_inf": [fp.k_inf for fp in fps]})
+    print(f"wrote gain trajectory ({len(s)} waves) and fixed points")
     return 0
 
 
@@ -292,12 +239,12 @@ def cmd_power_curve(args) -> int:
     _require(args, ["k", "s", "out"])
     grid = _parse_grid(args.grid)
     curve = gain.power(grid, args.k, args.s, mode=args.mode)
-    write_csv(args.out, ["x", "value"], curve.as_rows())
+    write_csv(args.out, {"x": curve.eta_std, "value": curve.theta})
     if args.size_out:
         # size lives on nonnegative shocks: mirror the power grid
         size_grid = np.unique(np.abs(grid))
         alpha = gain.size(size_grid, args.k, args.s, mode=args.mode)
-        write_csv(args.size_out, ["x", "value"], alpha.as_rows())
+        write_csv(args.size_out, {"x": alpha.eta_std, "value": alpha.theta})
     print(f"wrote power curve over {grid.size} points (k={args.k}, s={args.s}, {args.mode})")
     return 0
 

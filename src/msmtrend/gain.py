@@ -51,16 +51,6 @@ class GainTrajectory:
     nu_var: np.ndarray
     iota: np.ndarray
 
-    def as_rows(self):
-        for k in range(len(self.gains)):
-            yield {
-                "k": k + 1,
-                "k_paper": k,
-                "s": float(self.s[k]),
-                "gain": float(self.gains[k]),
-                "nu_var": float(self.nu_var[k]),
-            }
-
 
 def gain_sequence(s) -> GainTrajectory:
     """Gains K_1 = 1, K_{k} = s_k (A_{k-1} + 1) / (s_k A_{k-1} + s_k + 1).
@@ -226,10 +216,6 @@ class PowerCurve:
     k: int
     s: float
     mode: str
-
-    def as_rows(self):
-        for x, th in zip(self.eta_std, self.theta):
-            yield {"x": float(x), "value": float(th)}
 
 
 def _coefficients(k: int, s: float, mode: str) -> CoefficientTable:

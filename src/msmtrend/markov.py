@@ -17,13 +17,13 @@ carries derivatives back along the same chain for the likelihood score.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidSpecError, NumericalError
+from .panel import read_json, write_json
 
 __all__ = [
     "Covariates",
@@ -457,10 +457,6 @@ def transition_probability(Q: IntensityMatrix, w: float) -> TransitionMatrix:
     return TransitionMatrix(p, float(w))
 
 
-def params_to_dict(params: HazardParams) -> dict:
-    return {f.name: np.asarray(getattr(params, f.name)).tolist() for f in fields(params)}
-
-
 def save_model_spec(path, structure: ModelStructure, params: HazardParams | None = None) -> None:
     """Write the model-spec JSON (structure plus optional parameter values)."""
     doc = {
@@ -475,19 +471,13 @@ def save_model_spec(path, structure: ModelStructure, params: HazardParams | None
     }
     if params is not None:
         params.validate(structure)
-        doc["params"] = params_to_dict(params)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        doc["params"] = asdict(params)
+    write_json(path, doc)
 
 
 def load_model_spec(path):
     """Read a model-spec JSON; returns (structure, params_or_None)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # undecodable bytes or malformed JSON
-        raise InvalidSpecError(f"{path}: malformed JSON ({exc})") from exc
+    doc = read_json(path)
     try:
         structure = ModelStructure(
             knots=tuple(doc["knots"]),

@@ -1,12 +1,21 @@
-"""Observed panel container, CSV round-trip and schema validation.
+"""Observed panel container and schema validation, plus every artifact format.
 
-CSV format: header ``id,time,state,age,female``, one row per observation,
-times in decimal years, UTF-8.  Rows are kept sorted by (id, time).
+Panel CSV format: header ``id,time,state,age,female``, one row per
+observation, times in decimal years, UTF-8.  Rows are kept sorted by
+(id, time).
+
+Every file the package writes or reads back goes through this module:
+:func:`write_csv` writes any table of named columns (integers as digits,
+floats as their shortest round-trip decimal), and :func:`write_json` /
+:func:`read_json` write strict JSON (non-finite floats as null) and parse it
+with a one-line :class:`DataValidationError` on bad input.  Re-reading an
+artifact recovers the exact doubles that were written.
 """
 
 from __future__ import annotations
 
-import io
+import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,28 +61,60 @@ class Panel:
         )
 
 
-def format_number(x) -> str:
-    """Integers as digits, floats as the shortest decimal that round-trips
-    to the same double; every CSV the package writes goes through here."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def write_csv(path, columns: dict) -> None:
+    """Write named 1-D columns as a CSV table, one row per index.
 
-
-def panel_to_csv(panel: Panel) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for i in range(len(panel)):
-        buf.write(
-            f"{panel.ids[i]},{format_number(panel.times[i])},{panel.states[i]},"
-            f"{format_number(panel.ages[i])},{panel.female[i]}\n"
-        )
-    return buf.getvalue()
+    Each column is formatted once by its dtype: integers as digits, every
+    other dtype as ``repr(float)``, the shortest decimal that reads back as
+    the same double.  Rows are streamed to the file, never built as one
+    string.  Every CSV the package writes goes through here.
+    """
+    cells = []
+    for col in columns.values():
+        col = np.asarray(col)
+        if col.dtype.kind in "iu":
+            cells.append(map(str, col))
+        else:
+            cells.append(map(float.__repr__, col.astype(float, copy=False)))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def write_panel(path, panel: Panel) -> None:
+    write_csv(path, {"id": panel.ids, "time": panel.times, "state": panel.states,
+                     "age": panel.ages, "female": panel.female})
+
+
+def _sanitize(obj):
+    """Replace non-finite floats by None so artifacts stay strict JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _sanitize(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        return _sanitize(obj.item())
+    return obj
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented strict JSON; NaN and infinities become null."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(panel_to_csv(panel))
+        json.dump(_sanitize(doc), fh, indent=2)
+        fh.write("\n")
+
+
+def read_json(path):
+    """Parse a JSON file, raising DataValidationError on bad bytes or syntax."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise DataValidationError(f"{path}: malformed JSON ({exc})") from exc
 
 
 def read_panel(path) -> Panel:
@@ -100,7 +141,16 @@ def read_panel(path) -> Panel:
             cols[4].append(int(parts[4]))
         except ValueError as exc:
             raise DataValidationError(f"row {ln}: {exc}") from exc
-    return Panel(*map(np.array, cols))
+    try:
+        ids, states, female = (np.array(cols[j], dtype=np.int64) for j in (0, 2, 4))
+    except OverflowError:
+        rows = (ln for ln, line in enumerate(lines[1:], start=2) if line.strip())
+        for ln, *values in zip(rows, cols[0], cols[2], cols[4]):
+            big = [v for v in values if not -(2**63) <= v < 2**63]
+            if big:
+                raise DataValidationError(f"row {ln}: integer {big[0]} does not fit in 64 bits")
+        raise
+    return Panel(ids, np.array(cols[1]), states, np.array(cols[3]), female)
 
 
 def validate_panel(panel: Panel) -> list[str]:

@@ -23,8 +23,12 @@ class TrendSeries:
         self.beta = np.asarray(self.beta, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
         T = self.beta.size
+        if self.beta.ndim != 1:
+            raise InvalidSpecError("beta must be a flat list of wave dummies")
         if self.cov.shape != (T, T):
             raise InvalidSpecError("covariance block does not match series length")
+        if not (np.all(np.isfinite(self.beta)) and np.all(np.isfinite(self.cov))):
+            raise InvalidSpecError("beta and covariance block must be finite")
         if np.max(np.abs(self.cov - self.cov.T)) > 1e-10 * max(1.0, np.abs(self.cov).max()):
             raise InvalidSpecError("covariance block is not symmetric")
         if np.linalg.eigvalsh(0.5 * (self.cov + self.cov.T)).min() < -1e-8:

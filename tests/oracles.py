@@ -7,7 +7,9 @@ level-plus-drift loop replaced.  The gain references (variance map,
 contraction margin, brute-force coefficient expansion, Monte-Carlo power)
 are written apart from the closed forms they check.  The Monte-Carlo
 critical-value reference draws one functional per call, one replication at a
-time, as the package did before it drew both from blocks of paths.
+time, as the package did before it drew both from blocks of paths.  The CSV
+reference formats one cell at a time, as the package did before its writer
+formatted whole columns.
 """
 
 import math
@@ -18,6 +20,22 @@ import numpy as np
 from msmtrend.errors import InvalidArgumentError
 from msmtrend.gain import CoefficientTable, gain_sequence
 from msmtrend.markov import Covariates, build_intensity
+
+
+def format_number(x) -> str:
+    """Integers as digits, floats as the shortest decimal that round-trips
+    to the same double."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def csv_text(columns: dict) -> str:
+    """The CSV table of named columns, built row by row and cell by cell."""
+    text = ",".join(columns) + "\n"
+    for row in zip(*columns.values()):
+        text += ",".join(format_number(x) for x in row) + "\n"
+    return text
 
 
 def individual_slices(panel):

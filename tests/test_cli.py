@@ -86,9 +86,18 @@ def test_missing_file_exit_code(tmp_path):
 
 def test_malformed_panel_rejected(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("id,time,state\n1,0,1\n")
-    res = run_cli("validate", "--panel", bad)
-    assert res.returncode == 1
+    header = "id,time,state,age,female\n"
+    for text, where in [("id,time,state\n1,0,1\n", "header"),
+                        (header + "1,0.0,1,70.0,0\n99999999999999999999,2.0,1,72.0,0\n", "row 3"),
+                        (header + "9223372036854775808,0.0,1,70.0,0\n", "row 2"),
+                        (header + "1,0.0,1,70.0,0\n\n1,2.0,-9223372036854775809,72.0,0\n",
+                         "row 4")]:
+        bad.write_text(text)
+        res = run_cli("validate", "--panel", bad)
+        assert res.returncode == 1, where
+        assert res.stderr.startswith("error: validation:"), res.stderr
+        assert res.stderr.count("\n") == 1, res.stderr
+        assert where in res.stderr
 
 
 def test_validate_reports_row_numbers(tmp_path):
@@ -367,13 +376,17 @@ def test_non_utf8_inputs_are_one_line_errors(tmp_path):
 
 def test_trend_with_non_numeric_beta_is_one_line_error(tmp_path):
     path = tmp_path / "trend.json"
-    path.write_text(json.dumps({"beta": ["a", 1.0, 2.0], "var_diag": [0.01, 0.01, 0.01]}))
-    for args in (["fit-filter", "--trend", path, "--out", tmp_path / "f.json"],
-                 ["test-trend", "--trend", path, "--seed", 1, "--out", tmp_path / "t.json"]):
-        res = run_cli(*args)
-        assert res.returncode == 1, args
-        assert res.stderr.startswith("error: validation:")
-        assert res.stderr.count("\n") == 1
+    for text in ['{"beta": ["a", 1.0, 2.0], "var_diag": [0.01, 0.01, 0.01]}',
+                 '{"beta": [[0.1, 0.2, 0.3]], "var_diag": [0.01, 0.01, 0.01]}',
+                 '{"beta": [0.1, 0.2, NaN, 0.5], "var_diag": [0.01, 0.01, 0.01, 0.01]}',
+                 '{"beta": [0.1, 0.2, 0.3, 0.5], "var_diag": [0.01, Infinity, 0.01, 0.01]}']:
+        path.write_text(text)
+        for args in (["fit-filter", "--trend", path, "--out", tmp_path / "f.json"],
+                     ["test-trend", "--trend", path, "--seed", 1, "--out", tmp_path / "t.json"]):
+            res = run_cli(*args)
+            assert res.returncode == 1, (text, args)
+            assert res.stderr.startswith("error: validation:"), res.stderr
+            assert res.stderr.count("\n") == 1, res.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -392,6 +405,24 @@ def test_out_of_domain_settings_are_one_line_errors(spec_file, tmp_path, args):
     assert res.returncode == 1
     assert res.stderr.startswith("error: validation:")
     assert res.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["fit-filter", "--out-forecast"], "--out-forecast"),
+    (["power-curve", "--k", 4, "--s", 1.26, "--size-out"], "--size-out"),
+    (["test-trend", "--seed", 1, "--out-critical"], "--out-critical"),
+], ids=["fit-filter", "power-curve", "test-trend"])
+def test_optional_output_in_missing_directory_fails_before_any_write(tmp_path, args, flag):
+    trend = tmp_path / "trend.json"
+    trend.write_text(json.dumps({"beta": [0.1, 0.3, 0.2, 0.5, 0.4, 0.7, 0.6, 0.9],
+                                 "var_diag": [0.01] * 8}))
+    source = [] if args[0] == "power-curve" else ["--trend", trend]
+    out = tmp_path / "out"
+    missing = tmp_path / "missing"
+    res = run_cli(*args, missing / "x.csv", *source, "--out", out)
+    assert res.returncode == 1
+    assert res.stderr == f"error: validation: {flag}: directory {missing} does not exist\n"
     assert not out.exists()
 
 

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import msmtrend.estimator as est
 from msmtrend.markov import ModelStructure, spline_basis, spline_basis_matrix
-from msmtrend.panel import Panel, validate_panel
+from msmtrend.panel import (Panel, read_json, read_panel, validate_panel, write_csv, write_json,
+                            write_panel)
 
 import oracles
 
@@ -82,3 +87,57 @@ def test_design_arrays_match_per_individual_reference(validate):
         np.testing.assert_array_equal(design.basis, basis.reshape(design.basis.shape))
         np.testing.assert_array_equal(design.basis_f, design.basis * female[:, None, None])
         assert design.n_transitions == len(panel) - panel.n_individuals
+
+
+# ---------------------------------------------------------------------------
+# artifact formats: exact round trips
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_rows=st.integers(0, 12),
+       integer=st.lists(st.booleans(), min_size=1, max_size=5))
+def test_write_csv_matches_cell_by_cell_reference(tmp_path_factory, data, n_rows, integer):
+    columns = {}
+    for j, is_int in enumerate(integer):
+        values = data.draw(st.lists(_INT64 if is_int else _FLOATS, min_size=n_rows, max_size=n_rows))
+        columns[f"c{j}"] = np.array(values, dtype=np.int64 if is_int else np.float64)
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    write_csv(path, columns)
+    assert path.read_bytes() == oracles.csv_text(columns).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(_INT64, st.floats(allow_nan=False, allow_infinity=False), _INT64,
+                               st.floats(allow_nan=False, allow_infinity=False), _INT64),
+                     max_size=12))
+@example(rows=[(2**63 - 1, -0.0, -(2**63), 5e-324, 0), (0, 1.7976931348623157e308, 1, 0.1, 1)])
+def test_panel_csv_round_trip_is_exact(tmp_path_factory, rows):
+    panel = Panel(*(np.array([r[j] for r in rows], dtype=np.int64 if j in (0, 2, 4) else float)
+                    for j in range(5)))
+    path = tmp_path_factory.getbasetemp() / "panel.csv"
+    write_panel(path, panel)
+    back = read_panel(path)
+    for col in ("ids", "times", "states", "ages", "female"):
+        a, b = getattr(panel, col), getattr(back, col)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), col
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_FLOATS, max_size=12), scalar=_FLOATS)
+def test_json_round_trip_is_exact_and_non_finite_is_null(tmp_path_factory, values, scalar):
+    doc = {"list": values, "array": np.array(values, dtype=float),
+           "nested": {"scalar": np.float64(scalar), "tuple": (scalar, 3)}, "count": np.int64(7)}
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    write_json(path, doc)
+    back = read_json(path)
+    want = [v if math.isfinite(v) else None for v in values]
+    scalar = scalar if math.isfinite(scalar) else None
+    # repr tells -0.0 from 0.0
+    assert list(map(repr, back["list"])) == list(map(repr, want))
+    assert list(map(repr, back["array"])) == list(map(repr, want))
+    assert repr(back["nested"]) == repr({"scalar": scalar, "tuple": [scalar, 3]})
+    assert back["count"] == 7
