@@ -205,7 +205,8 @@ def cmd_gain_analysis(args) -> int:
         s = args.sigma_eta**2 / series.var_diag
     else:
         _require(args, ["s", "periods"])
-        s = np.full(args.periods, args.s)
+        # a negative count gets the same one-line error as zero
+        s = np.full(max(args.periods, 0), args.s)
     traj = gain.gain_sequence(s)
     k = np.arange(1, len(s) + 1)
     # the affine step is defined for 2 <= k <= len(s) - 1

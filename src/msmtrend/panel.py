@@ -14,8 +14,10 @@ artifact recovers the exact doubles that were written.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,10 @@ import numpy as np
 from .errors import DataValidationError
 
 CSV_HEADER = "id,time,state,age,female"
+_PANEL_ROW = np.dtype([("id", "i8"), ("time", "f8"), ("state", "i8"), ("age", "f8"),
+                       ("female", "i8")])
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
+_BLOCK_ROWS = 1 << 16
 
 
 @dataclass
@@ -64,21 +70,46 @@ class Panel:
 def write_csv(path, columns: dict) -> None:
     """Write named 1-D columns as a CSV table, one row per index.
 
-    Each column is formatted once by its dtype: integers as digits, every
-    other dtype as ``repr(float)``, the shortest decimal that reads back as
-    the same double.  Rows are streamed to the file, never built as one
-    string.  Every CSV the package writes goes through here.
+    Cells are formatted by dtype: integers as digits, every other dtype as
+    ``repr(float)``, the shortest decimal that reads back as the same double.
+    Each distinct value of a column (for floats, each bit pattern, so that
+    ``-0.0`` keeps its sign) is formatted once; the rows are assembled from
+    those strings as bytes and written in blocks.  Every CSV the package
+    writes goes through here.
     """
-    cells = []
-    for col in columns.values():
-        col = np.asarray(col)
-        if col.dtype.kind in "iu":
-            cells.append(map(str, col))
-        else:
-            cells.append(map(float.__repr__, col.astype(float, copy=False)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+    cells = [_distinct_text(np.asarray(col)) for col in columns.values()]
+    n_rows = cells[0][1].size if cells else 0
+    if any(inverse.size != n_rows for _, inverse in cells):
+        raise ValueError("columns differ in length")
+    # each cell is its text, NUL-padded to the column's widest, then "," or
+    # "\n"; dropping the NUL bytes leaves the rows
+    width = sum(text.itemsize + 1 for text, _ in cells)
+    with open(path, "wb") as fh:
+        fh.write((",".join(columns) + "\n").encode("utf-8"))
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n_rows)
+            block = np.empty((stop - start, width), dtype=np.uint8)
+            at = 0
+            for text, inverse in cells:
+                w = text.itemsize
+                block[:, at: at + w] = text[inverse[start:stop]].view(np.uint8).reshape(-1, w)
+                block[:, at + w] = ord(",")
+                at += w + 1
+            block[:, -1] = ord("\n")
+            fh.write(block[block != 0].tobytes())
+
+
+def _distinct_text(col: np.ndarray) -> tuple:
+    """The column's distinct cell texts as ASCII bytes, and each row's index
+    into them."""
+    if col.dtype.kind in "iu":
+        distinct, inverse = np.unique(col, return_inverse=True)
+        text = map(str, distinct.tolist())
+    else:
+        bits = col.astype(float, copy=False).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        text = map(repr, distinct.view(np.float64).tolist())
+    return np.array(list(text), dtype="S"), inverse.ravel()
 
 
 def write_panel(path, panel: Panel) -> None:
@@ -118,12 +149,51 @@ def read_json(path):
 
 
 def read_panel(path) -> Panel:
-    """Parse a panel CSV, raising DataValidationError with row numbers."""
+    """Parse a panel CSV, raising DataValidationError with row numbers.
+
+    A file of printable ASCII, tabs and line breaks is parsed by NumPy's C
+    reader.  Any other file, and any file that reader refuses or warns about,
+    is parsed by :func:`parse_panel_text`, whose row rules are the only
+    source of error messages.  Where the C reader succeeds, the row rules
+    give the same columns.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    panel = _parse_plain(text)
+    return parse_panel_text(text) if panel is None else panel
+
+
+def _parse_plain(text: str) -> Panel | None:
+    """The panel as NumPy's C reader parses it, or None where the row rules
+    must decide.
+
+    The C reader takes digits only in ASCII, and it keeps inside a field (or
+    strips as whitespace) some characters at which ``str.splitlines`` breaks
+    a line, such as form feed and U+2028; so only text of printable
+    ASCII, tabs and newlines is given to it.
+    """
+    if not text.isascii() or text.partition("\n")[0].strip() != CSV_HEADER:
+        return None
+    data = text.encode("ascii")
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(io.BytesIO(data), dtype=_PANEL_ROW, delimiter=",", comments=None,
+                               skiprows=1, ndmin=1, encoding="ascii")
+    except (ValueError, Warning):
+        return None
+    return Panel(*(np.ascontiguousarray(table[name]) for name in _PANEL_ROW.names))
+
+
+def parse_panel_text(text: str) -> Panel:
+    """Parse panel CSV text by the row rules: ``int``/``float`` per field,
+    whitespace-only lines skipped, one-line errors numbered by file row."""
+    lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise DataValidationError(f"expected header '{CSV_HEADER}'")
     cols = ([], [], [], [], [])

@@ -9,7 +9,9 @@ are written apart from the closed forms they check.  The Monte-Carlo
 critical-value reference draws one functional per call, one replication at a
 time, as the package did before it drew both from blocks of paths.  The CSV
 reference formats one cell at a time, as the package did before its writer
-formatted whole columns.
+formatted each distinct value once.  The simulator's uniforms come from one
+``default_rng([seed, id])`` per individual, as the package drew them before it
+computed every substream at once.
 """
 
 import math
@@ -36,6 +38,16 @@ def csv_text(columns: dict) -> str:
     for row in zip(*columns.values()):
         text += ",".join(format_number(x) for x in row) + "\n"
     return text
+
+
+def individual_uniforms(seed: int, ident: int, n_waves: int) -> np.ndarray:
+    """Fixed-budget uniform draws for one individual.
+
+    Layout: [age, female, initial state, path (3 per interval), report (one
+    per wave)].
+    """
+    rng = np.random.default_rng([seed, ident])
+    return rng.random(3 + 3 * n_waves + (n_waves + 1))
 
 
 def individual_slices(panel):

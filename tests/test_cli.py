@@ -286,6 +286,16 @@ def test_gain_analysis_from_trend(pipeline, tmp_path):
     assert len(fp_rows) == 9
 
 
+@pytest.mark.parametrize("periods", [0, -1])
+def test_gain_analysis_without_periods_is_one_line_error(tmp_path, periods):
+    gt, gf = tmp_path / "traj.csv", tmp_path / "fp.csv"
+    res = run_cli("gain-analysis", "--s", 1.26, "--periods", periods,
+                  "--out-trajectory", gt, "--out-fixed-point", gf)
+    assert res.returncode == 1
+    assert res.stderr == "error: validation: need a one-dimensional signal-to-noise sequence\n"
+    assert not gt.exists() and not gf.exists()
+
+
 def test_critical_value_csv(pipeline, tmp_path):
     out = tmp_path / "report.json"
     crit = tmp_path / "crit.csv"

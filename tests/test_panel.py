@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import msmtrend.estimator as est
+import msmtrend.panel as panel_mod
+from msmtrend.errors import DataValidationError
 from msmtrend.markov import ModelStructure, spline_basis, spline_basis_matrix
-from msmtrend.panel import (Panel, read_json, read_panel, validate_panel, write_csv, write_json,
-                            write_panel)
+from msmtrend.panel import (Panel, parse_panel_text, read_json, read_panel, validate_panel,
+                            write_csv, write_json, write_panel)
 
 import oracles
 
@@ -120,6 +122,8 @@ def test_panel_csv_round_trip_is_exact(tmp_path_factory, rows):
                     for j in range(5)))
     path = tmp_path_factory.getbasetemp() / "panel.csv"
     write_panel(path, panel)
+    if rows:  # the C-parsed route
+        assert panel_mod._parse_plain(path.read_text()) is not None
     back = read_panel(path)
     for col in ("ids", "times", "states", "ages", "female"):
         a, b = getattr(panel, col), getattr(back, col)
@@ -141,3 +145,115 @@ def test_json_round_trip_is_exact_and_non_finite_is_null(tmp_path_factory, value
     assert list(map(repr, back["array"])) == list(map(repr, want))
     assert repr(back["nested"]) == repr({"scalar": scalar, "tuple": [scalar, 3]})
     assert back["count"] == 7
+
+
+# ---------------------------------------------------------------------------
+# panel reader: the C-parsed route against the row rules
+
+_HEADER = "id,time,state,age,female\n"
+# characters at which str.splitlines breaks a line but "\n" does not
+_SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_READER_EDGES = {
+    "crlf": _HEADER.replace("\n", "\r\n") + "1,0,1,60,0\r\n1,2,1,62,0\r\n",
+    "bare-cr": _HEADER.replace("\n", "\r") + "1,0,1,60,0\r1,2,1,62,0\r",
+    "no-final-newline": _HEADER + "1,0,1,60,0\n1,2,1,62,0",
+    "whitespace-only-lines": _HEADER + "1,0,1,60,0\n  \n\t\n\n1,2,1,62,0\n \n",
+    "header-only": _HEADER,
+    "header-no-newline": _HEADER.rstrip("\n"),
+    "empty-file": "",
+    "underscore-int": _HEADER + "1_0,0,1,60,0\n",
+    "underscore-float": _HEADER + "1,0,1,6_0,0\n",
+    "arabic-indic-digits": _HEADER + "\u0661,0,1,\u0666\u0660,0\n",
+    "plus-sign": _HEADER + "+5,+0,+1,+60,+0\n",
+    "leading-space": _HEADER + " 5, 0, 1, 60, 0\n",
+    "nan": _HEADER + "1,nan,1,60,0\n",
+    "minus-nan": _HEADER + "1,0,1,-nan,0\n",
+    "1e400": _HEADER + "1,0,1,1e400,0\n",
+    "int64-max": _HEADER + f"{2**63 - 1},0,1,60,0\n",
+    "int64-max+1": _HEADER + f"{2**63},0,1,60,0\n",
+    "int64-min": _HEADER + f"1,0,{-2**63},60,0\n",
+    "int64-min-1": _HEADER + f"1,0,{-2**63 - 1},60,0\n",
+    "float-in-int-field": _HEADER + "1,0,1,60,0.0\n",
+    "empty-field": _HEADER + "1,,1,60,0\n",
+    "six-fields": _HEADER + "1,0,1,60,0,\n",
+    "hash-in-field": _HEADER + "1,0,1,60,0#note\n",
+    "hash-line": _HEADER + "#1,0,1,60,0\n",
+    "quote-in-field": _HEADER + '"1",0,1,60,0\n',
+    "bom": "\ufeff" + _HEADER + "1,0,1,60,0\n",
+    "nul-in-field": _HEADER + "1,0,1,60\x00,0\n",
+    "second-row-bad": _HEADER + "1,0,1,60,0\n1,2,x,62,0\n",
+}
+for _ch in _SPLITLINES_ONLY:
+    _READER_EDGES[f"sep-{ord(_ch):04x}-in-field"] = _HEADER + f"1,0,1,60{_ch},0\n"
+    _READER_EDGES[f"sep-{ord(_ch):04x}-at-line-end"] = _HEADER + f"1,0,1,60,0{_ch}\n1,2,1,62,0\n"
+
+
+def _outcome(parse):
+    """Column dtypes and bytes, or the one-line DataValidationError message."""
+    try:
+        got = parse()
+    except DataValidationError as exc:
+        assert "\n" not in str(exc)
+        return str(exc)
+    return [(col.dtype.str, col.tobytes())
+            for col in (got.ids, got.times, got.states, got.ages, got.female)]
+
+
+def _row_rules(path):
+    """The file read as read_panel reads it, parsed by the row rules alone."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return parse_panel_text(text)
+
+
+@pytest.mark.parametrize("raw", [*(text.encode() for text in _READER_EDGES.values()),
+                                 _HEADER.encode() + b"1,0,1,6\xff0,0\n"],
+                         ids=[*_READER_EDGES, "not-utf8"])
+def test_read_panel_matches_row_rules_on_edge_inputs(tmp_path, raw):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(raw)
+    assert _outcome(lambda: read_panel(path)) == _outcome(lambda: _row_rules(path))
+
+
+def test_splitlines_separator_in_a_field_is_a_row_error(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text(_HEADER + "1,0,1,60\u2028,0\n", encoding="utf-8")
+    with pytest.raises(DataValidationError, match="^row 2: expected 5 fields, got 4$"):
+        read_panel(path)
+
+
+_INT_TEXT = st.one_of(_INT64.map(str), st.sampled_from(["+5", "-0", "007"]))
+_FLOAT_TEXT = st.one_of(st.floats().map(repr), _INT64.map(str),
+                        st.sampled_from(["nan", "-nan", "+inf", "Infinity", "1e400", "1e-400",
+                                         ".5", "5.", "1E+05"]))
+# texts that the row rules refuse in some field or accept only through
+# Python's own number syntax
+_ODD_TEXT = st.sampled_from(["1_0", "1.0", "1e3", "", " ", "x", "0x10", "-", "1d5", "\u0661",
+                             str(2**63), str(-2**63 - 1)])
+_PAD = st.sampled_from(["", "", " ", "\t"])
+
+
+@st.composite
+def _panel_lines(draw):
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from(["", " ", "\t"]))
+    line = []
+    for text in (_INT_TEXT, _FLOAT_TEXT, _INT_TEXT, _FLOAT_TEXT, _INT_TEXT):
+        odd = draw(st.integers(0, 19)) == 0
+        line.append(draw(_PAD) + draw(_ODD_TEXT if odd else text) + draw(_PAD))
+    if draw(st.integers(0, 19)) == 0:  # a field too many or too few
+        line = line[:-1] if draw(st.booleans()) else line + ["0"]
+    return ",".join(line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_panel_lines(), max_size=6),
+       end=st.sampled_from(["", "\n"]))
+def test_c_reader_agrees_with_row_rules_where_it_accepts(lines, end):
+    text = _HEADER + "\n".join(lines) + end
+    fast = panel_mod._parse_plain(text)
+    if fast is not None:
+        assert _outcome(lambda: fast) == _outcome(lambda: parse_panel_text(text))

@@ -5,13 +5,14 @@ from scipy.special import expit
 from msmtrend.errors import InvalidSpecError
 from msmtrend.markov import HazardParams, ModelStructure, transition_probability, build_intensity, Covariates
 from msmtrend.panel import validate_panel
-from msmtrend.simulate import SimulationConfig, _individual_uniforms, simulate_panel
+from msmtrend.simulate import SimulationConfig, _substream_uniforms, simulate_panel
 
 from conftest import WAVE_TIMES, paperlike_params, paperlike_structure
 from oracles import (
     apply_observation_scheme,
     crude_incidence_rate,
     individual_slices,
+    individual_uniforms,
     simulate_individual_path,
 )
 
@@ -75,7 +76,7 @@ def test_vectorized_panel_matches_scalar_reference():
     panel = simulate_panel(cfg).sort()
     lo, hi = cfg.age_range
     for ident in (0, 17, 149):
-        u = _individual_uniforms(42, ident, st.n_waves)
+        u = individual_uniforms(42, ident, st.n_waves)
         age0 = lo + u[0] * (hi - lo)
         fem = int(u[1] < cfg.female_share)
         s0 = 2 if u[2] < expit(tr.logit_p2) else 1
@@ -86,6 +87,17 @@ def test_vectorized_panel_matches_scalar_reference():
         mask = panel.ids == ident
         np.testing.assert_array_equal(panel.states[mask], obs[: last + 1])
         np.testing.assert_allclose(panel.ages[mask][0], age0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1])
+def test_substream_uniforms_match_default_rng_bit_for_bit(seed):
+    # 1 to 5 uint32 entropy words with the id; five takes SeedSequence's
+    # extra-word mixing loop
+    n_waves = 8
+    want = np.array([individual_uniforms(seed, ident, n_waves) for ident in range(300)])
+    got = _substream_uniforms(seed, 300, want.shape[1])
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_identity_misclassification_is_noop():
