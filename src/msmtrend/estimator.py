@@ -5,14 +5,16 @@ illness-death chain.  Individual likelihood contributions are computed by
 the forward algorithm over latent states, with per-step rescaling against
 underflow; this equals the nested sum over all latent paths.  The adjoint
 of that recursion (a backward pass) gives the analytic per-individual
-scores.  The fit is a trust-region Newton method whose curvature is first
-the outer product of those scores (BHHH) and then the exact information,
-taken as central differences of the score.  Standard errors come from the
-inverse of that exact information at the estimate.
+scores, and one more forward sweep over the same recursion, differentiated
+twice, gives the exact Hessian.  The fit is a trust-region Newton method
+whose curvature is first the outer product of those scores (BHHH) and then
+that exact information.  Standard errors come from the inverse of the
+exact information at the estimate.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +32,7 @@ from .markov import (
     HazardParams,
     ModelStructure,
     covariate_design,
+    free_entries_jet,
     log_intensities,
     param_layout,
     transition_entries,
@@ -37,7 +40,7 @@ from .markov import (
 )
 # gradient_fd and hessian_fd are no longer on the fit path but stay bound
 # here: tests and the benchmark's trace points reach them as estimator.*
-from .numdiff import gradient_fd, hessian_covariance, hessian_fd, jacobian_fd  # noqa: F401
+from .numdiff import gradient_fd, hessian_covariance, hessian_fd  # noqa: F401
 from .panel import Panel, validate_panel
 from .trend import TrendSeries
 
@@ -46,7 +49,6 @@ __all__ = [
     "pack_params",
     "unpack_params",
     "misclassification_matrix",
-    "forward_loglik",
     "fit_msm",
     "hessian_fd",
     "hessian_covariance",
@@ -70,6 +72,22 @@ _SWITCH_GAIN = 1e-6
 _BHHH_BUDGET = 50
 _GTOL = 1e-5
 _Z_BOX = 60.0
+
+# the negative log likelihood fit_msm reports at a point whose likelihood
+# or score is not finite, so that the trust region rejects it
+_REJECTED = 1e12
+
+# individuals per block of PanelDesign.hessian, whose working arrays grow
+# with it (a 2,000-person panel takes two blocks)
+_HESSIAN_BLOCK = 1024
+
+# the local coordinate of a step or of the initial factor that each
+# parameter field moves: log q12, log q13, log q23 (0-2) or the logit of
+# e12, e21, p2 (3-5)
+_SLOT = {"beta": 0, "female_12": 0, "age_spline_12": 0, "age_spline_f_12": 0,
+         "log_q13_0": 1, "female_13": 1, "age_13": 1, "trend_13": 1,
+         "log_q23_0": 2, "female_23": 2, "age_23": 2, "trend_23": 2,
+         "logit_e12": 3, "logit_e21": 4, "logit_p2": 5}
 
 
 def misclassification_matrix(e12: float, e21: float) -> np.ndarray:
@@ -327,20 +345,166 @@ class PanelDesign:
             cols[f"trend_{k}"] = np.sum(lin * self.waves, axis=1)
         return loglik, np.column_stack([cols[name] for name, _ in param_layout(self.structure)])
 
+    def _step_design(self, j: int) -> np.ndarray:
+        """Design of step j folded to one row per parameter and one column
+        per individual: the derivative of the step's local coordinate that
+        the parameter enters (see ``_SLOT``) with respect to it."""
+        wave, fem, one = self.waves[:, j], self.female, np.ones(self.n)
+        rows = {"beta": np.arange(self.structure.n_waves)[:, None] == wave - 1,
+                "female_12": fem, "age_spline_12": self.basis[:, j].T,
+                "age_spline_f_12": self.basis_f[:, j].T,
+                "logit_e12": one, "logit_e21": one, "logit_p2": 0.0 * one}
+        for k in ("13", "23"):
+            rows.update({f"log_q{k}_0": one, f"female_{k}": fem,
+                         f"age_{k}": self.age_centered[:, j], f"trend_{k}": wave})
+        return np.vstack([np.atleast_2d(rows[name]) for name, _ in param_layout(self.structure)],
+                         dtype=float)
 
-def forward_loglik(panel: Panel, structure: ModelStructure, gamma, validate: bool = True) -> float:
-    """Log likelihood of the observed panel at parameters ``gamma``.
+    def hessian(self, gamma: np.ndarray) -> np.ndarray:
+        """Hessian of the log likelihood: the Jacobian of the summed score of
+        :meth:`loglik_and_score`, under the same two conventions.  It is a
+        sum over individuals, taken over blocks of _HESSIAN_BLOCK of them so
+        that its working arrays stay small.
+        """
+        return sum(self._individuals(slice(lo, lo + _HESSIAN_BLOCK))._hessian(gamma)
+                   for lo in range(0, self.n, _HESSIAN_BLOCK))
 
-    ``gamma`` may be a flat vector (see :func:`param_names`) or a
-    :class:`HazardParams`.  With ``validate=False`` schema checks are
-    skipped and impossible observation sequences return a floor log
-    likelihood (about -690 per wave) instead of raising, so exponentiating
-    gives them zero mass in law-of-total-probability sums.
-    """
-    if isinstance(gamma, HazardParams):
-        gamma = pack_params(gamma, structure)
-    design = PanelDesign(panel, structure, validate=validate)
-    return design.loglik(gamma)
+    def _individuals(self, rows: slice) -> PanelDesign:
+        """The design of a block of individuals, as views of this one's arrays."""
+        sub = copy.copy(self)
+        for name in ("counts", "states", "valid", "female", "widths", "waves", "active",
+                     "basis", "basis_f", "age_centered", "state_idx"):
+            setattr(sub, name, getattr(self, name)[rows])
+        sub.n = sub.female.size
+        return sub
+
+    def _hessian(self, gamma: np.ndarray) -> np.ndarray:
+        """Hessian of the log likelihood over all of this design's individuals.
+
+        The forward pass is rescaled, so step j is the factor
+        F_j = P_j diag(e_{j+1}) / c_{j+1}, the initial one is pi * e_0 / c_0,
+        and the forward and backward variables satisfy alpha_j beta_j = 1.
+        Holding the normalisers, each individual's likelihood is then a
+        product of factors equal to one, and its Hessian is A - s s' with s
+        its score (Lystig & Hughes 2002; Turner 2008).  A has within-step
+        terms alpha_j d2F_j beta_{j+1} and cross-step terms
+        alpha_j dF_j F_{j+1} ... F_{k-1} dF_k beta_{k+1}.  One forward sweep
+        gathers the cross terms in a left accumulator S, one (p, n) slice per
+        state, S <- S F_j + D_j'(alpha_j dF_j), where D_j maps the step's
+        local coordinates (three log intensities, two misclassification
+        logits) to the parameters.  S beta_j is the score of the factors
+        before step j, so s comes from the same sweep.  A step whose
+        normaliser sits on its floor cuts the score's dependence in two, so
+        it closes a segment: its outer product s s' is taken there and S
+        restarts at zero.  Padded cells have width zero, so P = I there and
+        every derivative of it vanishes; with e/c set to one their factor
+        is the identity.
+        """
+        tape: dict = {}
+        self._forward(gamma, tape)
+        n, steps = self.n, self.n_steps
+        slot = np.concatenate([np.full(size or 1, _SLOT[name])
+                               for name, size in param_layout(self.structure)])
+        p = slot.size
+        p11, p12, p13, p22, p23 = tape["entries"]
+        alphas, preds = tape["alpha"], tape["pred"]
+        raw = np.column_stack(tape["raw"])
+        live = self.valid & (raw >= 1e-300)
+        floored = self.valid & ~live
+        inv_c = np.where(live, 1.0 / np.where(live, raw, 1.0), 0.0)
+        ec = [np.where(self.valid[:, k, None], tape["obs"][k] * inv_c[:, k, None], 1.0)
+              for k in range(steps + 1)]
+        params = tape["params"]
+        e12, e21, p2 = expit([params.logit_e12, params.logit_e21, params.logit_p2])
+        # first and second derivatives of e(0)/c and e(1)/c, the only
+        # emission entries that move, in logit e12 and logit e21
+        sign = np.array([-1.0, 1.0, 0.0])[self.state_idx] * inv_c
+        h12, h21 = sign * e12 * (1.0 - e12), -sign * e21 * (1.0 - e21)
+        hh12, hh21 = h12 * (1.0 - 2.0 * e12), h21 * (1.0 - 2.0 * e21)
+
+        betas = [np.ones((n, 3))] * (steps + 1)
+        for j in range(steps - 1, -1, -1):
+            eb = ec[j + 1] * betas[j + 1]
+            back = np.column_stack((
+                p11[:, j] * eb[:, 0] + p12[:, j] * eb[:, 1] + p13[:, j] * eb[:, 2],
+                p22[:, j] * eb[:, 1] + p23[:, j] * eb[:, 2],
+                eb[:, 2],
+            ))
+            betas[j] = np.where(floored[:, j + 1, None], 1.0, back)
+
+        # A is gathered as a half whose sum with its transpose is A
+        A = np.zeros((p, p))
+        outer = np.zeros((p, p))
+        S = np.zeros((3, p, n))
+        # initial factor, local coordinates (logit e12, logit e21, logit p2)
+        b0, d2 = betas[0], p2 * (1.0 - p2)
+        eb0 = ec[0] * b0
+        W0 = np.zeros((3, 3, n))
+        W0[0, 0] = (1.0 - p2) * hh12[:, 0] * b0[:, 0]
+        W0[1, 1] = p2 * hh21[:, 0] * b0[:, 1]
+        W0[2, 2] = d2 * (1.0 - 2.0 * p2) * (eb0[:, 1] - eb0[:, 0])
+        W0[0, 2] = W0[2, 0] = -d2 * h12[:, 0] * b0[:, 0]
+        W0[1, 2] = W0[2, 1] = d2 * h21[:, 0] * b0[:, 1]
+        init = np.flatnonzero(slot >= 3)
+        A[np.ix_(init, init)] = 0.5 * W0.sum(axis=-1)
+        S[0, init[[0, 2]]] = (1.0 - p2) * h12[:, 0], -d2 * ec[0][:, 0]
+        S[1, init[[1, 2]]] = p2 * h21[:, 0], d2 * ec[0][:, 1]
+
+        slots = [np.flatnonzero(slot == k) for k in range(5)]
+        rates, lins = tape["rates"], tape["lins"]
+        for j in range(steps):
+            k = j + 1
+            a0, a1 = alphas[j][:, 0], alphas[j][:, 1]
+            bk, eck, pred = betas[k], ec[k], preds[k]
+            eb = eck * bk
+            # d q / d lin, also d2 q / d lin2: q inside the clip, 0 outside
+            t = np.array([q[:, j] * (np.abs(lin[:, j]) < _LIN_CLIP) for q, lin in zip(rates, lins)])
+            grad, hess = free_entries_jet(rates[0][:, j], rates[1][:, j], rates[2][:, j],
+                                          self.widths[:, j])
+            gl = grad * t
+            hl = hess * (t[:, None] * t)
+            hl[:, [0, 1, 2], [0, 1, 2]] += gl
+            # alpha_j dP_j / dlin has entries (x, y + z, -x - y - z): the rows of dP sum to 0
+            x, y, z = a0 * gl[0], a0 * gl[1], a1 * gl[2]
+            d0, d1 = eb[:, 0] - eb[:, 2], eb[:, 1] - eb[:, 2]
+            # local coordinates (lin12, lin13, lin23, logit e12, logit e21,
+            # and logit p2, on which no step depends): rows R = alpha_j dF_j,
+            # columns C = dF_j beta_{j+1} (state 3's entry is always zero)
+            # and curvature W = alpha_j d2F_j beta_{j+1}
+            R = np.zeros((6, 3, n))
+            R[:3, 0], R[:3, 1], R[:3, 2] = x * eck[:, 0], (y + z) * eck[:, 1], -(x + y + z) * eck[:, 2]
+            R[3, 0] = pred[:, 0] * h12[:, k]
+            R[4, 1] = pred[:, 1] * h21[:, k]
+            C = np.zeros((6, 2, n))
+            C[:3, 0] = gl[0] * d0 + gl[1] * d1
+            C[:3, 1] = gl[2] * d1
+            C[3, 0] = p11[:, j] * h12[:, k] * bk[:, 0]
+            C[4] = p12[:, j] * h21[:, k] * bk[:, 1], p22[:, j] * h21[:, k] * bk[:, 1]
+            W = np.zeros((6, 6, n))
+            W[:3, :3] = a0 * d0 * hl[0] + a0 * d1 * hl[1] + a1 * d1 * hl[2]
+            W[:3, 3] = W[3, :3] = x * h12[:, k] * bk[:, 0]
+            W[:3, 4] = W[4, :3] = (y + z) * h21[:, k] * bk[:, 1]
+            W[3, 3] = pred[:, 0] * hh12[:, k] * bk[:, 0]
+            W[4, 4] = pred[:, 1] * hh21[:, k] * bk[:, 1]
+
+            G = self._step_design(j)
+            for c, rows in enumerate(slots):
+                Z = 0.5 * W[c][slot] * G + S[0] * C[c, 0] + S[1] * C[c, 1]
+                A[rows] += G[rows] @ Z.T
+            cut = np.flatnonzero(floored[:, k])
+            if cut.size:
+                seg = S[:, :, cut].sum(axis=0)
+                outer += seg @ seg.T
+            # S <- S F_j with F_j = P_j diag(e/c) upper triangular, last state first
+            f0, f1, f2 = eck.T
+            S[2] = S[0] * (p13[:, j] * f2) + S[1] * (p23[:, j] * f2) + S[2] * f2
+            S[1] = S[0] * (p12[:, j] * f1) + S[1] * (p22[:, j] * f1)
+            S[0] *= p11[:, j] * f0
+            for s in range(3):
+                S[s] += R[slot, s] * G
+        seg = S.sum(axis=0)
+        outer += seg @ seg.T
+        return A + A.T - outer
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +603,9 @@ def fit_msm(
     starts as the BHHH matrix, the sum of outer products of the
     per-individual scores, which comes from the same pass.  Once an
     accepted iteration gains less than 1e-6 in log likelihood, or after 50
-    BHHH iterations, the fit continues with the exact curvature: the
-    central-difference Jacobian of the score, 2p score passes for p free
-    parameters.  It stops when the
+    BHHH iterations, the fit continues with the exact curvature of
+    :meth:`PanelDesign.hessian`, one forward sweep per point, restricted to
+    the free parameters.  It stops when the
     score's Euclidean norm in the scaled coordinates is below 1e-5, or when
     the exact model can no longer predict a gain above round-off.  The
     covariance is the inverse of the exact information at the final point.
@@ -499,7 +663,7 @@ def fit_msm(
         scores = scores[:, idx_free] / scale
         if not (np.isfinite(value) and np.all(np.isfinite(scores))):
             # a point the trust region must reject
-            return 1e12, np.zeros(idx_free.size), np.zeros_like(scores)
+            return _REJECTED, np.zeros(idx_free.size), np.zeros_like(scores)
         return -value, -scores.sum(axis=0), scores
 
     # trust-exact asks for the value, gradient and Hessian at each proposed
@@ -519,8 +683,14 @@ def fit_msm(
 
     def exact_hessian(z_free: np.ndarray) -> np.ndarray:
         if not np.array_equal(exact.get("z"), z_free):
-            H = jacobian_fd(lambda z: nll_and_grad(z)[1], z_free)
-            exact.update(z=z_free.copy(), H=0.5 * (H + H.T))
+            # trust-exact asks for the curvature at each point it proposes,
+            # before it rejects one; where the likelihood or score is not
+            # finite, the curvature is zero, as the BHHH matrix is there
+            if at(z_free)[0] == _REJECTED:
+                H = np.zeros((idx_free.size, idx_free.size))
+            else:
+                H = -design.hessian(gamma_of(z_free))[np.ix_(idx_free, idx_free)]
+            exact.update(z=z_free.copy(), H=H / np.outer(scale, scale))
         return exact["H"]
 
     watch = {"bhhh": True, "k": 0, "f": np.inf, "stop": None}

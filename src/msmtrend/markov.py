@@ -12,7 +12,9 @@ wrappers: :func:`covariate_design` and :func:`log_intensities` map
 covariates and parameters to log intensities, and
 :func:`transition_entries` maps intensities and interval widths to the
 closed-form transition probabilities; :func:`transition_entries_vjp`
-carries derivatives back along the same chain for the likelihood score.
+carries derivatives back along the same chain for the likelihood score, and
+:func:`free_entries_jet` gives the first and second derivatives of the
+entries for the exact Hessian.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ __all__ = [
     "transition_entries",
     "transition_entries_vjp",
     "p12_ratio_grad",
+    "p12_ratio_hess",
+    "free_entries_jet",
     "param_layout",
     "load_model_spec",
     "save_model_spec",
@@ -385,10 +389,29 @@ def transition_entries(q12, q13, q23, w):
     return p11, p12, p13, p22, p23
 
 
-# Taylor coefficients in (-x)^k, k = 0..19, of the moments psi and phi1 in
-# p12_ratio_grad; at x < 1 the first omitted term is below 1e-19 of the sum
+# Taylor coefficients in (-x)^k, k = 0..19, of the moments of e^{-xs} over
+# s in [0, 1] against (1-s), s, (1-s)^2, s(1-s) and s^2 (psi, phi1, chi20,
+# chi11, chi02 below); at x < 1 the first omitted term is below 1e-19 of
+# the sum
 _PSI_SERIES = np.array([1.0 / math.factorial(k + 2) for k in range(20)])[::-1]
 _PHI1_SERIES = np.array([(k + 1) / math.factorial(k + 2) for k in range(20)])[::-1]
+_CHI20_SERIES = np.array([2.0 / math.factorial(k + 3) for k in range(20)])[::-1]
+_CHI11_SERIES = np.array([(k + 1) / math.factorial(k + 3) for k in range(20)])[::-1]
+_CHI02_SERIES = np.array([(k + 1) * (k + 2) / math.factorial(k + 3) for k in range(20)])[::-1]
+
+
+def _kernel_split(a, b, w):
+    """Split of the p12 kernel exponent -w(a(1-s) + bs) at min(a, b): the
+    factor e^{-min(a,b) w}, x = |a-b|w, whether the remaining weight
+    e^{-xs} sits on s (a <= b; otherwise on 1 - s), and the grid on which
+    the moments are taken: the series argument -x where x < 1, and x
+    floored at 1 for the closed forms, which are used above it."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    x = np.abs(a - b) * w
+    small = x < 1.0
+    return (np.exp(-np.minimum(a, b) * w), a <= b, small,
+            np.where(small, -x, 0.0), np.where(small, 1.0, x))
 
 
 def p12_ratio_grad(a, b, w):
@@ -403,19 +426,65 @@ def p12_ratio_grad(a, b, w):
     below x = 1, where any closed form cancels, and from the closed forms
     (1 - phi0)/x and (phi0 - e^{-x})/x, phi0 = -expm1(-x)/x, above it.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x = np.abs(a - b) * w
-    small = x < 1.0
-    xs = np.where(small, -x, 0.0)
-    xl = np.where(small, 1.0, x)
+    decay, lo, small, xs, xl = _kernel_split(a, b, w)
     phi0 = -np.expm1(-xl) / xl
     psi = np.where(small, np.polyval(_PSI_SERIES, xs), (1.0 - phi0) / xl)
     phi1 = np.where(small, np.polyval(_PHI1_SERIES, xs), (phi0 - np.exp(-xl)) / xl)
-    scale = -w * w * np.exp(-np.minimum(a, b) * w)
-    # with a <= b the weight e^{-xs} sits on s; otherwise on 1 - s
-    lo = a <= b
+    scale = -w * w * decay
     return scale * np.where(lo, psi, phi1), scale * np.where(lo, phi1, psi)
+
+
+def p12_ratio_hess(a, b, w):
+    """Second partial derivatives (d2f/da2, d2f/dadb, d2f/db2) of the f of
+    :func:`p12_ratio_grad`.
+
+    They are w^3 times the integrals of (1-s)^2, s(1-s) and s^2 against
+    e^{-w(a(1-s) + bs)}, factored at min(a, b) in the same way.  The
+    moments chi20, chi11 and chi02 of e^{-xs} come from the series below
+    x = 1 and above it from chi20 = (1 - 2 psi)/x, chi02 = phi2 =
+    (2 phi1 - e^{-x})/x and chi11 = phi1 - phi2, each free of cancellation
+    that grows with x.
+    """
+    decay, lo, small, xs, xl = _kernel_split(a, b, w)
+    ex = np.exp(-xl)
+    phi0 = -np.expm1(-xl) / xl
+    phi1 = (phi0 - ex) / xl
+    phi2 = (2.0 * phi1 - ex) / xl
+    chi20 = np.where(small, np.polyval(_CHI20_SERIES, xs), (1.0 - 2.0 * (1.0 - phi0) / xl) / xl)
+    chi11 = np.where(small, np.polyval(_CHI11_SERIES, xs), phi1 - phi2)
+    chi02 = np.where(small, np.polyval(_CHI02_SERIES, xs), phi2)
+    scale = w**3 * decay
+    return (scale * np.where(lo, chi20, chi02), scale * chi11,
+            scale * np.where(lo, chi02, chi20))
+
+
+def free_entries_jet(q12, q13, q23, w):
+    """Gradients and Hessians of p11, p12 and p22 of
+    :func:`transition_entries` with respect to (q12, q13, q23).
+
+    Returns arrays of shape (3, 3) + shape and (3, 3, 3) + shape, indexed
+    [entry, rate] and [entry, rate, rate].  The other entries follow from
+    p13 = -expm1(-aw) - p12 and p23 = -expm1(-bw): their derivatives are
+    minus those of p11 + p12 and of p22, the round-off floor on p13 being
+    inactive as in :func:`transition_entries_vjp`.
+    """
+    q12 = np.asarray(q12, dtype=float)
+    a = q12 + q13
+    b = np.asarray(q23, dtype=float)
+    zero = np.zeros_like(a * b * w)
+    f = w * np.exp(-np.minimum(a, b) * w) * _expm1_ratio(-np.abs(a - b) * w)
+    fa, fb = p12_ratio_grad(a, b, w)
+    faa, fab, fbb = p12_ratio_hess(a, b, w)
+    # p11 = e^{-aw} and p22 = e^{-bw}, a = q12 + q13, b = q23; p12 = q12 f(a, b)
+    d11, d22 = -w * np.exp(-a * w), -w * np.exp(-b * w)
+    dd11, dd22 = -w * d11, -w * d22
+    grad = np.array([[d11, d11, zero], [f + q12 * fa, q12 * fa, q12 * fb], [zero, zero, d22]])
+    h11 = [[dd11, dd11, zero], [dd11, dd11, zero], [zero, zero, zero]]
+    h12 = [[2.0 * fa + q12 * faa, fa + q12 * faa, fb + q12 * fab],
+           [fa + q12 * faa, q12 * faa, q12 * fab],
+           [fb + q12 * fab, q12 * fab, q12 * fbb]]
+    h22 = [[zero, zero, zero], [zero, zero, zero], [zero, zero, dd22]]
+    return grad, np.array([h11, h12, h22])
 
 
 def transition_entries_vjp(q12, q13, q23, w, bars):

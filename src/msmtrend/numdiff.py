@@ -1,6 +1,8 @@
-"""Finite-difference derivatives (of scalar functions, and the Jacobian of a
-vector function such as a score) and the rule that turns a log-likelihood
-Hessian into a covariance, shared by both steps."""
+"""Central-difference derivatives of scalar functions, and the rule that
+turns a log-likelihood Hessian into a covariance, shared by both steps.
+
+Step two's filter fit takes its Hessian from :func:`hessian_fd`; step one
+has analytic derivatives and uses only :func:`hessian_covariance`."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import numpy as np
 
 from .errors import CurvatureError
 
-__all__ = ["gradient_fd", "hessian_fd", "jacobian_fd", "hessian_covariance"]
+__all__ = ["gradient_fd", "hessian_fd", "hessian_covariance"]
 
 
 def gradient_fd(fun, x, step: float = 1e-6) -> np.ndarray:
@@ -49,23 +51,6 @@ def hessian_fd(fun, x) -> np.ndarray:
             xmm = x.copy(); xmm[i] -= hi; xmm[j] -= hj
             H[i, j] = H[j, i] = (fun(xpp) - fun(xpm) - fun(xmp) + fun(xmm)) / (4 * hi * hj)
     return H
-
-
-def jacobian_fd(fun, x, step: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian J[i, k] = d fun_i / d x_k of a vector
-    function, with per-coordinate relative steps; 2n evaluations for n
-    coordinates.  Applied to a gradient it gives the Hessian with truncation
-    error O(step^2), and its round-off grows only like 1/step, not 1/step^2
-    as in :func:`hessian_fd`.
-    """
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for k in range(x.size):
-        h = step * max(1.0, abs(x[k]))
-        xp = x.copy(); xp[k] += h
-        xm = x.copy(); xm[k] -= h
-        cols.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2 * h))
-    return np.column_stack(cols)
 
 
 def hessian_covariance(hessian: np.ndarray):

@@ -11,7 +11,9 @@ time, as the package did before it drew both from blocks of paths.  The CSV
 reference formats one cell at a time, as the package did before its writer
 formatted each distinct value once.  The simulator's uniforms come from one
 ``default_rng([seed, id])`` per individual, as the package drew them before it
-computed every substream at once.
+computed every substream at once.  The central-difference Jacobian of the
+score is the judge of the exact Hessian that replaced it in the fit, and
+``forward_loglik`` builds a design for each likelihood it is asked for.
 """
 
 import math
@@ -20,8 +22,9 @@ from itertools import combinations
 import numpy as np
 
 from msmtrend.errors import InvalidArgumentError
+from msmtrend.estimator import PanelDesign, pack_params
 from msmtrend.gain import CoefficientTable, gain_sequence
-from msmtrend.markov import Covariates, build_intensity
+from msmtrend.markov import Covariates, HazardParams, build_intensity
 
 
 def format_number(x) -> str:
@@ -187,6 +190,37 @@ def design_cells(panel, structure):
             waves[row, j] = structure.wave_indices([t[j]])[0]
             age_left[row, j] = p.ages[sl][j]
     return states, valid, widths, waves, age_left, female
+
+
+def forward_loglik(panel, structure, gamma, validate: bool = True) -> float:
+    """Log likelihood of the observed panel at parameters ``gamma``.
+
+    ``gamma`` may be a flat vector (see ``estimator.param_names``) or a
+    :class:`HazardParams`.  With ``validate=False`` schema checks are
+    skipped and impossible observation sequences return a floor log
+    likelihood (about -690 per wave) instead of raising, so exponentiating
+    gives them zero mass in law-of-total-probability sums.
+    """
+    if isinstance(gamma, HazardParams):
+        gamma = pack_params(gamma, structure)
+    return PanelDesign(panel, structure, validate=validate).loglik(gamma)
+
+
+def jacobian_fd(fun, x, step: float = 1e-5) -> np.ndarray:
+    """Central-difference Jacobian J[i, k] = d fun_i / d x_k of a vector
+    function, with per-coordinate relative steps; 2n evaluations for n
+    coordinates.  Applied to a gradient it gives the Hessian with truncation
+    error O(step^2), and its round-off grows only like 1/step, not 1/step^2
+    as in ``numdiff.hessian_fd``.
+    """
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for k in range(x.size):
+        h = step * max(1.0, abs(x[k]))
+        xp = x.copy(); xp[k] += h
+        xm = x.copy(); xm[k] -= h
+        cols.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2 * h))
+    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -9,12 +10,11 @@ from scipy.special import expit
 import msmtrend.estimator as est
 from msmtrend.errors import DataValidationError, CurvatureError, InvalidArgumentError
 from msmtrend.markov import Covariates, HazardParams, ModelStructure, build_intensity, transition_probability
-from msmtrend.numdiff import jacobian_fd
 from msmtrend.panel import Panel
 from msmtrend.simulate import SimulationConfig, simulate_panel
 
 from conftest import WAVE_TIMES, paperlike_params, paperlike_structure
-from oracles import individual_slices
+from oracles import forward_loglik, individual_slices, jacobian_fd
 
 
 SMALL_STRUCTURE = ModelStructure(knots=(58.0, 68.0, 80.0), wave_times=(0.0, 2.0, 4.0, 6.0))
@@ -108,7 +108,7 @@ def enumeration_panels():
 
 def test_forward_equals_enumeration():
     for params, panel in enumeration_panels():
-        got = est.forward_loglik(panel, SMALL_STRUCTURE, params)
+        got = forward_loglik(panel, SMALL_STRUCTURE, params)
         want = enumeration_loglik(panel, SMALL_STRUCTURE, params)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -147,8 +147,8 @@ def test_single_observation_contributes_initial_factor_only():
     emission = est.misclassification_matrix(sig(params.logit_e12), sig(params.logit_e21))
     init = np.array([1 - p2, p2, 0.0])
     extra = np.log(float(init @ emission[:, 1]))  # observed state 2
-    got = est.forward_loglik(with_single, SMALL_STRUCTURE, params)
-    want = est.forward_loglik(base, SMALL_STRUCTURE, params) + extra
+    got = forward_loglik(with_single, SMALL_STRUCTURE, params)
+    want = forward_loglik(base, SMALL_STRUCTURE, params) + extra
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -167,7 +167,7 @@ def test_single_individual_one_wave():
     q = build_intensity(SMALL_STRUCTURE, params, Covariates(66.0, 0), 1)
     p11 = transition_probability(q, 2.0).matrix[0, 0]
     want = np.log(1.0 - expit(-1.2)) + np.log(p11)
-    got = est.forward_loglik(panel, SMALL_STRUCTURE, params)
+    got = forward_loglik(panel, SMALL_STRUCTURE, params)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -181,7 +181,7 @@ def test_total_probability_over_observed_sequences():
             np.zeros(3, dtype=int), np.array([0.0, 2.0, 4.0]), np.array(seq),
             np.array([70.0, 72.0, 74.0]), np.zeros(3, dtype=int),
         )
-        ll = est.forward_loglik(panel, structure, params, validate=False)
+        ll = forward_loglik(panel, structure, params, validate=False)
         total += np.exp(ll)
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -190,11 +190,11 @@ def test_order_invariance():
     rng = np.random.default_rng(77)
     params = random_params(rng, SMALL_STRUCTURE)
     panel = random_panel(rng, SMALL_STRUCTURE, n_individuals=20)
-    base = est.forward_loglik(panel, SMALL_STRUCTURE, params)
+    base = forward_loglik(panel, SMALL_STRUCTURE, params)
     perm = rng.permutation(len(panel))
     shuffled = Panel(panel.ids[perm], panel.times[perm], panel.states[perm],
                      panel.ages[perm], panel.female[perm])
-    assert est.forward_loglik(shuffled, SMALL_STRUCTURE, params) == pytest.approx(base, abs=1e-10)
+    assert forward_loglik(shuffled, SMALL_STRUCTURE, params) == pytest.approx(base, abs=1e-10)
 
 
 def test_observation_after_death_rejected():
@@ -202,7 +202,7 @@ def test_observation_after_death_rejected():
                   np.array([66.0, 68.0, 70.0]), np.array([0, 0, 0]))
     params = random_params(np.random.default_rng(0), SMALL_STRUCTURE)
     with pytest.raises(DataValidationError):
-        est.forward_loglik(panel, SMALL_STRUCTURE, params)
+        forward_loglik(panel, SMALL_STRUCTURE, params)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +231,10 @@ def test_score_matches_gradient_fd_on_enumeration_panels():
                                 est.pack_params(params, SMALL_STRUCTURE))
 
 
-def test_score_matches_gradient_fd_beyond_the_clip():
-    # wave dummies and mortality baselines pushed well past |lin| = 30 on
-    # some cells: the score is that of the clipped function, zero there
+def beyond_the_clip_cases():
+    """Wave dummies and mortality baselines pushed well past |lin| = 30 on
+    some cells; yields (design, gamma, k), where every cell of parameter k
+    is past the clip."""
     rng = np.random.default_rng(2718)
     names = est.param_names(SMALL_STRUCTURE)
     for shift in ({"beta_1": -36.0}, {"beta_2": 36.0}, {"log_q13_0": -40.0},
@@ -243,10 +244,15 @@ def test_score_matches_gradient_fd_beyond_the_clip():
         gamma = est.pack_params(params, SMALL_STRUCTURE)
         for name, value in shift.items():
             gamma[names.index(name)] = value
-        design = est.PanelDesign(panel, SMALL_STRUCTURE)
+        yield est.PanelDesign(panel, SMALL_STRUCTURE), gamma, names.index(next(iter(shift)))
+
+
+def test_score_matches_gradient_fd_beyond_the_clip():
+    # the score is that of the clipped function, zero past the clip
+    for design, gamma, k in beyond_the_clip_cases():
         assert_score_matches_fd(design, gamma)
         _, scores = design.loglik_and_score(gamma)
-        assert np.all(scores[:, names.index(next(iter(shift)))] == 0.0)
+        assert np.all(scores[:, k] == 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +316,90 @@ def test_scores_invariant_to_relabelling_and_row_order(seed):
     # row k of ``base`` belongs to old_ids[k], which is now new_ids[k]
     rows = np.searchsorted(np.sort(new_ids), new_ids)
     np.testing.assert_allclose(got[rows], base, rtol=1e-12, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# exact Hessian
+
+
+def assert_hessian_matches_fd(design, gamma) -> np.ndarray:
+    # the Jacobian of the score as loglik_and_score defines it, clip and
+    # floor included; the exact matrix is also symmetric to round-off
+    H = design.hessian(gamma)
+    want = jacobian_fd(lambda g: design.loglik_and_score(g)[1].sum(axis=0), gamma)
+    assert np.all(np.isfinite(H))
+    assert np.abs(H - want).max() <= 1e-6 * np.abs(want).max()
+    assert np.abs(H - H.T).max() <= 1e-12 * np.abs(H).max()
+    return H
+
+
+def test_hessian_matches_score_jacobian_on_enumeration_panels():
+    for params, panel in enumeration_panels():
+        assert_hessian_matches_fd(est.PanelDesign(panel, SMALL_STRUCTURE),
+                                  est.pack_params(params, SMALL_STRUCTURE))
+
+
+def test_hessian_matches_score_jacobian_beyond_the_clip():
+    # the likelihood is flat in a parameter whose every cell is past the
+    # clip, so its row and column are zero
+    for design, gamma, k in beyond_the_clip_cases():
+        H = assert_hessian_matches_fd(design, gamma)
+        assert np.all(H[k] == 0.0) and np.all(H[:, k] == 0.0)
+
+
+def test_hessian_handles_impossible_sequences():
+    # the floored step of a dead-then-alive sequence cuts the score in two;
+    # the Hessian is that of the cut function, and finite
+    panel = small_panel([1, 1, 1, 2, 2], [0.0, 2.0, 4.0, 0.0, 2.0], [1, 3, 1, 1, 2])
+    design = est.PanelDesign(panel, SMALL_STRUCTURE, validate=False)
+    gamma = est.pack_params(random_params(np.random.default_rng(8), SMALL_STRUCTURE),
+                            SMALL_STRUCTURE)
+    assert_hessian_matches_fd(design, gamma)
+
+
+def test_hessian_takes_outer_products_per_segment():
+    # a normaliser positive but below the 1e-300 floor (p11 near e^-692 in
+    # wave 1, misreporting near e^-700) also cuts the score in two, and
+    # live steps follow it; s s' is then a sum over the two segments, and
+    # an outer product of the whole individual's score misses by about 10%
+    panel = small_panel([1, 1, 1, 1, 2, 2, 2], [0.0, 2.0, 4.0, 6.0, 0.0, 2.0, 4.0],
+                        [1, 1, 1, 2, 1, 2, 3])
+    design = est.PanelDesign(panel, SMALL_STRUCTURE, validate=False)
+    names = est.param_names(SMALL_STRUCTURE)
+    gamma = est.pack_params(random_params(np.random.default_rng(8), SMALL_STRUCTURE),
+                            SMALL_STRUCTURE)
+    for name, value in {"logit_e12": -700.0, "logit_e21": -700.0, "logit_p2": -2.0,
+                        "log_q13_0": 14.7, "trend_13": -8.85, "age_13": 0.0,
+                        "female_13": 0.0}.items():
+        gamma[names.index(name)] = value
+    tape: dict = {}
+    design._forward(gamma, tape)
+    assert 0.0 < tape["raw"][1][0] < 1e-300 and tape["raw"][2][0] >= 1e-300
+    assert_hessian_matches_fd(design, gamma)
+
+
+def test_hessian_matches_score_jacobian_on_pipeline_panel(pipeline_design):
+    rng = np.random.default_rng(99)
+    truth = est.pack_params(paperlike_params(), pipeline_design.structure)
+    assert_hessian_matches_fd(pipeline_design, truth)
+    for _ in range(3):
+        assert_hessian_matches_fd(pipeline_design, truth + rng.normal(0.0, 0.2, truth.size))
+
+
+def test_hessian_peak_memory_stays_near_a_score_pass(pipeline_design):
+    # the sweep works on blocks of individuals and keeps no per-step
+    # parameter tensor, so it needs little more memory than a score pass
+    gamma = est.pack_params(paperlike_params(), pipeline_design.structure)
+
+    def peak(fun):
+        tracemalloc.start()
+        try:
+            fun(gamma)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(pipeline_design.hessian) <= 1.5 * peak(pipeline_design.loglik_and_score)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +614,20 @@ def test_unidentified_combination_stops_at_the_box():
     assert np.isfinite(result.loglik)
 
 
+def test_exact_phase_rejects_points_whose_likelihood_overflows():
+    # 60 people, seed 5: the exact phase proposes a point whose forward
+    # pass floors and whose score overflows; trust-exact asks for the
+    # curvature there before rejecting it, and the fit ends flagged, not
+    # in an error.  The score pass's overflow there is expected
+    structure = paperlike_structure()
+    panel = simulate_panel(SimulationConfig(n=60, structure=structure,
+                                            params=paperlike_params(), seed=5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = est.fit_msm(panel, structure)
+    assert not result.converged and result.warnings
+    assert np.isfinite(result.loglik)
+
+
 def test_wave_without_events_does_not_run_away():
     # no onsets in wave 3: the likelihood rises toward beta_3 -> -inf and is
     # flat past the clip, so the dummy stops at a finite, very negative value
@@ -555,6 +659,31 @@ def test_trend_json_roundtrip(small_fit):
     back = est.TrendSeries.from_json_dict(doc)
     np.testing.assert_array_equal(back.beta, trend.beta)
     np.testing.assert_array_equal(back.cov, trend.cov)
+
+
+def test_fit_with_fixed_misclassification_takes_the_free_block():
+    # with both misclassification logits held, the exact curvature and the
+    # covariance are those of the free parameters alone
+    structure = paperlike_structure()
+    truth = paperlike_params()
+    panel = simulate_panel(SimulationConfig(n=1000, structure=structure, params=truth, seed=4))
+    fixed = {"logit_e12": truth.logit_e12, "logit_e21": truth.logit_e21}
+    result = est.fit_msm(panel, structure, fixed=fixed)
+    assert result.converged
+    free = np.flatnonzero(result.free)
+    assert free.size == len(result.names) - 2
+    design = est.PanelDesign(panel, structure)
+
+    def free_score(x):
+        gamma = result.estimates.copy()
+        gamma[free] = x
+        return design.loglik_and_score(gamma)[1].sum(axis=0)[free]
+
+    want = jacobian_fd(free_score, result.estimates[free])
+    H = design.hessian(result.estimates)[np.ix_(free, free)]
+    assert np.abs(H - want).max() <= 1e-6 * np.abs(want).max()
+    np.testing.assert_allclose(result.se[free], np.sqrt(np.diag(np.linalg.inv(-want))), rtol=1e-6)
+    assert np.all(result.se[~result.free] == 0.0)
 
 
 def test_fixed_names_validated(small_fit):

@@ -12,7 +12,9 @@ from msmtrend.markov import (
     ModelStructure,
     build_intensity,
     load_model_spec,
+    free_entries_jet,
     p12_ratio_grad,
+    p12_ratio_hess,
     save_model_spec,
     spline_basis,
     spline_basis_matrix,
@@ -282,6 +284,51 @@ def test_p12_ratio_grad_matches_mpmath(gap):
                 got = p12_ratio_grad(a, b, w)
                 for g, want in zip(got, reference(a, b, w)):
                     assert abs((g - want) / want) <= 1e-12, (a, b, w)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-8, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 30.0, 700.0])
+def test_p12_ratio_hess_matches_mpmath(gap):
+    # the second derivatives of f = p12/q12 are w^3 times moments of the
+    # kernel; at |a - b| w = gap, on both sides of a = b and of the series
+    # switch at 1, they keep full precision, and at rates of 1e-10 or an
+    # exponent of 700 nothing overflows
+    mpmath.mp.dps = 50
+
+    def reference(a, b, w):
+        a, b, w = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(w)
+        kernel = lambda s: mpmath.exp(-w * (a * (1 - s) + b * s))  # noqa: E731
+        return [w**3 * mpmath.quad(lambda s: g(s) * kernel(s), [0, 1])
+                for g in (lambda s: (1 - s) ** 2, lambda s: s * (1 - s), lambda s: s**2)]
+
+    for w in (0.5, 2.0):
+        for a in (1e-10, 1e-3, 0.3, 5.0):
+            for b in {a + gap / w, max(a - gap / w, 0.0)}:
+                got = p12_ratio_hess(a, b, w)
+                for g, want in zip(got, reference(a, b, w)):
+                    assert np.isfinite(g)
+                    assert abs((g - want) / want) <= 1e-13, (a, b, w)
+
+
+def test_free_entries_jet_matches_central_differences():
+    # gradients against differences of transition_entries, Hessians against
+    # differences of the gradients, on both sides of and at a == b
+    rng = np.random.default_rng(23)
+    for trial in range(50):
+        q = rng.uniform(0.0, 2.0, size=3)
+        if trial % 3 == 0:
+            q[2] = q[0] + q[1]
+        w = float(rng.uniform(0.1, 3.0))
+        grad, hess = free_entries_jet(*q, w)
+        for k in range(3):
+            h = 1e-6 * max(1.0, q[k])
+            up, down = q.copy(), q.copy()
+            up[k] += h
+            down[k] -= h
+            diff = (np.take(transition_entries(*up, w), [0, 1, 3])
+                    - np.take(transition_entries(*down, w), [0, 1, 3])) / (2 * h)
+            np.testing.assert_allclose(grad[:, k], diff, rtol=1e-7, atol=1e-9)
+            diff = (free_entries_jet(*up, w)[0] - free_entries_jet(*down, w)[0]) / (2 * h)
+            np.testing.assert_allclose(hess[:, :, k], diff, rtol=1e-7, atol=1e-9)
 
 
 def test_transition_entries_vjp_matches_central_differences():
