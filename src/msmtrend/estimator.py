@@ -659,7 +659,10 @@ def fit_msm(
         return x
 
     def nll_and_grad(z_free: np.ndarray):
-        value, scores = design.loglik_and_score(gamma_of(z_free))
+        # the adjoint can overflow at a point far from the data; the
+        # non-finite score is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, scores = design.loglik_and_score(gamma_of(z_free))
         scores = scores[:, idx_free] / scale
         if not (np.isfinite(value) and np.all(np.isfinite(scores))):
             # a point the trust region must reject

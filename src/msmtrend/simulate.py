@@ -10,8 +10,8 @@ reported exactly.
 
 Randomness is drawn from per-individual substreams keyed by (seed, id) with
 a fixed draw budget per individual, so output is independent of generation
-order or chunking.  The substreams of all individuals are computed at once,
-in ``uint64`` array arithmetic, and are bit-identical to drawing each one
+order or chunking.  The substreams of all individuals are computed at once
+by :func:`msmtrend.substreams.uniforms`, bit-identical to drawing each one
 from ``numpy.random.default_rng([seed, id])``.
 """
 
@@ -25,6 +25,7 @@ from scipy.special import expit
 from .errors import InvalidSpecError
 from .markov import HazardParams, ModelStructure, covariate_design, log_intensities
 from .panel import Panel
+from .substreams import uniforms
 
 __all__ = ["SimulationConfig", "simulate_panel"]
 
@@ -53,90 +54,6 @@ class SimulationConfig:
         if not 0.0 <= self.female_share <= 1.0:
             raise InvalidSpecError("female_share must lie in [0, 1]")
         self.params.validate(self.structure)
-
-
-_MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier, as (high, low) 64-bit halves
-_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
-
-
-def _seed_words(seed: int, ids: np.ndarray) -> list:
-    """``SeedSequence([seed, id]).generate_state(4, np.uint64)`` for each id.
-
-    NumPy's SeedSequence hash, run on ``uint64`` arrays holding 32-bit words:
-    the entropy is the seed's little-endian uint32 words followed by the id
-    (one word, as ids are below 2**32), mixed into a pool of four words, then
-    drawn out as eight words paired into four uint64 values.
-    """
-    entropy = [np.full(ids.size, seed >> shift & _MASK32, dtype=np.uint64)
-               for shift in range(0, max(seed.bit_length(), 1), 32)] + [ids]
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * 0x931E8875 & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return result ^ result >> 16
-
-    zero = np.zeros(ids.size, dtype=np.uint64)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, len(entropy)):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-    hash_const = 0x8B51F9DD
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _MASK32
-        value = value * hash_const & _MASK32
-        words.append(value ^ value >> 16)
-    return [words[2 * j] | words[2 * j + 1] << 32 for j in range(4)]
-
-
-def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    """High 64 bits of the 128-bit product a * b, from 32-bit limbs."""
-    a_lo, a_hi = a & _MASK32, a >> 32
-    b_lo, b_hi = b & _MASK32, b >> 32
-    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
-    mid = (lo_lo >> 32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)
-    return a_hi * b_hi + (hi_lo >> 32) + (lo_hi >> 32) + (mid >> 32)
-
-
-def _substream_uniforms(seed: int, n: int, m: int) -> np.ndarray:
-    """Row ``id`` is ``np.random.default_rng([seed, id]).random(m)``, for id < n.
-
-    PCG64 (XSL-RR 128/64) is seeded as NumPy seeds it: state 0, increment
-    ``2 * initseq + 1``, one step, add ``initstate``, one step.  Each draw
-    steps the 128-bit LCG, held as (high, low) uint64 halves, and maps the
-    XSL-RR output ``x`` to ``(x >> 11) * 2**-53``.
-    """
-    s_hi, s_lo, i_hi, i_lo = _seed_words(seed, np.arange(n, dtype=np.uint64))
-    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
-    mult_hi, mult_lo = _PCG_MULT
-
-    def step(hi, lo):
-        lo_new = lo * mult_lo + inc_lo
-        hi_new = hi * mult_lo + lo * mult_hi + _mulhi(lo, mult_lo) + inc_hi
-        return hi_new + (lo_new < inc_lo), lo_new
-
-    lo = inc_lo + s_lo
-    hi, lo = step(inc_hi + s_hi + (lo < s_lo), lo)
-    u = np.empty((m, n))
-    for k in range(m):
-        hi, lo = step(hi, lo)
-        x, rot = hi ^ lo, hi >> 58
-        u[k] = (x >> rot | x << (-rot & 63)) >> 11
-    u *= 2.0**-53
-    return u.T
 
 
 def _latent_paths_vectorized(config: SimulationConfig, u: np.ndarray, age0, fem, state0):
@@ -202,7 +119,7 @@ def simulate_panel(config: SimulationConfig) -> Panel:
 
     # layout per individual: [age, female, initial state, path (3 per
     # interval), report (one per wave)]
-    u = _substream_uniforms(config.seed, config.n, 3 + _DRAWS_PER_INTERVAL * T + (T + 1))
+    u = uniforms(config.seed, config.n, 3 + _DRAWS_PER_INTERVAL * T + (T + 1))
     age0 = lo + u[:, 0] * (hi - lo)
     fem = (u[:, 1] < config.female_share).astype(np.int64)
     state0 = np.where(u[:, 2] < p2, 2, 1).astype(np.int64)

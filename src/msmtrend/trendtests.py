@@ -4,7 +4,8 @@ Works on the demeaned first differences of the estimated wave effects.  The
 zero-drift t-test is judged against a normal or t(T-1) distribution; the two
 stochastic-drift statistics are judged against simulated distributions of
 the squared Brownian bridge and Wiener integrals, both drawn from one set of
-Wiener paths, one per (seed, replication) substream.  Long-run variances come
+Wiener paths, one per (seed, replication) substream, seeded as arrays and
+bit-identical to ``default_rng([seed, replication])``.  Long-run variances come
 either from the sample autocovariances of the differenced series
 (homoskedastic) or from the first-stage sampling covariance (HAC).
 """
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.stats import chi2, f as f_dist, norm, t as t_dist
 
 from .errors import InvalidArgumentError
+from .substreams import generators
 from .trend import TrendSeries
 
 __all__ = [
@@ -219,9 +221,10 @@ def _draw_functionals(n_grid: int, reps: int, seed: int) -> tuple[np.ndarray, np
     """Unsorted (int B^2, int W^2) draws, one pair per replication.
 
     Replication ``rep`` draws its ``n_grid`` increments from the substream
-    ``default_rng([seed, rep])``; the Wiener path is their partial sums and
-    the bridge is that path less r times its end point, so one draw serves
-    both functionals.  Replications are processed in blocks of rows with
+    ``default_rng([seed, rep])``, seeded for all replications at once as
+    arrays (:func:`substreams.generators`).  The Wiener path is their partial
+    sums and the bridge is that path less r times its end point, so one draw
+    serves both functionals.  Replications are processed in blocks of rows with
     the arithmetic done in place, element by element in the same order as
     for a single path, and each row sum runs along the contiguous axis, so
     it is the same pairwise sum ``np.sum`` takes of one path: every draw is
@@ -233,11 +236,12 @@ def _draw_functionals(n_grid: int, reps: int, seed: int) -> tuple[np.ndarray, np
     rows = max(1, _BLOCK_ELEMENTS // n_grid)
     work, paths = np.empty((rows, n_grid)), np.empty((rows, n_grid))
     bridge, wiener = np.empty(reps), np.empty(reps)
+    streams = generators(seed, reps)
     for start in range(0, reps, rows):
         stop = min(start + rows, reps)
         x, w = work[: stop - start], paths[: stop - start]
-        for i in range(stop - start):
-            np.random.default_rng([seed, start + i]).standard_normal(out=x[i])
+        for row in x:
+            next(streams).standard_normal(out=row)
         x *= scale
         np.cumsum(x, axis=1, out=w)
         np.multiply(w, w, out=x)

@@ -10,7 +10,7 @@ import pytest
 from msmtrend import trendtests
 from msmtrend.markov import HazardParams, save_model_spec
 
-from conftest import paperlike_structure
+from conftest import paperlike_params, paperlike_structure
 
 
 def fixture_params() -> HazardParams:
@@ -447,6 +447,19 @@ def test_three_wave_stochastic_drift_fit_is_flagged_not_a_traceback(tmp_path):
     else:
         assert res.returncode in (1, 2)
         assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+
+
+def test_failing_small_panel_fit_is_one_stderr_line(tmp_path):
+    # at points the trust region rejects, the score's adjoint overflows;
+    # numpy's warnings from there must not reach stderr
+    spec = tmp_path / "spec.json"
+    save_model_spec(spec, paperlike_structure(), paperlike_params())
+    panel = tmp_path / "panel.csv"
+    assert run_cli("simulate", "--model-spec", spec, "--n", 60, "--seed", 5,
+                   "--out", panel).returncode == 0
+    res = run_cli(*fit_msm_args(panel, tmp_path, spec))
+    assert res.returncode == 2
+    assert res.stderr == "error: numerical: cannot extract trend from a non-converged fit\n"
 
 
 @pytest.mark.parametrize("functional", ["bridge", "wiener"])

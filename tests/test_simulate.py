@@ -5,7 +5,8 @@ from scipy.special import expit
 from msmtrend.errors import InvalidSpecError
 from msmtrend.markov import HazardParams, ModelStructure, transition_probability, build_intensity, Covariates
 from msmtrend.panel import validate_panel
-from msmtrend.simulate import SimulationConfig, _substream_uniforms, simulate_panel
+from msmtrend.simulate import SimulationConfig, simulate_panel
+from msmtrend.substreams import uniforms
 
 from conftest import WAVE_TIMES, paperlike_params, paperlike_structure
 from oracles import (
@@ -95,7 +96,7 @@ def test_substream_uniforms_match_default_rng_bit_for_bit(seed):
     # extra-word mixing loop
     n_waves = 8
     want = np.array([individual_uniforms(seed, ident, n_waves) for ident in range(300)])
-    got = _substream_uniforms(seed, 300, want.shape[1])
+    got = uniforms(seed, 300, want.shape[1])
     assert got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 

@@ -298,12 +298,15 @@ def test_invalid_settings():
 
 # (n_grid, reps, seed, block budget): one block of 1000 rows at n_grid = 2; a
 # partial last block of 25 rows (1000 = 15 * 65 + 25); one-row blocks, with
-# the budget below n_grid; a last block of one row (1000 = 333 * 3 + 1)
+# the budget below n_grid; a last block of one row (1000 = 333 * 3 + 1); seeds
+# of two and three uint32 words
 @pytest.mark.parametrize("n_grid, reps, seed, budget", [
     (2, 1000, 7, None),
     (1001, 1000, 5, None),
     (50, 1000, 3, 40),
     (50, 1000, 3, 150),
+    (50, 1000, 2**32, None),
+    (50, 1000, 2**64 + 5, None),
 ])
 def test_draws_match_the_per_replication_reference(monkeypatch, n_grid, reps, seed, budget):
     if budget is not None:
@@ -314,6 +317,25 @@ def test_draws_match_the_per_replication_reference(monkeypatch, n_grid, reps, se
         assert got.tobytes() == want.tobytes(), functional
         table = simulate_critical_values(functional, n_grid, reps, seed)
         assert table.draws.tobytes() == np.sort(want).tobytes(), functional
+
+
+def test_draws_build_no_generator_per_replication(monkeypatch):
+    # the tables' speed rests on seeding the substreams as arrays, not on
+    # a generator or a SeedSequence built per replication
+    calls = []
+
+    def counted(name):
+        original = getattr(np.random, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("default_rng", "SeedSequence"):
+        monkeypatch.setattr(np.random, name, counted(name))
+    trendtests._critical_tables(50, 1000, 3, (0.95,))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
