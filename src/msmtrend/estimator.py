@@ -3,13 +3,13 @@
 The observed panel is modeled as a misclassified snapshot of the latent
 illness-death chain.  Individual likelihood contributions are computed by
 the forward algorithm over latent states, with per-step rescaling against
-underflow; this equals the nested sum over all latent paths.  The adjoint
-of that recursion (a backward pass) gives the analytic per-individual
-scores, and one more forward sweep over the same recursion, differentiated
-twice, gives the exact Hessian.  The fit is a trust-region Newton method
-whose curvature is first the outer product of those scores (BHHH) and then
-that exact information.  Standard errors come from the inverse of the
-exact information at the estimate.
+underflow; this equals the nested sum over all latent paths.  One backward
+recursion gives the rescaled backward variables, from which come both the
+analytic per-individual scores and, with one more forward sweep
+differentiated twice, the exact Hessian.  The fit is a trust-region Newton
+method whose curvature is first the outer product of those scores (BHHH)
+and then that exact information.  Standard errors come from the inverse of
+the exact information at the estimate.
 """
 
 from __future__ import annotations
@@ -183,29 +183,20 @@ class PanelDesign:
         )
         self.state_idx = np.where(self.valid, self.states - 1, 0)
 
+    def _slots(self) -> np.ndarray:
+        """The local coordinate (see ``_SLOT``) that each entry of the flat
+        parameter vector moves."""
+        return np.concatenate([np.full(size or 1, _SLOT[name])
+                               for name, size in param_layout(self.structure)])
+
     def param_scales(self) -> np.ndarray:
         """Typical regressor magnitude per parameter, used to precondition
-        the optimizer; dummies, baselines and logits scale at one."""
-        st = self.structure
-        act = self.active
-
-        def rms(col):
-            vals = col[act]
-            return max(1.0, float(np.sqrt(np.mean(vals**2))))
-
-        at, i = {}, 0
-        for name, size in param_layout(st):
-            at[name] = i
-            i += size or 1
-        scales = np.ones(i)
-        for j in range(st.n_basis):
-            scales[at["age_spline_12"] + j] = rms(self.basis[:, :, j])
-            scales[at["age_spline_f_12"] + j] = rms(self.basis_f[:, :, j])
-        age_rms = rms(self.age_centered)
-        wave_rms = rms(self.waves.astype(float))
-        scales[[at["age_13"], at["age_23"]]] = age_rms
-        scales[[at["trend_13"], at["trend_23"]]] = wave_rms
-        return scales
+        the optimizer: the root mean square of its row of the design over
+        the active steps, floored at one, so that dummies, baselines and
+        logits scale at one.  The design is built one step at a time."""
+        squares = sum(np.sum(self._step_design(j)[:, act] ** 2, axis=1)
+                      for j, act in enumerate(self.active.T))
+        return np.maximum(1.0, np.sqrt(squares / np.count_nonzero(self.active)))
 
     def loglik(self, gamma: np.ndarray) -> float:
         """Total forward-algorithm log likelihood at parameter vector gamma;
@@ -215,8 +206,8 @@ class PanelDesign:
     def _forward(self, gamma: np.ndarray, tape: dict | None) -> np.ndarray:
         """Per-individual log likelihoods by the rescaled forward recursion.
 
-        With a ``tape`` dict, also records what the backward pass of
-        :meth:`loglik_and_score` needs: parameters, log intensities, rates,
+        With a ``tape`` dict, also records what :meth:`_backward`, the
+        score and the Hessian need: parameters, log intensities, rates,
         transition entries, and per observation the emission factors, the
         filtered state probabilities, the predicted (pre-emission)
         probabilities and the unfloored normalisers.
@@ -269,96 +260,67 @@ class PanelDesign:
         score matrix, one row per individual in id order, one column per
         parameter.
 
-        One forward pass is followed by its adjoint: with rescaled backward
-        variables beta_j, dl/dP_j(r, s) = alpha_{j-1}(r) e_j(s) beta_j(s) / c_j,
-        and similarly for the emission and initial-state entries.  The
-        transition adjoints go through :func:`transition_entries_vjp` and
-        exp(clip(lin)) to the three log-intensity grids, which are then
-        contracted with the compact design.  Conventions: the score is the
-        derivative of the clipped function, so it is zero in a cell where
-        |lin| >= 30; and a step whose normaliser sits on the 1e-300 floor is
-        treated as constant, passing no adjoint back (the score stays finite
-        wherever the log likelihood is).
+        One forward pass is followed by :meth:`_backward`: with its rescaled
+        backward variables beta, dl/dP_j(r, s) = alpha_j(r) e_{j+1}(s)
+        beta_{j+1}(s) / c_{j+1}, and similarly for the emission and
+        initial-state entries.  The transition adjoints go through
+        :func:`transition_entries_vjp` and exp(clip(lin)) to the three
+        log-intensity grids; with the emission logits these are each step's
+        local adjoints, which :meth:`_step_design` carries to the parameters.
+        Conventions: the score is the derivative of the clipped function, so
+        it is zero in a cell where |lin| >= 30; and a step whose normaliser
+        sits on the 1e-300 floor is treated as constant, passing nothing
+        back.  A normaliser just above the floor can still overflow the score
+        where the log likelihood is finite; :func:`fit_msm` rejects such a
+        point.
         """
         tape: dict = {}
         loglik = float(self._forward(gamma, tape).sum())
+        ec, betas, _, (h12, h21, _, _) = self._backward(tape)
         n, steps = self.n, self.n_steps
-        p11, p12, p13, p22, p23 = tape["entries"]
-        alphas, obs, raws = tape["alpha"], tape["obs"], tape["raw"]
-
-        def step_adjoint(abar, k):
-            # adjoint of the unnormalised step k from that of its normalised
-            # result and of its log-normaliser term
-            g = abar - np.sum(abar * alphas[k], axis=1, keepdims=True) + 1.0
-            live = raws[k] >= 1e-300
-            return np.where(live[:, None], g / np.maximum(raws[k], 1e-300)[:, None], 0.0)
-
+        alphas, preds = tape["alpha"], tape["pred"]
+        eb = [e * b for e, b in zip(ec, betas)]
         bars = np.zeros((5, n, steps))
-        gs = [None] * (steps + 1)
-        abar = np.zeros((n, 3))
-        for j in range(steps - 1, -1, -1):
-            act = self.active[:, j]
-            gs[j + 1] = g = np.where(act[:, None], step_adjoint(abar, j + 1), 0.0)
-            pb = g * obs[j + 1]
-            a0, a1 = alphas[j][:, 0], alphas[j][:, 1]
-            bars[:, :, j] = a0 * pb[:, 0], a0 * pb[:, 1], a0 * pb[:, 2], a1 * pb[:, 1], a1 * pb[:, 2]
-            back = np.column_stack((
-                p11[:, j] * pb[:, 0] + p12[:, j] * pb[:, 1] + p13[:, j] * pb[:, 2],
-                p22[:, j] * pb[:, 1] + p23[:, j] * pb[:, 2],
-                pb[:, 2],
-            ))
-            abar = np.where(act[:, None], back, abar)
-        gs[0] = step_adjoint(abar, 0)
-        # adjoint of each emission factor E[s, o_j]: g_j(s) times the
-        # predicted probability (the initial distribution at j = 0)
-        d_obs = np.stack(gs, axis=1) * np.stack(tape["pred"], axis=1)
-        # d E[0, o] / d e12 for observed o = 1, 2, 3; d E[1, o] / d e21 is its negative
-        sign = np.array([-1.0, 1.0, 0.0])[self.state_idx]
-        d_e12 = np.sum(d_obs[:, :, 0] * sign, axis=1)
-        d_e21 = -np.sum(d_obs[:, :, 1] * sign, axis=1)
-        d_p2 = gs[0][:, 1] * obs[0][:, 1] - gs[0][:, 0] * obs[0][:, 0]
-
-        q12, q13, q23 = tape["rates"]
-        qbars = transition_entries_vjp(q12, q13, q23, self.widths, bars)
+        for j in range(steps):
+            (a0, a1, _), (e0, e1, e2) = alphas[j].T, eb[j + 1].T
+            bars[:, :, j] = a0 * e0, a0 * e1, a0 * e2, a1 * e1, a1 * e2
+        rates = tape["rates"]
+        qbars = transition_entries_vjp(*rates, self.widths, bars)
         # d exp(clip(lin)) / d lin = q inside the clip, 0 outside
         l12, l13, l23 = (qb * q * (np.abs(lin) < _LIN_CLIP)
-                         for qb, q, lin in zip(qbars, tape["rates"], tape["lins"]))
-        T = self.structure.n_waves
-        cell = np.arange(n)[:, None] * T + self.waves - 1
-        fem = self.female
-        params = tape["params"]
-        e12, e21, p2 = expit([params.logit_e12, params.logit_e21, params.logit_p2])
-        cols = {
-            "beta": np.bincount(cell.ravel(), l12.ravel(), minlength=n * T).reshape(n, T),
-            "female_12": fem * l12.sum(axis=1),
-            "age_spline_12": np.einsum("ij,ijk->ik", l12, self.basis),
-            "age_spline_f_12": np.einsum("ij,ijk->ik", l12, self.basis_f),
-            "logit_e12": d_e12 * e12 * (1.0 - e12),
-            "logit_e21": d_e21 * e21 * (1.0 - e21),
-            "logit_p2": d_p2 * p2 * (1.0 - p2),
-        }
-        for k, lin in (("13", l13), ("23", l23)):
-            total = lin.sum(axis=1)
-            cols[f"log_q{k}_0"] = total
-            cols[f"female_{k}"] = fem * total
-            cols[f"age_{k}"] = np.sum(lin * self.age_centered, axis=1)
-            cols[f"trend_{k}"] = np.sum(lin * self.waves, axis=1)
-        return loglik, np.column_stack([cols[name] for name, _ in param_layout(self.structure)])
+                         for qb, q, lin in zip(qbars, rates, tape["lins"]))
+        # the emission logits at each observation: the predicted probability
+        # (the initial distribution at 0) times d(e/c) times beta
+        d_e12 = [pred[:, 0] * h12[:, k] * b[:, 0] for k, (pred, b) in enumerate(zip(preds, betas))]
+        d_e21 = [pred[:, 1] * h21[:, k] * b[:, 1] for k, (pred, b) in enumerate(zip(preds, betas))]
+        slot = self._slots()
+        scores = np.zeros((slot.size, n))
+        p2 = expit(tape["params"].logit_p2)
+        scores[slot >= 3] = d_e12[0], d_e21[0], p2 * (1.0 - p2) * (eb[0][:, 1] - eb[0][:, 0])
+        zero = np.zeros(n)
+        for j in range(steps):
+            local = np.array((l12[:, j], l13[:, j], l23[:, j], d_e12[j + 1], d_e21[j + 1], zero))
+            scores += local[slot] * self._step_design(j)
+        return loglik, scores.T.copy()
 
     def _step_design(self, j: int) -> np.ndarray:
         """Design of step j folded to one row per parameter and one column
         per individual: the derivative of the step's local coordinate that
         the parameter enters (see ``_SLOT``) with respect to it."""
-        wave, fem, one = self.waves[:, j], self.female, np.ones(self.n)
+        wave, fem = self.waves[:, j], self.female
         rows = {"beta": np.arange(self.structure.n_waves)[:, None] == wave - 1,
                 "female_12": fem, "age_spline_12": self.basis[:, j].T,
                 "age_spline_f_12": self.basis_f[:, j].T,
-                "logit_e12": one, "logit_e21": one, "logit_p2": 0.0 * one}
+                "logit_e12": 1.0, "logit_e21": 1.0, "logit_p2": 0.0}
         for k in ("13", "23"):
-            rows.update({f"log_q{k}_0": one, f"female_{k}": fem,
+            rows.update({f"log_q{k}_0": 1.0, f"female_{k}": fem,
                          f"age_{k}": self.age_centered[:, j], f"trend_{k}": wave})
-        return np.vstack([np.atleast_2d(rows[name]) for name, _ in param_layout(self.structure)],
-                         dtype=float)
+        layout = param_layout(self.structure)
+        G, i = np.empty((sum(size or 1 for _, size in layout), self.n)), 0
+        for name, size in layout:
+            G[i: i + (size or 1)] = rows[name]
+            i += size or 1
+        return G
 
     def hessian(self, gamma: np.ndarray) -> np.ndarray:
         """Hessian of the log likelihood: the Jacobian of the summed score of
@@ -378,36 +340,26 @@ class PanelDesign:
         sub.n = sub.female.size
         return sub
 
-    def _hessian(self, gamma: np.ndarray) -> np.ndarray:
-        """Hessian of the log likelihood over all of this design's individuals.
+    def _backward(self, tape: dict):
+        """The one backward recursion, over the tape of :meth:`_forward`.
 
         The forward pass is rescaled, so step j is the factor
-        F_j = P_j diag(e_{j+1}) / c_{j+1}, the initial one is pi * e_0 / c_0,
-        and the forward and backward variables satisfy alpha_j beta_j = 1.
-        Holding the normalisers, each individual's likelihood is then a
-        product of factors equal to one, and its Hessian is A - s s' with s
-        its score (Lystig & Hughes 2002; Turner 2008).  A has within-step
-        terms alpha_j d2F_j beta_{j+1} and cross-step terms
-        alpha_j dF_j F_{j+1} ... F_{k-1} dF_k beta_{k+1}.  One forward sweep
-        gathers the cross terms in a left accumulator S, one (p, n) slice per
-        state, S <- S F_j + D_j'(alpha_j dF_j), where D_j maps the step's
-        local coordinates (three log intensities, two misclassification
-        logits) to the parameters.  S beta_j is the score of the factors
-        before step j, so s comes from the same sweep.  A step whose
-        normaliser sits on its floor cuts the score's dependence in two, so
-        it closes a segment: its outer product s s' is taken there and S
-        restarts at zero.  Padded cells have width zero, so P = I there and
-        every derivative of it vanishes; with e/c set to one their factor
-        is the identity.
+        F_j = P_j diag(e_{j+1}) / c_{j+1} and the initial one is
+        pi * e_0 / c_0.  Returns four things:
+
+        - per observation, the emission factors e/c, one at padded cells and
+          zero where c sits on its floor;
+        - the rescaled backward variables beta_j = F_j beta_{j+1}, one at
+          the last observation, so that alpha_j beta_j = 1; a step whose
+          normaliser is floored cuts the dependence on what precedes it, so
+          the beta before it restarts at one;
+        - the floored cells;
+        - (h12, h21, hh12, hh21): the first and second derivatives of e(0)/c
+          in logit e12 and of e(1)/c in logit e21, the only emission
+          entries that move.
         """
-        tape: dict = {}
-        self._forward(gamma, tape)
         n, steps = self.n, self.n_steps
-        slot = np.concatenate([np.full(size or 1, _SLOT[name])
-                               for name, size in param_layout(self.structure)])
-        p = slot.size
         p11, p12, p13, p22, p23 = tape["entries"]
-        alphas, preds = tape["alpha"], tape["pred"]
         raw = np.column_stack(tape["raw"])
         live = self.valid & (raw >= 1e-300)
         floored = self.valid & ~live
@@ -415,12 +367,10 @@ class PanelDesign:
         ec = [np.where(self.valid[:, k, None], tape["obs"][k] * inv_c[:, k, None], 1.0)
               for k in range(steps + 1)]
         params = tape["params"]
-        e12, e21, p2 = expit([params.logit_e12, params.logit_e21, params.logit_p2])
-        # first and second derivatives of e(0)/c and e(1)/c, the only
-        # emission entries that move, in logit e12 and logit e21
+        e12, e21 = expit([params.logit_e12, params.logit_e21])
         sign = np.array([-1.0, 1.0, 0.0])[self.state_idx] * inv_c
         h12, h21 = sign * e12 * (1.0 - e12), -sign * e21 * (1.0 - e21)
-        hh12, hh21 = h12 * (1.0 - 2.0 * e12), h21 * (1.0 - 2.0 * e21)
+        slopes = h12, h21, h12 * (1.0 - 2.0 * e12), h21 * (1.0 - 2.0 * e21)
 
         betas = [np.ones((n, 3))] * (steps + 1)
         for j in range(steps - 1, -1, -1):
@@ -431,6 +381,37 @@ class PanelDesign:
                 eb[:, 2],
             ))
             betas[j] = np.where(floored[:, j + 1, None], 1.0, back)
+        return ec, betas, floored, slopes
+
+    def _hessian(self, gamma: np.ndarray) -> np.ndarray:
+        """Hessian of the log likelihood over all of this design's individuals.
+
+        With the factors and backward variables of :meth:`_backward`,
+        holding the normalisers, each individual's likelihood is a product
+        of factors equal to one, and its Hessian is A - s s' with s its
+        score (Lystig & Hughes 2002; Turner 2008).  A has within-step terms
+        alpha_j d2F_j beta_{j+1} and cross-step terms
+        alpha_j dF_j F_{j+1} ... F_{k-1} dF_k beta_{k+1}.  One forward sweep
+        gathers the cross terms in a left accumulator S, one (p, n) slice per
+        state, S <- S F_j + D_j'(alpha_j dF_j), where D_j is the map
+        :meth:`_step_design` from the step's local coordinates (three log
+        intensities, two misclassification logits) to the parameters.
+        S beta_j is the score of the factors before step j, so s comes from
+        the same sweep.  A step whose normaliser sits on its floor cuts the
+        score's dependence in two, so it closes a segment: its outer product
+        s s' is taken there and S restarts at zero.  Padded cells have width
+        zero, so P = I there and every derivative of it vanishes; with e/c
+        set to one their factor is the identity.
+        """
+        tape: dict = {}
+        self._forward(gamma, tape)
+        ec, betas, floored, (h12, h21, hh12, hh21) = self._backward(tape)
+        n, steps = self.n, self.n_steps
+        slot = self._slots()
+        p = slot.size
+        p11, p12, p13, p22, p23 = tape["entries"]
+        alphas, preds = tape["alpha"], tape["pred"]
+        p2 = expit(tape["params"].logit_p2)
 
         # A is gathered as a half whose sum with its transpose is A
         A = np.zeros((p, p))

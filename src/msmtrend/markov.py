@@ -7,9 +7,9 @@ covariates: the 1->2 transition carries a natural cubic spline in age, a
 female indicator, their interaction and one free dummy per wave; the two
 mortality transitions are linear in age, female and the wave index.
 
-One hazard kernel serves the likelihood, the simulator and the scalar
-wrappers: :func:`covariate_design` and :func:`log_intensities` map
-covariates and parameters to log intensities, and
+One hazard kernel serves the likelihood, the simulator and
+:func:`build_intensity`: :func:`covariate_design` and
+:func:`log_intensities` map covariates and parameters to log intensities, and
 :func:`transition_entries` maps intensities and interval widths to the
 closed-form transition probabilities; :func:`transition_entries_vjp`
 carries derivatives back along the same chain for the likelihood score, and
@@ -32,11 +32,9 @@ __all__ = [
     "ModelStructure",
     "HazardParams",
     "IntensityMatrix",
-    "TransitionMatrix",
     "spline_basis",
     "spline_basis_matrix",
     "build_intensity",
-    "transition_probability",
     "covariate_design",
     "log_intensities",
     "transition_entries",
@@ -261,38 +259,6 @@ class IntensityMatrix:
         if q[1, 0] != 0.0 or q[2, 0] != 0.0 or q[2, 1] != 0.0:
             raise InvalidSpecError("reverse transitions are not permitted")
 
-    @property
-    def q12(self) -> float:
-        return float(self.matrix[0, 1])
-
-    @property
-    def q13(self) -> float:
-        return float(self.matrix[0, 2])
-
-    @property
-    def q23(self) -> float:
-        return float(self.matrix[1, 2])
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Validated 3x3 interval transition probability matrix."""
-
-    matrix: np.ndarray
-    width: float
-
-    def __post_init__(self):
-        p = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", p)
-        if p.shape != (3, 3):
-            raise InvalidSpecError("transition matrix must be 3x3")
-        if np.any(p < -ROW_SUM_TOL) or np.any(p > 1 + ROW_SUM_TOL):
-            raise NumericalError("transition probabilities outside [0, 1]")
-        if np.any(np.abs(p.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-            raise NumericalError("transition rows must sum to 1")
-        if p[1, 0] != 0.0 or p[2, 0] != 0.0 or p[2, 1] != 0.0 or p[2, 2] != 1.0:
-            raise NumericalError("triangular structure violated")
-
 
 def covariate_design(structure: ModelStructure, ages, female):
     """Centered spline basis, its female interaction and centered age.
@@ -506,24 +472,6 @@ def transition_entries_vjp(q12, q13, q23, w, bars):
     abar = w * np.exp(-a * w) * (p13b - p11b) + c12 * q12 * fa
     q23b = w * np.exp(-b * w) * (p23b - p22b) + c12 * q12 * fb
     return abar + c12 * f, abar, q23b
-
-
-def transition_probability(Q: IntensityMatrix, w: float) -> TransitionMatrix:
-    """Interval transition matrix P = exp(wQ) over an interval of width ``w``."""
-    if not (w > 0 and math.isfinite(w)):
-        raise InvalidArgumentError(f"interval width must be positive, got {w}")
-    p11, p12, p13, p22, p23 = transition_entries(Q.q12, Q.q13, Q.q23, float(w))
-    p = np.array(
-        [
-            [float(p11), float(p12), float(p13)],
-            [0.0, float(p22), float(p23)],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    # clip roundoff at the domain edge, never more than a few ulp
-    p[0] = np.clip(p[0], 0.0, 1.0)
-    p[0, 0] = 1.0 - p[0, 1] - p[0, 2]
-    return TransitionMatrix(p, float(w))
 
 
 def save_model_spec(path, structure: ModelStructure, params: HazardParams | None = None) -> None:

@@ -13,18 +13,33 @@ formatted each distinct value once.  The simulator's uniforms come from one
 ``default_rng([seed, id])`` per individual, as the package drew them before it
 computed every substream at once.  The central-difference Jacobian of the
 score is the judge of the exact Hessian that replaced it in the fit, and
-``forward_loglik`` builds a design for each likelihood it is asked for.
+``forward_loglik`` builds a design for each likelihood it is asked for.  The
+adjoint score and the per-field parameter scales are the step-one code that
+one backward recursion and one design map replaced.  The scalar transition
+matrix and its wrapper restate the closed form for one generator at a time.
 """
 
 import math
 from itertools import combinations
 
-import numpy as np
+from dataclasses import dataclass
 
-from msmtrend.errors import InvalidArgumentError
-from msmtrend.estimator import PanelDesign, pack_params
+import numpy as np
+from scipy.special import expit
+
+from msmtrend.errors import InvalidArgumentError, InvalidSpecError, NumericalError
+from msmtrend.estimator import _LIN_CLIP, PanelDesign, pack_params
 from msmtrend.gain import CoefficientTable, gain_sequence
-from msmtrend.markov import Covariates, HazardParams, build_intensity
+from msmtrend.markov import (
+    ROW_SUM_TOL,
+    Covariates,
+    HazardParams,
+    IntensityMatrix,
+    build_intensity,
+    param_layout,
+    transition_entries,
+    transition_entries_vjp,
+)
 
 
 def format_number(x) -> str:
@@ -85,7 +100,7 @@ def simulate_individual_path(structure, params, age0, female, u, state0=1):
         t_left = wt[k - 1]
         width = wt[k] - wt[k - 1]
         q = build_intensity(structure, params, Covariates(age0 + t_left, female), k)
-        q12, q13, q23 = q.q12, q.q13, q.q23
+        q12, q13, q23 = rates(q)
         u1, u2, u3 = u[3 * (k - 1): 3 * k]
         if state == 1:
             total = q12 + q13
@@ -221,6 +236,147 @@ def jacobian_fd(fun, x, step: float = 1e-5) -> np.ndarray:
         xm = x.copy(); xm[k] -= h
         cols.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2 * h))
     return np.column_stack(cols)
+
+
+# ---------------------------------------------------------------------------
+# step one: one generator at a time, the adjoint score, per-field scales
+
+
+def rates(Q: IntensityMatrix) -> tuple:
+    """The three free intensities (q12, q13, q23) of a generator."""
+    return float(Q.matrix[0, 1]), float(Q.matrix[0, 2]), float(Q.matrix[1, 2])
+
+
+@dataclass(frozen=True)
+class TransitionMatrix:
+    """Validated 3x3 interval transition probability matrix."""
+
+    matrix: np.ndarray
+    width: float
+
+    def __post_init__(self):
+        p = np.asarray(self.matrix, dtype=float)
+        object.__setattr__(self, "matrix", p)
+        if p.shape != (3, 3):
+            raise InvalidSpecError("transition matrix must be 3x3")
+        if np.any(p < -ROW_SUM_TOL) or np.any(p > 1 + ROW_SUM_TOL):
+            raise NumericalError("transition probabilities outside [0, 1]")
+        if np.any(np.abs(p.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+            raise NumericalError("transition rows must sum to 1")
+        if p[1, 0] != 0.0 or p[2, 0] != 0.0 or p[2, 1] != 0.0 or p[2, 2] != 1.0:
+            raise NumericalError("triangular structure violated")
+
+
+def transition_probability(Q: IntensityMatrix, w: float) -> TransitionMatrix:
+    """Interval transition matrix P = exp(wQ) over an interval of width ``w``."""
+    if not (w > 0 and math.isfinite(w)):
+        raise InvalidArgumentError(f"interval width must be positive, got {w}")
+    p11, p12, p13, p22, p23 = transition_entries(*rates(Q), float(w))
+    p = np.array(
+        [
+            [float(p11), float(p12), float(p13)],
+            [0.0, float(p22), float(p23)],
+            [0.0, 0.0, 1.0],
+        ]
+    )
+    # clip roundoff at the domain edge, never more than a few ulp
+    p[0] = np.clip(p[0], 0.0, 1.0)
+    p[0, 0] = 1.0 - p[0, 1] - p[0, 2]
+    return TransitionMatrix(p, float(w))
+
+
+def score_adjoint(design: PanelDesign, gamma) -> tuple:
+    """Log likelihood and per-individual scores by the exact adjoint of the
+    rescaled forward recursion, its own backward recursion over the
+    normalised forward variables, contracted field by field with the
+    design; the conventions of ``PanelDesign.loglik_and_score``."""
+    tape: dict = {}
+    loglik = float(design._forward(gamma, tape).sum())
+    n, steps = design.n, design.n_steps
+    p11, p12, p13, p22, p23 = tape["entries"]
+    alphas, obs, raws = tape["alpha"], tape["obs"], tape["raw"]
+
+    def step_adjoint(abar, k):
+        # adjoint of the unnormalised step k from that of its normalised
+        # result and of its log-normaliser term
+        g = abar - np.sum(abar * alphas[k], axis=1, keepdims=True) + 1.0
+        live = raws[k] >= 1e-300
+        return np.where(live[:, None], g / np.maximum(raws[k], 1e-300)[:, None], 0.0)
+
+    bars = np.zeros((5, n, steps))
+    gs = [None] * (steps + 1)
+    abar = np.zeros((n, 3))
+    for j in range(steps - 1, -1, -1):
+        act = design.active[:, j]
+        gs[j + 1] = g = np.where(act[:, None], step_adjoint(abar, j + 1), 0.0)
+        pb = g * obs[j + 1]
+        a0, a1 = alphas[j][:, 0], alphas[j][:, 1]
+        bars[:, :, j] = a0 * pb[:, 0], a0 * pb[:, 1], a0 * pb[:, 2], a1 * pb[:, 1], a1 * pb[:, 2]
+        back = np.column_stack((
+            p11[:, j] * pb[:, 0] + p12[:, j] * pb[:, 1] + p13[:, j] * pb[:, 2],
+            p22[:, j] * pb[:, 1] + p23[:, j] * pb[:, 2],
+            pb[:, 2],
+        ))
+        abar = np.where(act[:, None], back, abar)
+    gs[0] = step_adjoint(abar, 0)
+    # adjoint of each emission factor E[s, o_j]: g_j(s) times the
+    # predicted probability (the initial distribution at j = 0)
+    d_obs = np.stack(gs, axis=1) * np.stack(tape["pred"], axis=1)
+    # d E[0, o] / d e12 for observed o = 1, 2, 3; d E[1, o] / d e21 is its negative
+    sign = np.array([-1.0, 1.0, 0.0])[design.state_idx]
+    d_e12 = np.sum(d_obs[:, :, 0] * sign, axis=1)
+    d_e21 = -np.sum(d_obs[:, :, 1] * sign, axis=1)
+    d_p2 = gs[0][:, 1] * obs[0][:, 1] - gs[0][:, 0] * obs[0][:, 0]
+
+    q12, q13, q23 = tape["rates"]
+    qbars = transition_entries_vjp(q12, q13, q23, design.widths, bars)
+    # d exp(clip(lin)) / d lin = q inside the clip, 0 outside
+    l12, l13, l23 = (qb * q * (np.abs(lin) < _LIN_CLIP)
+                     for qb, q, lin in zip(qbars, tape["rates"], tape["lins"]))
+    T = design.structure.n_waves
+    cell = np.arange(n)[:, None] * T + design.waves - 1
+    fem = design.female
+    params = tape["params"]
+    e12, e21, p2 = expit([params.logit_e12, params.logit_e21, params.logit_p2])
+    cols = {
+        "beta": np.bincount(cell.ravel(), l12.ravel(), minlength=n * T).reshape(n, T),
+        "female_12": fem * l12.sum(axis=1),
+        "age_spline_12": np.einsum("ij,ijk->ik", l12, design.basis),
+        "age_spline_f_12": np.einsum("ij,ijk->ik", l12, design.basis_f),
+        "logit_e12": d_e12 * e12 * (1.0 - e12),
+        "logit_e21": d_e21 * e21 * (1.0 - e21),
+        "logit_p2": d_p2 * p2 * (1.0 - p2),
+    }
+    for k, lin in (("13", l13), ("23", l23)):
+        total = lin.sum(axis=1)
+        cols[f"log_q{k}_0"] = total
+        cols[f"female_{k}"] = fem * total
+        cols[f"age_{k}"] = np.sum(lin * design.age_centered, axis=1)
+        cols[f"trend_{k}"] = np.sum(lin * design.waves, axis=1)
+    return loglik, np.column_stack([cols[name] for name, _ in param_layout(design.structure)])
+
+
+def param_scales_by_field(design: PanelDesign) -> np.ndarray:
+    """Root mean square of each covariate over the active steps, floored at
+    one, written out field by field; dummies, baselines and logits scale at
+    one."""
+    st, act = design.structure, design.active
+
+    def rms(col):
+        vals = col[act]
+        return max(1.0, float(np.sqrt(np.mean(vals**2))))
+
+    at, i = {}, 0
+    for name, size in param_layout(st):
+        at[name] = i
+        i += size or 1
+    scales = np.ones(i)
+    for j in range(st.n_basis):
+        scales[at["age_spline_12"] + j] = rms(design.basis[:, :, j])
+        scales[at["age_spline_f_12"] + j] = rms(design.basis_f[:, :, j])
+    scales[[at["age_13"], at["age_23"]]] = rms(design.age_centered)
+    scales[[at["trend_13"], at["trend_23"]]] = rms(design.waves.astype(float))
+    return scales
 
 
 # ---------------------------------------------------------------------------

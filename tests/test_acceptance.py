@@ -20,7 +20,7 @@ from scipy.stats import norm
 import msmtrend.estimator as est
 from msmtrend.gain import exact_coefficients, fixed_point, gain_sequence, power
 from msmtrend.kalman import FilterModel, bic, diagnostics, fit_filter, run_filter
-from msmtrend.markov import IntensityMatrix, save_model_spec, transition_probability
+from msmtrend.markov import IntensityMatrix, save_model_spec
 from msmtrend.simulate import SimulationConfig, simulate_panel
 from msmtrend.trendtests import (
     demean_diff_transform,
@@ -36,7 +36,8 @@ from conftest import (
     record_acceptance,
     taylor_expm,
 )
-from oracles import enumerate_coefficients_oracle, forward_loglik, mc_power
+from oracles import (enumerate_coefficients_oracle, forward_loglik, mc_power,
+                     transition_probability)
 from test_estimator import SMALL_STRUCTURE, enumeration_loglik, random_panel, random_params
 
 

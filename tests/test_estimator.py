@@ -9,12 +9,13 @@ from scipy.special import expit
 
 import msmtrend.estimator as est
 from msmtrend.errors import DataValidationError, CurvatureError, InvalidArgumentError
-from msmtrend.markov import Covariates, HazardParams, ModelStructure, build_intensity, transition_probability
+from msmtrend.markov import Covariates, HazardParams, ModelStructure, build_intensity
 from msmtrend.panel import Panel
 from msmtrend.simulate import SimulationConfig, simulate_panel
 
 from conftest import WAVE_TIMES, paperlike_params, paperlike_structure
-from oracles import forward_loglik, individual_slices, jacobian_fd
+from oracles import (forward_loglik, individual_slices, jacobian_fd, param_scales_by_field,
+                     score_adjoint, transition_probability)
 
 
 SMALL_STRUCTURE = ModelStructure(knots=(58.0, 68.0, 80.0), wave_times=(0.0, 2.0, 4.0, 6.0))
@@ -269,6 +270,38 @@ def test_score_matches_gradient_fd_on_pipeline_panel(pipeline_design):
     truth = est.pack_params(paperlike_params(), pipeline_design.structure)
     for _ in range(3):
         assert_score_matches_fd(pipeline_design, truth + rng.normal(0.0, 0.2, truth.size))
+
+
+def test_score_matches_adjoint_oracle(pipeline_design):
+    # the score from the shared backward variables against the exact adjoint
+    # of the forward recursion that it replaced, on every panel family
+    cases = [(est.PanelDesign(panel, SMALL_STRUCTURE), est.pack_params(params, SMALL_STRUCTURE))
+             for params, panel in enumeration_panels()]
+    cases += [(design, gamma) for design, gamma, _ in beyond_the_clip_cases()]
+    cases.append((pipeline_design, est.pack_params(paperlike_params(), pipeline_design.structure)))
+    for design, gamma in cases:
+        loglik, scores = design.loglik_and_score(gamma)
+        want_loglik, want = score_adjoint(design, gamma)
+        assert loglik == want_loglik
+        assert np.abs(scores - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_param_scales_are_the_design_rows_rms(pipeline_design):
+    # the root mean square of each design row equals the per-field formula,
+    # and the design is built a step at a time, never as one (p, n, steps)
+    # array
+    for design in (pipeline_design, *(est.PanelDesign(panel, SMALL_STRUCTURE)
+                                      for _, panel in enumeration_panels())):
+        want = param_scales_by_field(design)
+        assert np.abs(design.param_scales() - want).max() <= 1e-13 * np.abs(want).max()
+    design = pipeline_design
+    tracemalloc.start()
+    try:
+        design.param_scales()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * len(est.param_names(design.structure)) * design.n * design.n_steps * 8
 
 
 def test_exact_information_matches_hessian_fd():

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import expit
 
 from msmtrend.errors import InvalidSpecError
-from msmtrend.markov import HazardParams, ModelStructure, transition_probability, build_intensity, Covariates
+from msmtrend.markov import HazardParams, ModelStructure, build_intensity, Covariates
 from msmtrend.panel import validate_panel
 from msmtrend.simulate import SimulationConfig, simulate_panel
 from msmtrend.substreams import uniforms
@@ -15,6 +15,7 @@ from oracles import (
     individual_slices,
     individual_uniforms,
     simulate_individual_path,
+    transition_probability,
 )
 
 
