@@ -12,6 +12,7 @@ error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -230,7 +231,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise CliUsageError(f"bad grid spec {spec!r}, expected start:stop:step") from exc
-    if step <= 0 or stop < start:
+    # a finite grid whose point count indexes a float64 array
+    if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start
+            and (stop - start) / step < np.iinfo(np.intp).max // 8):
         raise CliUsageError(f"bad grid spec {spec!r}")
     n = int(round((stop - start) / step)) + 1
     return start + step * np.arange(n)
@@ -292,48 +295,46 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn, parser=p)
         p.add_argument("--config", help="JSON file supplying defaults for any flag")
-        p.add_argument("--threads", type=int, default=None,
-                       help="reserved; results never depend on thread count")
         return p
 
     p = add("simulate", cmd_simulate, "generate a synthetic misclassified panel CSV")
     p.add_argument("--model-spec", help="model-spec JSON with a params block")
     p.add_argument("--n", type=int, help="number of individuals")
     p.add_argument("--seed", type=int, help="RNG seed (required)")
-    p.add_argument("--age-min", type=float, default=None)
-    p.add_argument("--age-max", type=float, default=None)
-    p.add_argument("--female-share", type=float, default=None)
+    p.add_argument("--age-min", type=float, default=52.0)
+    p.add_argument("--age-max", type=float, default=88.0)
+    p.add_argument("--female-share", type=float, default=0.55)
     p.add_argument("--out", help="output panel CSV")
 
     p = add("fit-msm", cmd_fit_msm, "fit the multi-state model to a panel CSV")
     p.add_argument("--panel")
     p.add_argument("--model-spec", help="structure JSON; defaults derived from the panel")
-    p.add_argument("--maxiter", type=int, default=None, help="bound on trust-region iterations")
+    p.add_argument("--maxiter", type=int, default=500, help="bound on trust-region iterations")
     p.add_argument("--out-estimate")
     p.add_argument("--out-trend")
 
     p = add("fit-filter", cmd_fit_filter, "ML filter fit, diagnostics and forecast")
     p.add_argument("--trend")
-    p.add_argument("--variant", choices=kalman.VARIANTS, default=None)
-    p.add_argument("--mode", choices=("constrained", "free"), default=None)
-    p.add_argument("--level", type=float, default=None)
-    p.add_argument("--lags", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--variant", choices=kalman.VARIANTS, default="zero_drift")
+    p.add_argument("--mode", choices=("constrained", "free"), default="constrained")
+    p.add_argument("--level", type=float, default=0.90)
+    p.add_argument("--lags", type=int, default=4)
+    p.add_argument("--horizon", type=int, default=10)
     p.add_argument("--out")
     p.add_argument("--out-forecast")
 
     p = add("test-trend", cmd_test_trend, "nonparametric drift tests")
     p.add_argument("--trend")
-    p.add_argument("--lags", type=int, default=None)
-    p.add_argument("--estimator", choices=("hac", "long_run"), default=None)
-    p.add_argument("--dist", choices=("normal", "t"), default=None)
-    p.add_argument("--double-offdiag", action="store_true", default=None)
-    p.add_argument("--mc-grid", type=int, default=None)
-    p.add_argument("--mc-reps", type=int, default=None)
+    p.add_argument("--lags", type=int, default=3)
+    p.add_argument("--estimator", choices=("hac", "long_run"), default="hac")
+    p.add_argument("--dist", choices=("normal", "t"), default="normal")
+    p.add_argument("--double-offdiag", action="store_true")
+    p.add_argument("--mc-grid", type=int, default=1000)
+    p.add_argument("--mc-reps", type=int, default=20_000)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--out-critical")
-    p.add_argument("--critical-functional", choices=("bridge", "wiener"), default=None)
+    p.add_argument("--critical-functional", choices=("bridge", "wiener"), default="bridge")
 
     p = add("gain-analysis", cmd_gain_analysis, "gain trajectory and fixed points")
     p.add_argument("--trend")
@@ -346,8 +347,8 @@ def build_parser() -> _Parser:
     p = add("power-curve", cmd_power_curve, "analytic power/size curves")
     p.add_argument("--k", type=int)
     p.add_argument("--s", type=float)
-    p.add_argument("--mode", choices=("exact", "asymptotic"), default=None)
-    p.add_argument("--grid", default=None, help="start:stop:step for eta/sigma_eta")
+    p.add_argument("--mode", choices=("exact", "asymptotic"), default="exact")
+    p.add_argument("--grid", default="-3:0:0.1", help="start:stop:step for eta/sigma_eta")
     p.add_argument("--out")
     p.add_argument("--size-out")
 
@@ -364,66 +365,47 @@ def build_parser() -> _Parser:
     return parser
 
 
-_DEFAULTS = {
-    "simulate": {"age_min": 52.0, "age_max": 88.0, "female_share": 0.55},
-    "fit-msm": {"maxiter": 500},
-    "fit-filter": {"variant": "zero_drift", "mode": "constrained", "level": 0.90,
-                   "lags": 4, "horizon": 10},
-    "test-trend": {"lags": 3, "estimator": "hac", "dist": "normal",
-                   "double_offdiag": False, "mc_grid": 1000, "mc_reps": 20000,
-                   "critical_functional": "bridge"},
-    "gain-analysis": {},
-    "power-curve": {"mode": "exact", "grid": "-3:0:0.1"},
-    "report": {},
-    "validate": {},
-}
-
-
-def _apply_config(args) -> None:
-    """Fill unset flags from --config, then from built-in defaults.
+def _config_tokens(args) -> list:
+    """The flag tokens that ``--config`` stands for.
 
     Config values pass through the subcommand's own argparse actions, so a
     value of the wrong type, outside the choices or under an unknown key
     fails as it would on the command line.
     """
-    if getattr(args, "config", None):
-        config = read_json(args.config)
-        if not isinstance(config, dict):
-            raise DataValidationError(f"{args.config}: config must be a JSON object")
-        actions = {a.dest: a for a in args.parser._actions
-                   if a.option_strings and a.dest not in ("help", "config")}
-        tokens, dests = [], []
-        for key, value in config.items():
-            action = actions.get(key.replace("-", "_"))
-            if action is None:
-                raise CliUsageError(f"{args.config}: unknown key {key!r} for {args.command}")
-            flag = action.option_strings[-1]
-            if action.nargs == 0:  # store_true switch
-                if not isinstance(value, bool):
-                    raise CliUsageError(f"{args.config}: {key!r} must be true or false")
-                tokens += [flag] if value else []
-            elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
-                tokens.append(f"{flag}={value}")
-            else:
-                raise CliUsageError(f"{args.config}: {key!r} must be a number or a string")
-            dests.append(action.dest)
-        try:
-            parsed = args.parser.parse_args(tokens)
-        except CliUsageError as exc:
-            raise CliUsageError(f"{args.config}: {exc}") from exc
-        for dest in dests:
-            if getattr(args, dest) is None:
-                setattr(args, dest, getattr(parsed, dest))
-    for key, value in _DEFAULTS.get(args.command, {}).items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+    config = read_json(args.config)
+    if not isinstance(config, dict):
+        raise DataValidationError(f"{args.config}: config must be a JSON object")
+    actions = {a.dest: a for a in args.parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    tokens = []
+    for key, value in config.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise CliUsageError(f"{args.config}: unknown key {key!r} for {args.command}")
+        flag = action.option_strings[-1]
+        if action.nargs == 0:  # store_true switch
+            if not isinstance(value, bool):
+                raise CliUsageError(f"{args.config}: {key!r} must be true or false")
+            tokens += [flag] if value else []
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            tokens.append(f"{flag}={value}")
+        else:
+            raise CliUsageError(f"{args.config}: {key!r} must be a number or a string")
+    try:
+        args.parser.parse_args(tokens)
+    except CliUsageError as exc:
+        raise CliUsageError(f"{args.config}: {exc}") from exc
+    return tokens
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
+        if args.config:
+            # config flags come first, so that the command line's own win
+            args = parser.parse_args([argv[0], *_config_tokens(args), *argv[1:]])
         return args.fn(args)
     except (CliUsageError, DataValidationError, InvalidSpecError, InvalidArgumentError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)

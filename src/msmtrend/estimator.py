@@ -6,10 +6,11 @@ the forward algorithm over latent states, with per-step rescaling against
 underflow; this equals the nested sum over all latent paths.  One backward
 recursion gives the rescaled backward variables, from which come both the
 analytic per-individual scores and, with one more forward sweep
-differentiated twice, the exact Hessian.  The fit is a trust-region Newton
-method whose curvature is first the outer product of those scores (BHHH)
-and then that exact information.  Standard errors come from the inverse of
-the exact information at the estimate.
+differentiated twice, the exact Hessian; both take the transition kernel's
+first derivatives from :func:`msmtrend.markov.free_entries_grad`.  The fit
+is a trust-region Newton method whose curvature is first the outer product
+of those scores (BHHH) and then that exact information.  Standard errors
+come from the inverse of the exact information at the estimate.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from .markov import (
     HazardParams,
     ModelStructure,
     covariate_design,
+    free_entries_grad,
     free_entries_jet,
     log_intensities,
     param_layout,
     transition_entries,
-    transition_entries_vjp,
 )
 # gradient_fd and hessian_fd are no longer on the fit path but stay bound
 # here: tests and the benchmark's trace points reach them as estimator.*
@@ -207,17 +208,18 @@ class PanelDesign:
         """Per-individual log likelihoods by the rescaled forward recursion.
 
         With a ``tape`` dict, also records what :meth:`_backward`, the
-        score and the Hessian need: parameters, log intensities, rates,
-        transition entries, and per observation the emission factors, the
-        filtered state probabilities, the predicted (pre-emission)
-        probabilities and the unfloored normalisers.
+        score and the Hessian need: parameters, rates, their clip slopes
+        dq/dlin = d2q/dlin2, transition entries, and per observation the
+        emission factors, the filtered state probabilities, the predicted
+        (pre-emission) probabilities and the unfloored normalisers.
         """
         params = unpack_params(gamma, self.structure)
-        lins = log_intensities(
+        lins = np.array(log_intensities(
             params, self.waves, self.female[:, None], self.basis, self.basis_f, self.age_centered
-        )
-        q12, q13, q23 = (np.exp(np.clip(lin, -_LIN_CLIP, _LIN_CLIP)) for lin in lins)
-        p11, p12, p13, p22, p23 = entries = transition_entries(q12, q13, q23, self.widths)
+        ))
+        rates = np.clip(lins, -_LIN_CLIP, _LIN_CLIP)
+        np.exp(rates, out=rates)
+        p11, p12, p13, p22, p23 = entries = transition_entries(*rates, self.widths)
 
         emission = misclassification_matrix(
             float(expit(params.logit_e12)), float(expit(params.logit_e21))
@@ -232,9 +234,9 @@ class PanelDesign:
         loglik = np.log(norm)
         alpha = alpha / norm[:, None]
         if tape is not None:
-            tape.update(params=params, lins=lins, rates=(q12, q13, q23), entries=entries,
-                        obs=[obs], alpha=[alpha], pred=[np.broadcast_to(init, obs.shape)],
-                        raw=[raw])
+            tape.update(params=params, rates=rates, slopes=rates * (np.abs(lins) < _LIN_CLIP),
+                        entries=entries, obs=[obs], alpha=[alpha],
+                        pred=[np.broadcast_to(init, obs.shape)], raw=[raw])
         for j in range(self.n_steps):
             # alpha times the upper-triangular transition matrix, death absorbing
             a0, a1, a2 = alpha.T
@@ -263,10 +265,10 @@ class PanelDesign:
         One forward pass is followed by :meth:`_backward`: with its rescaled
         backward variables beta, dl/dP_j(r, s) = alpha_j(r) e_{j+1}(s)
         beta_{j+1}(s) / c_{j+1}, and similarly for the emission and
-        initial-state entries.  The transition adjoints go through
-        :func:`transition_entries_vjp` and exp(clip(lin)) to the three
-        log-intensity grids; with the emission logits these are each step's
-        local adjoints, which :meth:`_step_design` carries to the parameters.
+        initial-state entries.  Contracted with :func:`free_entries_grad` and
+        the clip slopes, they give the adjoints of the three log-intensity
+        grids; with the emission logits these are each step's local
+        adjoints, which :meth:`_step_design` carries to the parameters.
         Conventions: the score is the derivative of the clipped function, so
         it is zero in a cell where |lin| >= 30; and a step whose normaliser
         sits on the 1e-300 floor is treated as constant, passing nothing
@@ -280,15 +282,12 @@ class PanelDesign:
         n, steps = self.n, self.n_steps
         alphas, preds = tape["alpha"], tape["pred"]
         eb = [e * b for e, b in zip(ec, betas)]
-        bars = np.zeros((5, n, steps))
-        for j in range(steps):
-            (a0, a1, _), (e0, e1, e2) = alphas[j].T, eb[j + 1].T
-            bars[:, :, j] = a0 * e0, a0 * e1, a0 * e2, a1 * e1, a1 * e2
-        rates = tape["rates"]
-        qbars = transition_entries_vjp(*rates, self.widths, bars)
-        # d exp(clip(lin)) / d lin = q inside the clip, 0 outside
-        l12, l13, l23 = (qb * q * (np.abs(lin) < _LIN_CLIP)
-                         for qb, q, lin in zip(qbars, rates, tape["lins"]))
+        (a0, a1, _), (e0, e1, e2) = np.array(alphas[:-1]).T, np.array(eb[1:]).T
+        # as the rows of P_j sum to one, its free entries p11, p12 and p22 carry
+        # a0 (e0 - e2), a0 (e1 - e2) and a1 (e1 - e2), (e0, e1, e2) = e beta / c at j + 1
+        bars = np.array((a0 * (e0 - e2), a0 * (e1 - e2), a1 * (e1 - e2)))
+        lin = np.einsum("erij,eij->rij", free_entries_grad(*tape["rates"], self.widths)[0],
+                        bars) * tape["slopes"]
         # the emission logits at each observation: the predicted probability
         # (the initial distribution at 0) times d(e/c) times beta
         d_e12 = [pred[:, 0] * h12[:, k] * b[:, 0] for k, (pred, b) in enumerate(zip(preds, betas))]
@@ -299,7 +298,7 @@ class PanelDesign:
         scores[slot >= 3] = d_e12[0], d_e21[0], p2 * (1.0 - p2) * (eb[0][:, 1] - eb[0][:, 0])
         zero = np.zeros(n)
         for j in range(steps):
-            local = np.array((l12[:, j], l13[:, j], l23[:, j], d_e12[j + 1], d_e21[j + 1], zero))
+            local = np.array((*lin[:, :, j], d_e12[j + 1], d_e21[j + 1], zero))
             scores += local[slot] * self._step_design(j)
         return loglik, scores.T.copy()
 
@@ -432,16 +431,13 @@ class PanelDesign:
         S[1, init[[1, 2]]] = p2 * h21[:, 0], d2 * ec[0][:, 1]
 
         slots = [np.flatnonzero(slot == k) for k in range(5)]
-        rates, lins = tape["rates"], tape["lins"]
         for j in range(steps):
             k = j + 1
             a0, a1 = alphas[j][:, 0], alphas[j][:, 1]
             bk, eck, pred = betas[k], ec[k], preds[k]
             eb = eck * bk
-            # d q / d lin, also d2 q / d lin2: q inside the clip, 0 outside
-            t = np.array([q[:, j] * (np.abs(lin[:, j]) < _LIN_CLIP) for q, lin in zip(rates, lins)])
-            grad, hess = free_entries_jet(rates[0][:, j], rates[1][:, j], rates[2][:, j],
-                                          self.widths[:, j])
+            t = tape["slopes"][:, :, j]
+            grad, hess = free_entries_jet(*tape["rates"][:, :, j], self.widths[:, j])
             gl = grad * t
             hl = hess * (t[:, None] * t)
             hl[:, [0, 1, 2], [0, 1, 2]] += gl
@@ -573,7 +569,6 @@ def fit_msm(
     structure: ModelStructure,
     start: np.ndarray | HazardParams | None = None,
     fixed: dict | None = None,
-    compute_cov: bool = True,
     maxiter: int = 500,
     validate: bool = True,
 ) -> EstimationResult:
@@ -721,16 +716,15 @@ def fit_msm(
         warnings.append(f"optimizer message: {res.message}")
 
     cov_free = None
-    if compute_cov:
-        # Hessian in the scaled coordinates (well conditioned), mapped back
-        # to the natural parameterization: cov_gamma = S^{-1} cov_z S^{-1}
-        try:
-            cov_z, cov_warnings = hessian_covariance(-exact_hessian(z_free))
-            cov_free = cov_z / np.outer(scale, scale)
-            warnings.extend(cov_warnings)
-        except CurvatureError as exc:
-            warnings.append(str(exc))
-            converged = False
+    # Hessian in the scaled coordinates (well conditioned), mapped back to
+    # the natural parameterization: cov_gamma = S^{-1} cov_z S^{-1}
+    try:
+        cov_z, cov_warnings = hessian_covariance(-exact_hessian(z_free))
+        cov_free = cov_z / np.outer(scale, scale)
+        warnings.extend(cov_warnings)
+    except CurvatureError as exc:
+        warnings.append(str(exc))
+        converged = False
 
     return EstimationResult(
         names=names,
@@ -753,8 +747,6 @@ def extract_trend(result: EstimationResult, structure: ModelStructure) -> TrendS
     """Slice the wave-dummy block and its covariance out of a fit."""
     if not result.converged:
         raise NumericalError("cannot extract trend from a non-converged fit")
-    if result.cov_free is None:
-        raise NumericalError("fit was run without covariance computation")
     T = structure.n_waves
     idx = [result.names.index(f"beta_{k}") for k in range(1, T + 1)]
     if not np.all(result.free[idx]):

@@ -295,6 +295,12 @@ def _search(fun, lo: float, hi: float, searched: np.ndarray, shift: bool):
     return x, f, False, bool(res.success)
 
 
+def _normal_quantile(level: float) -> float:
+    if not 0.0 < level < 1.0:
+        raise InvalidArgumentError(f"level must lie in (0, 1), got {level}")
+    return norm.ppf(0.5 + level / 2.0)
+
+
 def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", meas_var=None,
                level: float = 0.90) -> FilterFit:
     """ML estimation of the process parameters by prediction-error decomposition.
@@ -315,6 +321,7 @@ def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", m
     the log-sd scale; a numerically singular information matrix, or an
     endpoint beyond the float range, suppresses them.
     """
+    z = _normal_quantile(level)
     beta_hat, series_var = _as_series(series, meas_var)
     T = beta_hat.size
     if T < 3:
@@ -382,7 +389,6 @@ def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", m
         if cov_warnings:
             warnings.append("zero eigenvalue in the information matrix; intervals suppressed")
             no_ci.extend(names)
-        z = norm.ppf(0.5 + level / 2.0)
         for pos, name in enumerate([] if cov_warnings else names):
             half = z * math.sqrt(max(cov[pos, pos], 0.0))
             lo, up = x_hat[pos] - half, x_hat[pos] + half
@@ -418,7 +424,7 @@ def forecast(output: FilterOutput, model: FilterModel, horizon: int, level: floa
     the filter's prediction step from its final state."""
     if horizon < 1:
         raise InvalidArgumentError(f"horizon must be >= 1, got {horizon}")
-    z = norm.ppf(0.5 + level / 2.0)
+    z = _normal_quantile(level)
     q_eta, q_xi = _process_var(model)
     (p00, p01), (_, p11) = output.final_state_cov.tolist()
     state = (float(output.post_mean[-1]), float(output.drift_mean[-1]), p00, p01, p11)
@@ -471,6 +477,8 @@ def diagnostics(output: FilterOutput, model: FilterModel, n_waves: int, lags: in
     non-diffuse waves.  With residuals too few for Q(lags) the statistic is
     omitted with a notice rather than extrapolated.
     """
+    if lags < 1:
+        raise InvalidArgumentError(f"Ljung-Box lags must be >= 1, got {lags}")
     notes: list = []
     resid = output.std_residuals
     tp = resid.size

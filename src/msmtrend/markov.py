@@ -11,10 +11,10 @@ One hazard kernel serves the likelihood, the simulator and
 :func:`build_intensity`: :func:`covariate_design` and
 :func:`log_intensities` map covariates and parameters to log intensities, and
 :func:`transition_entries` maps intensities and interval widths to the
-closed-form transition probabilities; :func:`transition_entries_vjp`
-carries derivatives back along the same chain for the likelihood score, and
-:func:`free_entries_jet` gives the first and second derivatives of the
-entries for the exact Hessian.
+closed-form transition probabilities.  :func:`free_entries_grad` is the one
+first derivative of those entries, which the likelihood score and the exact
+Hessian both use, and :func:`free_entries_jet` adds the second derivatives
+for the Hessian.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ __all__ = [
     "covariate_design",
     "log_intensities",
     "transition_entries",
-    "transition_entries_vjp",
     "p12_ratio_grad",
     "p12_ratio_hess",
+    "free_entries_grad",
     "free_entries_jet",
     "param_layout",
     "load_model_spec",
@@ -424,54 +424,45 @@ def p12_ratio_hess(a, b, w):
             scale * np.where(lo, chi02, chi20))
 
 
+def free_entries_grad(q12, q13, q23, w):
+    """Gradients of the free entries p11, p12 and p22 of
+    :func:`transition_entries` with respect to (q12, q13, q23): an array of
+    shape (3, 3) + shape indexed [entry, rate], and the partials (fa, fb) of
+    :func:`p12_ratio_grad` it was built from.  The other two entries follow
+    from p13 = -expm1(-aw) - p12 and p23 = -expm1(-bw), a = q12 + q13,
+    b = q23: their derivatives are minus those of p11 + p12 and of p22, the
+    round-off floor on p13 being treated as inactive.
+    """
+    a, b = q12 + q13, q23
+    fa, fb = p12_ratio_grad(a, b, w)
+    grad = np.zeros((3, 3) + np.shape(fa))
+    # p11 = e^{-aw}, p22 = e^{-bw} and p12 = q12 f(a, b)
+    grad[0, 0] = grad[0, 1] = -w * np.exp(-a * w)
+    grad[1, 1], grad[1, 2] = q12 * fa, q12 * fb
+    grad[1, 0] = grad[1, 1] + w * np.exp(-np.minimum(a, b) * w) * _expm1_ratio(-np.abs(a - b) * w)
+    grad[2, 2] = -w * np.exp(-b * w)
+    return grad, (fa, fb)
+
+
 def free_entries_jet(q12, q13, q23, w):
     """Gradients and Hessians of p11, p12 and p22 of
     :func:`transition_entries` with respect to (q12, q13, q23).
 
-    Returns arrays of shape (3, 3) + shape and (3, 3, 3) + shape, indexed
-    [entry, rate] and [entry, rate, rate].  The other entries follow from
-    p13 = -expm1(-aw) - p12 and p23 = -expm1(-bw): their derivatives are
-    minus those of p11 + p12 and of p22, the round-off floor on p13 being
-    inactive as in :func:`transition_entries_vjp`.
+    Returns the gradient of :func:`free_entries_grad` and an array of shape
+    (3, 3, 3) + shape indexed [entry, rate, rate]; the derivatives of p13
+    and p23 follow as stated there.
     """
-    q12 = np.asarray(q12, dtype=float)
-    a = q12 + q13
-    b = np.asarray(q23, dtype=float)
-    zero = np.zeros_like(a * b * w)
-    f = w * np.exp(-np.minimum(a, b) * w) * _expm1_ratio(-np.abs(a - b) * w)
-    fa, fb = p12_ratio_grad(a, b, w)
-    faa, fab, fbb = p12_ratio_hess(a, b, w)
-    # p11 = e^{-aw} and p22 = e^{-bw}, a = q12 + q13, b = q23; p12 = q12 f(a, b)
-    d11, d22 = -w * np.exp(-a * w), -w * np.exp(-b * w)
-    dd11, dd22 = -w * d11, -w * d22
-    grad = np.array([[d11, d11, zero], [f + q12 * fa, q12 * fa, q12 * fb], [zero, zero, d22]])
+    grad, (fa, fb) = free_entries_grad(q12, q13, q23, w)
+    faa, fab, fbb = p12_ratio_hess(q12 + q13, q23, w)
+    zero = np.zeros_like(faa)
+    # d p11 / da = -w p11, so d2 p11 / da2 = -w d p11 / da; likewise p22 in b
+    dd11, dd22 = -w * grad[0, 0], -w * grad[2, 2]
     h11 = [[dd11, dd11, zero], [dd11, dd11, zero], [zero, zero, zero]]
     h12 = [[2.0 * fa + q12 * faa, fa + q12 * faa, fb + q12 * fab],
            [fa + q12 * faa, q12 * faa, q12 * fab],
            [fb + q12 * fab, q12 * fab, q12 * fbb]]
     h22 = [[zero, zero, zero], [zero, zero, zero], [zero, zero, dd22]]
     return grad, np.array([h11, h12, h22])
-
-
-def transition_entries_vjp(q12, q13, q23, w, bars):
-    """Pull adjoints back through :func:`transition_entries`.
-
-    ``bars`` holds the adjoints (derivatives of some scalar) of the five
-    entries (p11, p12, p13, p22, p23); returns the adjoints of (q12, q13,
-    q23).  The round-off floor on p13 is treated as inactive.
-    """
-    p11b, p12b, p13b, p22b, p23b = bars
-    q12 = np.asarray(q12, dtype=float)
-    a = q12 + q13
-    b = np.asarray(q23, dtype=float)
-    f = w * np.exp(-np.minimum(a, b) * w) * _expm1_ratio(-np.abs(a - b) * w)
-    fa, fb = p12_ratio_grad(a, b, w)
-    # p12 = q12 f(a, b) enters p13 = -expm1(-aw) - p12 with a minus sign;
-    # d(-expm1(-aw))/da = w p11 = -dp11/da
-    c12 = p12b - p13b
-    abar = w * np.exp(-a * w) * (p13b - p11b) + c12 * q12 * fa
-    q23b = w * np.exp(-b * w) * (p23b - p22b) + c12 * q12 * fb
-    return abar + c12 * f, abar, q23b
 
 
 def save_model_spec(path, structure: ModelStructure, params: HazardParams | None = None) -> None:

@@ -78,48 +78,49 @@ class VarianceEstimate:
     negative: bool = False
 
 
-def long_run_variance(series, m: int, kernel=bartlett_weight) -> VarianceEstimate:
-    """Kernel long-run variance gamma(0) + 2 sum_tau w(tau,m) gamma(tau).
+def _check_lags(m: int, n: int) -> None:
+    if not 0 <= m < n:
+        raise InvalidArgumentError(f"lag length {m} must lie in [0, {n}) for a series of length {n}")
+
+
+def long_run_variance(series, m: int) -> VarianceEstimate:
+    """Bartlett long-run variance gamma(0) + 2 sum_tau w(tau,m) gamma(tau).
 
     Autocovariances use the 1/n divisor.  In small samples the estimate can
     come out negative; it is returned as-is with a flag rather than clipped.
     """
     x = np.asarray(series, dtype=float)
     n = x.size
-    if m >= n:
-        raise InvalidArgumentError(f"lag length {m} must be below series length {n}")
-    if m < 0:
-        raise InvalidArgumentError("lag length must be nonnegative")
+    _check_lags(m, n)
     xc = x - x.mean()
     gamma0 = float(np.sum(xc * xc) / n)
     total = gamma0
     for tau in range(1, m + 1):
         g = float(np.sum(xc[tau:] * xc[:-tau]) / n)
-        total += 2.0 * kernel(tau, m) * g
+        total += 2.0 * bartlett_weight(tau, m) * g
     return VarianceEstimate(value=total, negative=total < 0)
 
 
-def hac_variance(omega, m: int, kernel=bartlett_weight, double_offdiag: bool = False) -> float:
+def hac_variance(omega, m: int, double_offdiag: bool = False) -> float:
     """HAC variance from a transformed sampling covariance matrix.
 
         (1/n) sum_k omega_kk + (1/n) sum_{tau<=m} sum_{k>tau} w(tau,m) omega_{k,k-tau}
 
-    with n the dimension of omega.  The off-diagonal sum is implemented
-    verbatim without a factor 2; ``double_offdiag=True`` doubles it, which
-    makes the estimator coincide with :func:`long_run_variance` on Toeplitz
-    input built from the same autocovariances.
+    with n the dimension of omega and w Bartlett's.  The off-diagonal sum is
+    implemented verbatim without a factor 2; ``double_offdiag=True`` doubles
+    it, which makes the estimator coincide with :func:`long_run_variance` on
+    Toeplitz input built from the same autocovariances.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise InvalidArgumentError("omega must be a square matrix")
     n = omega.shape[0]
-    if m >= n:
-        raise InvalidArgumentError(f"lag length {m} must be below dimension {n}")
+    _check_lags(m, n)
     total = float(np.trace(omega)) / n
     factor = 2.0 if double_offdiag else 1.0
     for tau in range(1, m + 1):
         off = float(np.sum(np.diagonal(omega, offset=-tau)))
-        total += factor * kernel(tau, m) * off / n
+        total += factor * bartlett_weight(tau, m) * off / n
     return total
 
 

@@ -15,8 +15,11 @@ computed every substream at once.  The central-difference Jacobian of the
 score is the judge of the exact Hessian that replaced it in the fit, and
 ``forward_loglik`` builds a design for each likelihood it is asked for.  The
 adjoint score and the per-field parameter scales are the step-one code that
-one backward recursion and one design map replaced.  The scalar transition
-matrix and its wrapper restate the closed form for one generator at a time.
+one backward recursion and one design map replaced; the adjoint's pullback
+through the transition entries, ``transition_entries_vjp``, is the
+vector-Jacobian product that ``markov.free_entries_grad`` replaced.  The
+scalar transition matrix and its wrapper restate the closed form for one
+generator at a time.
 """
 
 import math
@@ -35,10 +38,12 @@ from msmtrend.markov import (
     Covariates,
     HazardParams,
     IntensityMatrix,
+    _expm1_ratio,
     build_intensity,
+    log_intensities,
+    p12_ratio_grad,
     param_layout,
     transition_entries,
-    transition_entries_vjp,
 )
 
 
@@ -285,6 +290,27 @@ def transition_probability(Q: IntensityMatrix, w: float) -> TransitionMatrix:
     return TransitionMatrix(p, float(w))
 
 
+def transition_entries_vjp(q12, q13, q23, w, bars):
+    """Pull adjoints back through :func:`transition_entries`.
+
+    ``bars`` holds the adjoints (derivatives of some scalar) of the five
+    entries (p11, p12, p13, p22, p23); returns the adjoints of (q12, q13,
+    q23).  The round-off floor on p13 is treated as inactive.
+    """
+    p11b, p12b, p13b, p22b, p23b = bars
+    q12 = np.asarray(q12, dtype=float)
+    a = q12 + q13
+    b = np.asarray(q23, dtype=float)
+    f = w * np.exp(-np.minimum(a, b) * w) * _expm1_ratio(-np.abs(a - b) * w)
+    fa, fb = p12_ratio_grad(a, b, w)
+    # p12 = q12 f(a, b) enters p13 = -expm1(-aw) - p12 with a minus sign;
+    # d(-expm1(-aw))/da = w p11 = -dp11/da
+    c12 = p12b - p13b
+    abar = w * np.exp(-a * w) * (p13b - p11b) + c12 * q12 * fa
+    q23b = w * np.exp(-b * w) * (p23b - p22b) + c12 * q12 * fb
+    return abar + c12 * f, abar, q23b
+
+
 def score_adjoint(design: PanelDesign, gamma) -> tuple:
     """Log likelihood and per-individual scores by the exact adjoint of the
     rescaled forward recursion, its own backward recursion over the
@@ -330,13 +356,15 @@ def score_adjoint(design: PanelDesign, gamma) -> tuple:
 
     q12, q13, q23 = tape["rates"]
     qbars = transition_entries_vjp(q12, q13, q23, design.widths, bars)
+    params = tape["params"]
+    lins = log_intensities(params, design.waves, design.female[:, None], design.basis,
+                           design.basis_f, design.age_centered)
     # d exp(clip(lin)) / d lin = q inside the clip, 0 outside
     l12, l13, l23 = (qb * q * (np.abs(lin) < _LIN_CLIP)
-                     for qb, q, lin in zip(qbars, tape["rates"], tape["lins"]))
+                     for qb, q, lin in zip(qbars, tape["rates"], lins))
     T = design.structure.n_waves
     cell = np.arange(n)[:, None] * T + design.waves - 1
     fem = design.female
-    params = tape["params"]
     e12, e21, p2 = expit([params.logit_e12, params.logit_e21, params.logit_p2])
     cols = {
         "beta": np.bincount(cell.ravel(), l12.ravel(), minlength=n * T).reshape(n, T),

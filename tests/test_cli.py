@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from msmtrend import trendtests
+from msmtrend import cli, estimator, gain, kalman, simulate, trendtests
 from msmtrend.markov import HazardParams, save_model_spec
 
 from conftest import paperlike_params, paperlike_structure
@@ -404,7 +405,11 @@ def test_trend_with_non_numeric_beta_is_one_line_error(tmp_path):
     ["test-trend", "--seed", -1],
     ["test-trend", "--seed", 1, "--mc-reps", 999],
     ["test-trend", "--seed", 1, "--mc-grid", 1],
-], ids=["simulate-seed", "test-trend-seed", "test-trend-mc-reps", "test-trend-mc-grid"])
+    ["test-trend", "--seed", 1, "--lags", -1],
+    ["fit-filter", "--lags", 0],
+    ["fit-filter", "--level", 1.5],
+], ids=["simulate-seed", "test-trend-seed", "test-trend-mc-reps", "test-trend-mc-grid",
+        "test-trend-lags", "fit-filter-lags", "fit-filter-level"])
 def test_out_of_domain_settings_are_one_line_errors(spec_file, tmp_path, args):
     trend = tmp_path / "trend.json"
     trend.write_text(json.dumps({"beta": [0.1, 0.3, 0.2, 0.5, 0.4, 0.7, 0.6, 0.9],
@@ -416,6 +421,42 @@ def test_out_of_domain_settings_are_one_line_errors(spec_file, tmp_path, args):
     assert res.stderr.startswith("error: validation:")
     assert res.stderr.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["nan:0:0.1", "0:inf:1", "0:1e21:1", "0:1:inf"])
+def test_non_finite_or_unindexable_grid_is_one_line_error(tmp_path, spec):
+    out = tmp_path / "curve.csv"
+    res = run_cli("power-curve", "--k", 4, "--s", 1.26, f"--grid={spec}", "--out", out)
+    assert res.returncode == 1
+    assert res.stderr == f"error: validation: bad grid spec {spec!r}\n"
+    assert not out.exists()
+
+
+def test_threads_flag_is_unrecognized(tmp_path):
+    out = tmp_path / "curve.csv"
+    res = run_cli("power-curve", "--k", 4, "--s", 1.26, "--threads", 2, "--out", out)
+    assert res.returncode == 1
+    assert res.stderr == "error: validation: unrecognized arguments: --threads 2\n"
+    assert not out.exists()
+
+
+def test_cli_defaults_are_the_library_defaults():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    def flag(command, dest):
+        return getattr(cli.build_parser().parse_args([command]), dest)
+
+    config = simulate.SimulationConfig
+    assert (flag("simulate", "age_min"), flag("simulate", "age_max")) == default(config, "age_range")
+    assert flag("simulate", "female_share") == default(config, "female_share")
+    assert flag("fit-msm", "maxiter") == default(estimator.fit_msm, "maxiter")
+    for dest in ("variant", "mode", "level"):
+        assert flag("fit-filter", dest) == default(kalman.fit_filter, dest)
+    assert flag("fit-filter", "lags") == default(kalman.diagnostics, "lags")
+    for dest in ("lags", "estimator", "dist", "mc_grid", "mc_reps", "double_offdiag"):
+        assert flag("test-trend", dest) == default(trendtests.run_trend_tests, dest)
+    assert flag("power-curve", "mode") == default(gain.power, "mode")
 
 
 @pytest.mark.parametrize("args, flag", [

@@ -596,7 +596,7 @@ def test_fit_converges_and_gradient_small(small_fit):
 
 def test_refit_from_optimum_is_immediate(small_fit):
     structure, panel, result = small_fit
-    again = est.fit_msm(panel, structure, start=result.estimates, compute_cov=False)
+    again = est.fit_msm(panel, structure, start=result.estimates)
     assert again.iterations <= 1
     assert again.loglik == pytest.approx(result.loglik, abs=1e-10 * max(1.0, abs(result.loglik)))
 

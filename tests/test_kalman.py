@@ -378,6 +378,17 @@ def test_forecast_invalid_horizon():
         forecast(out, model, horizon=0)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+def test_interval_level_outside_the_unit_interval_is_rejected(level):
+    y = np.array([0.1, 0.3, 0.2, 0.5])
+    model = FilterModel(sigma_eta=0.1)
+    out = run_filter(y, model, meas_var=np.full(4, 0.2))
+    with pytest.raises(InvalidArgumentError):
+        forecast(out, model, horizon=2, level=level)
+    with pytest.raises(InvalidArgumentError):
+        fit_filter(y, meas_var=np.full(4, 0.2), level=level)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 

@@ -12,6 +12,7 @@ from msmtrend.markov import (
     ModelStructure,
     build_intensity,
     load_model_spec,
+    free_entries_grad,
     free_entries_jet,
     p12_ratio_grad,
     p12_ratio_hess,
@@ -19,11 +20,10 @@ from msmtrend.markov import (
     spline_basis,
     spline_basis_matrix,
     transition_entries,
-    transition_entries_vjp,
 )
 
 from conftest import taylor_expm, random_generator, WAVE_TIMES
-from oracles import rates, transition_probability
+from oracles import rates, transition_entries_vjp, transition_probability
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +348,20 @@ def test_transition_entries_vjp_matches_central_differences():
             want = (np.dot(bars, transition_entries(*up, w))
                     - np.dot(bars, transition_entries(*down, w))) / (2 * h)
             assert got[k] == pytest.approx(want, rel=1e-7, abs=1e-9)
+
+
+def test_free_entries_grad_pulls_back_all_five_entries():
+    # the gradient of the three free entries, with the derivatives of p13 and
+    # p23 taken as minus those of p11 + p12 and of p22, is the adjoint oracle
+    rng = np.random.default_rng(29)
+    q = rng.uniform(0.0, 2.0, size=(3, 40))
+    q[2, ::3] = q[0, ::3] + q[1, ::3]  # the a == b branch
+    w = rng.uniform(0.1, 3.0, size=40)
+    bars = rng.normal(size=(5, 40))
+    grad, _ = free_entries_grad(*q, w)
+    p11b, p12b, p13b, p22b, p23b = bars
+    got = (p11b - p13b) * grad[0] + (p12b - p13b) * grad[1] + (p22b - p23b) * grad[2]
+    np.testing.assert_allclose(got, transition_entries_vjp(*q, w, bars), rtol=1e-12, atol=1e-15)
 
 
 _RATES = st.floats(min_value=1e-15, max_value=1e15)
