@@ -210,13 +210,9 @@ def cmd_gain_analysis(args) -> int:
         s = np.full(max(args.periods, 0), args.s)
     traj = gain.gain_sequence(s)
     k = np.arange(1, len(s) + 1)
-    # the affine step is defined for 2 <= k <= len(s) - 1
-    slope, intercept = np.full(len(s), np.nan), np.full(len(s), np.nan)
-    for j in range(2, len(s)):
-        step = gain.linear_map_decomposition(s, j)
-        slope[j - 1], intercept[j - 1] = step.slope, step.intercept
     write_csv(args.out_trajectory, {"k": k, "k_paper": k - 1, "s": traj.s, "gain": traj.gains,
-                                    "nu_var": traj.nu_var, "slope": slope, "intercept": intercept})
+                                    "nu_var": traj.nu_var, "slope": traj.slope,
+                                    "intercept": traj.intercept})
     fps = [gain.fixed_point(float(sk)) for sk in s]
     write_csv(args.out_fixed_point, {"k": k, "s": [fp.s for fp in fps],
                                      "iota": [fp.iota for fp in fps],
@@ -231,9 +227,9 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise CliUsageError(f"bad grid spec {spec!r}, expected start:stop:step") from exc
-    # a finite grid whose point count indexes a float64 array
+    # a finite grid of at most a million points
     if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start
-            and (stop - start) / step < np.iinfo(np.intp).max // 8):
+            and (stop - start) / step < 999_999.5):
         raise CliUsageError(f"bad grid spec {spec!r}")
     n = int(round((stop - start) / step)) + 1
     return start + step * np.arange(n)

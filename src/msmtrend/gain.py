@@ -26,8 +26,6 @@ __all__ = [
     "gain_sequence",
     "FixedPoint",
     "fixed_point",
-    "LinearMapStep",
-    "linear_map_decomposition",
     "CoefficientTable",
     "exact_coefficients",
     "asymptotic_coefficients",
@@ -42,7 +40,9 @@ class GainTrajectory:
     """Gain and normalized-variance path for a signal-to-noise sequence.
 
     ``A`` holds the gain history A_k and ``nu_var`` = s_k A_k the normalized
-    posterior variances P_{k|k} / sigma_kk^2.
+    posterior variances P_{k|k} / sigma_kk^2.  ``slope`` and ``intercept``
+    hold the affine step K_{k+1} = m_k K_k + b_k at each k, NaN outside
+    2 <= k <= T - 1.
     """
 
     s: np.ndarray
@@ -50,6 +50,8 @@ class GainTrajectory:
     A: np.ndarray
     nu_var: np.ndarray
     iota: np.ndarray
+    slope: np.ndarray
+    intercept: np.ndarray
 
 
 def gain_sequence(s) -> GainTrajectory:
@@ -58,6 +60,14 @@ def gain_sequence(s) -> GainTrajectory:
     A_k = sum_{d=1..k} prod_{i=d..k} (1 - K_i) accumulates the gain history;
     the recursion reproduces the filter's gains exactly for measurement
     variances sigma_kk^2 = sigma_eta^2 / s_k.
+
+    The affine step K_{k+1} = m_k K_k + b_k is the tangent line of the gain
+    map at the realized K_k, differentiating K_{k+1} = s(A_k + 1)/(s A_k + s + 1)
+    with A_k = (1 - K_k)(A_{k-1} + 1) in K_k, the earlier history held fixed:
+
+        m_k = -s_{k+1} (A_{k-1} + 1) (1 - K_{k+1})^2,   b_k = K_{k+1} - m_k K_k.
+
+    It reproduces K_{k+1} exactly, and |m_k| < 1 expresses the contraction.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or s.size < 1:
@@ -73,7 +83,11 @@ def gain_sequence(s) -> GainTrajectory:
         gains[k] = s[k] * (A[k - 1] + 1.0) / (s[k] * A[k - 1] + s[k] + 1.0)
         A[k] = (1.0 - gains[k]) * (A[k - 1] + 1.0)
     iota = 1.0 - s[1:] / s[:-1] if T > 1 else np.empty(0)
-    return GainTrajectory(s=s, gains=gains, A=A, nu_var=s * A, iota=iota)
+    slope, intercept = np.full(T, np.nan), np.full(T, np.nan)
+    slope[1:-1] = -s[2:] * (A[:-2] + 1.0) * (1.0 - gains[2:]) ** 2
+    intercept[1:-1] = gains[2:] - slope[1:-1] * gains[1:-1]
+    return GainTrajectory(s=s, gains=gains, A=A, nu_var=s * A, iota=iota, slope=slope,
+                          intercept=intercept)
 
 
 @dataclass(frozen=True)
@@ -101,40 +115,6 @@ def fixed_point(s: float, iota: float = 0.0) -> FixedPoint:
     return FixedPoint(s=float(s), iota=float(iota), nu_inf=float(nu_inf), k_inf=float(k_inf))
 
 
-@dataclass(frozen=True)
-class LinearMapStep:
-    k: int
-    slope: float
-    intercept: float
-    next_gain: float
-
-
-def linear_map_decomposition(s, k: int) -> LinearMapStep:
-    """Affine step K_{k+1} = m_k K_k + b_k of the gain recursion.
-
-    The gain map K_{k+1} = s(A_k + 1)/(s A_k + s + 1) with
-    A_k = (1 - K_k)(A_{k-1} + 1) is differentiable in K_k holding the earlier
-    history fixed; the decomposition returned here is its tangent line at the
-    realized K_k, whose slope
-
-        m_k = -s_k (A_{k-1} + 1) (1 - K_{k+1})^2
-
-    is the exact derivative dK_{k+1}/dK_k.  By construction the affine step
-    reproduces K_{k+1} exactly, and |m_k| < 1 expresses the contraction.
-    """
-    if k < 2:
-        raise InvalidArgumentError(f"k must be >= 2, got {k}")
-    s = np.asarray(s, dtype=float)
-    if s.size < k + 1:
-        raise InvalidArgumentError(f"need s_1..s_{k + 1} to decompose step {k}")
-    traj = gain_sequence(s[: k + 1])
-    a_prev = traj.A[k - 2]  # A_{k-1}, 0-based index k - 2
-    k_next = traj.gains[k]  # K_{k+1}, 0-based index k
-    slope = -s[k] * (a_prev + 1.0) * (1.0 - k_next) ** 2
-    intercept = k_next - slope * traj.gains[k - 1]
-    return LinearMapStep(k=k, slope=float(slope), intercept=float(intercept), next_gain=float(k_next))
-
-
 # ---------------------------------------------------------------------------
 # innovation expansion coefficients
 
@@ -152,35 +132,31 @@ class CoefficientTable:
 
 
 def exact_coefficients(k: int, gains) -> CoefficientTable:
-    """Shock coefficients from the forward recursions.
+    """Shock coefficients, defined by the forward recursions
 
         c_i(j+1) = (-K_{j+1}) (-1 + sum_{s=i..j} c_i(s)),   c_i(i) = K_i
         d_i(j+1) = (-K_{j+1}) sum_{s=i..j} d_i(s),          d_i(i) = K_i
 
-    Linear cost per coefficient, equal to the signed-subset expansion
-    (sums of signed products of gains over subsets of {i..k}).
+    (equal to the signed-subset expansion: sums of signed products of gains
+    over subsets of {i..k}).  By induction 1 - sum_{s=i..j} c_i(s) =
+    prod_{s=i..j} (1 - K_s), and likewise for d, which gives the closed forms
+
+        c_i(k) = K_k prod_{s=i..k-1} (1 - K_s)
+        d_i(k) = -K_k K_i prod_{s=i+1..k-1} (1 - K_s),   i < k;   d_k(k) = K_k,
+
+    computed from one suffix product in O(k).
     """
     if k < 2:
         raise InvalidArgumentError(f"order must be >= 2, got {k}")
     gains = np.asarray(gains, dtype=float)
     if gains.size < k:
         raise InvalidArgumentError(f"need {k} gains, got {gains.size}")
-    c = np.zeros(k)
-    d = np.zeros(k)
-    for i in range(1, k + 1):
-        kg = gains[i - 1]
-        c_run = kg  # running sum of c_i(i..j)
-        d_run = kg
-        c_cur = kg
-        d_cur = kg
-        for j in range(i, k):
-            c_cur = -gains[j] * (-1.0 + c_run)
-            d_cur = -gains[j] * d_run
-            c_run += c_cur
-            d_run += d_cur
-        c[i - 1] = c_cur
-        d[i - 1] = d_cur
-    return CoefficientTable(order=k, c=c, d=d, mode="exact", gains=gains[:k].copy())
+    g = gains[:k].copy()
+    # tail[i-1] = prod_{s=i..k-1} (1 - K_s), the empty product at i = k
+    tail = np.append(np.cumprod(1.0 - g[-2::-1])[::-1], 1.0)
+    c = g[-1] * tail
+    d = np.append(-g[-1] * g[:-1] * tail[1:], g[-1])
+    return CoefficientTable(order=k, c=c, d=d, mode="exact", gains=g)
 
 
 def asymptotic_coefficients(k: int, k_inf: float) -> CoefficientTable:
@@ -235,7 +211,9 @@ def power(eta_std, k: int, s: float, mode: str = "exact") -> PowerCurve:
     units of sigma_eta^2), the update K_k v_k given eta_k is Gaussian and
 
         theta(x) = Phi(-c_k(k) x / sqrt(Vbar)),
-        Vbar = sum_{i<k} c_i(k)^2 + (1/s) sum_{i<=k} d_i(k)^2.
+        Vbar = sum_{i<k} c_i(k)^2 + (1/s) sum_{i<=k} d_i(k)^2,
+
+    taken relative to c_k(k) = K_k, whose square underflows at tiny s.
 
     For k = 2 this is the normal CDF with variance 2/s evaluated at -x.  For
     large k (gains at their limit K_inf = (-s + sqrt(s^2 + 4s))/2) the
@@ -249,8 +227,8 @@ def power(eta_std, k: int, s: float, mode: str = "exact") -> PowerCurve:
         raise InvalidArgumentError(f"s must be positive, got {s}")
     x = np.atleast_1d(np.asarray(eta_std, dtype=float))
     table = _coefficients(k, s, mode)
-    vbar = float(np.sum(table.c[:-1] ** 2) + np.sum(table.d**2) / s)
-    theta = norm.cdf(-table.c[-1] * x / math.sqrt(vbar))
+    c, d = table.c / table.c[-1], table.d / table.c[-1]
+    theta = norm.cdf(-x / math.sqrt(float(np.sum(c[:-1] ** 2) + np.sum(d**2) / s)))
     return PowerCurve(eta_std=x, theta=theta, k=k, s=float(s), mode=mode)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize_scalar, minimize
@@ -150,6 +151,8 @@ def _as_series(series, meas_var) -> tuple[np.ndarray, np.ndarray | None]:
         beta, var = series.beta, series.var_diag
     else:
         beta, var = np.asarray(series, dtype=float), None
+    if beta.ndim != 1:
+        raise InvalidArgumentError("the trend series must be one-dimensional")
     return beta, var if meas_var is None else np.asarray(meas_var, dtype=float)
 
 
@@ -159,66 +162,71 @@ def run_filter(series, model: FilterModel, meas_var=None) -> FilterOutput:
     ``series`` is a TrendSeries (its diagonal supplies the constrained
     measurement variances) or a plain vector, in which case ``meas_var``
     supplies them.  Free mode ignores both in favor of ``model.sigma_eps``.
-
-    Every variant runs the same recursion over the state (beta, nu) with
-    transition [[1, 1], [0, 1]].  Zero and constant drift hold nu fixed at 0
-    or ``model.nu`` with no nu noise, so its row of the state covariance
-    stays zero; stochastic drift starts nu diffuse.
+    The log likelihood is summed over the waves in order; a wave whose
+    innovation variance is not positive raises.
     """
     beta_hat, series_var = _as_series(series, meas_var)
     T = beta_hat.size
     if T < 2:
         raise InvalidArgumentError("need at least two waves")
-    h = _meas_var(T, series_var, model).tolist()
-    y = beta_hat.tolist()
+    h = _meas_var(T, series_var, model)
     d = model.n_diffuse
     if T <= d:
         raise InvalidArgumentError("stochastic drift needs at least three waves")
-    q_eta, q_xi = _process_var(model)
+    nu = float(model.nu) if model.variant == "const_drift" else 0.0
+    out = _recursion(beta_hat, h, *_process_var(model), nu, d)
+    loglik = 0.0
+    for k, v, F in zip(range(d, T), out.innovation[d:].tolist(), out.innovation_var[d:].tolist()):
+        if F <= 0.0:
+            raise DegenerateVarianceError(f"innovation variance is {F} at wave {k + 1}")
+        loglik -= 0.5 * (LOG2PI + math.log(F) + v**2 / F)
+    out.loglik = loglik
+    return out
 
-    prior_mean = [0.0] * T
-    prior_var = [math.inf] * d + [0.0] * (T - d)
-    innovation = [0.0] * T
-    innovation_var = list(prior_var)
-    gain = [1.0] * d + [0.0] * (T - d)
-    post_mean = [0.0] * T
-    post_var = [0.0] * T
-    drift_mean = [0.0] * T
+
+def _recursion(y: np.ndarray, h: np.ndarray, q_eta, q_xi, nu, d: int) -> FilterOutput:
+    """The filter over the state (beta, nu) with transition [[1, 1], [0, 1]],
+    written in arithmetic operators only: floats run one parameter point,
+    arrays a batch.  The wave axis of ``y`` and ``h`` comes last; ``q_eta``,
+    ``q_xi``, ``nu`` and the leading axes of ``y`` broadcast together.  Zero
+    and constant drift (``d`` = 1) hold nu at ``nu`` with no nu noise, so its
+    row of the state covariance stays zero; stochastic drift (``d`` = 2)
+    starts nu diffuse.  From a wave whose innovation variance F is not
+    positive on, a point's values are non-finite.  ``loglik`` is left NaN.
+    """
+    T = h.shape[-1]
+    shape = np.broadcast_shapes(np.shape(q_eta), np.shape(q_xi), np.shape(nu), y.shape[:-1]) + (T,)
+    prior_mean, innovation, gain, post_mean, post_var, drift_mean = (np.zeros(shape) for _ in range(6))
+    prior_var, innovation_var = np.full(shape, math.inf), np.full(shape, math.inf)
 
     # diffuse steps: gain one, the posterior pinned to the observations
-    nu = float(model.nu) if model.variant == "const_drift" else 0.0
-    prior_mean[0] = nu
-    innovation[0] = y[0] - nu
-    m0, m1, p00, p01, p11 = y[0], nu, 0.0, 0.0, 0.0
+    y0 = y[..., 0]
+    prior_mean[..., 0], innovation[..., 0] = nu, y0 - nu
+    m0, m1, p00, p01, p11 = y0, nu, 0.0, 0.0, 0.0
     if d == 2:
         # the second observation pins the drift, leaving only the transition
         # noise accumulated between the two waves
-        prior_mean[1], innovation[1] = y[0], y[1] - y[0]
-        m0, m1, p11 = y[1], y[1] - y[0], q_eta + q_xi
-    post_mean[:d] = y[:d]
-    drift_mean[d - 1] = m1
+        prior_mean[..., 1], innovation[..., 1] = y0, y[..., 1] - y0
+        m0, m1, p11 = y[..., 1], y[..., 1] - y0, q_eta + q_xi
+    gain[..., :d], post_mean[..., :d], drift_mean[..., d - 1] = 1.0, y[..., :d], m1
 
-    loglik = 0.0
-    for k in range(d, T):
-        m0, m1, p00, p01, p11 = _predict(m0, m1, p00, p01, p11, q_eta, q_xi)
-        v = y[k] - m0
-        F = p00 + h[k]
-        if F <= 0.0:
-            raise DegenerateVarianceError(f"innovation variance is {F} at wave {k + 1}")
-        k0, k1 = p00 / F, p01 / F
-        prior_mean[k], prior_var[k], innovation[k], innovation_var[k], gain[k] = m0, p00, v, F, k0
-        m0, m1 = m0 + k0 * v, m1 + k1 * v
-        p11 -= k1 * p01
-        p00, p01 = (1.0 - k0) * p00, (1.0 - k0) * p01
-        post_mean[k], post_var[k], drift_mean[k] = m0, p00, m1
-        loglik -= 0.5 * (LOG2PI + math.log(F) + v**2 / F)
-
-    return FilterOutput(
-        *map(np.array, (prior_mean, prior_var, innovation, innovation_var, gain,
-                        post_mean, post_var)),
-        loglik=loglik, n_diffuse=d, drift_mean=np.array(drift_mean),
-        final_state_cov=np.array([[p00, p01], [p01, p11]]),
-    )
+    with np.errstate(all="ignore"):
+        for k in range(d, T):
+            m0, m1, p00, p01, p11 = _predict(m0, m1, p00, p01, p11, q_eta, q_xi)
+            v = y[..., k] - m0
+            F = p00 + h[..., k]
+            prior_mean[..., k], prior_var[..., k], innovation[..., k], innovation_var[..., k] = m0, p00, v, F
+            ok = F > 0.0  # dividing by False leaves the gains non-finite where F <= 0
+            k0, k1 = p00 / F / ok, p01 / F / ok
+            m0, m1 = m0 + k0 * v, m1 + k1 * v
+            p11 = p11 - k1 * p01
+            p00, p01 = (1.0 - k0) * p00, (1.0 - k0) * p01
+            gain[..., k], post_mean[..., k], post_var[..., k], drift_mean[..., k] = k0, m0, p00, m1
+    cov = np.empty(shape[:-1] + (2, 2))
+    cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 0], cov[..., 1, 1] = p00, p01, p01, p11
+    return FilterOutput(prior_mean, prior_var, innovation, innovation_var, gain, post_mean,
+                        post_var, loglik=math.nan, n_diffuse=d, drift_mean=drift_mean,
+                        final_state_cov=cov)
 
 
 def _process_var(model: FilterModel) -> tuple[float, float]:
@@ -252,9 +260,10 @@ class FilterFit:
 
 
 def _search(fun, lo: float, hi: float, searched: np.ndarray, shift: bool):
-    """Minimize ``fun`` over the log sds marked in ``searched``, each in
-    [lo, hi], the others held at -inf (sd zero): a grid of ``_GRID[n]``
-    points per searched axis, then one polish from the best grid point.
+    """Minimize ``fun``, which maps an (m, axes) array of points to m values,
+    over the log sds marked in ``searched``, each in [lo, hi], the others
+    held at -inf (sd zero): a grid of ``_GRID[n]`` points per searched axis
+    in one call, then one polish from the best grid point, a row at a time.
     ``shift`` marks log sds that are ratios to a unit sd which ``fun``
     concentrates out.  Returns (x, fun(x), whether the grid is flat to
     ``_TOL`` and so left unpolished, whether the polish converged).
@@ -263,7 +272,7 @@ def _search(fun, lo: float, hi: float, searched: np.ndarray, shift: bool):
     grid = np.linspace(lo, hi, _GRID[n])
     points = np.full((grid.size**n, searched.size), -math.inf)
     points[:, searched] = list(itertools.product(grid, repeat=n))
-    values = np.array([fun(p) for p in points])
+    values = fun(points)
     x, f = points[int(np.argmin(values))], float(values.min())
     if n == 0 or values.max() - f <= _TOL * max(1.0, abs(f)):
         return x, f, n > 0, True
@@ -285,14 +294,47 @@ def _search(fun, lo: float, hi: float, searched: np.ndarray, shift: bool):
 
     if n == 1:  # Brent within the grid cells either side of the best point
         r = math.exp(2.0 * (grid[1] - grid[0]))
-        res = minimize_scalar(lambda t: fun(at(t)), options={"xatol": 1e-10 * u0[0]},
+        res = minimize_scalar(lambda t: fun(at(t)[None])[0], options={"xatol": 1e-10 * u0[0]},
                               bounds=(max(box[0], u0[0] / r), min(box[1], u0[0] * r)), method="bounded")
     else:
-        res = minimize(lambda u: fun(at(u)), u0, method="L-BFGS-B", bounds=[box] * n,
+        res = minimize(lambda u: fun(at(u)[None])[0], u0, method="L-BFGS-B", bounds=[box] * n,
                        options={"gtol": 1e-10})
     if res.fun < f:
         x, f = at(res.x), float(res.fun)
     return x, f, False, bool(res.success)
+
+
+def _profile(y: np.ndarray, var: np.ndarray, variant: str, free: bool, x: np.ndarray,
+             eps: float = 1.0) -> tuple:
+    """(log likelihood, nu, sigma_eps^2 scale) for each row of the (m, axes)
+    array ``x`` of log sds (-inf is sd zero), in free mode log ratios to
+    sigma_eps over unit measurement variances ``var`` unless ``eps`` is 0.
+    All rows run as one filter batch, and a row whose innovation variance is
+    not positive at some wave gets -inf.  The sds enter as ``math.exp(v) ** 2``,
+    as a FilterModel gives them to ``run_filter``."""
+    T, d = y.size, 2 if variant == "stoch_drift" else 1
+    q = [np.array([math.exp(v) ** 2 for v in col]) for col in x.T]
+    q_eta, q_xi = q[0], q[1] if len(q) > 1 else 0.0
+    h = var if eps else np.zeros(T)
+    with np.errstate(all="ignore"):
+        if variant == "const_drift":
+            # the filter is linear in (y, nu): v = v0 + nu v1 with one F
+            out = _recursion(np.stack([y, np.zeros(T)])[:, None], h, q_eta, q_xi,
+                             np.array([[0.0], [1.0]]), d)
+            (v, v1), F = out.innovation[..., d:], out.innovation_var[0, :, d:]
+            nu = -np.sum(v * v1 / F, axis=-1) / np.sum(v1 * v1 / F, axis=-1)
+            v = v + nu[:, None] * v1
+        else:
+            out = _recursion(y, h, q_eta, q_xi, 0.0, d)
+            v, F, nu = out.innovation[:, d:], out.innovation_var[:, d:], np.zeros(len(x))
+        bad = np.any(F <= 0.0, axis=-1)
+        s2 = np.mean(v * v / F, axis=-1) if free and eps else np.ones(len(x))
+        if np.any(s2[~bad] == 0.0):
+            raise DegenerateVarianceError("innovations all zero: sigma_eps has no positive ML value")
+        sF = s2[:, None] * F
+        ll = -0.5 * np.sum(LOG2PI + np.log(sF) + v * v / sF, axis=-1)
+    ll[bad] = -math.inf
+    return ll, nu, s2
 
 
 def _normal_quantile(level: float) -> float:
@@ -329,46 +371,28 @@ def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", m
     free = mode == "free"
     proto = FilterModel(variant=variant, mode=mode)
     axes = ["sigma_eta", "sigma_xi"] if variant == "stoch_drift" else ["sigma_eta"]
-    d = proto.n_diffuse
-
-    def solve(x, eps: float = 1.0) -> tuple[FilterModel, float]:
-        """Model and log likelihood at profile point ``x`` (-inf is sd zero): log
-        sds, or in free mode log ratios to sigma_eps unless ``eps`` is 0."""
-        m = replace(proto, sigma_eps=eps if free else None, **{a: math.exp(v) for a, v in zip(axes, x)})
-        try:
-            out = run_filter(beta_hat, m, meas_var=series_var)
-            v, F = out.innovation[d:], out.innovation_var[d:]
-            if variant == "const_drift":
-                # the filter is linear in (y, nu): v = v0 + nu v1 with one F
-                v1 = run_filter(np.zeros(T), replace(m, nu=1.0), meas_var=series_var).innovation[d:]
-                m.nu = float(-np.sum(v * v1 / F) / np.sum(v1 * v1 / F))
-                v = v + m.nu * v1
-        except DegenerateVarianceError:
-            return m, -math.inf
-        s2 = float(np.mean(v * v / F)) if free and eps else 1.0
-        if s2 == 0.0:
-            raise DegenerateVarianceError("innovations all zero: sigma_eps has no positive ML value")
-        if s2 != 1.0:
-            s = math.sqrt(s2)
-            m = replace(m, sigma_eta=s * m.sigma_eta, sigma_xi=s * m.sigma_xi, sigma_eps=s)
-        return m, -0.5 * float(np.sum(LOG2PI + np.log(s2 * F) + v * v / (s2 * F)))
-
+    profile = partial(_profile, beta_hat, _meas_var(T, series_var, replace(proto, sigma_eps=1.0)),
+                      variant, free)
     scale = max(float(np.std(np.diff(beta_hat))), 1e-6)
     hi_sd = math.log(max(100.0 * scale, 10.0 * float(np.std(beta_hat)), 1e-3))
     hi = -_LOG_FLOOR if free else hi_sd
-    x, best, flat, converged = _search(lambda x: -solve(x)[1], _LOG_FLOOR, hi,
+    x, best, flat, converged = _search(lambda x: -profile(x)[0], _LOG_FLOOR, hi,
                                        np.ones(len(axes), bool), free)
     tol = _TOL * max(1.0, abs(best))
     boundary: list = []
     for name in [] if flat else axes + ["sigma_eps"] * free:
         held = boundary + [name]
         eps = 0.0 if name == "sigma_eps" else 1.0  # sigma_eps is tested last
-        xs, fi, _, ok = _search(lambda x: -solve(x, eps)[1], _LOG_FLOOR, hi if eps else hi_sd,
+        xs, fi, _, ok = _search(lambda x: -profile(x, eps)[0], _LOG_FLOOR, hi if eps else hi_sd,
                                 np.array([a not in held for a in axes]), free and eps > 0)
         if fi <= best + tol:
             boundary.append(name)
             x, best, converged = xs, min(best, fi), ok
-    model = solve(x, float("sigma_eps" not in boundary))[0]
+    eps = float("sigma_eps" not in boundary)
+    _, nu, s2 = profile(x[None], eps)
+    s = math.sqrt(s2[0])
+    model = replace(proto, nu=float(nu[0]), sigma_eps=s * eps if free else None,
+                    **{a: s * math.exp(v) for a, v in zip(axes, x)})
     output = run_filter(beta_hat, model, meas_var=series_var)
 
     names = [name for name in model.free_names() if name not in boundary]

@@ -570,6 +570,23 @@ def contraction_check(s_k: float, nu_k: float, variance_ratio: float):
 
 
 
+def coefficients_recursion(k: int, gains) -> tuple:
+    """(c, d) of order ``k`` from the forward recursions that define them,
+
+        c_i(j+1) = (-K_{j+1}) (-1 + sum_{s=i..j} c_i(s)),   c_i(i) = K_i
+        d_i(j+1) = (-K_{j+1}) sum_{s=i..j} d_i(s),          d_i(i) = K_i,
+
+    in O(k^2); the reference for ``gain.exact_coefficients``' closed form."""
+    c, d = np.zeros(k), np.zeros(k)
+    for i in range(1, k + 1):
+        c_run = d_run = c_cur = d_cur = gains[i - 1]  # running sums of c_i(i..j), d_i(i..j)
+        for j in range(i, k):
+            c_cur, d_cur = -gains[j] * (-1.0 + c_run), -gains[j] * d_run
+            c_run, d_run = c_run + c_cur, d_run + d_cur
+        c[i - 1], d[i - 1] = c_cur, d_cur
+    return c, d
+
+
 def enumerate_coefficients_oracle(k: int, gains):
     """Brute-force signed-subset expansion of the coefficients.
 

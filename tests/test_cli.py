@@ -423,7 +423,7 @@ def test_out_of_domain_settings_are_one_line_errors(spec_file, tmp_path, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spec", ["nan:0:0.1", "0:inf:1", "0:1e21:1", "0:1:inf"])
+@pytest.mark.parametrize("spec", ["nan:0:0.1", "0:inf:1", "0:1e21:1", "0:1:inf", "0:1e12:1"])
 def test_non_finite_or_unindexable_grid_is_one_line_error(tmp_path, spec):
     out = tmp_path / "curve.csv"
     res = run_cli("power-curve", "--k", 4, "--s", 1.26, f"--grid={spec}", "--out", out)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from msmtrend.gain import (
     exact_coefficients,
     fixed_point,
     gain_sequence,
-    linear_map_decomposition,
     power,
     size,
 )
 from msmtrend.kalman import FilterModel, run_filter
 
 from oracles import (
+    coefficients_recursion,
     contraction_check,
     enumerate_coefficients_oracle,
     mc_power,
@@ -145,9 +146,10 @@ def test_linear_map_reconstructs_next_gain():
         s = rng.uniform(0.1, 10.0, size=T)
         traj = gain_sequence(s)
         for k in range(2, T):
-            step = linear_map_decomposition(s, k)
-            got = step.slope * traj.gains[k - 1] + step.intercept
+            got = traj.slope[k - 1] * traj.gains[k - 1] + traj.intercept[k - 1]
             assert got == pytest.approx(traj.gains[k], abs=1e-12)
+        # the affine step is defined for 2 <= k <= T - 1 only
+        assert np.isnan(traj.slope[[0, -1]]).all() and np.isnan(traj.intercept[[0, -1]]).all()
 
 
 def test_linear_map_coefficients_bounded():
@@ -158,17 +160,15 @@ def test_linear_map_coefficients_bounded():
         logs = np.cumsum(
             np.r_[rng.uniform(np.log(0.3), np.log(4.0)), rng.uniform(-0.5, 0.5, 7)]
         )
-        s = np.exp(logs)
+        traj = gain_sequence(np.exp(logs))
         for k in range(2, 8):
-            step = linear_map_decomposition(s, k)
-            assert abs(step.slope) < 1.0
-            assert abs(step.intercept) < 1.0
+            assert abs(traj.slope[k - 1]) < 1.0
+            assert abs(traj.intercept[k - 1]) < 1.0
 
 
 def test_linear_map_converges_constant_s():
-    s = np.full(40, 1.26)
-    slopes = [linear_map_decomposition(s, k).slope for k in range(2, 39)]
-    intercepts = [linear_map_decomposition(s, k).intercept for k in range(2, 39)]
+    traj = gain_sequence(np.full(40, 1.26))
+    slopes, intercepts = traj.slope[1:38], traj.intercept[1:38]  # k = 2..38
     assert abs(slopes[-1] - slopes[-2]) < 1e-10
     assert abs(intercepts[-1] - intercepts[-2]) < 1e-10
 
@@ -208,6 +208,20 @@ def test_exact_equals_enumeration():
             slow, c_terms, d_terms = enumerate_coefficients_oracle(k, gains)
             np.testing.assert_allclose(fast.c, slow.c, atol=1e-12)
             np.testing.assert_allclose(fast.d, slow.d, atol=1e-12)
+
+
+def test_closed_form_equals_forward_recursion():
+    # beyond the enumeration's order cap, against the defining recursions;
+    # a diffuse first gain in half the cases
+    rng = np.random.default_rng(24)
+    for k in range(2, 40):
+        for case in range(50):
+            gains = rng.uniform(0.05, 0.95, size=k)
+            gains[0] = 1.0 if case % 2 else gains[0]
+            table = exact_coefficients(k, gains)
+            c, d = coefficients_recursion(k, gains)
+            np.testing.assert_allclose(table.c, c, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(table.d, d, rtol=0, atol=1e-14)
 
 
 def test_term_counts_double():
@@ -329,6 +343,25 @@ def test_size_decreasing_in_s():
     x = np.array([1.0])
     alphas = [size(x, 4, s, mode="exact").theta[0] for s in (0.3, 0.8, 1.26, 3.0, 10.0)]
     assert np.all(np.diff(alphas) < 0)
+
+
+def test_exact_power_at_large_order_equals_asymptotic():
+    x = np.linspace(-3, 0, 31)
+    exact = power(x, 3000, 1.26, mode="exact").theta
+    np.testing.assert_allclose(exact, power(x, 3000, 1.26, mode="asymptotic").theta, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["exact", "asymptotic"])
+@pytest.mark.parametrize("s", [1e-170, 1e-300])
+def test_power_at_tiny_signal_to_noise_is_half(s, mode):
+    # c_k(k)^2 underflows here; the curve is taken relative to c_k(k)
+    x = np.linspace(-3, 3, 13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = power(x, 30, s, mode=mode).theta
+        alpha = size(np.abs(x), 30, s, mode=mode).theta
+    np.testing.assert_array_equal(theta, 0.5)
+    np.testing.assert_array_equal(alpha, 0.5)
 
 
 def test_mc_power_matches_analytic():

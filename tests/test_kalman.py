@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,6 +439,14 @@ def test_diagnostics_too_few_residuals():
     assert any("omitted" in note for note in report.notes)
 
 
+def test_two_dimensional_series_is_rejected():
+    # the filter broadcasts over leading axes internally; a caller's series is one wave axis
+    with pytest.raises(InvalidArgumentError):
+        run_filter(np.ones((1, 5)), FilterModel(sigma_eta=0.2), meas_var=np.full(5, 0.1))
+    with pytest.raises(InvalidArgumentError):
+        fit_filter(np.ones((1, 5)), meas_var=np.full(5, 0.1))
+
+
 def test_trend_series_input():
     rng = np.random.default_rng(31)
     cov = np.diag(rng.uniform(0.01, 0.05, size=8))
@@ -503,3 +512,55 @@ def test_stoch_drift_filter_matches_reference():
                                               sigma_xi=model.sigma_xi)
         np.testing.assert_allclose(fc.mean_log, mean, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(fc.variance, var, rtol=1e-9, atol=1e-12)
+
+
+BATCH_FIELDS = FILTER_FIELDS + ("drift_mean", "final_state_cov")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_rows_equal_run_filter(variant):
+    # one recursion call over a batch of points against run_filter at each;
+    # some waves are exact (h = 0), and the first point has zero process
+    # variance, so that it meets an innovation variance of zero there
+    rng = np.random.default_rng(VARIANTS.index(variant))
+    d = 2 if variant == "stoch_drift" else 1
+    degenerate = 0
+    for case in range(40):
+        T = int(rng.integers(3, 41))
+        y = rng.normal(scale=rng.uniform(0.1, 3.0), size=T)
+        h = rng.uniform(1e-3, 2.0, size=T) * (rng.uniform(size=T) > (0.5 if case % 4 else 0.0))
+        se, sx = rng.uniform(0.0, 1.5, 6), rng.uniform(1e-3, 0.5, 6)
+        se[0] = sx[0] = 0.0
+        nu = rng.normal(scale=0.3, size=6) if variant == "const_drift" else np.zeros(6)
+        models = [FilterModel(variant=variant, sigma_eta=a, nu=b, sigma_xi=c)
+                  for a, b, c in zip(se.tolist(), nu.tolist(), sx.tolist())]
+        q_eta = np.array([m.sigma_eta**2 for m in models])
+        q_xi = np.array([m.sigma_xi**2 for m in models]) if d == 2 else 0.0
+        batch = kalman._recursion(y, h, q_eta, q_xi, nu, d)
+        cases = [(y, models, {f: getattr(batch, f) for f in BATCH_FIELDS})]
+        if variant == "const_drift":
+            # the profile's pair, (y, nu = 0) and (0, nu = 1), as one batch
+            pair = kalman._recursion(np.stack([y, np.zeros(T)])[:, None], h, q_eta, q_xi,
+                                     np.array([[0.0], [1.0]]), d)
+            cases += [(yy, [replace(m, nu=drift) for m in models],
+                       {f: getattr(pair, f)[row] for f in BATCH_FIELDS})
+                      for row, (yy, drift) in enumerate([(y, 0.0), (np.zeros(T), 1.0)])]
+        with np.errstate(divide="ignore"):
+            x = np.log(np.column_stack([se, sx][:d]))
+        ll = kalman._profile(y, h, variant, False, x)[0]
+        for yy, ms, out in cases:
+            for j, m in enumerate(ms):
+                try:
+                    want = run_filter(yy, m, meas_var=h)
+                except DegenerateVarianceError:
+                    degenerate += 1
+                    k = d + int(np.argmax(out["innovation_var"][j, d:] <= 0.0))
+                    assert out["innovation_var"][j, k] <= 0.0
+                    for name in ("gain", "post_mean", "post_var", "drift_mean"):
+                        assert not np.isfinite(out[name][j, k:]).any(), name
+                    assert ll[j] == -math.inf
+                    continue
+                for name in BATCH_FIELDS:
+                    assert np.array_equal(out[name][j], getattr(want, name)), name
+                assert ll[j] > -math.inf
+    assert degenerate > 0
