@@ -3,7 +3,9 @@
 The observed panel is modeled as a misclassified snapshot of the latent
 illness-death chain.  Individual likelihood contributions are computed by
 the forward algorithm over latent states, with per-step rescaling against
-underflow; this equals the nested sum over all latent paths.  One backward
+underflow; this equals the nested sum over all latent paths.  Padded cells
+are identity steps, and only a zero normaliser, an impossible sequence, is
+special: it gives that individual a log likelihood of -inf.  One backward
 recursion gives the rescaled backward variables, from which come both the
 analytic per-individual scores and, with one more forward sweep
 differentiated twice, the exact Hessian; both take the transition kernel's
@@ -136,8 +138,9 @@ class PanelDesign:
     """Precomputed arrays for fast repeated likelihood evaluation.
 
     Individuals are padded to the longest observation sequence; ``active``
-    masks which (individual, step) cells are real.  Covariates and spline
-    bases depend only on data, so they are built once.
+    masks which (individual, step) cells are real.  A padded step has width
+    zero and observation code 3 in ``state_idx``, so it is the identity.
+    Covariates and spline bases depend only on data, so they are built once.
     """
 
     def __init__(self, panel: Panel, structure: ModelStructure, validate: bool = True):
@@ -157,7 +160,6 @@ class PanelDesign:
         self.n_transitions = int(np.sum(counts - 1))
         mmax = int(counts.max())
         self.n_steps = mmax - 1
-        self.counts = counts
 
         # (individual, observation) cell of every sorted row
         row = np.repeat(np.arange(self.n), counts)
@@ -182,7 +184,7 @@ class PanelDesign:
         self.basis, self.basis_f, self.age_centered = covariate_design(
             structure, age_left, self.female[:, None]
         )
-        self.state_idx = np.where(self.valid, self.states - 1, 0)
+        self.state_idx = np.where(self.valid, self.states - 1, 3)
 
     def _slots(self) -> np.ndarray:
         """The local coordinate (see ``_SLOT``) that each entry of the flat
@@ -193,7 +195,7 @@ class PanelDesign:
     def param_scales(self) -> np.ndarray:
         """Typical regressor magnitude per parameter, used to precondition
         the optimizer: the root mean square of its row of the design over
-        the active steps, floored at one, so that dummies, baselines and
+        the active steps and at least one, so that dummies, baselines and
         logits scale at one.  The design is built one step at a time."""
         squares = sum(np.sum(self._step_design(j)[:, act] ** 2, axis=1)
                       for j, act in enumerate(self.active.T))
@@ -205,13 +207,19 @@ class PanelDesign:
         return float(self._forward(gamma, None).sum())
 
     def _forward(self, gamma: np.ndarray, tape: dict | None) -> np.ndarray:
-        """Per-individual log likelihoods by the rescaled forward recursion.
+        """Per-individual log likelihoods by the rescaled forward recursion,
+        the sums of the log normalisers c_k.  A zero normaliser, which only
+        an impossible sequence gives, makes that individual's log likelihood
+        -inf and its filtered probabilities zero from there on.
 
         With a ``tape`` dict, also records what :meth:`_backward`, the
         score and the Hessian need: parameters, rates, their clip slopes
-        dq/dlin = d2q/dlin2, transition entries, and per observation the
-        emission factors, the filtered state probabilities, the predicted
-        (pre-emission) probabilities and the unfloored normalisers.
+        dq/dlin = d2q/dlin2, transition entries, and arrays indexed by
+        observation, then individual: the emission factors ``obs``, the
+        filtered probabilities ``alpha`` and the predicted (pre-emission)
+        probabilities ``pred``, each (steps + 1, n, 3), and the normalisers
+        ``raw``, (steps + 1, n).  Without a tape, two slots of each serve
+        the whole recursion.
         """
         params = unpack_params(gamma, self.structure)
         lins = np.array(log_intensities(
@@ -221,40 +229,36 @@ class PanelDesign:
         np.exp(rates, out=rates)
         p11, p12, p13, p22, p23 = entries = transition_entries(*rates, self.widths)
 
-        emission = misclassification_matrix(
+        # emission factors by observation code (rows; code 3 pads) and true state
+        emit = np.vstack((misclassification_matrix(
             float(expit(params.logit_e12)), float(expit(params.logit_e21))
-        )
+        ).T, np.ones(3)))
         p2 = expit(params.logit_p2)
-        init = np.array([1.0 - p2, p2, 0.0])
 
-        obs = emission[:, self.state_idx[:, 0]].T
-        alpha = init[None, :] * obs
-        raw = alpha.sum(axis=1)
-        norm = np.maximum(raw, 1e-300)
-        loglik = np.log(norm)
-        alpha = alpha / norm[:, None]
+        m = self.n_steps + 1
+        slots = m if tape is not None else 2
+        obs, alpha, pred = (np.empty((slots, self.n, 3)) for _ in range(3))
+        raw = np.empty((slots, self.n))
+        loglik = np.zeros(self.n)
+        pred[0] = 1.0 - p2, p2, 0.0
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            for k in range(m):
+                now = k % slots
+                if k:
+                    # alpha times the upper-triangular transition matrix, death absorbing
+                    j = k - 1
+                    a0, a1, a2 = alpha[j % slots].T
+                    pred[now, :, 0] = a0 * p11[:, j]
+                    pred[now, :, 1] = a0 * p12[:, j] + a1 * p22[:, j]
+                    pred[now, :, 2] = a0 * p13[:, j] + a1 * p23[:, j] + a2
+                np.take(emit, self.state_idx[:, k], axis=0, out=obs[now])
+                np.multiply(pred[now], obs[now], out=alpha[now])
+                np.sum(alpha[now], axis=1, out=raw[now])
+                loglik += np.log(raw[now])
+                alpha[now] /= np.where(raw[now] > 0.0, raw[now], 1.0)[:, None]
         if tape is not None:
             tape.update(params=params, rates=rates, slopes=rates * (np.abs(lins) < _LIN_CLIP),
-                        entries=entries, obs=[obs], alpha=[alpha],
-                        pred=[np.broadcast_to(init, obs.shape)], raw=[raw])
-        for j in range(self.n_steps):
-            # alpha times the upper-triangular transition matrix, death absorbing
-            a0, a1, a2 = alpha.T
-            pred = np.column_stack((
-                a0 * p11[:, j],
-                a0 * p12[:, j] + a1 * p22[:, j],
-                a0 * p13[:, j] + a1 * p23[:, j] + a2,
-            ))
-            obs = emission[:, self.state_idx[:, j + 1]].T
-            step = pred * obs
-            raw = step.sum(axis=1)
-            norm = np.maximum(raw, 1e-300)
-            act = self.active[:, j]
-            loglik = loglik + np.where(act, np.log(norm), 0.0)
-            alpha = np.where(act[:, None], step / norm[:, None], alpha)
-            if tape is not None:
-                for key, value in (("obs", obs), ("alpha", alpha), ("pred", pred), ("raw", raw)):
-                    tape[key].append(value)
+                        entries=entries, obs=obs, alpha=alpha, pred=pred, raw=raw)
         return loglik
 
     def loglik_and_score(self, gamma: np.ndarray) -> tuple[float, np.ndarray]:
@@ -269,20 +273,17 @@ class PanelDesign:
         the clip slopes, they give the adjoints of the three log-intensity
         grids; with the emission logits these are each step's local
         adjoints, which :meth:`_step_design` carries to the parameters.
-        Conventions: the score is the derivative of the clipped function, so
-        it is zero in a cell where |lin| >= 30; and a step whose normaliser
-        sits on the 1e-300 floor is treated as constant, passing nothing
-        back.  A normaliser just above the floor can still overflow the score
-        where the log likelihood is finite; :func:`fit_msm` rejects such a
-        point.
+        The score is the gradient of the clipped function, so it is zero in
+        a cell where |lin| >= 30, and it is exact wherever the likelihood is
+        positive.  Where alpha underflows, beta grows like the inverse of
+        the normalisers, and their product can overflow while the log
+        likelihood is finite; :func:`fit_msm` rejects such a point.
         """
         tape: dict = {}
         loglik = float(self._forward(gamma, tape).sum())
-        ec, betas, _, (h12, h21, _, _) = self._backward(tape)
-        n, steps = self.n, self.n_steps
-        alphas, preds = tape["alpha"], tape["pred"]
-        eb = [e * b for e, b in zip(ec, betas)]
-        (a0, a1, _), (e0, e1, e2) = np.array(alphas[:-1]).T, np.array(eb[1:]).T
+        ec, betas, (h12, h21, _, _) = self._backward(tape)
+        eb = ec * betas
+        (a0, a1, _), (e0, e1, e2) = tape["alpha"][:-1].T, eb[1:].T
         # as the rows of P_j sum to one, its free entries p11, p12 and p22 carry
         # a0 (e0 - e2), a0 (e1 - e2) and a1 (e1 - e2), (e0, e1, e2) = e beta / c at j + 1
         bars = np.array((a0 * (e0 - e2), a0 * (e1 - e2), a1 * (e1 - e2)))
@@ -290,14 +291,15 @@ class PanelDesign:
                         bars) * tape["slopes"]
         # the emission logits at each observation: the predicted probability
         # (the initial distribution at 0) times d(e/c) times beta
-        d_e12 = [pred[:, 0] * h12[:, k] * b[:, 0] for k, (pred, b) in enumerate(zip(preds, betas))]
-        d_e21 = [pred[:, 1] * h21[:, k] * b[:, 1] for k, (pred, b) in enumerate(zip(preds, betas))]
+        pred = tape["pred"]
+        d_e12 = pred[:, :, 0] * h12 * betas[:, :, 0]
+        d_e21 = pred[:, :, 1] * h21 * betas[:, :, 1]
         slot = self._slots()
-        scores = np.zeros((slot.size, n))
+        scores = np.zeros((slot.size, self.n))
         p2 = expit(tape["params"].logit_p2)
-        scores[slot >= 3] = d_e12[0], d_e21[0], p2 * (1.0 - p2) * (eb[0][:, 1] - eb[0][:, 0])
-        zero = np.zeros(n)
-        for j in range(steps):
+        scores[slot >= 3] = d_e12[0], d_e21[0], p2 * (1.0 - p2) * (eb[0, :, 1] - eb[0, :, 0])
+        zero = np.zeros(self.n)
+        for j in range(self.n_steps):
             local = np.array((*lin[:, :, j], d_e12[j + 1], d_e21[j + 1], zero))
             scores += local[slot] * self._step_design(j)
         return loglik, scores.T.copy()
@@ -323,9 +325,9 @@ class PanelDesign:
 
     def hessian(self, gamma: np.ndarray) -> np.ndarray:
         """Hessian of the log likelihood: the Jacobian of the summed score of
-        :meth:`loglik_and_score`, under the same two conventions.  It is a
-        sum over individuals, taken over blocks of _HESSIAN_BLOCK of them so
-        that its working arrays stay small.
+        :meth:`loglik_and_score`, under the same convention.  It is a sum
+        over individuals, taken over blocks of _HESSIAN_BLOCK of them so
+        that its working arrays, the tape included, stay small.
         """
         return sum(self._individuals(slice(lo, lo + _HESSIAN_BLOCK))._hessian(gamma)
                    for lo in range(0, self.n, _HESSIAN_BLOCK))
@@ -333,7 +335,7 @@ class PanelDesign:
     def _individuals(self, rows: slice) -> PanelDesign:
         """The design of a block of individuals, as views of this one's arrays."""
         sub = copy.copy(self)
-        for name in ("counts", "states", "valid", "female", "widths", "waves", "active",
+        for name in ("states", "valid", "female", "widths", "waves", "active",
                      "basis", "basis_f", "age_centered", "state_idx"):
             setattr(sub, name, getattr(self, name)[rows])
         sub.n = sub.female.size
@@ -344,43 +346,37 @@ class PanelDesign:
 
         The forward pass is rescaled, so step j is the factor
         F_j = P_j diag(e_{j+1}) / c_{j+1} and the initial one is
-        pi * e_0 / c_0.  Returns four things:
+        pi * e_0 / c_0.  Returns three things, indexed by observation, then
+        individual:
 
-        - per observation, the emission factors e/c, one at padded cells and
-          zero where c sits on its floor;
+        - the emission factors e/c, (steps + 1, n, 3);
         - the rescaled backward variables beta_j = F_j beta_{j+1}, one at
-          the last observation, so that alpha_j beta_j = 1; a step whose
-          normaliser is floored cuts the dependence on what precedes it, so
-          the beta before it restarts at one;
-        - the floored cells;
-        - (h12, h21, hh12, hh21): the first and second derivatives of e(0)/c
-          in logit e12 and of e(1)/c in logit e21, the only emission
-          entries that move.
+          the last observation, so that alpha_j beta_j = 1, of the same
+          shape;
+        - (h12, h21, hh12, hh21), each (steps + 1, n): the first and second
+          derivatives of e(0)/c in logit e12 and of e(1)/c in logit e21, the
+          only emission entries that move.
+
+        A zero normaliser is taken as one here, so that nothing is divided
+        by zero; that individual's log likelihood is -inf, and its score and
+        curvature carry no meaning.
         """
-        n, steps = self.n, self.n_steps
         p11, p12, p13, p22, p23 = tape["entries"]
-        raw = np.column_stack(tape["raw"])
-        live = self.valid & (raw >= 1e-300)
-        floored = self.valid & ~live
-        inv_c = np.where(live, 1.0 / np.where(live, raw, 1.0), 0.0)
-        ec = [np.where(self.valid[:, k, None], tape["obs"][k] * inv_c[:, k, None], 1.0)
-              for k in range(steps + 1)]
+        inv_c = 1.0 / np.where(tape["raw"] > 0.0, tape["raw"], 1.0)
+        ec = tape["obs"] * inv_c[:, :, None]
         params = tape["params"]
         e12, e21 = expit([params.logit_e12, params.logit_e21])
-        sign = np.array([-1.0, 1.0, 0.0])[self.state_idx] * inv_c
+        sign = np.array([-1.0, 1.0, 0.0, 0.0])[self.state_idx.T] * inv_c
         h12, h21 = sign * e12 * (1.0 - e12), -sign * e21 * (1.0 - e21)
-        slopes = h12, h21, h12 * (1.0 - 2.0 * e12), h21 * (1.0 - 2.0 * e21)
+        jets = h12, h21, h12 * (1.0 - 2.0 * e12), h21 * (1.0 - 2.0 * e21)
 
-        betas = [np.ones((n, 3))] * (steps + 1)
-        for j in range(steps - 1, -1, -1):
+        betas = np.ones_like(ec)
+        for j in range(self.n_steps - 1, -1, -1):
             eb = ec[j + 1] * betas[j + 1]
-            back = np.column_stack((
-                p11[:, j] * eb[:, 0] + p12[:, j] * eb[:, 1] + p13[:, j] * eb[:, 2],
-                p22[:, j] * eb[:, 1] + p23[:, j] * eb[:, 2],
-                eb[:, 2],
-            ))
-            betas[j] = np.where(floored[:, j + 1, None], 1.0, back)
-        return ec, betas, floored, slopes
+            betas[j, :, 0] = p11[:, j] * eb[:, 0] + p12[:, j] * eb[:, 1] + p13[:, j] * eb[:, 2]
+            betas[j, :, 1] = p22[:, j] * eb[:, 1] + p23[:, j] * eb[:, 2]
+            betas[j, :, 2] = eb[:, 2]
+        return ec, betas, jets
 
     def _hessian(self, gamma: np.ndarray) -> np.ndarray:
         """Hessian of the log likelihood over all of this design's individuals.
@@ -396,15 +392,12 @@ class PanelDesign:
         :meth:`_step_design` from the step's local coordinates (three log
         intensities, two misclassification logits) to the parameters.
         S beta_j is the score of the factors before step j, so s comes from
-        the same sweep.  A step whose normaliser sits on its floor cuts the
-        score's dependence in two, so it closes a segment: its outer product
-        s s' is taken there and S restarts at zero.  Padded cells have width
-        zero, so P = I there and every derivative of it vanishes; with e/c
-        set to one their factor is the identity.
+        the same sweep.  A padded step is the identity, and every derivative
+        of its P = I (width zero) vanishes.
         """
         tape: dict = {}
         self._forward(gamma, tape)
-        ec, betas, floored, (h12, h21, hh12, hh21) = self._backward(tape)
+        ec, betas, (h12, h21, hh12, hh21) = self._backward(tape)
         n, steps = self.n, self.n_steps
         slot = self._slots()
         p = slot.size
@@ -414,26 +407,25 @@ class PanelDesign:
 
         # A is gathered as a half whose sum with its transpose is A
         A = np.zeros((p, p))
-        outer = np.zeros((p, p))
         S = np.zeros((3, p, n))
         # initial factor, local coordinates (logit e12, logit e21, logit p2)
         b0, d2 = betas[0], p2 * (1.0 - p2)
         eb0 = ec[0] * b0
         W0 = np.zeros((3, 3, n))
-        W0[0, 0] = (1.0 - p2) * hh12[:, 0] * b0[:, 0]
-        W0[1, 1] = p2 * hh21[:, 0] * b0[:, 1]
+        W0[0, 0] = (1.0 - p2) * hh12[0] * b0[:, 0]
+        W0[1, 1] = p2 * hh21[0] * b0[:, 1]
         W0[2, 2] = d2 * (1.0 - 2.0 * p2) * (eb0[:, 1] - eb0[:, 0])
-        W0[0, 2] = W0[2, 0] = -d2 * h12[:, 0] * b0[:, 0]
-        W0[1, 2] = W0[2, 1] = d2 * h21[:, 0] * b0[:, 1]
+        W0[0, 2] = W0[2, 0] = -d2 * h12[0] * b0[:, 0]
+        W0[1, 2] = W0[2, 1] = d2 * h21[0] * b0[:, 1]
         init = np.flatnonzero(slot >= 3)
         A[np.ix_(init, init)] = 0.5 * W0.sum(axis=-1)
-        S[0, init[[0, 2]]] = (1.0 - p2) * h12[:, 0], -d2 * ec[0][:, 0]
-        S[1, init[[1, 2]]] = p2 * h21[:, 0], d2 * ec[0][:, 1]
+        S[0, init[[0, 2]]] = (1.0 - p2) * h12[0], -d2 * ec[0, :, 0]
+        S[1, init[[1, 2]]] = p2 * h21[0], d2 * ec[0, :, 1]
 
         slots = [np.flatnonzero(slot == k) for k in range(5)]
         for j in range(steps):
             k = j + 1
-            a0, a1 = alphas[j][:, 0], alphas[j][:, 1]
+            a0, a1 = alphas[j, :, 0], alphas[j, :, 1]
             bk, eck, pred = betas[k], ec[k], preds[k]
             eb = eck * bk
             t = tape["slopes"][:, :, j]
@@ -450,28 +442,24 @@ class PanelDesign:
             # and curvature W = alpha_j d2F_j beta_{j+1}
             R = np.zeros((6, 3, n))
             R[:3, 0], R[:3, 1], R[:3, 2] = x * eck[:, 0], (y + z) * eck[:, 1], -(x + y + z) * eck[:, 2]
-            R[3, 0] = pred[:, 0] * h12[:, k]
-            R[4, 1] = pred[:, 1] * h21[:, k]
+            R[3, 0] = pred[:, 0] * h12[k]
+            R[4, 1] = pred[:, 1] * h21[k]
             C = np.zeros((6, 2, n))
             C[:3, 0] = gl[0] * d0 + gl[1] * d1
             C[:3, 1] = gl[2] * d1
-            C[3, 0] = p11[:, j] * h12[:, k] * bk[:, 0]
-            C[4] = p12[:, j] * h21[:, k] * bk[:, 1], p22[:, j] * h21[:, k] * bk[:, 1]
+            C[3, 0] = p11[:, j] * h12[k] * bk[:, 0]
+            C[4] = p12[:, j] * h21[k] * bk[:, 1], p22[:, j] * h21[k] * bk[:, 1]
             W = np.zeros((6, 6, n))
             W[:3, :3] = a0 * d0 * hl[0] + a0 * d1 * hl[1] + a1 * d1 * hl[2]
-            W[:3, 3] = W[3, :3] = x * h12[:, k] * bk[:, 0]
-            W[:3, 4] = W[4, :3] = (y + z) * h21[:, k] * bk[:, 1]
-            W[3, 3] = pred[:, 0] * hh12[:, k] * bk[:, 0]
-            W[4, 4] = pred[:, 1] * hh21[:, k] * bk[:, 1]
+            W[:3, 3] = W[3, :3] = x * h12[k] * bk[:, 0]
+            W[:3, 4] = W[4, :3] = (y + z) * h21[k] * bk[:, 1]
+            W[3, 3] = pred[:, 0] * hh12[k] * bk[:, 0]
+            W[4, 4] = pred[:, 1] * hh21[k] * bk[:, 1]
 
             G = self._step_design(j)
             for c, rows in enumerate(slots):
                 Z = 0.5 * W[c][slot] * G + S[0] * C[c, 0] + S[1] * C[c, 1]
                 A[rows] += G[rows] @ Z.T
-            cut = np.flatnonzero(floored[:, k])
-            if cut.size:
-                seg = S[:, :, cut].sum(axis=0)
-                outer += seg @ seg.T
             # S <- S F_j with F_j = P_j diag(e/c) upper triangular, last state first
             f0, f1, f2 = eck.T
             S[2] = S[0] * (p13[:, j] * f2) + S[1] * (p23[:, j] * f2) + S[2] * f2
@@ -479,9 +467,8 @@ class PanelDesign:
             S[0] *= p11[:, j] * f0
             for s in range(3):
                 S[s] += R[slot, s] * G
-        seg = S.sum(axis=0)
-        outer += seg @ seg.T
-        return A + A.T - outer
+        s = S.sum(axis=0)
+        return A + A.T - s @ s.T
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +575,8 @@ def fit_msm(
     ``iterations`` counts trust-region iterations over both phases, and
     ``maxiter`` bounds that count.  ``fixed`` maps parameter names to
     frozen values, e.g. to pin the misclassification at the identity.
-    Non-convergence is flagged on the result, never raised.
+    Non-convergence is flagged on the result, never raised; a start point
+    whose log likelihood or score is not finite raises ``NumericalError``.
     ``validate=False`` skips the schema checks of a panel the caller has
     already passed through :func:`validate_panel`.
 
@@ -635,8 +623,9 @@ def fit_msm(
         return x
 
     def nll_and_grad(z_free: np.ndarray):
-        # the adjoint can overflow at a point far from the data; the
-        # non-finite score is rejected below
+        # where alpha underflows, far from the data, beta grows and the
+        # score can overflow; that point is rejected below, as is one where
+        # the log likelihood is -inf
         with np.errstate(over="ignore", invalid="ignore"):
             value, scores = design.loglik_and_score(gamma_of(z_free))
         scores = scores[:, idx_free] / scale
@@ -694,7 +683,11 @@ def fit_msm(
         return minimize(lambda z: at(z)[:2], z0, method="trust-exact", jac=True, hess=hess,
                         callback=monitor, options={"maxiter": iterations, "gtol": _GTOL})
 
-    res = trust_region(x_full[idx_free] * scale, bhhh, maxiter)
+    z_start = x_full[idx_free] * scale
+    if at(z_start)[0] == _REJECTED:
+        # the trust region would stop there at once, "converged"
+        raise NumericalError("the log likelihood or its score is not finite at the start point")
+    res = trust_region(z_start, bhhh, maxiter)
     iterations = int(res.nit)
     if watch["stop"] == "switch" or res.status in (2, 3):
         # BHHH stalled or could not model the surface: exact curvature from here

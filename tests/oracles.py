@@ -217,9 +217,9 @@ def forward_loglik(panel, structure, gamma, validate: bool = True) -> float:
 
     ``gamma`` may be a flat vector (see ``estimator.param_names``) or a
     :class:`HazardParams`.  With ``validate=False`` schema checks are
-    skipped and impossible observation sequences return a floor log
-    likelihood (about -690 per wave) instead of raising, so exponentiating
-    gives them zero mass in law-of-total-probability sums.
+    skipped and an impossible observation sequence gives a log likelihood
+    of -inf instead of raising, which is exactly zero mass in
+    law-of-total-probability sums.
     """
     if isinstance(gamma, HazardParams):
         gamma = pack_params(gamma, structure)
@@ -326,32 +326,31 @@ def score_adjoint(design: PanelDesign, gamma) -> tuple:
         # adjoint of the unnormalised step k from that of its normalised
         # result and of its log-normaliser term
         g = abar - np.sum(abar * alphas[k], axis=1, keepdims=True) + 1.0
-        live = raws[k] >= 1e-300
-        return np.where(live[:, None], g / np.maximum(raws[k], 1e-300)[:, None], 0.0)
+        return g / raws[k][:, None]
 
+    # padded cells are identity steps of the tape and pass the adjoint through
     bars = np.zeros((5, n, steps))
-    gs = [None] * (steps + 1)
+    gs = np.empty((steps + 1, n, 3))
     abar = np.zeros((n, 3))
     for j in range(steps - 1, -1, -1):
-        act = design.active[:, j]
-        gs[j + 1] = g = np.where(act[:, None], step_adjoint(abar, j + 1), 0.0)
+        gs[j + 1] = g = step_adjoint(abar, j + 1)
         pb = g * obs[j + 1]
         a0, a1 = alphas[j][:, 0], alphas[j][:, 1]
         bars[:, :, j] = a0 * pb[:, 0], a0 * pb[:, 1], a0 * pb[:, 2], a1 * pb[:, 1], a1 * pb[:, 2]
-        back = np.column_stack((
+        abar = np.column_stack((
             p11[:, j] * pb[:, 0] + p12[:, j] * pb[:, 1] + p13[:, j] * pb[:, 2],
             p22[:, j] * pb[:, 1] + p23[:, j] * pb[:, 2],
             pb[:, 2],
         ))
-        abar = np.where(act[:, None], back, abar)
     gs[0] = step_adjoint(abar, 0)
     # adjoint of each emission factor E[s, o_j]: g_j(s) times the
     # predicted probability (the initial distribution at j = 0)
-    d_obs = np.stack(gs, axis=1) * np.stack(tape["pred"], axis=1)
-    # d E[0, o] / d e12 for observed o = 1, 2, 3; d E[1, o] / d e21 is its negative
-    sign = np.array([-1.0, 1.0, 0.0])[design.state_idx]
-    d_e12 = np.sum(d_obs[:, :, 0] * sign, axis=1)
-    d_e21 = -np.sum(d_obs[:, :, 1] * sign, axis=1)
+    d_obs = gs * tape["pred"]
+    # d E[0, o] / d e12 for observed o = 1, 2, 3 and the padded code; d E[1, o] / d e21
+    # is its negative
+    sign = np.array([-1.0, 1.0, 0.0, 0.0])[design.state_idx.T]
+    d_e12 = np.sum(d_obs[:, :, 0] * sign, axis=0)
+    d_e21 = -np.sum(d_obs[:, :, 1] * sign, axis=0)
     d_p2 = gs[0][:, 1] * obs[0][:, 1] - gs[0][:, 0] * obs[0][:, 0]
 
     q12, q13, q23 = tape["rates"]

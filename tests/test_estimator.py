@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from itertools import product
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import msmtrend.estimator as est
-from msmtrend.errors import DataValidationError, CurvatureError, InvalidArgumentError
+from msmtrend.errors import (CurvatureError, DataValidationError, InvalidArgumentError,
+                             NumericalError)
 from msmtrend.markov import Covariates, HazardParams, ModelStructure, build_intensity
 from msmtrend.panel import Panel
 from msmtrend.simulate import SimulationConfig, simulate_panel
@@ -319,15 +321,21 @@ def test_exact_information_matches_hessian_fd():
 
 
 def test_score_handles_impossible_sequences():
-    # with validation off, a dead-then-alive sequence floors the forward
-    # recursion; the floored step passes no adjoint and the score is finite
+    # with validation off, a dead-then-alive sequence has a zero normaliser:
+    # its log likelihood is exactly -inf, with no RuntimeWarning, and the
+    # other individual's score row is that of its own one-person panel
     panel = small_panel([1, 1, 1, 2, 2], [0.0, 2.0, 4.0, 0.0, 2.0], [1, 3, 1, 1, 2])
     design = est.PanelDesign(panel, SMALL_STRUCTURE, validate=False)
     gamma = est.pack_params(random_params(np.random.default_rng(8), SMALL_STRUCTURE),
                             SMALL_STRUCTURE)
-    loglik, scores = design.loglik_and_score(gamma)
-    assert loglik == design.loglik(gamma) and np.isfinite(loglik)
-    assert np.all(np.isfinite(scores))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        per_individual = design._forward(gamma, None)
+        loglik, scores = design.loglik_and_score(gamma)
+        assert per_individual[0] == -np.inf and np.isfinite(per_individual[1])
+        assert loglik == design.loglik(gamma) == -np.inf
+        alone = est.PanelDesign(small_panel([2, 2], [0.0, 2.0], [1, 2]), SMALL_STRUCTURE)
+        np.testing.assert_array_equal(scores[1], alone.loglik_and_score(gamma)[1][0])
 
 
 @settings(max_examples=25, deadline=None)
@@ -356,8 +364,8 @@ def test_scores_invariant_to_relabelling_and_row_order(seed):
 
 
 def assert_hessian_matches_fd(design, gamma) -> np.ndarray:
-    # the Jacobian of the score as loglik_and_score defines it, clip and
-    # floor included; the exact matrix is also symmetric to round-off
+    # the Jacobian of the score as loglik_and_score defines it, clip
+    # included; the exact matrix is also symmetric to round-off
     H = design.hessian(gamma)
     want = jacobian_fd(lambda g: design.loglik_and_score(g)[1].sum(axis=0), gamma)
     assert np.all(np.isfinite(H))
@@ -380,21 +388,19 @@ def test_hessian_matches_score_jacobian_beyond_the_clip():
         assert np.all(H[k] == 0.0) and np.all(H[:, k] == 0.0)
 
 
-def test_hessian_handles_impossible_sequences():
-    # the floored step of a dead-then-alive sequence cuts the score in two;
-    # the Hessian is that of the cut function, and finite
+def test_fit_refuses_an_impossible_start():
+    # a dead-then-alive sequence has zero likelihood everywhere: the fit
+    # refuses the start point rather than stop there at once, "converged"
     panel = small_panel([1, 1, 1, 2, 2], [0.0, 2.0, 4.0, 0.0, 2.0], [1, 3, 1, 1, 2])
-    design = est.PanelDesign(panel, SMALL_STRUCTURE, validate=False)
-    gamma = est.pack_params(random_params(np.random.default_rng(8), SMALL_STRUCTURE),
-                            SMALL_STRUCTURE)
-    assert_hessian_matches_fd(design, gamma)
+    with pytest.raises(NumericalError, match=r"^the log likelihood or its score is not finite "
+                                             r"at the start point$"):
+        est.fit_msm(panel, SMALL_STRUCTURE, validate=False)
 
 
-def test_hessian_takes_outer_products_per_segment():
-    # a normaliser positive but below the 1e-300 floor (p11 near e^-692 in
-    # wave 1, misreporting near e^-700) also cuts the score in two, and
-    # live steps follow it; s s' is then a sum over the two segments, and
-    # an outer product of the whole individual's score misses by about 10%
+def test_score_is_the_gradient_below_1e_300():
+    # a normaliser positive but below 1e-300 (p11 near e^-692 in wave 1,
+    # misreporting near e^-700), with live steps after it: the score is
+    # still the gradient of the log likelihood, and the Hessian its Jacobian
     panel = small_panel([1, 1, 1, 1, 2, 2, 2], [0.0, 2.0, 4.0, 6.0, 0.0, 2.0, 4.0],
                         [1, 1, 1, 2, 1, 2, 3])
     design = est.PanelDesign(panel, SMALL_STRUCTURE, validate=False)
@@ -407,7 +413,8 @@ def test_hessian_takes_outer_products_per_segment():
         gamma[names.index(name)] = value
     tape: dict = {}
     design._forward(gamma, tape)
-    assert 0.0 < tape["raw"][1][0] < 1e-300 and tape["raw"][2][0] >= 1e-300
+    assert 0.0 < tape["raw"][1, 0] < 1e-300 and tape["raw"][2, 0] >= 1e-300
+    assert_score_matches_fd(design, gamma)
     assert_hessian_matches_fd(design, gamma)
 
 
@@ -479,7 +486,7 @@ def test_design_rejects_dead_at_first_observation():
     panel = small_panel([1, 1, 2], [0.0, 2.0, 0.0], [1, 2, 3])
     with pytest.raises(DataValidationError, match="id 2 is dead at its first observation"):
         est.PanelDesign(panel, SMALL_STRUCTURE)
-    # the unchecked design still builds: the likelihood floors the impossible sequence
+    # the unchecked design still builds: the impossible sequence has log likelihood -inf
     est.PanelDesign(panel, SMALL_STRUCTURE, validate=False)
 
 
@@ -648,10 +655,11 @@ def test_unidentified_combination_stops_at_the_box():
 
 
 def test_exact_phase_rejects_points_whose_likelihood_overflows():
-    # 60 people, seed 5: the exact phase proposes a point whose forward
-    # pass floors and whose score overflows; trust-exact asks for the
-    # curvature there before rejecting it, and the fit ends flagged, not
-    # in an error.  The score pass's overflow there is expected
+    # 60 people, seed 5: the exact phase proposes a point where some
+    # individuals have zero likelihood and others' scores overflow;
+    # trust-exact asks for the curvature there before rejecting it, and the
+    # fit ends flagged, not in an error.  The score pass's overflow there is
+    # expected
     structure = paperlike_structure()
     panel = simulate_panel(SimulationConfig(n=60, structure=structure,
                                             params=paperlike_params(), seed=5))
