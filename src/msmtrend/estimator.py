@@ -573,8 +573,9 @@ def fit_msm(
     the exact model can no longer predict a gain above round-off.  The
     covariance is the inverse of the exact information at the final point.
     ``iterations`` counts trust-region iterations over both phases, and
-    ``maxiter`` bounds that count.  ``fixed`` maps parameter names to
-    frozen values, e.g. to pin the misclassification at the identity.
+    ``maxiter`` (at least 1) bounds that count.  ``fixed`` maps parameter
+    names to frozen values, e.g. to pin the misclassification at the
+    identity.
     Non-convergence is flagged on the result, never raised; a start point
     whose log likelihood or score is not finite raises ``NumericalError``.
     ``validate=False`` skips the schema checks of a panel the caller has
@@ -588,6 +589,8 @@ def fit_msm(
     +-60 stops the fit, which is then flagged as not converged with a
     warning that names those parameters.
     """
+    if maxiter < 1:
+        raise InvalidArgumentError(f"maxiter must be at least 1, got {maxiter}")
     design = PanelDesign(panel, structure, validate=validate)
     names = param_names(structure)
     p = len(names)

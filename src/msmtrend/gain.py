@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import InvalidArgumentError
 
@@ -126,9 +126,6 @@ class CoefficientTable:
     order: int
     c: np.ndarray
     d: np.ndarray
-    mode: str
-    gains: np.ndarray | None = None
-    k_inf: float | None = None
 
 
 def exact_coefficients(k: int, gains) -> CoefficientTable:
@@ -151,32 +148,27 @@ def exact_coefficients(k: int, gains) -> CoefficientTable:
     gains = np.asarray(gains, dtype=float)
     if gains.size < k:
         raise InvalidArgumentError(f"need {k} gains, got {gains.size}")
-    g = gains[:k].copy()
+    g = gains[:k]
     # tail[i-1] = prod_{s=i..k-1} (1 - K_s), the empty product at i = k
     tail = np.append(np.cumprod(1.0 - g[-2::-1])[::-1], 1.0)
     c = g[-1] * tail
     d = np.append(-g[-1] * g[:-1] * tail[1:], g[-1])
-    return CoefficientTable(order=k, c=c, d=d, mode="exact", gains=g)
+    return CoefficientTable(order=k, c=c, d=d)
 
 
 def asymptotic_coefficients(k: int, k_inf: float) -> CoefficientTable:
-    """Steady-state coefficients with every gain at its limit.
+    """Steady-state coefficients: the exact ones with every gain at its limit,
 
         c_i(k) = sum_m (-1)^m C(k-i, m) K^{m+1}      = K (1-K)^{k-i}
         d_i(k) = sum_m (-1)^{m+1} C(k-i-1, m) K^{m+2} = -K^2 (1-K)^{k-i-1}, i < k
         d_k(k) = K
 
-    The binomial sums collapse by the binomial theorem; the closed forms are
-    used directly since alternating sums of large binomials cancel badly.
+    by the binomial theorem; the suffix product avoids the alternating sums
+    of large binomials, which cancel badly.
     """
-    if k < 1:
-        raise InvalidArgumentError(f"order must be >= 1, got {k}")
     if not 0.0 < k_inf < 1.0:
         raise InvalidArgumentError(f"limiting gain must be in (0,1), got {k_inf}")
-    i = np.arange(1, k + 1)
-    c = k_inf * (1.0 - k_inf) ** (k - i)
-    d = np.where(i == k, k_inf, -(k_inf**2) * (1.0 - k_inf) ** (k - i - 1.0))
-    return CoefficientTable(order=k, c=c, d=d, mode="asymptotic", k_inf=float(k_inf))
+    return exact_coefficients(k, np.full(k, k_inf))
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +184,6 @@ class PowerCurve:
     k: int
     s: float
     mode: str
-
-
-def _coefficients(k: int, s: float, mode: str) -> CoefficientTable:
-    if mode == "exact":
-        gains = gain_sequence(np.full(k, s)).gains
-        return exact_coefficients(k, gains)
-    if mode == "asymptotic":
-        return asymptotic_coefficients(k, fixed_point(s).k_inf)
-    raise InvalidArgumentError("mode must be 'exact' or 'asymptotic'")
 
 
 def power(eta_std, k: int, s: float, mode: str = "exact") -> PowerCurve:
@@ -225,10 +208,13 @@ def power(eta_std, k: int, s: float, mode: str = "exact") -> PowerCurve:
         raise InvalidArgumentError(f"k must be >= 2, got {k}")
     if not s > 0:
         raise InvalidArgumentError(f"s must be positive, got {s}")
+    if mode not in ("exact", "asymptotic"):
+        raise InvalidArgumentError("mode must be 'exact' or 'asymptotic'")
     x = np.atleast_1d(np.asarray(eta_std, dtype=float))
-    table = _coefficients(k, s, mode)
+    gains = gain_sequence(np.full(k, s)).gains if mode == "exact" else np.full(k, fixed_point(s).k_inf)
+    table = exact_coefficients(k, gains)
     c, d = table.c / table.c[-1], table.d / table.c[-1]
-    theta = norm.cdf(-x / math.sqrt(float(np.sum(c[:-1] ** 2) + np.sum(d**2) / s)))
+    theta = ndtr(-x / math.sqrt(float(np.sum(c[:-1] ** 2) + np.sum(d**2) / s)))
     return PowerCurve(eta_std=x, theta=theta, k=k, s=float(s), mode=mode)
 
 

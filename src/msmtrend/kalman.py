@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize_scalar, minimize
-from scipy.stats import chi2, norm
+from scipy.special import chdtrc, ndtri
 
 from .errors import (
     CurvatureError,
@@ -340,7 +340,7 @@ def _profile(y: np.ndarray, var: np.ndarray, variant: str, free: bool, x: np.nda
 def _normal_quantile(level: float) -> float:
     if not 0.0 < level < 1.0:
         raise InvalidArgumentError(f"level must lie in (0, 1), got {level}")
-    return norm.ppf(0.5 + level / 2.0)
+    return ndtri(0.5 + level / 2.0)
 
 
 def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", meas_var=None,
@@ -517,7 +517,7 @@ def diagnostics(output: FilterOutput, model: FilterModel, n_waves: int, lags: in
         for tau in range(1, lags + 1):
             q += _autocorr(resid, tau) ** 2 / (tp - tau)
         lb = tp * (tp + 2) * q
-        lb_p = float(chi2.sf(lb, lags))
+        lb_p = float(chdtrc(lags, lb))
     else:
         notes.append(f"Ljung-Box Q({lags}) omitted: only {tp} residuals")
 
@@ -533,7 +533,7 @@ def diagnostics(output: FilterOutput, model: FilterModel, n_waves: int, lags: in
             skew = float(np.mean(xc**3)) / m2**1.5
             exkurt = float(np.mean(xc**4)) / m2**2 - 3.0
             bs = tp * (skew**2 / 6.0 + exkurt**2 / 24.0)
-            bs_p = float(chi2.sf(bs, 2))
+            bs_p = float(chdtrc(2, bs))
     else:
         notes.append("Bowman-Shenton omitted: too few residuals")
 

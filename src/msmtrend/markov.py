@@ -32,7 +32,6 @@ __all__ = [
     "ModelStructure",
     "HazardParams",
     "IntensityMatrix",
-    "spline_basis",
     "spline_basis_matrix",
     "build_intensity",
     "covariate_design",
@@ -108,11 +107,6 @@ def spline_basis_matrix(ages, knots) -> np.ndarray:
         )
         out[:, j + 1] = (d_j - d_last) / norm
     return out
-
-
-def spline_basis(age: float, knots) -> np.ndarray:
-    """Natural cubic spline basis values at a single age."""
-    return spline_basis_matrix([age], knots)[0]
 
 
 @dataclass(frozen=True)
@@ -268,8 +262,8 @@ def covariate_design(structure: ModelStructure, ages, female):
     """
     ages = np.asarray(ages, dtype=float)
     female = np.asarray(female, dtype=float)
-    basis = spline_basis_matrix(ages.ravel(), structure.knots) - spline_basis(
-        structure.ref_age, structure.knots
+    basis = spline_basis_matrix(ages.ravel(), structure.knots) - spline_basis_matrix(
+        [structure.ref_age], structure.knots
     )
     basis = basis.reshape(ages.shape + (structure.n_basis,))
     return basis, basis * female[..., None], ages - structure.ref_age

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2, f as f_dist, norm, t as t_dist
+from scipy.special import chdtrc, fdtrc, ndtr, stdtr
 
 from .errors import InvalidArgumentError
 from .substreams import generators
@@ -173,6 +173,8 @@ def f_statistic(beta, cov, n: int) -> FTestResult:
     b = np.asarray(beta, dtype=float)
     cov = np.asarray(cov, dtype=float)
     T = b.size
+    if T < 2:
+        raise InvalidArgumentError(f"the joint test needs at least 2 waves, got {T}")
     used_pinv = False
     try:
         sol = np.linalg.solve(cov, b)
@@ -182,10 +184,13 @@ def f_statistic(beta, cov, n: int) -> FTestResult:
     stat = float(b @ sol) / T
     df1 = T - 1
     df2 = max(int(n) - T - 2, 1)
+    # a covariance that is semidefinite only to round-off can make the
+    # statistic negative, below the support, where both tails are 1
+    x = max(stat, 0.0)
     return FTestResult(
         statistic=stat,
-        p_chi2=float(chi2.sf(stat, df1)),
-        p_f=float(f_dist.sf(stat, df1, df2)),
+        p_chi2=float(chdtrc(df1, x)),
+        p_f=float(fdtrc(df1, df2, x)),
         df1=df1,
         df2=df2,
         used_pinv=used_pinv,
@@ -385,8 +390,8 @@ def run_trend_tests(
     stats = t_statistics(series.beta, math.sqrt(sigma2))
 
     T = series.n_waves
-    p_normal = 2.0 * float(norm.sf(abs(stats.t_nu)))
-    p_t = 2.0 * float(t_dist.sf(abs(stats.t_nu), T - 1))
+    p_normal = 2.0 * float(ndtr(-abs(stats.t_nu)))
+    p_t = 2.0 * float(stdtr(T - 1, -abs(stats.t_nu)))
 
     tables = _critical_tables(mc_grid, mc_reps, seed, levels=(0.90, 0.95, 0.99))
     bridge, wiener = tables["bridge"], tables["wiener"]

@@ -623,7 +623,7 @@ def enumerate_coefficients_oracle(k: int, gains):
         # that contain i cover the definition
         c_terms[i] = ct
         d_terms[i] = dt
-    table = CoefficientTable(order=k, c=c, d=d, mode="exact", gains=gains[:k].copy())
+    table = CoefficientTable(order=k, c=c, d=d)
     return table, c_terms, d_terms
 
 

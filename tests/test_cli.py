@@ -432,6 +432,37 @@ def test_non_finite_or_unindexable_grid_is_one_line_error(tmp_path, spec):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", [1_000_001, 10**18])
+@pytest.mark.parametrize("flag", ["k", "periods"])
+def test_order_and_periods_beyond_a_million_are_one_line_errors(tmp_path, flag, count):
+    out = tmp_path / "out.csv"
+    if flag == "k":
+        args = ["power-curve", "--k", count, "--s", 1.26, "--out", out]
+    else:
+        args = ["gain-analysis", "--s", 1.26, "--periods", count, "--out-trajectory", out,
+                "--out-fixed-point", tmp_path / "fp.csv"]
+    res = run_cli(*args)
+    assert res.returncode == 1
+    assert res.stderr == f"error: validation: --{flag} must be at most 1000000, got {count}\n"
+    assert not out.exists()
+
+
+def test_power_curve_order_of_a_million_runs(tmp_path):
+    out = tmp_path / "power.csv"
+    res = run_cli("power-curve", "--k", 1_000_000, "--s", 1.26, "--mode", "asymptotic",
+                  "--grid=-1:0:1", "--out", out)
+    assert res.returncode == 0, res.stderr
+    assert out.read_text().count("\n") == 3
+
+
+@pytest.mark.parametrize("maxiter", [0, -3])
+def test_fit_msm_maxiter_below_one_is_one_line_error(panel_file, spec_file, tmp_path, maxiter):
+    res = run_cli(*fit_msm_args(panel_file, tmp_path, spec_file), "--maxiter", maxiter)
+    assert res.returncode == 1
+    assert res.stderr == f"error: validation: maxiter must be at least 1, got {maxiter}\n"
+    assert not (tmp_path / "e.json").exists() and not (tmp_path / "t.json").exists()
+
+
 def test_threads_flag_is_unrecognized(tmp_path):
     out = tmp_path / "curve.csv"
     res = run_cli("power-curve", "--k", 4, "--s", 1.26, "--threads", 2, "--out", out)

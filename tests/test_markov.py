@@ -17,7 +17,6 @@ from msmtrend.markov import (
     p12_ratio_grad,
     p12_ratio_hess,
     save_model_spec,
-    spline_basis,
     spline_basis_matrix,
     transition_entries,
 )
@@ -47,7 +46,7 @@ def oracle_basis(x: float, knots) -> list:
 
 def test_left_boundary_is_pure_linear():
     for knots in [(55.0, 70.0, 85.0), (50.0, 60.0, 72.0, 88.0)]:
-        b = spline_basis(knots[0], knots)
+        b = spline_basis_matrix([knots[0]], knots)[0]
         assert b[0] == knots[0]
         assert np.all(b[1:] == 0.0)
 
@@ -57,11 +56,11 @@ def test_matches_textbook_oracle():
     for knots in [(55.0, 70.0, 85.0), (52.0, 61.0, 70.0, 79.0, 88.0)]:
         for _ in range(50):
             age = float(rng.uniform(40.0, 100.0))
-            got = spline_basis(age, knots)
+            got = spline_basis_matrix([age], knots)[0]
             want = oracle_basis(age, knots)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(
-        spline_basis(70.0, (55.0, 70.0, 85.0)), oracle_basis(70.0, (55.0, 70.0, 85.0))
+        spline_basis_matrix([70.0], (55.0, 70.0, 85.0))[0], oracle_basis(70.0, (55.0, 70.0, 85.0))
     )
 
 
@@ -70,7 +69,7 @@ def test_natural_boundary_second_derivative_zero():
     h = 1e-3
     for x0 in knots[0], knots[-1]:
         for col in range(2):
-            f = lambda x: spline_basis(x, knots)[col]
+            f = lambda x: spline_basis_matrix([x], knots)[0][col]
             second = (f(x0 + h) - 2 * f(x0) + f(x0 - h)) / h**2
             assert abs(second) < 1e-4
 
@@ -85,11 +84,11 @@ def test_linear_beyond_boundaries():
 
 def test_bad_knots_rejected():
     with pytest.raises(InvalidSpecError):
-        spline_basis(60.0, (55.0, 55.0, 85.0))
+        spline_basis_matrix([60.0], (55.0, 55.0, 85.0))[0]
     with pytest.raises(InvalidSpecError):
-        spline_basis(60.0, (55.0, 70.0))
+        spline_basis_matrix([60.0], (55.0, 70.0))[0]
     with pytest.raises(InvalidSpecError):
-        spline_basis(60.0, (85.0, 70.0, 55.0))
+        spline_basis_matrix([60.0], (85.0, 70.0, 55.0))[0]
 
 
 # ---------------------------------------------------------------------------

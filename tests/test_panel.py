@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import msmtrend.estimator as est
 import msmtrend.panel as panel_mod
 from msmtrend.errors import DataValidationError
-from msmtrend.markov import ModelStructure, spline_basis, spline_basis_matrix
+from msmtrend.markov import ModelStructure, spline_basis_matrix
 from msmtrend.panel import (Panel, parse_panel_text, read_json, read_panel, validate_panel,
                             write_csv, write_json, write_panel)
 
@@ -84,8 +84,8 @@ def test_design_arrays_match_per_individual_reference(validate):
         np.testing.assert_array_equal(design.waves, waves)
         np.testing.assert_array_equal(design.female, female)
         np.testing.assert_array_equal(design.age_centered, age_left - STRUCTURE.ref_age)
-        basis = spline_basis_matrix(age_left.ravel(), STRUCTURE.knots) - spline_basis(
-            STRUCTURE.ref_age, STRUCTURE.knots)
+        basis = spline_basis_matrix(age_left.ravel(), STRUCTURE.knots) - spline_basis_matrix(
+            [STRUCTURE.ref_age], STRUCTURE.knots)[0]
         np.testing.assert_array_equal(design.basis, basis.reshape(design.basis.shape))
         np.testing.assert_array_equal(design.basis_f, design.basis * female[:, None, None])
         assert design.n_transitions == len(panel) - panel.n_individuals

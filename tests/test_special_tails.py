@@ -1,0 +1,115 @@
+"""The package's tails and quantiles come from ``scipy.special``.
+
+Each call site uses the special function behind the ``scipy.stats`` method
+it replaced, so ``scipy.stats`` stays the judge here: every value must be
+the same double, at the extremes of its argument and at the degrees of
+freedom the code uses.  The CLI must not load ``scipy.stats`` at all.
+"""
+
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from msmtrend import kalman
+from msmtrend.errors import InvalidArgumentError
+from msmtrend.gain import exact_coefficients, fixed_point, gain_sequence, power
+from msmtrend.trend import TrendSeries
+from msmtrend.trendtests import f_statistic, run_trend_tests
+
+# arguments from -inf to inf: past the underflow of both tails, round zero,
+# and the largest finite doubles
+EXTREMES = np.array([-np.inf, -1e300, -40.0, -8.5, -1.0, -1e-300, -0.0, 0.0, 1e-300,
+                     0.3, 1.0, 8.5, 40.0, 1e300, np.inf])
+
+
+def test_cli_import_loads_no_scipy_stats():
+    code = "import sys, msmtrend.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("mode", ["exact", "asymptotic"])
+@pytest.mark.parametrize("k, s", [(2, 1e-3), (4, 1.26), (30, 1.26), (3000, 100.0)])
+def test_power_is_the_normal_cdf(mode, k, s):
+    gains = gain_sequence(np.full(k, s)).gains if mode == "exact" else np.full(k, fixed_point(s).k_inf)
+    table = exact_coefficients(k, gains)
+    c, d = table.c / table.c[-1], table.d / table.c[-1]
+    scale = np.sqrt(float(np.sum(c[:-1] ** 2) + np.sum(d**2) / s))
+    np.testing.assert_array_equal(power(EXTREMES, k, s, mode=mode).theta,
+                                  stats.norm.cdf(-EXTREMES / scale), strict=True)
+
+
+def test_normal_quantile_is_the_normal_ppf():
+    for level in (1e-300, 1e-16, 0.5, 0.8, 0.9, 0.95, 0.99, 1.0 - 1e-16, np.nextafter(1.0, 0.0)):
+        assert kalman._normal_quantile(level) == stats.norm.ppf(0.5 + level / 2.0)
+
+
+def residual_cases():
+    rng = np.random.default_rng(4)
+    outlier = rng.standard_normal(1000)
+    outlier[500] = 1e6
+    return [
+        np.zeros(12),  # zero statistics
+        rng.standard_normal(5),
+        rng.standard_normal(40),
+        np.tile([1.0, -1.0], 200),  # Ljung-Box far in the tail
+        outlier,  # Bowman-Shenton far in the tail
+    ]
+
+
+@pytest.mark.parametrize("lags", [1, 2, 4, 10])
+def test_diagnostics_p_values_are_chi2_tails(lags):
+    model = kalman.FilterModel(variant="zero_drift", sigma_eta=1.0)
+    checked = 0
+    for resid in residual_cases():
+        n = resid.size
+        output = kalman.FilterOutput(
+            prior_mean=np.zeros(n), prior_var=np.ones(n), innovation=resid,
+            innovation_var=np.ones(n), gain=np.zeros(n), post_mean=np.zeros(n),
+            post_var=np.ones(n), loglik=-1.0, n_diffuse=0, drift_mean=np.zeros(n),
+            final_state_cov=np.eye(2))
+        report = kalman.diagnostics(output, model, n, lags=lags)
+        if report.ljung_box is not None:
+            assert report.ljung_box_pvalue == stats.chi2.sf(report.ljung_box, lags)
+            checked += 1
+        if report.bowman_shenton and np.any(resid):
+            assert report.bowman_shenton_pvalue == stats.chi2.sf(report.bowman_shenton, 2)
+            checked += 1
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("T", [2, 3, 9, 40])
+@pytest.mark.parametrize("n", [10, 70_000])
+def test_f_statistic_p_values_are_chi2_and_f_tails(T, n):
+    for x in (0.0, 1e-300, 0.3, 1.0, 8.5, 40.0, 1e3, 1e300):
+        res = f_statistic(np.full(T, np.sqrt(x)), np.eye(T), n)
+        assert res.statistic == pytest.approx(x, rel=1e-14)
+        assert res.p_chi2 == stats.chi2.sf(res.statistic, res.df1)
+        assert res.p_f == stats.f.sf(res.statistic, res.df1, res.df2)
+    # an indefinite covariance puts the statistic below the support
+    res = f_statistic(np.ones(T), -np.eye(T), n)
+    assert res.statistic < 0
+    assert res.p_chi2 == stats.chi2.sf(res.statistic, res.df1) == 1.0
+    assert res.p_f == stats.f.sf(res.statistic, res.df1, res.df2) == 1.0
+
+
+def test_f_statistic_needs_two_waves():
+    # chi2(0) has no tail: scipy.stats gives NaN, scipy.special 0 or NaN
+    with pytest.raises(InvalidArgumentError, match="at least 2 waves"):
+        f_statistic(np.ones(1), np.eye(1), 100)
+
+
+@pytest.mark.parametrize("T", [3, 4, 9, 30])
+def test_zero_drift_p_values_are_normal_and_t_tails(T):
+    for slope in (0.0, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e100):
+        series = TrendSeries(beta=slope * np.arange(T), cov=np.eye(T), n_transitions=50_000)
+        report = run_trend_tests(series, lags=1, mc_grid=2, mc_reps=1000, seed=0)
+        t = abs(report.t_nu)
+        assert report.t_nu_p_normal == 2.0 * stats.norm.sf(t)
+        assert report.t_nu_p_t == 2.0 * stats.t.sf(t, T - 1)
+        assert report.f_test.p_chi2 == stats.chi2.sf(report.f_test.statistic, T - 1)
+        assert report.f_test.p_f == stats.f.sf(report.f_test.statistic, T - 1, 50_000 - T - 2)
