@@ -212,11 +212,9 @@ def cmd_gain_analysis(args) -> int:
     write_csv(args.out_trajectory, {"k": k, "k_paper": k - 1, "s": traj.s, "gain": traj.gains,
                                     "nu_var": traj.nu_var, "slope": traj.slope,
                                     "intercept": traj.intercept})
-    fps = [gain.fixed_point(float(sk)) for sk in s]
-    write_csv(args.out_fixed_point, {"k": k, "s": [fp.s for fp in fps],
-                                     "iota": [fp.iota for fp in fps],
-                                     "nu_inf": [fp.nu_inf for fp in fps],
-                                     "k_inf": [fp.k_inf for fp in fps]})
+    fp = gain.fixed_point(s)
+    write_csv(args.out_fixed_point, {"k": k, "s": fp.s, "iota": np.full(len(s), fp.iota),
+                                     "nu_inf": fp.nu_inf, "k_inf": fp.k_inf})
     print(f"wrote gain trajectory ({len(s)} waves) and fixed points")
     return 0
 

@@ -80,9 +80,15 @@ _Z_BOX = 60.0
 # or score is not finite, so that the trust region rejects it
 _REJECTED = 1e12
 
-# individuals per block of PanelDesign.hessian, whose working arrays grow
-# with it (a 2,000-person panel takes two blocks)
-_HESSIAN_BLOCK = 1024
+# individuals per block of PanelDesign's one block loop (see _blocks): the
+# smallest power of two at which a block's NumPy calls, each over one to three
+# cells per individual, stop paying for call overhead (on a 50,000-person
+# panel, 1,024 made loglik 15% slower, while 4,096 and 8,192 were no faster).
+# At eight waves a block's arrays then take about 2 MB in loglik and 7 MB in
+# loglik_and_score.  The Hessian holds about 1.4 times a score pass's arrays
+# per individual, so it takes half blocks, 5 MB at eight waves, and needs
+# less memory than a score pass of the same panel
+_BLOCK = 2048
 
 # the local coordinate of a step or of the initial factor that each
 # parameter field moves: log q12, log q13, log q23 (0-2) or the logit of
@@ -141,6 +147,9 @@ class PanelDesign:
     masks which (individual, step) cells are real.  A padded step has width
     zero and observation code 3 in ``state_idx``, so it is the identity.
     Covariates and spline bases depend only on data, so they are built once.
+    :meth:`loglik`, :meth:`loglik_and_score` and :meth:`hessian` share one
+    block loop, :meth:`_blocks`, that works on _BLOCK individuals at a time
+    (half as many in the Hessian).
     """
 
     def __init__(self, panel: Panel, structure: ModelStructure, validate: bool = True):
@@ -161,7 +170,8 @@ class PanelDesign:
         mmax = int(counts.max())
         self.n_steps = mmax - 1
 
-        # (individual, observation) cell of every sorted row
+        # (individual, observation) cell of every sorted row; each of these
+        # row-sized temporaries is dropped once used, so that few are held at once
         row = np.repeat(np.arange(self.n), counts)
         col = np.arange(len(p)) - np.repeat(starts, counts)
         self.states = np.zeros((self.n, mmax), dtype=np.int64)
@@ -172,12 +182,14 @@ class PanelDesign:
         # rows whose successor belongs to the same individual open a step
         left = np.flatnonzero(col[1:] != 0)
         cell = row[left], col[left]
+        del row, col
         self.widths = np.zeros((self.n, self.n_steps))
         self.widths[cell] = p.times[left + 1] - p.times[left]
         self.waves = np.ones((self.n, self.n_steps), dtype=np.int64)
         self.waves[cell] = structure.wave_indices(p.times[left])
         age_left = np.full((self.n, self.n_steps), structure.ref_age)
         age_left[cell] = p.ages[left]
+        del left, cell
         # step j is real when the individual has an observation j+1
         self.active = self.valid[:, 1:]
         # covariate design at the interval's left endpoint
@@ -202,9 +214,22 @@ class PanelDesign:
         return np.maximum(1.0, np.sqrt(squares / np.count_nonzero(self.active)))
 
     def loglik(self, gamma: np.ndarray) -> float:
-        """Total forward-algorithm log likelihood at parameter vector gamma;
-        the sum runs in fixed id order."""
-        return float(self._forward(gamma, None).sum())
+        """Total forward-algorithm log likelihood at parameter vector gamma.
+        The per-individual values come from the one block loop,
+        :meth:`_blocks`, and are summed once, in fixed id order, so that the
+        total does not depend on the block size."""
+        lls = [b._forward(gamma, None) for b in self._blocks(_BLOCK)]
+        return float(np.concatenate(lls).sum())
+
+    def _blocks(self, size: int):
+        """The one block loop of step one: this design's individuals in id
+        order, ``size`` at a time, each block a design of views of this one's
+        arrays.  Every term of the likelihood, the score and the Hessian
+        belongs to one individual, so blocks change no number but the order
+        of the Hessian's sum over them; they bound the working arrays, which
+        grow with the block."""
+        for lo in range(0, self.n, size):
+            yield self._individuals(slice(lo, lo + size))
 
     def _forward(self, gamma: np.ndarray, tape: dict | None) -> np.ndarray:
         """Per-individual log likelihoods by the rescaled forward recursion,
@@ -279,8 +304,14 @@ class PanelDesign:
         the normalisers, and their product can overflow while the log
         likelihood is finite; :func:`fit_msm` rejects such a point.
         """
+        lls, scores = zip(*(b._loglik_and_score(gamma) for b in self._blocks(_BLOCK)))
+        return float(np.concatenate(lls).sum()), np.concatenate(scores)
+
+    def _loglik_and_score(self, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-individual log likelihoods and score rows over all of this
+        design's individuals."""
         tape: dict = {}
-        loglik = float(self._forward(gamma, tape).sum())
+        loglik = self._forward(gamma, tape)
         ec, betas, (h12, h21, _, _) = self._backward(tape)
         eb = ec * betas
         (a0, a1, _), (e0, e1, e2) = tape["alpha"][:-1].T, eb[1:].T
@@ -326,11 +357,11 @@ class PanelDesign:
     def hessian(self, gamma: np.ndarray) -> np.ndarray:
         """Hessian of the log likelihood: the Jacobian of the summed score of
         :meth:`loglik_and_score`, under the same convention.  It is a sum
-        over individuals, taken over blocks of _HESSIAN_BLOCK of them so
-        that its working arrays, the tape included, stay small.
+        over individuals, taken over half blocks (rounded up) of the one
+        block loop, :meth:`_blocks`, so that its working arrays, the tape
+        included, stay smaller than a score pass's.
         """
-        return sum(self._individuals(slice(lo, lo + _HESSIAN_BLOCK))._hessian(gamma)
-                   for lo in range(0, self.n, _HESSIAN_BLOCK))
+        return sum(b._hessian(gamma) for b in self._blocks((_BLOCK + 1) // 2))
 
     def _individuals(self, rows: slice) -> PanelDesign:
         """The design of a block of individuals, as views of this one's arrays."""

@@ -92,26 +92,37 @@ def gain_sequence(s) -> GainTrajectory:
 
 @dataclass(frozen=True)
 class FixedPoint:
-    s: float
+    """One fixed point per signal-to-noise ratio: ``s``, ``nu_inf`` and
+    ``k_inf`` are floats for a scalar ``s`` and arrays for an array."""
+
+    s: float | np.ndarray
     iota: float
-    nu_inf: float
-    k_inf: float
+    nu_inf: float | np.ndarray
+    k_inf: float | np.ndarray
 
 
-def fixed_point(s: float, iota: float = 0.0) -> FixedPoint:
+def fixed_point(s, iota: float = 0.0) -> FixedPoint:
     """Fixed point of the variance map and the implied limiting gain.
 
     Solves nu = (1 - iota)(nu + s)/(nu + s + 1), i.e. the positive root of
     nu^2 + (s + iota)nu - s(1 - iota) = 0, and K = (nu + s)/(nu + s + 1).
-    For iota = 0 the gain limit equals nu itself.
+    For iota = 0 the gain limit equals nu itself.  ``s`` may be an array;
+    each of its entries gets the same double as a scalar call would.
     """
-    if not s > 0:
-        raise InvalidArgumentError(f"s must be positive, got {s}")
+    values = np.asarray(s, dtype=float)
+    if not np.all(values > 0):
+        bad = s if values.ndim == 0 else values[~(values > 0)][0]
+        raise InvalidArgumentError(f"s must be positive, got {bad}")
     if not iota < 1:
         raise InvalidArgumentError(f"iota must be below 1, got {iota}")
-    c1 = s + iota
-    nu_inf = 0.5 * (-c1 + math.sqrt(c1 * c1 + 4.0 * s * (1.0 - iota)))
-    k_inf = (nu_inf + s) / (nu_inf + s + 1.0)
+    c1 = values + iota
+    # IEEE arithmetic as on Python floats: a huge s overflows to inf and NaN
+    # without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu_inf = 0.5 * (-c1 + np.sqrt(c1 * c1 + 4.0 * values * (1.0 - iota)))
+        k_inf = (nu_inf + values) / (nu_inf + values + 1.0)
+    if values.ndim:
+        return FixedPoint(s=values, iota=float(iota), nu_inf=nu_inf, k_inf=k_inf)
     return FixedPoint(s=float(s), iota=float(iota), nu_inf=float(nu_inf), k_inf=float(k_inf))
 
 

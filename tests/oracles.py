@@ -19,10 +19,12 @@ one backward recursion and one design map replaced; the adjoint's pullback
 through the transition entries, ``transition_entries_vjp``, is the
 vector-Jacobian product that ``markov.free_entries_grad`` replaced.  The
 scalar transition matrix and its wrapper restate the closed form for one
-generator at a time.
+generator at a time.  ``peak_bytes`` is the one memory probe of the tests
+that bound a peak.
 """
 
 import math
+import tracemalloc
 from itertools import combinations
 
 from dataclasses import dataclass
@@ -61,6 +63,17 @@ def csv_text(columns: dict) -> str:
     for row in zip(*columns.values()):
         text += ",".join(format_number(x) for x in row) + "\n"
     return text
+
+
+def peak_bytes(fn, *args) -> int:
+    """The peak of the memory that tracemalloc sees allocated while
+    ``fn(*args)`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def individual_uniforms(seed: int, ident: int, n_waves: int) -> np.ndarray:

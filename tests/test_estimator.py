@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 from itertools import product
 
@@ -17,7 +16,7 @@ from msmtrend.simulate import SimulationConfig, simulate_panel
 
 from conftest import WAVE_TIMES, paperlike_params, paperlike_structure
 from oracles import (forward_loglik, individual_slices, jacobian_fd, param_scales_by_field,
-                     score_adjoint, transition_probability)
+                     peak_bytes, score_adjoint, transition_probability)
 
 
 SMALL_STRUCTURE = ModelStructure(knots=(58.0, 68.0, 80.0), wave_times=(0.0, 2.0, 4.0, 6.0))
@@ -297,12 +296,7 @@ def test_param_scales_are_the_design_rows_rms(pipeline_design):
         want = param_scales_by_field(design)
         assert np.abs(design.param_scales() - want).max() <= 1e-13 * np.abs(want).max()
     design = pipeline_design
-    tracemalloc.start()
-    try:
-        design.param_scales()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(design.param_scales)
     assert peak < 0.5 * len(est.param_names(design.structure)) * design.n * design.n_steps * 8
 
 
@@ -430,16 +424,41 @@ def test_hessian_peak_memory_stays_near_a_score_pass(pipeline_design):
     # the sweep works on blocks of individuals and keeps no per-step
     # parameter tensor, so it needs little more memory than a score pass
     gamma = est.pack_params(paperlike_params(), pipeline_design.structure)
+    assert (peak_bytes(pipeline_design.hessian, gamma)
+            <= 1.5 * peak_bytes(pipeline_design.loglik_and_score, gamma))
 
-    def peak(fun):
-        tracemalloc.start()
-        try:
-            fun(gamma)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(pipeline_design.hessian) <= 1.5 * peak(pipeline_design.loglik_and_score)
+@pytest.mark.parametrize("block", [1, 7, 1000, None])
+def test_block_partition_leaves_step_one_unchanged(monkeypatch, pipeline_design, block):
+    # each individual's terms are computed alone, and the log likelihood is
+    # summed once over all of them: only the Hessian's sum over blocks
+    # depends on the partition.  A _BLOCK of 2n makes every pass one block,
+    # the Hessian's half blocks included (None); one-person blocks take the
+    # pipeline panel's first 150 people, which keeps the test short
+    design = pipeline_design if block != 1 else pipeline_design._individuals(slice(0, 150))
+    cases = [(design, est.pack_params(paperlike_params(), design.structure))]
+    cases += [(est.PanelDesign(panel, SMALL_STRUCTURE), est.pack_params(params, SMALL_STRUCTURE))
+              for params, panel in enumeration_panels()]
+    one_block = 2 * pipeline_design.n
+    monkeypatch.setattr(est, "_BLOCK", one_block)
+    whole = [(d.loglik(g), *d.loglik_and_score(g), d.hessian(g)) for d, g in cases]
+    monkeypatch.setattr(est, "_BLOCK", block or one_block)
+    for (design, gamma), (loglik, loglik_s, scores, hessian) in zip(cases, whole):
+        assert design.loglik(gamma) == loglik
+        got, rows = design.loglik_and_score(gamma)
+        assert got == loglik_s == loglik
+        assert rows.shape == scores.shape and rows.tobytes() == scores.tobytes()
+        assert np.abs(design.hessian(gamma) - hessian).max() <= 1e-12 * np.abs(hessian).max()
+
+
+def test_loglik_peak_memory_is_one_blocks(monkeypatch, pipeline_design):
+    # the forward pass holds one block's arrays at a time: eight blocks of
+    # the 2,000 people need far less than one block of them all
+    gamma = est.pack_params(paperlike_params(), pipeline_design.structure)
+    monkeypatch.setattr(est, "_BLOCK", pipeline_design.n)
+    whole = peak_bytes(pipeline_design.loglik, gamma)
+    monkeypatch.setattr(est, "_BLOCK", pipeline_design.n // 8)
+    assert peak_bytes(pipeline_design.loglik, gamma) <= 0.25 * whole
 
 
 # ---------------------------------------------------------------------------
