@@ -21,7 +21,6 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit
 
 from .errors import (
@@ -97,6 +96,14 @@ _SLOT = {"beta": 0, "female_12": 0, "age_spline_12": 0, "age_spline_f_12": 0,
          "log_q13_0": 1, "female_13": 1, "age_13": 1, "trend_13": 1,
          "log_q23_0": 2, "female_23": 2, "age_23": 2, "trend_23": 2,
          "logit_e12": 3, "logit_e21": 4, "logit_p2": 5}
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported at the first call, so that only
+    commands that fit step one load SciPy's optimizers."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def misclassification_matrix(e12: float, e21: float) -> np.ndarray:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize_scalar, minimize
 from scipy.special import chdtrc, ndtri
 
 from .errors import (
@@ -291,6 +290,8 @@ def _search(fun, lo: float, hi: float, searched: np.ndarray, shift: bool):
         w[move] = c + 0.5 * np.log(u)
         full[searched] = w[:n] - w[n:].sum()
         return full
+
+    from scipy.optimize import minimize, minimize_scalar  # only fits that polish load it
 
     if n == 1:  # Brent within the grid cells either side of the best point
         r = math.exp(2.0 * (grid[1] - grid[0]))

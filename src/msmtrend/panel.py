@@ -18,19 +18,21 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DataValidationError
+from .substreams import _mulhi
 
 CSV_HEADER = "id,time,state,age,female"
 _PANEL_ROW = np.dtype([("id", "i8"), ("time", "f8"), ("state", "i8"), ("age", "f8"),
                        ("female", "i8")])
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
-# rows per block of write_csv: a block formats its distinct values as Python
-# strings, about 1 MB per column of distinct floats at this size, and on a
-# 415,000-row panel blocks of 4,096 to 65,536 rows wrote equally fast
+# rows per block of write_csv: float_text holds about a dozen uint64 arrays
+# of a block's distinct float values at once, under 0.9 MB per column of
+# distinct floats at this size; on the 415,000-row panel, blocks of 16,384
+# rows wrote as fast and blocks of 4,096 rows 20% slower
 _BLOCK_ROWS = 1 << 13
 
 
@@ -80,11 +82,12 @@ def write_csv(path, columns: dict) -> None:
     """Write named 1-D columns as a CSV table, one row per index.
 
     Cells are formatted by dtype: integers as digits, every other dtype as
-    ``repr(float)``, the shortest decimal that reads back as the same double.
-    The rows are written in blocks of _BLOCK_ROWS, and each distinct value is
-    formatted once per block (for floats, each bit pattern, so that ``-0.0``
-    keeps its sign); a block's rows are assembled from those strings as
-    bytes.  Every CSV the package writes goes through here.
+    ``repr(float)``, the shortest decimal that reads back as the same double
+    (:func:`float_text`, on arrays).  The rows are written in blocks of
+    _BLOCK_ROWS, and each distinct value is formatted once per block (for
+    floats, each bit pattern, so that ``-0.0`` keeps its sign); a block's
+    rows are assembled from those texts as bytes.  Every CSV the package
+    writes goes through here.
     """
     cols = [np.asarray(col) for col in columns.values()]
     n_rows = cols[0].size if cols else 0
@@ -93,32 +96,236 @@ def write_csv(path, columns: dict) -> None:
     with open(path, "wb") as fh:
         fh.write((",".join(columns) + "\n").encode("utf-8"))
         for start in range(0, n_rows, _BLOCK_ROWS):
-            cells = [_distinct_text(col[start: start + _BLOCK_ROWS]) for col in cols]
-            # each cell is its text, NUL-padded to the block's widest in its
-            # column, then "," or "\n"; dropping the NUL bytes leaves the rows
-            width = sum(text.itemsize + 1 for text, _ in cells)
+            cells = _block_text([col[start: start + _BLOCK_ROWS] for col in cols])
+            # each cell is its text, a NUL-padded row of bytes as wide as the
+            # block's widest in its column, then "," or "\n"; dropping the
+            # NUL bytes leaves the rows
+            width = sum(text.shape[1] + 1 for text, _ in cells)
             block = np.empty((cells[0][1].size, width), dtype=np.uint8)
             at = 0
             for text, inverse in cells:
-                w = text.itemsize
-                block[:, at: at + w] = text[inverse].view(np.uint8).reshape(-1, w)
+                w = text.shape[1]
+                block[:, at: at + w] = text.take(inverse, axis=0)
                 block[:, at + w] = ord(",")
                 at += w + 1
             block[:, -1] = ord("\n")
-            fh.write(block[block != 0].tobytes())
+            fh.write(block[block != 0])
 
 
-def _distinct_text(col: np.ndarray) -> tuple:
-    """The column's distinct cell texts as ASCII bytes, and each row's index
-    into them."""
-    if col.dtype.kind in "iu":
-        distinct, inverse = np.unique(col, return_inverse=True)
-        text = map(str, distinct.tolist())
-    else:
-        bits = col.astype(float, copy=False).view(np.int64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        text = map(repr, distinct.view(np.float64).tolist())
-    return np.array(list(text), dtype="S"), inverse.ravel()
+def _block_text(cols: list) -> list:
+    """Each column's distinct cell texts as NUL-padded ``uint8`` rows, and each
+    row's index into them.  Integers are formatted by ``str``; floats per bit
+    pattern, so that ``-0.0`` keeps its sign, and those of every float column
+    by one :func:`float_text` call, whose cost is mostly fixed on a small
+    block."""
+    cells, floats = [], []
+    for col in cols:
+        if col.dtype.kind in "iu":
+            distinct, inverse = np.unique(col, return_inverse=True)
+            text = np.array(list(map(str, distinct.tolist())), dtype="S")
+            cells.append([text.view(np.uint8).reshape(text.size, text.itemsize), inverse.ravel()])
+        else:
+            bits = col.astype(float, copy=False).view(np.int64)
+            distinct, inverse = np.unique(bits, return_inverse=True)
+            cells.append([distinct.view(np.float64), inverse.ravel()])
+            floats.append(cells[-1])
+    if floats:
+        text = float_text(np.concatenate([cell[0] for cell in floats]))
+        for cell, part in zip(floats, np.split(text, np.cumsum([cell[0].size for cell in floats]))):
+            # as wide as the column's widest text
+            cell[0] = part[:, :np.flatnonzero(part.any(axis=0)).max(initial=-1) + 1]
+    return cells
+
+
+# Shortest round-trip decimals by Schubfach (Giulietti 2020).  A finite
+# double v = c 2**q has k = floor(log10 2**q) (of 3/4 2**q where the gap
+# below v is half the gap above it), and g(k) is 10**-k scaled into
+# [2**125, 2**126) and rounded up.  The products (4c + j) 2**h g(k) / 2**127,
+# rounded to odd, give 4 v 10**-k (j = 0) and the ends of the interval of
+# reals that round to v (j = -2 or -1, and 2); of the decimals s 10**k in
+# that interval, the one of fewest digits, then the closest to v (the even
+# one on a tie), is the shortest decimal that reads back as v: the digits of
+# ``repr``.  The integer logarithms are exact over the doubles' exponents:
+# floor(log10 2**q) = q 1262611 >> 22, less 524031 before the shift for
+# 3/4 2**q, and floor(log2 10**e) = e 1741647 >> 19.
+_K_MIN = (-1074 * 1262611 - 524031) >> 22
+_K_MAX = (972 * 1262611) >> 22
+_MASK63 = (1 << 63) - 1
+
+
+def _g_table() -> tuple:
+    """g(k) for k in [_K_MIN, _K_MAX] as (high, low) 64-bit halves, from exact
+    integers: floor(10**-k / 2**r) + 1 with r = floor(log2 10**-k) - 125."""
+    g = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        r = ((-k * 1741647) >> 19) - 125
+        g.append((10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1)
+    return (np.array([x >> 64 for x in g], dtype=np.uint64),
+            np.array([x & (1 << 64) - 1 for x in g], dtype=np.uint64))
+
+
+_G_HI, _G_LO = _g_table()
+
+
+def _shortest(bits: np.ndarray) -> tuple:
+    """(d, k) with d 10**k the shortest round-trip decimal of each finite
+    nonzero double, given its bits as ``uint64``; other entries are junk."""
+    be = bits >> 52 & 0x7FF
+    c = bits & (1 << 52) - 1
+    irregular = (c == 0) & (be > 1)
+    np.bitwise_or(c, 1 << 52, out=c, where=be != 0)
+    q = np.maximum(be, 1).view(np.int64) - 1075
+    del be
+    k = q * 1262611 - irregular * 524031 >> 22
+    h = (q + (-k * 1741647 >> 19) + 2).astype(np.uint8)  # 2 to 5
+    del q
+    g_hi, g_lo = _G_HI.take(k - _K_MIN), _G_LO.take(k - _K_MIN)
+    # the ends belong to the interval when c is even
+    odd = (c & 1).astype(bool)
+    # (4c << h) g = v 2**127 + r_hi 2**64 + r_lo, with r_hi below 2**63
+    c <<= h + 2
+    r_lo = _mulhi(c, g_lo)
+    r_hi = c * g_hi + r_lo
+    v = _mulhi(c, g_hi) + (r_hi < r_lo)
+    v <<= 1
+    v |= r_hi >> 63
+    r_hi &= _MASK63
+    c *= g_lo
+    r_lo = c
+    # (4c << h) g exceeds 4 v 10**-k 2**127 by less than 2**60, and Schubfach
+    # needs only its bits from 2**64 up: r_hi is 0 where the value is an integer
+    vb = v | (r_hi != 0)
+    # the ends take off and add (2 or 1) << h to 4c: g << (h + 1 or h)
+    shift = h + 1 - irregular
+    hi = r_hi - ((g_hi << shift | g_lo >> 64 - shift) & _MASK63) - (r_lo < g_lo << shift)
+    lower = v - (g_hi >> 63 - shift) - (hi >> 63) | ((hi & _MASK63) != 0)
+    lower += odd
+    shift = h + 1
+    lo = g_lo << shift
+    hi = r_hi + ((g_hi << shift | g_lo >> 64 - shift) & _MASK63) + (r_lo + lo < lo)
+    upper = v + (g_hi >> 63 - shift) + (hi >> 63) | ((hi & _MASK63) != 0)
+    upper -= odd
+    del g_hi, g_lo, r_hi, r_lo, v, hi, lo, odd
+    s = vb >> 2
+    # one multiple of 10 inside is shorter than any s or s + 1
+    s10 = s // 10 * 10
+    below10 = lower <= s10 << 2
+    above10 = s10 + 10 << 2 <= upper
+    # else s or s + 1, whichever is inside, or the closer (the even on a tie)
+    up = (s + 1 << 2 <= upper) & ((lower > s << 2) | (vb + (s & 1) > (s << 2) + 2))
+    d = np.where(below10 != above10, np.where(above10, s10 + 10, s10), s + up)
+    return d, k
+
+
+# A cell's text is gathered from a 28-byte alphabet row: significant digits
+# 2 to 17 (NUL after the last nonzero one, unless the value is written as an
+# integer), "0.-e", the exponent as four digits, then the first digit and the
+# exponent's sign.  _LAYOUT lists the alphabet index of each character of
+# every text shape.
+_ZERO, _POINT, _MINUS, _EXP, _EXP_SIGN, _NUL = 16, 17, 18, 19, 25, 26
+_DIGITS = [24] + list(range(16))
+_POW10 = np.array([10**j for j in range(18)], dtype=np.uint64)
+
+
+def _groups() -> np.ndarray:
+    """The four digits of 0 to 9999, then the same with trailing zeros as NUL,
+    as 4-byte words."""
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
+    chars = np.concatenate([digits + 48, np.where(trailing, 0, digits + 48)]).astype(np.uint8)
+    return chars.view(np.uint32).ravel()
+
+
+_GROUP = _groups()
+_CONSTANTS = np.frombuffer(b"0.-e", dtype=np.uint32)[0]
+_LEAD_SIGN = np.frombuffer("".join(f"{j}{sign}\0\0" for sign in "+-" for j in range(10)).encode(),
+                           dtype=np.uint32)
+
+
+def _layout(decpt, integral: bool, exp3: bool, single: bool) -> list:
+    """Alphabet indices of one text shape, as ``repr`` writes it: positional
+    for -4 < decpt <= 16 (decpt is None otherwise), with ".0" for integral
+    values; else d.ddde±XX (de±XX for a single digit), with three exponent
+    digits where it needs them."""
+    if decpt is None:
+        point = [] if single else [_POINT] + _DIGITS[1:]
+        return _DIGITS[:1] + point + [_EXP, _EXP_SIGN] + [21, 22, 23][1 - exp3:]
+    if decpt <= 0:
+        return [_ZERO, _POINT] + [_ZERO] * -decpt + _DIGITS
+    return _DIGITS[:decpt] + [_POINT] + ([_ZERO] if integral else _DIGITS[decpt:])
+
+
+def _layouts() -> np.ndarray:
+    """Codes 2 decpt + 6 + integral (positional), 40 + 2 exp3 + single, and
+    44 more for a negative value."""
+    shapes = [_layout(decpt, integral, False, False)
+              for decpt in range(-3, 17) for integral in (False, True)]
+    shapes += [_layout(None, False, exp3, single)
+               for exp3 in (False, True) for single in (False, True)]
+    shapes += [[_MINUS] + shape for shape in shapes]
+    width = max(map(len, shapes))
+    return np.array([shape + [_NUL] * (width - len(shape)) for shape in shapes], dtype=np.uint8)
+
+
+_LAYOUT = _layouts()
+_LENGTH = (_LAYOUT != _NUL).sum(axis=1)
+
+
+def float_text(values: np.ndarray) -> np.ndarray:
+    """``repr(float(v))`` of each value as a row of ASCII bytes, NUL wherever
+    there is no character (between characters too), from array arithmetic
+    alone."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    bits = x.view(np.uint64)
+    d, k = _shortest(bits)
+    zero = bits << 1 == 0
+    d[zero] = 0
+    n_digits = np.searchsorted(_POW10, d, side="right")
+    decpt = np.where(zero, 1, k + n_digits).astype(np.int16)
+    # the 17 digits of d 10**(17 - n_digits): a lead digit, four groups of four
+    d *= _POW10[17 - n_digits]
+    del k, n_digits
+    d = d.view(np.int64)
+    lead = d // 10**16
+    d -= lead * 10**16
+    single = d == 0
+    high = d // 10**8
+    d -= high * 10**8
+    groups = [high // 10**4, high, d // 10**4, d]
+    high -= groups[0] * 10**4
+    d -= groups[2] * 10**4
+    positional = (decpt > -4) & (decpt < 17)
+    with np.errstate(invalid="ignore"):  # floor of a signaling NaN
+        integral = positional & (x == np.floor(x))
+    exponent = decpt - 1
+    magnitude = np.abs(exponent)
+    chars = np.empty((x.size, 7), dtype=np.uint32)
+    # digits after the last nonzero one are NUL, except in integral positional
+    # texts, whose zeros up to the point are digits
+    tail = ~integral
+    for j in (3, 2, 1, 0):
+        _GROUP.take(groups[j] + tail * 10_000, out=chars[:, j])
+        tail &= groups[j] == 0
+    del groups, high, d
+    chars[:, 4] = _CONSTANTS
+    _GROUP.take(magnitude, out=chars[:, 5])
+    _LEAD_SIGN.take(lead + (exponent < 0) * 10, out=chars[:, 6])
+    code = np.where(positional, 2 * decpt + 6 + integral, 40 + 2 * (magnitude >= 100) + single)
+    code += (bits >> 63).astype(np.int16) * (_LAYOUT.shape[0] // 2)
+    counts = np.bincount(code, minlength=_LAYOUT.shape[0])
+    nonfinite = ~np.isfinite(x)
+    width = max(_LENGTH[counts > 0].max(initial=0), 4 * nonfinite.any())
+    # every row in the most common shape, then the other rows in theirs
+    common = counts.argmax()
+    text = chars.view(np.uint8)[:, _LAYOUT[common, :width]]
+    for c in np.flatnonzero(counts):
+        if c != common:
+            rows = code == c
+            text[rows] = chars[rows].view(np.uint8)[:, _LAYOUT[c, :width]]
+    if nonfinite.any():
+        for word, rows in ((b"nan", np.isnan(x)), (b"inf", x == np.inf), (b"-inf", x == -np.inf)):
+            text[rows] = np.frombuffer(word.ljust(width, b"\0"), dtype=np.uint8)
+    return text
 
 
 def write_panel(path, panel: Panel) -> None:
@@ -174,7 +381,8 @@ def read_panel(path) -> Panel:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     panel = _parse_plain(data)
     if panel is not None:
-        return panel
+        del data  # the file's bytes go before the columns are copied out of the table
+        return Panel(*(np.ascontiguousarray(getattr(panel, f.name)) for f in fields(Panel)))
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -184,7 +392,8 @@ def read_panel(path) -> Panel:
 
 def _parse_plain(data: bytes) -> Panel | None:
     """The panel as NumPy's C reader parses the file's bytes, or None where
-    the row rules must decide.
+    the row rules must decide.  Its columns are views of the reader's one
+    table, which holds a row's five fields side by side.
 
     The C reader takes digits only in ASCII, and it keeps inside a field (or
     strips as whitespace) some characters at which ``str.splitlines`` breaks
@@ -201,7 +410,7 @@ def _parse_plain(data: bytes) -> Panel | None:
                                skiprows=1, ndmin=1, encoding="ascii")
     except (ValueError, Warning):
         return None
-    return Panel(*(np.ascontiguousarray(table[name]) for name in _PANEL_ROW.names))
+    return Panel(*(table[name] for name in _PANEL_ROW.names))
 
 
 def parse_panel_text(text: str) -> Panel:

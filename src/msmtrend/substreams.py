@@ -61,9 +61,17 @@ def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
     """High 64 bits of the 128-bit product a * b, from 32-bit limbs."""
     a_lo, a_hi = a & _MASK32, a >> 32
     b_lo, b_hi = b & _MASK32, b >> 32
-    lo_lo, hi_lo, lo_hi = a_lo * b_lo, a_hi * b_lo, a_lo * b_hi
-    mid = (lo_lo >> 32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)
-    return a_hi * b_hi + (hi_lo >> 32) + (lo_hi >> 32) + (mid >> 32)
+    hi_lo, lo_hi = a_hi * b_lo, a_lo * b_hi
+    # in place from here: a_lo * b_lo becomes the middle sum, a_hi * b_hi the result
+    a_lo *= b_lo
+    a_lo >>= 32
+    a_lo += hi_lo & _MASK32
+    a_lo += lo_hi & _MASK32
+    a_hi *= b_hi
+    a_hi += hi_lo >> 32
+    a_hi += lo_hi >> 32
+    a_hi += a_lo >> 32
+    return a_hi
 
 
 def _step(hi, lo, inc_hi, inc_lo):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,10 +10,12 @@ import msmtrend.estimator as est
 import msmtrend.panel as panel_mod
 from msmtrend.errors import DataValidationError
 from msmtrend.markov import ModelStructure, spline_basis_matrix
-from msmtrend.panel import (Panel, parse_panel_text, read_json, read_panel, validate_panel,
-                            write_csv, write_json, write_panel)
+from msmtrend.panel import (Panel, float_text, parse_panel_text, read_json, read_panel,
+                            validate_panel, write_csv, write_json, write_panel)
+from msmtrend.simulate import SimulationConfig, simulate_panel
 
 import oracles
+from conftest import paperlike_params, paperlike_structure
 
 STRUCTURE = ModelStructure(knots=(58.0, 68.0, 80.0), wave_times=(0.0, 2.0, 4.0, 6.0, 8.0))
 
@@ -138,6 +141,87 @@ def test_write_csv_peak_memory_is_one_blocks(tmp_path):
     values = np.random.default_rng(3).uniform(50.0, 100.0, size=200_000)
     whole_text = values.size * max(len(repr(v)) for v in values[:1000].tolist())
     assert oracles.peak_bytes(write_csv, tmp_path / "ages.csv", {"age": values}) < whole_text / 2
+
+
+# the float formatter, judged by repr
+
+
+def assert_repr(values: np.ndarray, chunk: int = 1 << 16) -> None:
+    """float_text gives repr(float(v)) for every value: compared as one
+    newline-joined text per chunk, and on a mismatch value by value."""
+    for start in range(0, values.size, chunk):
+        part = values[start: start + chunk]
+        text = float_text(part)
+        rows = np.concatenate([text, np.full((part.size, 1), ord("\n"), np.uint8)], axis=1)
+        got = rows[rows != 0].tobytes()
+        want = "".join(repr(v) + "\n" for v in part.tolist()).encode()
+        if got != want:
+            for v, row in zip(part.tolist(), text):
+                assert bytes(row).replace(b"\0", b"") == repr(v).encode(), v.hex()
+
+
+def test_float_text_is_repr_on_random_bit_patterns():
+    # subnormals, NaN payloads and infinities included, of both signs
+    bits = np.random.default_rng(19).integers(0, 2**64, size=1_000_000, dtype=np.uint64)
+    assert_repr(bits.view(np.float64))
+
+
+def test_float_text_is_repr_on_powers_of_two_and_ten():
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             np.array([float(f"1e{e}") for e in range(-323, 309)])])
+    assert_repr(np.concatenate([powers, -powers]))
+    # the decimals next to them, where the shorter of two lengths is closest
+    assert_repr(np.concatenate([np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]))
+
+
+EDGES = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e-323, 2.2250738585072014e-308,
+    2.225073858507201e-308, 1.7976931348623157e308,
+    # notation thresholds: positional from 1e-4 up to below 1e16
+    1e-4, 9.999999999999999e-5, 1e-5, 0.00012345678901234567, 1e15, 9999999999999998.0, 1e16,
+    1e16 + 2.0, 1.2345e16, 1e22, 1e23, 1e100, 1e-100, 1.5e-7, 2.5e300,
+    # integers with trailing zeros, and around 2**53
+    12300.0, 1.2345e15, 1e15 + 1.0, 2.0**53, 2.0**53 + 2.0, 2.0**53 - 1.0, 100.0, 1.0, 7.0,
+    0.1, 0.2, 0.3, 1 / 3, 2 / 3, 123.456, 5e-5, 0.5, 56.71234,
+]
+
+
+def test_float_text_is_repr_at_the_edges():
+    values = np.array(EDGES)
+    assert_repr(np.concatenate([values, -values]))
+    # one value, and none
+    assert_repr(values[:1])
+    assert float_text(values[:0]).shape[0] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(), max_size=40))
+def test_float_text_is_repr_on_any_floats(values):
+    assert_repr(np.array(values, dtype=np.float64))
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "a7ad210056ebe7d99da113f7e38dee72584121e7203f75c3f47b0b1f6d834e79"),
+    (2, "0b632bc217345b796ded8d22cf6208fc3667122f684a389fa3e846e3ab0b979f"),
+])
+def test_large_panel_bytes_are_unchanged(tmp_path, seed, digest):
+    # the 50,000-person panels as the per-value repr formatter wrote them
+    config = SimulationConfig(n=50_000, structure=paperlike_structure(), params=paperlike_params(),
+                              seed=seed)
+    path = tmp_path / "panel.csv"
+    write_panel(path, simulate_panel(config))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_read_panel_never_holds_bytes_table_and_columns_at_once(tmp_path):
+    # the file's bytes, NumPy's structured table (40 bytes a row) and the
+    # five column copies were all alive at the peak; now at most two are
+    panel = simulate_panel(SimulationConfig(n=2_000, structure=paperlike_structure(),
+                                            params=paperlike_params(), seed=3))
+    path = tmp_path / "panel.csv"
+    write_panel(path, panel)
+    table = len(panel) * panel_mod._PANEL_ROW.itemsize
+    assert oracles.peak_bytes(read_panel, path) < path.stat().st_size + 1.5 * table
 
 
 def test_sort_skips_sorted_panels_and_otherwise_matches_lexsort():

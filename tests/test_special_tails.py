@@ -16,8 +16,11 @@ from scipy import stats
 from msmtrend import kalman
 from msmtrend.errors import InvalidArgumentError
 from msmtrend.gain import exact_coefficients, fixed_point, gain_sequence, power
+from msmtrend.markov import save_model_spec
 from msmtrend.trend import TrendSeries
 from msmtrend.trendtests import f_statistic, run_trend_tests
+
+from conftest import paperlike_params, paperlike_structure
 
 # arguments from -inf to inf: past the underflow of both tails, round zero,
 # and the largest finite doubles
@@ -25,11 +28,28 @@ EXTREMES = np.array([-np.inf, -1e300, -40.0, -8.5, -1.0, -1e-300, -0.0, 0.0, 1e-
                      0.3, 1.0, 8.5, 40.0, 1e300, np.inf])
 
 
-def test_cli_import_loads_no_scipy_stats():
-    code = "import sys, msmtrend.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+def loaded_after(code: str, prefix: str) -> str:
+    """The modules under ``prefix`` that a fresh interpreter has loaded after
+    running ``code``, as printed on its last line."""
+    code += f"\nimport sys; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "[]\n"
+    return res.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy_stats():
+    assert loaded_after("import msmtrend.cli", "scipy.stats") == "[]"
+
+
+def test_commands_that_fit_nothing_load_no_scipy_optimize(tmp_path):
+    spec = tmp_path / "spec.json"
+    save_model_spec(spec, paperlike_structure(), paperlike_params())
+    for argv in ([],
+                 ["simulate", "--model-spec", spec, "--n", 50, "--seed", 1, "--out", tmp_path / "panel.csv"],
+                 ["power-curve", "--k", 4, "--s", 1.26, "--out", tmp_path / "power.csv"]):
+        run = f"main({list(map(str, argv))!r})" if argv else ""
+        assert loaded_after("from msmtrend.cli import main\n" + run, "scipy.optimize") == "[]", argv
+    assert (tmp_path / "panel.csv").exists() and (tmp_path / "power.csv").exists()
 
 
 @pytest.mark.parametrize("mode", ["exact", "asymptotic"])
