@@ -177,7 +177,6 @@ def cmd_test_trend(args) -> int:
         series,
         lags=args.lags,
         estimator=args.estimator,
-        dist=args.dist,
         mc_grid=args.mc_grid,
         mc_reps=args.mc_reps,
         seed=args.seed,
@@ -330,7 +329,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trend")
     p.add_argument("--lags", type=int, default=3)
     p.add_argument("--estimator", choices=("hac", "long_run"), default="hac")
-    p.add_argument("--dist", choices=("normal", "t"), default="normal")
     p.add_argument("--double-offdiag", action="store_true")
     p.add_argument("--mc-grid", type=int, default=1000)
     p.add_argument("--mc-reps", type=int, default=20_000)

@@ -40,8 +40,9 @@ from .markov import (
     param_layout,
     transition_entries,
 )
-# gradient_fd and hessian_fd are no longer on the fit path but stay bound
-# here: tests and the benchmark's trace points reach them as estimator.*
+# gradient_fd and hessian_fd are not on step one's fit path but stay bound
+# here: tests and the benchmark's trace points reach them as estimator.*.
+# hessian_fd takes a batch function, as step two's interval Hessian gives it
 from .numdiff import gradient_fd, hessian_covariance, hessian_fd  # noqa: F401
 from .panel import Panel, validate_panel
 from .trend import TrendSeries

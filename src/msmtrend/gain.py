@@ -28,7 +28,6 @@ __all__ = [
     "fixed_point",
     "CoefficientTable",
     "exact_coefficients",
-    "asymptotic_coefficients",
     "PowerCurve",
     "power",
     "size",
@@ -165,21 +164,6 @@ def exact_coefficients(k: int, gains) -> CoefficientTable:
     c = g[-1] * tail
     d = np.append(-g[-1] * g[:-1] * tail[1:], g[-1])
     return CoefficientTable(order=k, c=c, d=d)
-
-
-def asymptotic_coefficients(k: int, k_inf: float) -> CoefficientTable:
-    """Steady-state coefficients: the exact ones with every gain at its limit,
-
-        c_i(k) = sum_m (-1)^m C(k-i, m) K^{m+1}      = K (1-K)^{k-i}
-        d_i(k) = sum_m (-1)^{m+1} C(k-i-1, m) K^{m+2} = -K^2 (1-K)^{k-i-1}, i < k
-        d_k(k) = K
-
-    by the binomial theorem; the suffix product avoids the alternating sums
-    of large binomials, which cancel badly.
-    """
-    if not 0.0 < k_inf < 1.0:
-        raise InvalidArgumentError(f"limiting gain must be in (0,1), got {k_inf}")
-    return exact_coefficients(k, np.full(k, k_inf))
 
 
 # ---------------------------------------------------------------------------

@@ -187,14 +187,16 @@ def _recursion(y: np.ndarray, h: np.ndarray, q_eta, q_xi, nu, d: int) -> FilterO
     """The filter over the state (beta, nu) with transition [[1, 1], [0, 1]],
     written in arithmetic operators only: floats run one parameter point,
     arrays a batch.  The wave axis of ``y`` and ``h`` comes last; ``q_eta``,
-    ``q_xi``, ``nu`` and the leading axes of ``y`` broadcast together.  Zero
-    and constant drift (``d`` = 1) hold nu at ``nu`` with no nu noise, so its
-    row of the state covariance stays zero; stochastic drift (``d`` = 2)
-    starts nu diffuse.  From a wave whose innovation variance F is not
-    positive on, a point's values are non-finite.  ``loglik`` is left NaN.
+    ``q_xi``, ``nu`` and the leading axes of ``y`` and ``h`` broadcast
+    together.  Zero and constant drift (``d`` = 1) hold nu at ``nu`` with no
+    nu noise, so its row of the state covariance stays zero; stochastic drift
+    (``d`` = 2) starts nu diffuse.  From a wave whose innovation variance F
+    is not positive on, a point's values are non-finite.  ``loglik`` is left
+    NaN.
     """
     T = h.shape[-1]
-    shape = np.broadcast_shapes(np.shape(q_eta), np.shape(q_xi), np.shape(nu), y.shape[:-1]) + (T,)
+    shape = np.broadcast_shapes(np.shape(q_eta), np.shape(q_xi), np.shape(nu), y.shape[:-1],
+                                h.shape[:-1]) + (T,)
     prior_mean, innovation, gain, post_mean, post_var, drift_mean = (np.zeros(shape) for _ in range(6))
     prior_var, innovation_var = np.full(shape, math.inf), np.full(shape, math.inf)
 
@@ -360,9 +362,10 @@ def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", m
     ``_TOL`` max(1, |loglik|) of the overall best; the variances are tested
     in ``free_names`` order, earlier boundary ones held at zero.  A profile
     flat over its whole grid flags none.  Intervals come from the full
-    likelihood's Hessian over the other parameters, delta-method normal on
-    the log-sd scale; a numerically singular information matrix, or an
-    endpoint beyond the float range, suppresses them.
+    likelihood's Hessian over the other parameters, one filter batch over
+    its stencil, delta-method normal on the log-sd scale; a numerically
+    singular information matrix, or an endpoint beyond the float range,
+    suppresses them.
     """
     z = _normal_quantile(level)
     beta_hat, series_var = _as_series(series, meas_var)
@@ -372,8 +375,8 @@ def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", m
     free = mode == "free"
     proto = FilterModel(variant=variant, mode=mode)
     axes = ["sigma_eta", "sigma_xi"] if variant == "stoch_drift" else ["sigma_eta"]
-    profile = partial(_profile, beta_hat, _meas_var(T, series_var, replace(proto, sigma_eps=1.0)),
-                      variant, free)
+    meas = _meas_var(T, series_var, replace(proto, sigma_eps=1.0))
+    profile = partial(_profile, beta_hat, meas, variant, free)
     scale = max(float(np.std(np.diff(beta_hat))), 1e-6)
     hi_sd = math.log(max(100.0 * scale, 10.0 * float(np.std(beta_hat)), 1e-3))
     hi = -_LOG_FLOOR if free else hi_sd
@@ -399,9 +402,21 @@ def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", m
     names = [name for name in model.free_names() if name not in boundary]
     x_hat = np.array([getattr(model, n) if n == "nu" else math.log(getattr(model, n)) for n in names])
 
-    def loglik(xs) -> float:
-        m = replace(model, **{n: v if n == "nu" else math.exp(v) for n, v in zip(names, xs)})
-        return run_filter(beta_hat, m, meas_var=series_var).loglik
+    def loglik(points) -> np.ndarray:
+        """The log likelihood at each row of ``points`` (values of ``names``,
+        the rest at the fit's) as one filter batch.  F > 0 there: ``run_filter``
+        checked it at the fit, and the stencil's steps are 1e-4 relative."""
+        col = dict(zip(names, points.T))
+
+        def var(n):
+            return np.array([math.exp(v) ** 2 for v in col[n]]) if n in col else getattr(model, n) ** 2
+
+        h = np.add.outer(var("sigma_eps"), np.zeros(T)) if free else meas
+        d = model.n_diffuse
+        out = _recursion(beta_hat, h, var("sigma_eta"), var("sigma_xi"), col.get("nu", model.nu), d)
+        v, F = out.innovation[:, d:], out.innovation_var[:, d:]
+        with np.errstate(all="ignore"):
+            return -0.5 * np.sum(LOG2PI + np.log(F) + v**2 / F, axis=-1)
 
     ci: dict = {}
     no_ci: list = list(boundary)

@@ -355,7 +355,6 @@ def run_trend_tests(
     series: TrendSeries,
     lags: int = 3,
     estimator: str = "hac",
-    dist: str = "normal",
     mc_grid: int = 1000,
     mc_reps: int = 20_000,
     seed: int = 0,
@@ -365,17 +364,15 @@ def run_trend_tests(
 
     ``estimator`` picks the long-run variance: "hac" uses the transformed
     first-stage covariance, "long_run" the sample autocovariances of the
-    demeaned differences.  ``dist`` picks the reference distribution for the
-    zero-drift statistic ("normal" or "t").  Critical values and p-values
-    for the two stochastic-drift statistics come from simulated integral
-    functionals: one set of ``(seed, rep)`` substreams gives each
+    demeaned differences.  The zero-drift statistic gets p-values from both
+    the normal and the t reference distribution.  Critical values and
+    p-values for the two stochastic-drift statistics come from simulated
+    integral functionals: one set of ``(seed, rep)`` substreams gives each
     replication's Wiener path, which serves both the bridge and the Wiener
     table, as :func:`simulate_critical_values` would draw them.
     """
     if estimator not in ("hac", "long_run"):
         raise InvalidArgumentError("estimator must be 'hac' or 'long_run'")
-    if dist not in ("normal", "t"):
-        raise InvalidArgumentError("dist must be 'normal' or 't'")
     transformed = demean_diff_transform(series.beta, series.cov)
     if estimator == "hac":
         sigma2 = hac_variance(transformed.omega, lags, double_offdiag=double_offdiag)

@@ -20,21 +20,26 @@ through the transition entries, ``transition_entries_vjp``, is the
 vector-Jacobian product that ``markov.free_entries_grad`` replaced.  The
 scalar transition matrix and its wrapper restate the closed form for one
 generator at a time.  ``peak_bytes`` is the one memory probe of the tests
-that bound a peak.
+that bound a peak.  ``hessian_fd`` calls its function once per stencil
+point, as the package did before it evaluated the stencil as one batch, and
+``run_filter_loglik`` is the scalar filter's likelihood that the filter fit's
+interval Hessian differenced then.  ``asymptotic_coefficients`` is the
+steady-state coefficient table, which only the tests ask for by name.
 """
 
 import math
 import tracemalloc
 from itertools import combinations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
 
 from msmtrend.errors import InvalidArgumentError, InvalidSpecError, NumericalError
 from msmtrend.estimator import _LIN_CLIP, PanelDesign, pack_params
-from msmtrend.gain import CoefficientTable, gain_sequence
+from msmtrend.gain import CoefficientTable, exact_coefficients, gain_sequence
+from msmtrend.kalman import run_filter
 from msmtrend.markov import (
     ROW_SUM_TOL,
     Covariates,
@@ -254,6 +259,32 @@ def jacobian_fd(fun, x, step: float = 1e-5) -> np.ndarray:
         xm = x.copy(); xm[k] -= h
         cols.append((np.asarray(fun(xp)) - np.asarray(fun(xm))) / (2 * h))
     return np.column_stack(cols)
+
+
+def hessian_fd(fun, x) -> np.ndarray:
+    """Central-difference Hessian of a scalar function at relative step 1e-4
+    per coordinate, one call of ``fun`` per point of the 2n^2 + 1-point
+    stencil, as ``numdiff.hessian_fd`` took it before it evaluated the
+    stencil as one batch."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    steps = 1e-4 * np.maximum(1.0, np.abs(x))
+    H = np.empty((n, n))
+    f0 = fun(x)
+    for i in range(n):
+        hi = steps[i]
+        xp = x.copy(); xp[i] += hi
+        xm = x.copy(); xm[i] -= hi
+        H[i, i] = (fun(xp) - 2 * f0 + fun(xm)) / hi**2
+    for i in range(n):
+        for j in range(i + 1, n):
+            hi, hj = steps[i], steps[j]
+            xpp = x.copy(); xpp[i] += hi; xpp[j] += hj
+            xpm = x.copy(); xpm[i] += hi; xpm[j] -= hj
+            xmp = x.copy(); xmp[i] -= hi; xmp[j] += hj
+            xmm = x.copy(); xmm[i] -= hi; xmm[j] -= hj
+            H[i, j] = H[j, i] = (fun(xpp) - fun(xpm) - fun(xmp) + fun(xmm)) / (4 * hi * hj)
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +572,17 @@ def forecast_mean_var(out: dict, horizon, sigma_eta, drift=0.0, sigma_xi=None):
     return mean, var
 
 
+def run_filter_loglik(series, model, names, meas_var=None):
+    """``run_filter``'s log likelihood as a function of the values of
+    ``names`` (log sds, and nu as it is), the other parameters at ``model``'s:
+    one scalar filter run per point, the function whose ``hessian_fd`` gave
+    ``fit_filter`` its intervals before the stencil became one batch."""
+    def loglik(x) -> float:
+        m = replace(model, **{n: v if n == "nu" else math.exp(v) for n, v in zip(names, x)})
+        return run_filter(series, m, meas_var=meas_var).loglik
+    return loglik
+
+
 # ---------------------------------------------------------------------------
 # gain theory: references for the closed forms and the coefficient recursions
 
@@ -597,6 +639,21 @@ def coefficients_recursion(k: int, gains) -> tuple:
             c_run, d_run = c_run + c_cur, d_run + d_cur
         c[i - 1], d[i - 1] = c_cur, d_cur
     return c, d
+
+
+def asymptotic_coefficients(k: int, k_inf: float) -> CoefficientTable:
+    """Steady-state coefficients: the exact ones with every gain at its limit,
+
+        c_i(k) = sum_m (-1)^m C(k-i, m) K^{m+1}      = K (1-K)^{k-i}
+        d_i(k) = sum_m (-1)^{m+1} C(k-i-1, m) K^{m+2} = -K^2 (1-K)^{k-i-1}, i < k
+        d_k(k) = K
+
+    by the binomial theorem; the suffix product avoids the alternating sums
+    of large binomials, which cancel badly.
+    """
+    if not 0.0 < k_inf < 1.0:
+        raise InvalidArgumentError(f"limiting gain must be in (0,1), got {k_inf}")
+    return exact_coefficients(k, np.full(k, k_inf))
 
 
 def enumerate_coefficients_oracle(k: int, gains):

@@ -471,6 +471,18 @@ def test_threads_flag_is_unrecognized(tmp_path):
     assert not out.exists()
 
 
+def test_dist_flag_is_unrecognized(tmp_path):
+    # tests.json carries the zero-drift p-value under both references
+    trend = tmp_path / "trend.json"
+    trend.write_text(json.dumps({"beta": [0.1, 0.3, 0.2, 0.5, 0.4, 0.7, 0.6, 0.9],
+                                 "var_diag": [0.01] * 8}))
+    out = tmp_path / "tests.json"
+    res = run_cli("test-trend", "--trend", trend, "--seed", 1, "--dist", "t", "--out", out)
+    assert res.returncode == 1
+    assert res.stderr == "error: validation: unrecognized arguments: --dist t\n"
+    assert not out.exists()
+
+
 def test_cli_defaults_are_the_library_defaults():
     def default(fn, name):
         return inspect.signature(fn).parameters[name].default
@@ -485,7 +497,7 @@ def test_cli_defaults_are_the_library_defaults():
     for dest in ("variant", "mode", "level"):
         assert flag("fit-filter", dest) == default(kalman.fit_filter, dest)
     assert flag("fit-filter", "lags") == default(kalman.diagnostics, "lags")
-    for dest in ("lags", "estimator", "dist", "mc_grid", "mc_reps", "double_offdiag"):
+    for dest in ("lags", "estimator", "mc_grid", "mc_reps", "double_offdiag"):
         assert flag("test-trend", dest) == default(trendtests.run_trend_tests, dest)
     assert flag("power-curve", "mode") == default(gain.power, "mode")
 

@@ -15,8 +15,8 @@ from msmtrend.panel import Panel
 from msmtrend.simulate import SimulationConfig, simulate_panel
 
 from conftest import WAVE_TIMES, paperlike_params, paperlike_structure
-from oracles import (forward_loglik, individual_slices, jacobian_fd, param_scales_by_field,
-                     peak_bytes, score_adjoint, transition_probability)
+from oracles import (forward_loglik, hessian_fd, individual_slices, jacobian_fd,
+                     param_scales_by_field, peak_bytes, score_adjoint, transition_probability)
 
 
 SMALL_STRUCTURE = ModelStructure(knots=(58.0, 68.0, 80.0), wave_times=(0.0, 2.0, 4.0, 6.0))
@@ -309,7 +309,7 @@ def test_exact_information_matches_hessian_fd():
     exact = jacobian_fd(lambda g: design.loglik_and_score(g)[1].sum(axis=0), gamma)
     # hessian_fd's error at its 1e-4 step is round-off, about eps |l| / h^2
     # (about 1e-7 here); the score differences' is far smaller
-    fd = est.hessian_fd(design.loglik, gamma)
+    fd = hessian_fd(design.loglik, gamma)
     assert np.abs(exact - fd).max() <= 1e-5 * np.abs(fd).max()
     np.testing.assert_allclose(exact, exact.T, rtol=1e-6, atol=1e-6 * np.abs(exact).max())
 
@@ -523,7 +523,7 @@ def test_hessian_covariance_exact_for_quadratic():
         d = x - a
         return -0.5 * d @ A @ d
 
-    sigma, warnings = est.hessian_covariance(est.hessian_fd(loglik, a + 0.1))
+    sigma, warnings = est.hessian_covariance(hessian_fd(loglik, a + 0.1))
     assert not warnings
     np.testing.assert_allclose(sigma, np.linalg.inv(A), atol=1e-6)
     np.testing.assert_allclose(sigma, sigma.T)
@@ -532,34 +532,48 @@ def test_hessian_covariance_exact_for_quadratic():
 
 def test_hessian_wrong_curvature_raises():
     with pytest.raises(CurvatureError):
-        est.hessian_covariance(est.hessian_fd(lambda x: 0.5 * float(x @ x), np.zeros(3)))
+        est.hessian_covariance(hessian_fd(lambda x: 0.5 * float(x @ x), np.zeros(3)))
 
 
 def test_hessian_near_zero_eigenvalue_pseudo_inverse():
     def loglik(x):
         return -0.5 * x[0] ** 2  # flat in x[1]
 
-    sigma, warnings = est.hessian_covariance(est.hessian_fd(loglik, np.zeros(2)))
+    sigma, warnings = est.hessian_covariance(hessian_fd(loglik, np.zeros(2)))
     assert warnings and "pseudo-inverse" in warnings[0]
     assert sigma[0, 0] == pytest.approx(1.0, rel=1e-6)
 
 
+def quartic(a):
+    """The row-wise quartic -sum (x - a)^4 - sum (x - a)^2 of an (m, n) array."""
+    return lambda x: -np.sum((x - a) ** 4, axis=1) - np.sum((x - a) ** 2, axis=1)
+
+
 def test_hessian_fd_matches_analytic_quartic():
-    # one central pass: 2n^2 + 1 evaluations, and the error is the round-off
-    # of second differences (about eps |f| / h^2), not truncation (2 h^2 here)
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=3)
-    calls = []
+    # one batch of 2n^2 + 1 points, and the error is the round-off of second
+    # differences (about eps |f| / h^2), not truncation (2 h^2 here)
+    a = np.random.default_rng(3).normal(size=3)
+    batches = []
 
     def fun(x):
-        calls.append(1)
-        return float(-np.sum((x - a) ** 4) - np.sum((x - a) ** 2))
+        batches.append(x.shape)
+        return quartic(a)(x)
 
     h = est.hessian_fd(fun, np.zeros(3))
     exact = np.diag(-12.0 * a**2 - 2.0)
-    assert len(calls) == 2 * 3**2 + 1
+    assert batches == [(2 * 3**2 + 1, 3)]
     np.testing.assert_array_equal(h, h.T)
     assert np.abs(h - exact).max() / np.abs(exact).max() < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hessian_fd_batch_equals_the_per_point_oracle(n):
+    # the stencil's points and combinations are the per-point ones, so where
+    # a row's value is the one a scalar call gives, H is the same bit for bit
+    rng = np.random.default_rng(n)
+    a, x = rng.normal(size=n), rng.normal(size=n) * 10.0 ** rng.integers(-2, 3, size=n)
+    fun = quartic(a)
+    np.testing.assert_array_equal(est.hessian_fd(fun, x), hessian_fd(lambda p: fun(p[None])[0], x))
 
 
 # ---------------------------------------------------------------------------

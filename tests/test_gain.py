@@ -7,7 +7,6 @@ from scipy.stats import norm
 
 from msmtrend.errors import InvalidArgumentError
 from msmtrend.gain import (
-    asymptotic_coefficients,
     exact_coefficients,
     fixed_point,
     gain_sequence,
@@ -17,6 +16,7 @@ from msmtrend.gain import (
 from msmtrend.kalman import FilterModel, run_filter
 
 from oracles import (
+    asymptotic_coefficients,
     coefficients_recursion,
     contraction_check,
     enumerate_coefficients_oracle,
