@@ -172,6 +172,8 @@ def cmd_fit_filter(args) -> int:
 
 def cmd_test_trend(args) -> int:
     _require(args, ["trend", "seed", "out"])
+    _check_count("mc-grid", args.mc_grid)
+    _check_count("mc-reps", args.mc_reps)
     series = _load_trend(args.trend)
     report = trendtests.run_trend_tests(
         series,
@@ -218,7 +220,7 @@ def cmd_gain_analysis(args) -> int:
     return 0
 
 
-# the most points a grid, a power curve's order or a gain trajectory may have
+# the most points a grid, or a count flag (--k, --periods, --mc-*), may have
 _MAX_POINTS = 1_000_000
 
 
@@ -330,7 +332,8 @@ def build_parser() -> _Parser:
     p.add_argument("--lags", type=int, default=3)
     p.add_argument("--estimator", choices=("hac", "long_run"), default="hac")
     p.add_argument("--double-offdiag", action="store_true")
-    p.add_argument("--mc-grid", type=int, default=1000)
+    p.add_argument("--mc-grid", type=int, default=1000,
+                   help="the number of walk steps whose functional is drawn")
     p.add_argument("--mc-reps", type=int, default=20_000)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")

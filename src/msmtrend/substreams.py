@@ -7,12 +7,11 @@ its own ``default_rng``, without building one generator per key.
 
 import numpy as np
 
-__all__ = ["pcg64_states", "uniforms", "generators"]
+__all__ = ["pcg64_states", "uniforms"]
 
 _MASK32 = 0xFFFFFFFF
 # PCG64's 128-bit LCG multiplier, as (high, low) 64-bit halves
 _PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
-_CHUNK = 1024  # keys whose states generators() holds at once
 
 
 def _seed_words(seed: int, ids: np.ndarray) -> list:
@@ -105,15 +104,3 @@ def uniforms(seed: int, n: int, m: int) -> np.ndarray:
     u *= 2.0**-53
     return u.T
 
-
-def generators(seed: int, n: int):
-    """Yield ``default_rng([seed, key])`` for key = 0..n-1 as one reused
-    generator, set to each key's state in turn: good until the next yield."""
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    for start in range(0, n, _CHUNK):
-        keys = np.arange(start, min(start + _CHUNK, n), dtype=np.uint64)
-        for s_hi, s_lo, i_hi, i_lo in zip(*(a.tolist() for a in pcg64_states(seed, keys))):
-            bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                          "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
-            yield gen

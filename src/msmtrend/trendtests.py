@@ -3,11 +3,11 @@
 Works on the demeaned first differences of the estimated wave effects.  The
 zero-drift t-test is judged against a normal or t(T-1) distribution; the two
 stochastic-drift statistics are judged against simulated distributions of
-the squared Brownian bridge and Wiener integrals, both drawn from one set of
-Wiener paths, one per (seed, replication) substream, seeded as arrays and
-bit-identical to ``default_rng([seed, replication])``.  Long-run variances come
-either from the sample autocovariances of the differenced series
-(homoskedastic) or from the first-stage sampling covariance (HAC).
+the squared Brownian bridge and Wiener integrals over a discretised walk,
+each replication drawn from the walk's eigen-series as one row of squared
+normals that serves both.  Long-run variances come either from the sample
+autocovariances of the differenced series (homoskedastic) or from the
+first-stage sampling covariance (HAC).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from scipy.special import chdtrc, fdtrc, ndtr, stdtr
 
 from .errors import InvalidArgumentError
-from .substreams import generators
 from .trend import TrendSeries
 
 __all__ = [
@@ -203,7 +202,7 @@ def f_statistic(beta, cov, n: int) -> FTestResult:
 
 @dataclass
 class CriticalValueTable:
-    """Simulated quantiles of a squared-path integral functional."""
+    """Simulated quantiles of a squared-path integral functional, and its sorted draws."""
 
     functional: str
     n_grid: int
@@ -218,51 +217,62 @@ class CriticalValueTable:
         return float(1.0 - pos / self.draws.size)
 
 
-# float64 elements in each of _draw_functionals' two work buffers (512 KiB);
-# a block holds max(1, _BLOCK_ELEMENTS // n_grid) replications
+# float64 elements in _draw_functionals' work buffer (512 KiB); a block holds
+# max(1, _BLOCK_ELEMENTS // K) replications of K normals each
 _BLOCK_ELEMENTS = 1 << 16
+# the largest sd the series terms a draw leaves out may have: the 95% values
+# of 20,000-replication tables spread over seeds with sd 0.004 (bridge) and
+# 0.022 (Wiener), so a cut this small does not show in a table
+_TAIL_SD = 1e-4
+
+
+def _eigen_series(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Descending weights of the Riemann-sum functionals as sums of w_i Z_i^2.
+
+    With W_k the partial sums of n N(0, 1/n) increments, (1/n) sum_k
+    (W_k - (k/n) W_n)^2 and (1/n) sum_k W_k^2 have the eigenvalues of
+    (min(j, k) - jk/n) / n^2 and min(j, k) / n^2 as weights; the inverses of
+    both matrices are tridiagonal (Anderson & Darling 1952 for the limits).
+    """
+    bridge = 1.0 / (2.0 * n * np.sin(np.arange(1, n) * (np.pi / (2 * n)))) ** 2
+    wiener = 1.0 / (2.0 * n * np.sin(np.arange(1, 2 * n, 2) * (np.pi / (2 * (2 * n + 1))))) ** 2
+    return bridge, wiener
+
+
+def _truncate(weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """The fewest leading weights whose dropped tail has sd <= ``_TAIL_SD``, and its mean."""
+    tail_sq = np.cumsum((weights * weights)[::-1])[::-1]
+    keep = int(np.count_nonzero(2.0 * tail_sq > _TAIL_SD**2))
+    return weights[:keep], float(np.sum(weights[keep:]))
 
 
 def _draw_functionals(n_grid: int, reps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Unsorted (int B^2, int W^2) draws, one pair per replication.
 
-    Replication ``rep`` draws its ``n_grid`` increments from the substream
-    ``default_rng([seed, rep])``, seeded for all replications at once as
-    arrays (:func:`substreams.generators`).  The Wiener path is their partial
-    sums and the bridge is that path less r times its end point, so one draw
-    serves both functionals.  Replications are processed in blocks of rows with
-    the arithmetic done in place, element by element in the same order as
-    for a single path, and each row sum runs along the contiguous axis, so
-    it is the same pairwise sum ``np.sum`` takes of one path: every draw is
-    independent of the block size.
+    Each is a Riemann sum over an ``n_grid``-step walk, drawn from its exact
+    spectral form (:func:`_eigen_series`) cut by :func:`_truncate` plus the
+    tail's mean, so every draw's mean is exact; up to ``n_grid`` = 50 nothing
+    is cut.  Replication ``rep`` squares the normals rep*K to (rep+1)*K - 1 of
+    one ``default_rng(seed)`` stream, the bridge's terms first.  Each row sum
+    runs along its own contiguous row, so no draw depends on the block size.
     """
-    grid_weight = 1.0 / n_grid
-    scale = math.sqrt(grid_weight)
-    r = np.arange(1, n_grid + 1) / n_grid
-    rows = max(1, _BLOCK_ELEMENTS // n_grid)
-    work, paths = np.empty((rows, n_grid)), np.empty((rows, n_grid))
-    bridge, wiener = np.empty(reps), np.empty(reps)
-    streams = generators(seed, reps)
+    (v, v_tail), (w, w_tail) = (_truncate(s) for s in _eigen_series(n_grid))
+    split, width = v.size, v.size + w.size
+    rows = max(1, _BLOCK_ELEMENTS // width)
+    work, bridge, wiener = np.empty((rows, width)), np.empty(reps), np.empty(reps)
+    rng = np.random.default_rng(seed)
     for start in range(0, reps, rows):
         stop = min(start + rows, reps)
-        x, w = work[: stop - start], paths[: stop - start]
-        for row in x:
-            next(streams).standard_normal(out=row)
-        x *= scale
-        np.cumsum(x, axis=1, out=w)
-        np.multiply(w, w, out=x)
-        np.sum(x, axis=1, out=wiener[start:stop])
-        np.multiply(r, w[:, -1:], out=x)
-        np.subtract(w, x, out=x)
+        x = work[: stop - start]
+        rng.standard_normal(out=x)
         np.multiply(x, x, out=x)
-        np.sum(x, axis=1, out=bridge[start:stop])
-    bridge *= grid_weight
-    wiener *= grid_weight
-    return bridge, wiener
+        np.sum(x[:, :split] * v, axis=1, out=bridge[start:stop])
+        np.sum(x[:, split:] * w, axis=1, out=wiener[start:stop])
+    return bridge + v_tail, wiener + w_tail
 
 
 def _critical_tables(n_grid: int, reps: int, seed: int, levels) -> dict:
-    """Both functionals' tables from one pass over the (seed, rep) substreams."""
+    """Both functionals' tables from one pass of :func:`_draw_functionals`."""
     if n_grid < 2:
         raise InvalidArgumentError("n_grid must be >= 2")
     if reps < 1000:
@@ -292,12 +302,12 @@ def simulate_critical_values(
 ) -> CriticalValueTable:
     """Simulate quantiles of int B(r)^2 dr ("bridge") or int W(r)^2 dr ("wiener").
 
-    Each replication discretizes a Wiener path as scaled partial sums of
-    N(0, 1/n_grid) increments and approximates the integral by a Riemann
-    sum.  Replications use substreams keyed by (seed, index) and the draws
-    are sorted before quantile extraction, so the result is deterministic
-    regardless of evaluation order; both functionals come from the same
-    paths, so a bridge and a Wiener table with one seed share their draws.
+    Each replication is the Riemann sum of the squared path over an
+    ``n_grid``-step walk of N(0, 1/n_grid) increments, drawn from the sum's
+    eigen-series rather than from the path (:func:`_draw_functionals`).  The
+    draws come from one ``default_rng(seed)`` stream in a fixed layout and are
+    sorted before quantile extraction, so the result is deterministic; a
+    bridge and a Wiener table with one seed come from the same rows of normals.
     """
     if functional not in ("bridge", "wiener"):
         raise InvalidArgumentError("functional must be 'bridge' or 'wiener'")
@@ -367,9 +377,9 @@ def run_trend_tests(
     demeaned differences.  The zero-drift statistic gets p-values from both
     the normal and the t reference distribution.  Critical values and
     p-values for the two stochastic-drift statistics come from simulated
-    integral functionals: one set of ``(seed, rep)`` substreams gives each
-    replication's Wiener path, which serves both the bridge and the Wiener
-    table, as :func:`simulate_critical_values` would draw them.
+    integral functionals: one row of squared normals per replication gives
+    both the bridge and the Wiener draw, as :func:`simulate_critical_values`
+    would draw them.
     """
     if estimator not in ("hac", "long_run"):
         raise InvalidArgumentError("estimator must be 'hac' or 'long_run'")

@@ -447,6 +447,19 @@ def test_order_and_periods_beyond_a_million_are_one_line_errors(tmp_path, flag, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", [1_000_001, 10**12])
+@pytest.mark.parametrize("flag", ["mc-reps", "mc-grid"])
+def test_monte_carlo_counts_beyond_a_million_are_one_line_errors(tmp_path, flag, count):
+    trend = tmp_path / "trend.json"
+    trend.write_text(json.dumps({"beta": [0.1, 0.3, 0.2, 0.5, 0.4, 0.7, 0.6, 0.9],
+                                 "var_diag": [0.01] * 8}))
+    out = tmp_path / "tests.json"
+    res = run_cli("test-trend", "--trend", trend, "--seed", 1, f"--{flag}", count, "--out", out)
+    assert res.returncode == 1
+    assert res.stderr == f"error: validation: --{flag} must be at most 1000000, got {count}\n"
+    assert not out.exists()
+
+
 def test_power_curve_order_of_a_million_runs(tmp_path):
     out = tmp_path / "power.csv"
     res = run_cli("power-curve", "--k", 1_000_000, "--s", 1.26, "--mode", "asymptotic",

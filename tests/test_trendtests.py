@@ -296,32 +296,84 @@ def test_invalid_settings():
         simulate_critical_values("bridge", 100, 2000, 0, levels=(0.0, 0.95))
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 50, 300])
+def test_eigen_series_are_the_walk_functionals_weights(n):
+    # the Riemann sums as quadratic forms in n standard normals z: the walk is
+    # W = L z with L lower-triangular ones / sqrt(n), the bridge P W with
+    # P = I - r e_n', and a path M z gives (1/n) |M z|^2 = z' (M'M / n) z
+    bridge, wiener = trendtests._eigen_series(n)
+    walk = np.tril(np.ones((n, n))) / math.sqrt(n)
+    tie = np.eye(n)
+    tie[:, -1] -= np.arange(1, n + 1) / n
+    for weights, path in ((wiener, walk), (bridge, tie @ walk)):
+        eig = np.linalg.eigvalsh(path.T @ path / n)[::-1]
+        assert np.all(np.diff(weights) < 0)
+        # the bridge's form has one more eigenvalue, zero, for the tied end
+        np.testing.assert_allclose(eig[: weights.size], weights, rtol=0, atol=1e-13 * weights[0])
+        np.testing.assert_allclose(eig[weights.size:], 0.0, atol=1e-13 * weights[0])
+    assert math.isclose(np.sum(bridge), (n * n - 1) / (6 * n * n), rel_tol=1e-13)
+    assert math.isclose(np.sum(wiener), (n + 1) / (2 * n), rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("n_grid, kept", [(2, (1, 2)), (50, (49, 50)), (1000, (89, 90))])
+def test_truncation_keeps_the_leading_terms_and_the_tails_mean(n_grid, kept):
+    for series, keep in zip(trendtests._eigen_series(n_grid), kept):
+        head, tail_mean = trendtests._truncate(series)
+        assert head.size == keep
+        assert math.sqrt(2 * np.sum(series[keep:] ** 2)) <= trendtests._TAIL_SD
+        assert math.sqrt(2 * np.sum(series[keep - 1:] ** 2)) > trendtests._TAIL_SD
+        assert math.isclose(np.sum(head) + tail_mean, np.sum(series), rel_tol=1e-14)
+
+
 # (n_grid, reps, seed, block budget): one block of 1000 rows at n_grid = 2; a
-# partial last block of 25 rows (1000 = 15 * 65 + 25); one-row blocks, with
-# the budget below n_grid; a last block of one row (1000 = 333 * 3 + 1); seeds
-# of two and three uint32 words
+# partial last block (179 normals a row, 1000 = 2 * 366 + 268) at n_grid =
+# 1001; one-row blocks, with budgets below two rows of 99 normals; a last
+# block of one row (1000 = 333 * 3 + 1); seeds of two and three uint32 words
 @pytest.mark.parametrize("n_grid, reps, seed, budget", [
     (2, 1000, 7, None),
     (1001, 1000, 5, None),
     (50, 1000, 3, 40),
     (50, 1000, 3, 150),
+    (50, 1000, 3, 297),
     (50, 1000, 2**32, None),
     (50, 1000, 2**64 + 5, None),
 ])
 def test_draws_match_the_per_replication_reference(monkeypatch, n_grid, reps, seed, budget):
+    # replication rep squares the normals rep * K .. (rep + 1) * K - 1 of
+    # default_rng(seed), the bridge's terms first, and sums each part on its
+    # own: every block size gives these bytes
+    (v, v_tail), (w, w_tail) = (trendtests._truncate(s) for s in trendtests._eigen_series(n_grid))
+    z = np.random.default_rng(seed).standard_normal((reps, v.size + w.size))
+    want = {"bridge": np.empty(reps), "wiener": np.empty(reps)}
+    for rep, row in enumerate(z * z):
+        want["bridge"][rep] = np.sum(row[: v.size] * v) + v_tail
+        want["wiener"][rep] = np.sum(row[v.size:] * w) + w_tail
     if budget is not None:
         monkeypatch.setattr(trendtests, "_BLOCK_ELEMENTS", budget)
     drawn = trendtests._draw_functionals(n_grid, reps, seed)
     for functional, got in zip(("bridge", "wiener"), drawn):
-        want = oracles.draw_functional(functional, n_grid, reps, seed)
-        assert got.tobytes() == want.tobytes(), functional
+        assert got.tobytes() == want[functional].tobytes(), functional
         table = simulate_critical_values(functional, n_grid, reps, seed)
-        assert table.draws.tobytes() == np.sort(want).tobytes(), functional
+        assert table.draws.tobytes() == np.sort(want[functional]).tobytes(), functional
+
+
+@pytest.mark.parametrize("n_grid", [2, 7, 50, 1000])
+def test_draws_follow_the_simulated_walk(n_grid):
+    # the spectral draws against Riemann sums over simulated walks, one
+    # (seed, rep) substream each: from n_grid = 50 down the two are equal in
+    # distribution, and at 1000 the cut tail has sd at most 1e-4
+    from scipy.stats import ks_2samp
+
+    reps = 10_000
+    drawn = trendtests._draw_functionals(n_grid, reps, 4)
+    for functional, got in zip(("bridge", "wiener"), drawn):
+        walk = oracles.draw_functional(functional, n_grid, reps, 4)
+        assert ks_2samp(got, walk).pvalue > 1e-3, functional
 
 
 def test_draws_build_no_generator_per_replication(monkeypatch):
-    # the tables' speed rests on seeding the substreams as arrays, not on
-    # a generator or a SeedSequence built per replication
+    # the tables' speed rests on one default_rng per table, not on a
+    # generator or a SeedSequence built per replication
     calls = []
 
     def counted(name):
@@ -335,7 +387,7 @@ def test_draws_build_no_generator_per_replication(monkeypatch):
     for name in ("default_rng", "SeedSequence"):
         monkeypatch.setattr(np.random, name, counted(name))
     trendtests._critical_tables(50, 1000, 3, (0.95,))
-    assert calls == []
+    assert calls == ["default_rng"]
 
 
 # ---------------------------------------------------------------------------
