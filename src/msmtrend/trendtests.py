@@ -4,10 +4,9 @@ Works on the demeaned first differences of the estimated wave effects.  The
 zero-drift t-test is judged against a normal or t(T-1) distribution; the two
 stochastic-drift statistics are judged against simulated distributions of
 the squared Brownian bridge and Wiener integrals over a discretised walk,
-each replication drawn from the walk's eigen-series as one row of squared
-normals that serves both.  Long-run variances come either from the sample
-autocovariances of the differenced series (homoskedastic) or from the
-first-stage sampling covariance (HAC).
+drawn from the walk's eigen-series.  Long-run variances come either from
+the sample autocovariances of the differenced series (homoskedastic) or
+from the first-stage sampling covariance (HAC).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, fdtrc, ndtr, stdtr
+from scipy.special import chdtrc, fdtrc, ndtr, ndtri, stdtr
 
 from .errors import InvalidArgumentError
 from .trend import TrendSeries
@@ -60,10 +59,7 @@ def demean_diff_transform(beta, cov) -> DemeanedDiffSeries:
     T = beta.size
     if T < 3:
         raise InvalidArgumentError(f"need at least 3 waves, got {T}")
-    diff = np.zeros((T - 1, T))
-    for k in range(T - 1):
-        diff[k, k] = -1.0
-        diff[k, k + 1] = 1.0
+    diff = np.eye(T - 1, T, 1) - np.eye(T - 1, T)
     center = np.eye(T - 1) - np.ones((T - 1, T - 1)) / (T - 1)
     psi = center @ diff
     values = psi @ beta
@@ -221,8 +217,8 @@ class CriticalValueTable:
 # max(1, _BLOCK_ELEMENTS // K) replications of K normals each
 _BLOCK_ELEMENTS = 1 << 16
 # the largest sd the series terms a draw leaves out may have: the 95% values
-# of 20,000-replication tables spread over seeds with sd 0.004 (bridge) and
-# 0.022 (Wiener), so a cut this small does not show in a table
+# of 20,000-replication tables spread over seeds with sd 0.002 (bridge) and
+# 0.005 (Wiener), so a cut this small does not show in a table
 _TAIL_SD = 1e-4
 
 
@@ -251,24 +247,30 @@ def _draw_functionals(n_grid: int, reps: int, seed: int) -> tuple[np.ndarray, np
 
     Each is a Riemann sum over an ``n_grid``-step walk, drawn from its exact
     spectral form (:func:`_eigen_series`) cut by :func:`_truncate` plus the
-    tail's mean, so every draw's mean is exact; up to ``n_grid`` = 50 nothing
-    is cut.  Replication ``rep`` squares the normals rep*K to (rep+1)*K - 1 of
-    one ``default_rng(seed)`` stream, the bridge's terms first.  Each row sum
-    runs along its own contiguous row, so no draw depends on the block size.
+    tail's mean.  The leading term, 92% of the bridge's variance and 99% of
+    the Wiener's, takes one chi2(1) draw from each of ``reps`` equal-probability
+    strata in random order: each draw keeps its law, and a table's quantiles
+    spread 2-4 times less over seeds.  After both strata, ``default_rng(seed)``
+    gives row ``rep`` of the other terms' normals, the bridge's first, so a
+    replication's two draws are independent and no draw depends on the block size.
     """
     (v, v_tail), (w, w_tail) = (_truncate(s) for s in _eigen_series(n_grid))
-    split, width = v.size, v.size + w.size
-    rows = max(1, _BLOCK_ELEMENTS // width)
-    work, bridge, wiener = np.empty((rows, width)), np.empty(reps), np.empty(reps)
     rng = np.random.default_rng(seed)
+    # upper-tail probability q in stratum (k/reps, (k+1)/reps]; chi2(1)'s is ndtri(q/2)^2
+    bridge, wiener = (
+        lead * np.square(ndtri((rng.permutation(reps) + 1.0 - rng.random(reps)) / (2 * reps))) + tail
+        for lead, tail in ((v[0], v_tail), (w[0], w_tail)))
+    split, width = v.size - 1, v.size + w.size - 2
+    rows = max(1, _BLOCK_ELEMENTS // width)
+    work = np.empty((rows, width))
     for start in range(0, reps, rows):
         stop = min(start + rows, reps)
         x = work[: stop - start]
         rng.standard_normal(out=x)
         np.multiply(x, x, out=x)
-        np.sum(x[:, :split] * v, axis=1, out=bridge[start:stop])
-        np.sum(x[:, split:] * w, axis=1, out=wiener[start:stop])
-    return bridge + v_tail, wiener + w_tail
+        bridge[start:stop] += np.sum(x[:, :split] * v[1:], axis=1)
+        wiener[start:stop] += np.sum(x[:, split:] * w[1:], axis=1)
+    return bridge, wiener
 
 
 def _critical_tables(n_grid: int, reps: int, seed: int, levels) -> dict:
@@ -304,10 +306,10 @@ def simulate_critical_values(
 
     Each replication is the Riemann sum of the squared path over an
     ``n_grid``-step walk of N(0, 1/n_grid) increments, drawn from the sum's
-    eigen-series rather than from the path (:func:`_draw_functionals`).  The
-    draws come from one ``default_rng(seed)`` stream in a fixed layout and are
-    sorted before quantile extraction, so the result is deterministic; a
-    bridge and a Wiener table with one seed come from the same rows of normals.
+    eigen-series rather than from the path, its leading term stratified
+    (:func:`_draw_functionals`).  The draws come from one
+    ``default_rng(seed)`` stream in a fixed layout and are sorted before
+    quantile extraction, so the result is deterministic.
     """
     if functional not in ("bridge", "wiener"):
         raise InvalidArgumentError("functional must be 'bridge' or 'wiener'")
@@ -376,10 +378,8 @@ def run_trend_tests(
     first-stage covariance, "long_run" the sample autocovariances of the
     demeaned differences.  The zero-drift statistic gets p-values from both
     the normal and the t reference distribution.  Critical values and
-    p-values for the two stochastic-drift statistics come from simulated
-    integral functionals: one row of squared normals per replication gives
-    both the bridge and the Wiener draw, as :func:`simulate_critical_values`
-    would draw them.
+    p-values for the two stochastic-drift statistics come from the bridge
+    and Wiener tables :func:`simulate_critical_values` gives for ``seed``.
     """
     if estimator not in ("hac", "long_run"):
         raise InvalidArgumentError("estimator must be 'hac' or 'long_run'")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.special import ndtri
 from scipy.stats import chi2
 
 import oracles
@@ -326,8 +327,8 @@ def test_truncation_keeps_the_leading_terms_and_the_tails_mean(n_grid, kept):
 
 
 # (n_grid, reps, seed, block budget): one block of 1000 rows at n_grid = 2; a
-# partial last block (179 normals a row, 1000 = 2 * 366 + 268) at n_grid =
-# 1001; one-row blocks, with budgets below two rows of 99 normals; a last
+# partial last block (177 normals a row, 1000 = 2 * 370 + 260) at n_grid =
+# 1001; one-row blocks, with budgets below two rows of 97 normals; a last
 # block of one row (1000 = 333 * 3 + 1); seeds of two and three uint32 words
 @pytest.mark.parametrize("n_grid, reps, seed, budget", [
     (2, 1000, 7, None),
@@ -339,15 +340,24 @@ def test_truncation_keeps_the_leading_terms_and_the_tails_mean(n_grid, kept):
     (50, 1000, 2**64 + 5, None),
 ])
 def test_draws_match_the_per_replication_reference(monkeypatch, n_grid, reps, seed, budget):
-    # replication rep squares the normals rep * K .. (rep + 1) * K - 1 of
-    # default_rng(seed), the bridge's terms first, and sums each part on its
-    # own: every block size gives these bytes
+    # the stream layout, one replication at a time: default_rng(seed) gives
+    # the bridge's and the Wiener's leading-term strata, then replication rep
+    # squares the normals rep * K .. (rep + 1) * K - 1, the bridge's first, and
+    # sums each part on its own.  This pins only that layout and its
+    # independence of the block size; the weights are judged by
+    # test_eigen_series_are_the_walk_functionals_weights and the draws'
+    # distribution by test_draws_follow_the_simulated_walk
     (v, v_tail), (w, w_tail) = (trendtests._truncate(s) for s in trendtests._eigen_series(n_grid))
-    z = np.random.default_rng(seed).standard_normal((reps, v.size + w.size))
+    rng = np.random.default_rng(seed)
+    strata = [rng.permutation(reps) + 1.0 - rng.random(reps) for _ in range(2)]
+    z = rng.standard_normal((reps, v.size + w.size - 2))
     want = {"bridge": np.empty(reps), "wiener": np.empty(reps)}
     for rep, row in enumerate(z * z):
-        want["bridge"][rep] = np.sum(row[: v.size] * v) + v_tail
-        want["wiener"][rep] = np.sum(row[v.size:] * w) + w_tail
+        for (name, weights, tail, rest), q in zip(
+                (("bridge", v, v_tail, row[: v.size - 1]), ("wiener", w, w_tail, row[v.size - 1:])),
+                strata):
+            lead = weights[0] * np.square(ndtri(q[rep] / (2 * reps))) + tail
+            want[name][rep] = lead + np.sum(rest * weights[1:])
     if budget is not None:
         monkeypatch.setattr(trendtests, "_BLOCK_ELEMENTS", budget)
     drawn = trendtests._draw_functionals(n_grid, reps, seed)
@@ -355,6 +365,15 @@ def test_draws_match_the_per_replication_reference(monkeypatch, n_grid, reps, se
         assert got.tobytes() == want[functional].tobytes(), functional
         table = simulate_critical_values(functional, n_grid, reps, seed)
         assert table.draws.tobytes() == np.sort(want[functional]).tobytes(), functional
+
+
+def test_stratified_tables_spread_less_over_seeds():
+    # with the leading term stratified, the 95% values of (200, 5000) tables
+    # have sd about 0.004 (bridge) and 0.01 (Wiener) over seeds, against 0.011
+    # and 0.04 with every term drawn independently
+    for functional, bound in (("bridge", 0.007), ("wiener", 0.02)):
+        q = [simulate_critical_values(functional, 200, 5000, s).quantiles[0.95] for s in range(10)]
+        assert np.std(q) < bound, functional
 
 
 @pytest.mark.parametrize("n_grid", [2, 7, 50, 1000])
