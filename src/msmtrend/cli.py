@@ -187,8 +187,7 @@ def cmd_test_trend(args) -> int:
     write_json(args.out, report.to_json_dict())
     if args.out_critical:
         # the table run_trend_tests drew for this functional, seed and grid
-        functional = "bridge" if args.critical_functional == "bridge" else "wiener"
-        levels, values = zip(*sorted(report.mc_settings[f"{functional}_quantiles"].items()))
+        levels, values = zip(*sorted(report.mc_settings[f"{args.critical_functional}_quantiles"].items()))
         write_csv(args.out_critical, {"level": levels, "value": values})
     print(
         f"t_nu={report.t_nu:.4f} (p_normal={report.t_nu_p_normal:.4f}), "

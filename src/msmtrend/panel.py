@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DataValidationError
-from .substreams import _mulhi
 
 CSV_HEADER = "id,time,state,age,female"
 _PANEL_ROW = np.dtype([("id", "i8"), ("time", "f8"), ("state", "i8"), ("age", "f8"),
@@ -151,6 +150,24 @@ def _block_text(cols: list) -> list:
 _K_MIN = (-1074 * 1262611 - 524031) >> 22
 _K_MAX = (972 * 1262611) >> 22
 _MASK63 = (1 << 63) - 1
+_MASK32 = 0xFFFFFFFF
+
+
+def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of the 128-bit product a * b, from 32-bit limbs."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    hi_lo, lo_hi = a_hi * b_lo, a_lo * b_hi
+    # in place from here: a_lo * b_lo becomes the middle sum, a_hi * b_hi the result
+    a_lo *= b_lo
+    a_lo >>= 32
+    a_lo += hi_lo & _MASK32
+    a_lo += lo_hi & _MASK32
+    a_hi *= b_hi
+    a_hi += hi_lo >> 32
+    a_hi += lo_hi >> 32
+    a_hi += a_lo >> 32
+    return a_hi
 
 
 def _g_table() -> tuple:

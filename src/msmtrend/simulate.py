@@ -8,11 +8,12 @@ and death is recorded at the next wave time.  Observed states for 1 and 2
 are misreported with the model's misclassification probabilities; death is
 reported exactly.
 
-Randomness is drawn from per-individual substreams keyed by (seed, id) with
-a fixed draw budget per individual, so output is independent of generation
-order or chunking.  The substreams of all individuals are computed at once
-by :func:`msmtrend.substreams.uniforms`, bit-identical to drawing each one
-from ``numpy.random.default_rng([seed, id])``.
+Randomness is one stream, ``numpy.random.default_rng(seed)``, read as an
+(n, m) array of uniforms, m per individual: row i is individual i's.  So a
+panel of n individuals is the first n of any larger panel with the same
+seed and structure, and blocks of rows drawn in order give the same bytes
+as one draw.  Panels drawn before this layout, one ``default_rng([seed,
+id])`` per individual, differ; the law of every draw is the same.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from scipy.special import expit
 from .errors import InvalidSpecError
 from .markov import HazardParams, ModelStructure, covariate_design, log_intensities
 from .panel import Panel
-from .substreams import uniforms
 
 __all__ = ["SimulationConfig", "simulate_panel"]
 
@@ -108,7 +108,16 @@ def _latent_paths_vectorized(config: SimulationConfig, u: np.ndarray, age0, fem,
 
 
 def simulate_panel(config: SimulationConfig) -> Panel:
-    """Generate an observed panel; deterministic given the seed."""
+    """Generate an observed panel; deterministic given the seed.  Row i of
+    ``default_rng(seed).random((n, m))`` is individual i's uniforms: [age,
+    female, initial state, path (3 per interval), report (one per wave)]."""
+    T = config.structure.n_waves
+    m = 3 + _DRAWS_PER_INTERVAL * T + (T + 1)
+    return _panel_from_uniforms(config, np.random.default_rng(config.seed).random((config.n, m)))
+
+
+def _panel_from_uniforms(config: SimulationConfig, u: np.ndarray) -> Panel:
+    """The panel whose individual i draws from row i of ``u``."""
     structure, params = config.structure, config.params
     T = structure.n_waves
     wt = np.asarray(structure.wave_times)
@@ -117,9 +126,6 @@ def simulate_panel(config: SimulationConfig) -> Panel:
     e21 = expit(params.logit_e21)
     p2 = expit(params.logit_p2)
 
-    # layout per individual: [age, female, initial state, path (3 per
-    # interval), report (one per wave)]
-    u = uniforms(config.seed, config.n, 3 + _DRAWS_PER_INTERVAL * T + (T + 1))
     age0 = lo + u[:, 0] * (hi - lo)
     fem = (u[:, 1] < config.female_share).astype(np.int64)
     state0 = np.where(u[:, 2] < p2, 2, 1).astype(np.int64)

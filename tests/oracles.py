@@ -11,7 +11,8 @@ time, as the package did before it drew both from blocks of paths.  The CSV
 reference formats one cell at a time, as the package did before its writer
 formatted each distinct value once.  The simulator's uniforms come from one
 ``default_rng([seed, id])`` per individual, as the package drew them before it
-computed every substream at once.  The central-difference Jacobian of the
+read one stream, and ``legacy_panel`` builds those panels through the
+simulator's private seam.  The central-difference Jacobian of the
 score is the judge of the exact Hessian that replaced it in the fit, and
 ``forward_loglik`` builds a design for each likelihood it is asked for.  The
 adjoint score and the per-field parameter scales are the step-one code that
@@ -52,6 +53,7 @@ from msmtrend.markov import (
     param_layout,
     transition_entries,
 )
+from msmtrend.simulate import _panel_from_uniforms
 
 
 def format_number(x) -> str:
@@ -89,6 +91,18 @@ def individual_uniforms(seed: int, ident: int, n_waves: int) -> np.ndarray:
     """
     rng = np.random.default_rng([seed, ident])
     return rng.random(3 + 3 * n_waves + (n_waves + 1))
+
+
+def legacy_panel(config):
+    """The panel as the simulator drew it before it read one stream: individual
+    i's uniforms from its own ``default_rng([seed, i])``.
+
+    Tests whose panel was chosen for a property of its seed's draws (a fit
+    that crawled, a wave without events, a fixed digest) keep that panel.
+    """
+    u = np.array([individual_uniforms(config.seed, ident, config.structure.n_waves)
+                  for ident in range(config.n)])
+    return _panel_from_uniforms(config, u)
 
 
 def individual_slices(panel):

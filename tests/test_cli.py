@@ -10,8 +10,10 @@ import pytest
 
 from msmtrend import cli, estimator, gain, kalman, simulate, trendtests
 from msmtrend.markov import HazardParams, save_model_spec
+from msmtrend.panel import write_panel
 
 from conftest import paperlike_params, paperlike_structure
+from oracles import legacy_panel
 
 
 def fixture_params() -> HazardParams:
@@ -549,11 +551,13 @@ def test_three_wave_stochastic_drift_fit_is_flagged_not_a_traceback(tmp_path):
 def test_failing_small_panel_fit_is_one_stderr_line(tmp_path):
     # at points the trust region rejects, the score's adjoint overflows;
     # numpy's warnings from there must not reach stderr
+    # the 60-person panel of seed 5 as the simulator drew it before it read
+    # one stream
     spec = tmp_path / "spec.json"
     save_model_spec(spec, paperlike_structure(), paperlike_params())
     panel = tmp_path / "panel.csv"
-    assert run_cli("simulate", "--model-spec", spec, "--n", 60, "--seed", 5,
-                   "--out", panel).returncode == 0
+    write_panel(panel, legacy_panel(simulate.SimulationConfig(
+        n=60, structure=paperlike_structure(), params=paperlike_params(), seed=5)))
     res = run_cli(*fit_msm_args(panel, tmp_path, spec))
     assert res.returncode == 2
     assert res.stderr == "error: numerical: cannot extract trend from a non-converged fit\n"

@@ -15,7 +15,7 @@ from msmtrend.panel import Panel
 from msmtrend.simulate import SimulationConfig, simulate_panel
 
 from conftest import WAVE_TIMES, paperlike_params, paperlike_structure
-from oracles import (forward_loglik, hessian_fd, individual_slices, jacobian_fd,
+from oracles import (forward_loglik, hessian_fd, individual_slices, jacobian_fd, legacy_panel,
                      param_scales_by_field, peak_bytes, score_adjoint, transition_probability)
 
 
@@ -621,7 +621,7 @@ def small_fit():
     structure = paperlike_structure()
     truth = paperlike_params()
     cfg = SimulationConfig(n=1500, structure=structure, params=truth, seed=7)
-    panel = simulate_panel(cfg)
+    panel = legacy_panel(cfg)
     result = est.fit_msm(panel, structure)
     return structure, panel, result
 
@@ -659,12 +659,12 @@ def test_score_difference_step_leaves_se_unchanged(small_fit):
 
 
 def test_fit_converges_along_flat_wave_dummy():
-    # paper-like truth, 1,000 people, seed 3: a quasi-Newton fit with
-    # finite-difference gradients stopped at maxiter at -1747.0384246692
-    # while crawling along a nearly flat wave-1 dummy
+    # paper-like truth, 1,000 people, seed 3 (legacy draw): a quasi-Newton
+    # fit with finite-difference gradients stopped at maxiter at
+    # -1747.0384246692 while crawling along a nearly flat wave-1 dummy
     structure = paperlike_structure()
-    panel = simulate_panel(SimulationConfig(n=1000, structure=structure,
-                                            params=paperlike_params(), seed=3))
+    panel = legacy_panel(SimulationConfig(n=1000, structure=structure,
+                                          params=paperlike_params(), seed=3))
     result = est.fit_msm(panel, structure)
     assert result.converged
     assert result.loglik >= -1747.0384246692
@@ -678,8 +678,8 @@ def test_unidentified_combination_stops_at_the_box():
     # off, and the fit stops once a scaled parameter leaves +-60, flagged,
     # instead of iterating on to maxiter
     structure = paperlike_structure()
-    panel = simulate_panel(SimulationConfig(n=20, structure=structure,
-                                            params=paperlike_params(), seed=2))
+    panel = legacy_panel(SimulationConfig(n=20, structure=structure,
+                                          params=paperlike_params(), seed=2))
     result = est.fit_msm(panel, structure)
     assert not result.converged
     assert "does not identify" in result.warnings[0]
@@ -688,14 +688,14 @@ def test_unidentified_combination_stops_at_the_box():
 
 
 def test_exact_phase_rejects_points_whose_likelihood_overflows():
-    # 60 people, seed 5: the exact phase proposes a point where some
-    # individuals have zero likelihood and others' scores overflow;
+    # 60 people, seed 5 (legacy draw): the exact phase proposes a point where
+    # some individuals have zero likelihood and others' scores overflow;
     # trust-exact asks for the curvature there before rejecting it, and the
     # fit ends flagged, not in an error.  The score pass's overflow there is
     # expected
     structure = paperlike_structure()
-    panel = simulate_panel(SimulationConfig(n=60, structure=structure,
-                                            params=paperlike_params(), seed=5))
+    panel = legacy_panel(SimulationConfig(n=60, structure=structure,
+                                          params=paperlike_params(), seed=5))
     with np.errstate(over="ignore", invalid="ignore"):
         result = est.fit_msm(panel, structure)
     assert not result.converged and result.warnings
@@ -708,7 +708,7 @@ def test_wave_without_events_does_not_run_away():
     structure = paperlike_structure()
     truth = paperlike_params()
     truth.beta[2] = -40.0
-    panel = simulate_panel(SimulationConfig(n=1500, structure=structure, params=truth, seed=5))
+    panel = legacy_panel(SimulationConfig(n=1500, structure=structure, params=truth, seed=5))
     result = est.fit_msm(panel, structure)
     assert result.converged
     assert -31.0 < result["beta_3"] < -10.0

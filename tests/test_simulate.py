@@ -6,14 +6,12 @@ from msmtrend.errors import InvalidSpecError
 from msmtrend.markov import HazardParams, ModelStructure, build_intensity, Covariates
 from msmtrend.panel import validate_panel
 from msmtrend.simulate import SimulationConfig, simulate_panel
-from msmtrend.substreams import uniforms
 
 from conftest import WAVE_TIMES, paperlike_params, paperlike_structure
 from oracles import (
     apply_observation_scheme,
     crude_incidence_rate,
     individual_slices,
-    individual_uniforms,
     simulate_individual_path,
     transition_probability,
 )
@@ -77,8 +75,9 @@ def test_vectorized_panel_matches_scalar_reference():
     cfg = SimulationConfig(n=150, structure=st, params=tr, seed=42)
     panel = simulate_panel(cfg).sort()
     lo, hi = cfg.age_range
+    rows = np.random.default_rng(42).random((150, 3 + 3 * st.n_waves + st.n_waves + 1))
     for ident in (0, 17, 149):
-        u = individual_uniforms(42, ident, st.n_waves)
+        u = rows[ident]
         age0 = lo + u[0] * (hi - lo)
         fem = int(u[1] < cfg.female_share)
         s0 = 2 if u[2] < expit(tr.logit_p2) else 1
@@ -91,15 +90,17 @@ def test_vectorized_panel_matches_scalar_reference():
         np.testing.assert_allclose(panel.ages[mask][0], age0)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1])
-def test_substream_uniforms_match_default_rng_bit_for_bit(seed):
-    # 1 to 5 uint32 entropy words with the id; five takes SeedSequence's
-    # extra-word mixing loop
-    n_waves = 8
-    want = np.array([individual_uniforms(seed, ident, n_waves) for ident in range(300)])
-    got = uniforms(seed, 300, want.shape[1])
-    assert got.shape == want.shape
-    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1],
+                         ids=["0", "1", "2**32-1", "2**32", "2**64+5", "2**128+1"])
+def test_panel_is_the_prefix_of_a_larger_panel(seed):
+    # row i of the one stream is individual i's at any n: the 300-person
+    # panel is the first 300 individuals of the 1,000-person one, byte for byte
+    st = paperlike_structure()
+    small, large = (simulate_panel(SimulationConfig(n=n, structure=st, params=paperlike_params(),
+                                                    seed=seed)) for n in (300, 1000))
+    first = large.ids < 300
+    for col in ("ids", "times", "states", "ages", "female"):
+        assert getattr(small, col).tobytes() == getattr(large, col)[first].tobytes(), col
 
 
 def test_identity_misclassification_is_noop():
