@@ -113,6 +113,10 @@ def cmd_fit_msm(args) -> int:
 
 def cmd_fit_filter(args) -> int:
     _require(args, ["trend", "out"])
+    # checked before the fit, so that a bad horizon writes no artifact
+    _check_count("horizon", args.horizon)
+    if args.horizon < 1:
+        raise CliUsageError(f"--horizon must be at least 1, got {args.horizon}")
     series = _load_trend(args.trend)
     fit = kalman.fit_filter(series, variant=args.variant, mode=args.mode, level=args.level)
     report = kalman.diagnostics(fit.output, fit.model, series.n_waves, lags=args.lags)
@@ -200,6 +204,9 @@ def cmd_gain_analysis(args) -> int:
     _require(args, ["out-trajectory", "out-fixed-point"])
     if args.trend:
         _require(args, ["sigma-eta"])
+        # squared below, so a negative value would stand for its absolute value
+        if not args.sigma_eta > 0:
+            raise CliUsageError(f"--sigma-eta must be positive, got {args.sigma_eta}")
         series = _load_trend(args.trend)
         s = args.sigma_eta**2 / series.var_diag
     else:

@@ -52,6 +52,8 @@ _FLOOR = 1e-8
 _LOG_FLOOR = math.log(_FLOOR)
 # relative likelihood tolerance of the boundary rule and of a flat profile
 _TOL = 1e-7
+# the zoom after the grid: points per moving axis a round, and its final half width
+_ZOOM, _ZOOM_TOL = 17, 1e-7
 
 
 @dataclass
@@ -253,7 +255,7 @@ class FilterFit:
     model: FilterModel
     output: FilterOutput
     loglik: float
-    converged: bool
+    converged: bool  # always true: the zoom always ends below its tolerance
     ci: dict = field(default_factory=dict)
     boundary: list = field(default_factory=list)
     no_ci: list = field(default_factory=list)
@@ -263,11 +265,16 @@ class FilterFit:
 def _search(fun, lo: float, hi: float, searched: np.ndarray, shift: bool):
     """Minimize ``fun``, which maps an (m, axes) array of points to m values,
     over the log sds marked in ``searched``, each in [lo, hi], the others
-    held at -inf (sd zero): a grid of ``_GRID[n]`` points per searched axis
-    in one call, then one polish from the best grid point, a row at a time.
-    ``shift`` marks log sds that are ratios to a unit sd which ``fun``
-    concentrates out.  Returns (x, fun(x), whether the grid is flat to
-    ``_TOL`` and so left unpolished, whether the polish converged).
+    held at -inf (sd zero); ``shift`` marks ratios to a unit sd that ``fun``
+    concentrates out.  A grid of ``_GRID[n]`` points per axis runs as one
+    call, then a zoom from its best point on the variances relative to the
+    largest, where a variance near zero keeps the slope the log scale
+    flattens (under ``shift`` the unit variance joins them and the largest
+    stays fixed): rounds of one call over ``_ZOOM`` points per moving axis in
+    [w - rho, w + rho] about the best w.  An axis's rho, one grid step at
+    first, shrinks by 4 / (``_ZOOM`` - 1), or grows as much when a better
+    point is on the box's edge above zero, until all are below ``_ZOOM_TOL``.
+    Returns (x, fun(x), whether the grid is flat to ``_TOL``, left unzoomed).
     """
     n = int(searched.sum())
     grid = np.linspace(lo, hi, _GRID[n])
@@ -276,35 +283,27 @@ def _search(fun, lo: float, hi: float, searched: np.ndarray, shift: bool):
     values = fun(points)
     x, f = points[int(np.argmin(values))], float(values.min())
     if n == 0 or values.max() - f <= _TOL * max(1.0, abs(f)):
-        return x, f, n > 0, True
-    # the polish runs on the variance scale relative to the largest variance
-    # at the start: there a variance near zero keeps the slope that the log
-    # scale flattens, so it can leave a shelf.  Under ``shift`` the unit
-    # variance joins it and the largest one stays fixed instead.
+        return x, f, n > 0
     z = np.append(x[searched], 0.0) if shift else x[searched]
     c = z.max()
     move = np.arange(z.size) != (int(np.argmax(z)) if shift else -1)
-    u0 = np.exp(2.0 * (z[move] - c))
-    box = np.exp(2.0 * (np.array([lo, hi]) - (0.0 if shift else c)))
-
-    def at(u) -> np.ndarray:
-        w, full = z.copy(), x.copy()
-        w[move] = c + 0.5 * np.log(u)
-        full[searched] = w[:n] - w[n:].sum()
-        return full
-
-    from scipy.optimize import minimize, minimize_scalar  # only fits that polish load it
-
-    if n == 1:  # Brent within the grid cells either side of the best point
-        r = math.exp(2.0 * (grid[1] - grid[0]))
-        res = minimize_scalar(lambda t: fun(at(t)[None])[0], options={"xatol": 1e-10 * u0[0]},
-                              bounds=(max(box[0], u0[0] / r), min(box[1], u0[0] * r)), method="bounded")
-    else:
-        res = minimize(lambda u: fun(at(u)[None])[0], u0, method="L-BFGS-B", bounds=[box] * n,
-                       options={"gtol": 1e-10})
-    if res.fun < f:
-        x, f = at(res.x), float(res.fun)
-    return x, f, False, bool(res.success)
+    w = np.exp(2.0 * (z - c))
+    rho, shrink = np.full(n, math.expm1(2.0 * (grid[1] - grid[0]))), 4.0 / (_ZOOM - 1)
+    while rho.max() > _ZOOM_TOL:
+        ws = np.tile(w, (_ZOOM**n, 1))
+        ws[:, move] = list(itertools.product(
+            *(np.linspace(max(1e-16, v - r), v + r, _ZOOM) for v, r in zip(w[move], rho))))
+        zs = c + 0.5 * np.log(ws)
+        rows = np.tile(x, (len(ws), 1))
+        rows[:, searched] = np.clip(zs[:, :n] - zs[:, n:].sum(axis=1, keepdims=True), lo, hi)
+        values = fun(rows)
+        best = int(np.argmin(values))
+        k = np.array(np.unravel_index(best, (_ZOOM,) * n))
+        grow = (values[best] < f) & ((k == _ZOOM - 1) | ((k == 0) & (w[move] - rho > 1e-16)))
+        if values[best] < f:
+            x, f, w = rows[best], float(values[best]), ws[best]
+        rho = np.where(grow, rho / shrink, rho * shrink)
+    return x, f, False
 
 
 def _profile(y: np.ndarray, var: np.ndarray, variant: str, free: bool, x: np.ndarray,
@@ -355,7 +354,8 @@ def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", m
     sigma_eps^2 is concentrated out of a filter run on the variance ratios
     (Harvey 1989, 3.4).  That leaves log sigma_eta, plus log sigma_xi for
     stochastic drift (ratios to sigma_eps in free mode), searched on a log
-    grid from ``_FLOOR`` up to a cap set by the data, then polished once.
+    grid from ``_FLOOR`` up to a cap set by the data, then zoomed on the
+    variance scale, each round one filter batch.
 
     A variance is on the zero boundary, reported as 0 with a flag and no
     interval, when the profile's best with it held at zero is within
@@ -380,18 +380,18 @@ def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", m
     scale = max(float(np.std(np.diff(beta_hat))), 1e-6)
     hi_sd = math.log(max(100.0 * scale, 10.0 * float(np.std(beta_hat)), 1e-3))
     hi = -_LOG_FLOOR if free else hi_sd
-    x, best, flat, converged = _search(lambda x: -profile(x)[0], _LOG_FLOOR, hi,
-                                       np.ones(len(axes), bool), free)
+    x, best, flat = _search(lambda x: -profile(x)[0], _LOG_FLOOR, hi, np.ones(len(axes), bool),
+                            free)
     tol = _TOL * max(1.0, abs(best))
     boundary: list = []
     for name in [] if flat else axes + ["sigma_eps"] * free:
         held = boundary + [name]
         eps = 0.0 if name == "sigma_eps" else 1.0  # sigma_eps is tested last
-        xs, fi, _, ok = _search(lambda x: -profile(x, eps)[0], _LOG_FLOOR, hi if eps else hi_sd,
-                                np.array([a not in held for a in axes]), free and eps > 0)
+        xs, fi, _ = _search(lambda x: -profile(x, eps)[0], _LOG_FLOOR, hi if eps else hi_sd,
+                            np.array([a not in held for a in axes]), free and eps > 0)
         if fi <= best + tol:
             boundary.append(name)
-            x, best, converged = xs, min(best, fi), ok
+            x, best = xs, min(best, fi)
     eps = float("sigma_eps" not in boundary)
     _, nu, s2 = profile(x[None], eps)
     s = math.sqrt(s2[0])
@@ -438,7 +438,7 @@ def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", m
                 warnings.append(f"{name} interval endpoint overflows a float; interval suppressed")
                 no_ci.append(name)
 
-    return FilterFit(model, output, output.loglik, converged, ci, boundary, sorted(set(no_ci)),
+    return FilterFit(model, output, output.loglik, True, ci, boundary, sorted(set(no_ci)),
                      warnings)
 
 

@@ -42,6 +42,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 WAVE_TIMES = tuple(float(t) for t in range(0, 18, 2))
 
 
+def drift_series(seed, T):
+    """The walk of test_boundary_refit_reoptimizes_drift at any seed: drift
+    -0.02, sampling sd 0.133; returns (y, per-wave variances)."""
+    rng = np.random.default_rng(seed)
+    s = np.sqrt(1.26) * 0.133 * rng.uniform(0.05, 1.0)
+    return np.cumsum(rng.normal(-0.02, s, T)) + rng.normal(0, 0.133, T), np.full(T, 0.133**2)
+
+
 def paperlike_structure() -> ModelStructure:
     return ModelStructure(knots=(60.0, 75.0, 90.0), wave_times=WAVE_TIMES)
 

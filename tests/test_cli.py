@@ -289,6 +289,19 @@ def test_gain_analysis_from_trend(pipeline, tmp_path):
     assert len(fp_rows) == 9
 
 
+def test_gain_analysis_negative_sigma_eta_is_one_line_error(tmp_path):
+    # the value is squared, so a negative one would run as its absolute value
+    trend = tmp_path / "trend.json"
+    trend.write_text(json.dumps({"beta": [0.1, 0.3, 0.2, 0.5, 0.4, 0.7, 0.6, 0.9],
+                                 "var_diag": [0.01] * 8}))
+    gt, gf = tmp_path / "traj.csv", tmp_path / "fp.csv"
+    res = run_cli("gain-analysis", "--trend", trend, "--sigma-eta", -0.148,
+                  "--out-trajectory", gt, "--out-fixed-point", gf)
+    assert res.returncode == 1
+    assert res.stderr == "error: validation: --sigma-eta must be positive, got -0.148\n"
+    assert not gt.exists() and not gf.exists()
+
+
 @pytest.mark.parametrize("periods", [0, -1])
 def test_gain_analysis_without_periods_is_one_line_error(tmp_path, periods):
     gt, gf = tmp_path / "traj.csv", tmp_path / "fp.csv"
@@ -410,8 +423,9 @@ def test_trend_with_non_numeric_beta_is_one_line_error(tmp_path):
     ["test-trend", "--seed", 1, "--lags", -1],
     ["fit-filter", "--lags", 0],
     ["fit-filter", "--level", 1.5],
+    ["fit-filter", "--horizon", 0],
 ], ids=["simulate-seed", "test-trend-seed", "test-trend-mc-reps", "test-trend-mc-grid",
-        "test-trend-lags", "fit-filter-lags", "fit-filter-level"])
+        "test-trend-lags", "fit-filter-lags", "fit-filter-level", "fit-filter-horizon"])
 def test_out_of_domain_settings_are_one_line_errors(spec_file, tmp_path, args):
     trend = tmp_path / "trend.json"
     trend.write_text(json.dumps({"beta": [0.1, 0.3, 0.2, 0.5, 0.4, 0.7, 0.6, 0.9],
@@ -434,15 +448,22 @@ def test_non_finite_or_unindexable_grid_is_one_line_error(tmp_path, spec):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("count", [1_000_001, 10**18])
-@pytest.mark.parametrize("flag", ["k", "periods"])
+# a horizon is tried only at 1,000,001, which is rejected before the fit
+@pytest.mark.parametrize("flag, count", [("k", 1_000_001), ("k", 10**18), ("periods", 1_000_001),
+                                         ("periods", 10**18), ("horizon", 1_000_001)])
 def test_order_and_periods_beyond_a_million_are_one_line_errors(tmp_path, flag, count):
     out = tmp_path / "out.csv"
     if flag == "k":
         args = ["power-curve", "--k", count, "--s", 1.26, "--out", out]
-    else:
+    elif flag == "periods":
         args = ["gain-analysis", "--s", 1.26, "--periods", count, "--out-trajectory", out,
                 "--out-fixed-point", tmp_path / "fp.csv"]
+    else:
+        trend = tmp_path / "trend.json"
+        trend.write_text(json.dumps({"beta": [0.1, 0.3, 0.2, 0.5, 0.4, 0.7, 0.6, 0.9],
+                                     "var_diag": [0.01] * 8}))
+        args = ["fit-filter", "--trend", trend, "--horizon", count, "--out", out,
+                "--out-forecast", tmp_path / "fc.csv"]
     res = run_cli(*args)
     assert res.returncode == 1
     assert res.stderr == f"error: validation: --{flag} must be at most 1000000, got {count}\n"

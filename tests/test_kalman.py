@@ -21,20 +21,13 @@ from msmtrend.kalman import (
 )
 
 import oracles
+from conftest import drift_series
 
 
 def rw_series(rng, T, sigma_eta, sigma_eps, nu=0.0):
     eta = rng.normal(0, sigma_eta, size=T)
     beta = np.cumsum(eta + nu)
     return beta + rng.normal(0, sigma_eps, size=T)
-
-
-def drift_series(seed, T):
-    """The walk of test_boundary_refit_reoptimizes_drift at any seed: drift
-    -0.02, sampling sd 0.133; returns (y, per-wave variances)."""
-    rng = np.random.default_rng(seed)
-    s = np.sqrt(1.26) * 0.133 * rng.uniform(0.05, 1.0)
-    return np.cumsum(rng.normal(-0.02, s, T)) + rng.normal(0, 0.133, T), np.full(T, 0.133**2)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +228,8 @@ def test_singular_information_suppresses_every_interval():
 def test_three_wave_ridge_is_flagged_with_finite_intervals():
     # one likelihood term, maximal on the ridge 2 sigma_eta^2 + sigma_xi^2 = 0.99;
     # its interval endpoints overflowed a float before they were taken in logs.
-    # The polish stops within about 1e-9 relative of the maximum (L-BFGS-B's ftol).
+    # The zoom's last steps are about 1e-8 in variance relative to the largest,
+    # which leaves the likelihood at its maximum to rounding.
     fit = fit_filter(np.array([0.0, 0.0, 1.0]), variant="stoch_drift", mode="constrained",
                      meas_var=np.full(3, 0.01))
     assert fit.loglik == pytest.approx(-0.5 * (math.log(2 * math.pi) + 1.0), rel=1e-9)
@@ -334,6 +328,42 @@ def test_no_grid_point_beats_the_fit(variant, mode, seed):
     assert fit.loglik == pytest.approx(loglik({n: getattr(m, n) for n in names}), rel=1e-9)
     best = max(loglik(dict(zip(names, point))) for point in itertools.product(*axes))
     assert best <= fit.loglik + 1e-6 * max(1.0, abs(fit.loglik))
+
+
+# T = 8 stochastic-drift fits whose best grid point sits on the shelf, the flat
+# stretch of the profile where a variance is near its floor, while the optimum
+# is interior; L is the log likelihood the Brent/L-BFGS-B polish reached.  A
+# zoom on the log-sd scale, one on variances scaled by max(v, 1) with the unit
+# variance fixed, and one whose lower end reaches zero each end below at least
+# one of them.
+@pytest.mark.parametrize("seed, mode, L", [
+    (50, "constrained", 0.6373580685580265),
+    (49, "free", 0.6147947536489033),
+    (50, "free", 0.6787843152436074),
+    (119, "free", 4.133974690030479),
+])
+def test_zoom_leaves_the_shelf(seed, mode, L):
+    y, h = drift_series(seed, 8)
+    fit = fit_filter(y, variant="stoch_drift", mode=mode, meas_var=h)
+    assert fit.boundary == []
+    assert fit.loglik >= L - 1e-9 * max(1.0, abs(L))
+
+
+# stochastic-drift fits whose optimum lies along a narrow ridge between a large
+# and a small variance; L is again the polish's log likelihood.  A zoom that
+# shrinks every axis each round stops short of it: by 0.0026 to 0.060 at
+# T = 30 and by 0.0078 at T = 200.
+@pytest.mark.parametrize("seed, T, mode, L", [
+    (32, 30, "constrained", 9.852815200309784),
+    (104, 30, "free", 2.6592128372744686),
+    (96, 30, "free", 1.6992076361638164),
+    (3, 200, "free", 99.79379829044873),
+])
+def test_zoom_follows_a_ridge(seed, T, mode, L):
+    y, h = drift_series(seed, T)
+    fit = fit_filter(y, variant="stoch_drift", mode=mode, meas_var=h)
+    assert fit.boundary == []
+    assert fit.loglik >= L - 1e-9 * max(1.0, abs(L))
 
 
 def test_fit_consistency_T500():

@@ -6,6 +6,7 @@ the same double, at the extremes of its argument and at the degrees of
 freedom the code uses.  The CLI must not load ``scipy.stats`` at all.
 """
 
+import json
 import subprocess
 import sys
 
@@ -20,7 +21,7 @@ from msmtrend.markov import save_model_spec
 from msmtrend.trend import TrendSeries
 from msmtrend.trendtests import f_statistic, run_trend_tests
 
-from conftest import paperlike_params, paperlike_structure
+from conftest import drift_series, paperlike_params, paperlike_structure
 
 # arguments from -inf to inf: past the underflow of both tails, round zero,
 # and the largest finite doubles
@@ -41,15 +42,28 @@ def test_cli_import_loads_no_scipy_stats():
     assert loaded_after("import msmtrend.cli", "scipy.stats") == "[]"
 
 
-def test_commands_that_fit_nothing_load_no_scipy_optimize(tmp_path):
-    spec = tmp_path / "spec.json"
+def test_every_command_but_fit_msm_loads_no_scipy_optimize(tmp_path):
+    # the stochastic-drift fit of drift_series(3, 8) zooms past its first grid
+    spec, panel, trend = tmp_path / "spec.json", tmp_path / "panel.csv", tmp_path / "trend.json"
     save_model_spec(spec, paperlike_structure(), paperlike_params())
+    y, h = drift_series(3, 8)
+    trend.write_text(json.dumps({"beta": y.tolist(), "var_diag": h.tolist()}))
     for argv in ([],
-                 ["simulate", "--model-spec", spec, "--n", 50, "--seed", 1, "--out", tmp_path / "panel.csv"],
-                 ["power-curve", "--k", 4, "--s", 1.26, "--out", tmp_path / "power.csv"]):
-        run = f"main({list(map(str, argv))!r})" if argv else ""
+                 ["simulate", "--model-spec", spec, "--n", 50, "--seed", 1, "--out", panel],
+                 ["validate", "--panel", panel],
+                 ["fit-filter", "--trend", trend, "--variant", "stoch_drift", "--out",
+                  tmp_path / "filter.json", "--out-forecast", tmp_path / "forecast.csv"],
+                 ["test-trend", "--trend", trend, "--seed", 1, "--mc-reps", 1000, "--out",
+                  tmp_path / "tests.json"],
+                 ["gain-analysis", "--trend", trend, "--sigma-eta", 0.15, "--out-trajectory",
+                  tmp_path / "traj.csv", "--out-fixed-point", tmp_path / "fp.csv"],
+                 ["power-curve", "--k", 4, "--s", 1.26, "--out", tmp_path / "power.csv"],
+                 ["report", "--trend", trend, "--filter", tmp_path / "filter.json", "--out",
+                  tmp_path / "report.json"]):
+        run = f"assert main({list(map(str, argv))!r}) == 0" if argv else ""
         assert loaded_after("from msmtrend.cli import main\n" + run, "scipy.optimize") == "[]", argv
-    assert (tmp_path / "panel.csv").exists() and (tmp_path / "power.csv").exists()
+    for name in ("panel.csv", "filter.json", "tests.json", "traj.csv", "power.csv", "report.json"):
+        assert (tmp_path / name).exists(), name
 
 
 @pytest.mark.parametrize("mode", ["exact", "asymptotic"])
