@@ -67,6 +67,7 @@ def _load_trend(path) -> estimator.TrendSeries:
 
 def cmd_simulate(args) -> int:
     _require(args, ["model-spec", "n", "seed", "out"])
+    _check_count("n", args.n)
     structure, params = markov.load_model_spec(args.model_spec)
     if params is None:
         raise InvalidSpecError(f"{args.model_spec} has no 'params' block to simulate from")
@@ -208,7 +209,9 @@ def cmd_gain_analysis(args) -> int:
         if not args.sigma_eta > 0:
             raise CliUsageError(f"--sigma-eta must be positive, got {args.sigma_eta}")
         series = _load_trend(args.trend)
-        s = args.sigma_eta**2 / series.var_diag
+        # C's pow, as Python's **, but inf rather than an exception on overflow
+        with np.errstate(over="ignore"):
+            s = np.float64(args.sigma_eta) ** 2 / series.var_diag
     else:
         _require(args, ["s", "periods"])
         _check_count("periods", args.periods)
@@ -226,7 +229,7 @@ def cmd_gain_analysis(args) -> int:
     return 0
 
 
-# the most points a grid, or a count flag (--k, --periods, --mc-*), may have
+# the most points a grid, or a count flag (--n, --k, --periods, --mc-*, --horizon), may have
 _MAX_POINTS = 1_000_000
 
 

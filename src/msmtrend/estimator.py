@@ -182,10 +182,9 @@ class PanelDesign:
         # row-sized temporaries is dropped once used, so that few are held at once
         row = np.repeat(np.arange(self.n), counts)
         col = np.arange(len(p)) - np.repeat(starts, counts)
-        self.states = np.zeros((self.n, mmax), dtype=np.int64)
-        self.states[row, col] = p.states
-        self.valid = np.zeros((self.n, mmax), dtype=bool)
-        self.valid[row, col] = True
+        # observation code by cell: the state less one, 3 at padding
+        self.state_idx = np.full((self.n, mmax), 3, dtype=np.int64)
+        self.state_idx[row, col] = p.states - 1
         self.female = p.female[starts].astype(float)
         # rows whose successor belongs to the same individual open a step
         left = np.flatnonzero(col[1:] != 0)
@@ -199,12 +198,9 @@ class PanelDesign:
         age_left[cell] = p.ages[left]
         del left, cell
         # step j is real when the individual has an observation j+1
-        self.active = self.valid[:, 1:]
+        self.active = self.state_idx[:, 1:] != 3
         # covariate design at the interval's left endpoint
-        self.basis, self.basis_f, self.age_centered = covariate_design(
-            structure, age_left, self.female[:, None]
-        )
-        self.state_idx = np.where(self.valid, self.states - 1, 3)
+        self.basis, self.age_centered = covariate_design(structure, age_left)
 
     def _slots(self) -> np.ndarray:
         """The local coordinate (see ``_SLOT``) that each entry of the flat
@@ -256,7 +252,7 @@ class PanelDesign:
         """
         params = unpack_params(gamma, self.structure)
         lins = np.array(log_intensities(
-            params, self.waves, self.female[:, None], self.basis, self.basis_f, self.age_centered
+            params, self.waves, self.female[:, None], self.basis, self.age_centered
         ))
         rates = np.clip(lins, -_LIN_CLIP, _LIN_CLIP)
         np.exp(rates, out=rates)
@@ -350,7 +346,7 @@ class PanelDesign:
         wave, fem = self.waves[:, j], self.female
         rows = {"beta": np.arange(self.structure.n_waves)[:, None] == wave - 1,
                 "female_12": fem, "age_spline_12": self.basis[:, j].T,
-                "age_spline_f_12": self.basis_f[:, j].T,
+                "age_spline_f_12": self.basis[:, j].T * fem,
                 "logit_e12": 1.0, "logit_e21": 1.0, "logit_p2": 0.0}
         for k in ("13", "23"):
             rows.update({f"log_q{k}_0": 1.0, f"female_{k}": fem,
@@ -374,8 +370,7 @@ class PanelDesign:
     def _individuals(self, rows: slice) -> PanelDesign:
         """The design of a block of individuals, as views of this one's arrays."""
         sub = copy.copy(self)
-        for name in ("states", "valid", "female", "widths", "waves", "active",
-                     "basis", "basis_f", "age_centered", "state_idx"):
+        for name in ("female", "widths", "waves", "active", "basis", "age_centered", "state_idx"):
             setattr(sub, name, getattr(self, name)[rows])
         sub.n = sub.female.size
         return sub
@@ -562,20 +557,21 @@ class EstimationResult:
 
 def _default_start(design: PanelDesign, structure: ModelStructure) -> np.ndarray:
     """Heuristic start: crude rates for levels, zeros for covariate effects."""
-    states = design.states
+    # observation codes are the states less one
+    codes = design.state_idx
     active = design.active
-    from1 = (states[:, :-1] == 1) & active
-    from2 = (states[:, :-1] == 2) & active
+    from1 = (codes[:, :-1] == 0) & active
+    from2 = (codes[:, :-1] == 1) & active
     w = design.widths
     py1 = float(np.sum(w[from1])) + 1e-9
     py2 = float(np.sum(w[from2])) + 1e-9
-    onset = float(np.sum(from1 & (states[:, 1:] == 2)))
-    death1 = float(np.sum(from1 & (states[:, 1:] == 3)))
-    death2 = float(np.sum(from2 & (states[:, 1:] == 3)))
+    onset = float(np.sum(from1 & (codes[:, 1:] == 1)))
+    death1 = float(np.sum(from1 & (codes[:, 1:] == 2)))
+    death2 = float(np.sum(from2 & (codes[:, 1:] == 2)))
     rate12 = max(onset / py1, 1e-5)
     rate13 = max(death1 / py1, 1e-5)
     rate23 = max(death2 / py2, max(death1 / py1, 1e-5) * 2.0)
-    share2 = np.clip(np.mean(states[:, 0] == 2), 1e-4, 0.5)
+    share2 = np.clip(np.mean(codes[:, 0] == 1), 1e-4, 0.5)
 
     params = HazardParams(
         beta=np.full(structure.n_waves, np.log(rate12)),

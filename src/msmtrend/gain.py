@@ -71,8 +71,9 @@ def gain_sequence(s) -> GainTrajectory:
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or s.size < 1:
         raise InvalidArgumentError("need a one-dimensional signal-to-noise sequence")
-    if np.any(s <= 0) or not np.all(np.isfinite(s)):
-        raise InvalidArgumentError("signal-to-noise ratios must be positive and finite")
+    # up to 1e300, s (A + 1) stays in the float range for runs of up to 1e8 waves
+    if not np.all((s > 0) & (s <= 1e300)):
+        raise InvalidArgumentError("signal-to-noise ratios must lie in (0, 1e300]")
     T = s.size
     gains = np.empty(T)
     A = np.empty(T)
@@ -81,7 +82,8 @@ def gain_sequence(s) -> GainTrajectory:
     for k in range(1, T):
         gains[k] = s[k] * (A[k - 1] + 1.0) / (s[k] * A[k - 1] + s[k] + 1.0)
         A[k] = (1.0 - gains[k]) * (A[k - 1] + 1.0)
-    iota = 1.0 - s[1:] / s[:-1] if T > 1 else np.empty(0)
+    with np.errstate(over="ignore"):  # a ratio beyond the float range is iota = -inf
+        iota = 1.0 - s[1:] / s[:-1] if T > 1 else np.empty(0)
     slope, intercept = np.full(T, np.nan), np.full(T, np.nan)
     slope[1:-1] = -s[2:] * (A[:-2] + 1.0) * (1.0 - gains[2:]) ** 2
     intercept[1:-1] = gains[2:] - slope[1:-1] * gains[1:-1]
@@ -105,21 +107,22 @@ def fixed_point(s, iota: float = 0.0) -> FixedPoint:
 
     Solves nu = (1 - iota)(nu + s)/(nu + s + 1), i.e. the positive root of
     nu^2 + (s + iota)nu - s(1 - iota) = 0, and K = (nu + s)/(nu + s + 1).
+    With c = (s + iota)/2, the root of larger magnitude, h + |c| with
+    h = hypot(c, sqrt(s(1 - iota))), does not cancel; where c >= 0 the root
+    product -s(1 - iota) gives nu from it.  Nothing overflows for finite s.
     For iota = 0 the gain limit equals nu itself.  ``s`` may be an array;
     each of its entries gets the same double as a scalar call would.
     """
     values = np.asarray(s, dtype=float)
-    if not np.all(values > 0):
-        bad = s if values.ndim == 0 else values[~(values > 0)][0]
-        raise InvalidArgumentError(f"s must be positive, got {bad}")
+    if not np.all((values > 0) & np.isfinite(values)):
+        bad = s if values.ndim == 0 else values[~((values > 0) & np.isfinite(values))][0]
+        raise InvalidArgumentError(f"s must be positive and finite, got {bad}")
     if not iota < 1:
         raise InvalidArgumentError(f"iota must be below 1, got {iota}")
-    c1 = values + iota
-    # IEEE arithmetic as on Python floats: a huge s overflows to inf and NaN
-    # without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        nu_inf = 0.5 * (-c1 + np.sqrt(c1 * c1 + 4.0 * values * (1.0 - iota)))
-        k_inf = (nu_inf + values) / (nu_inf + values + 1.0)
+    c = 0.5 * (values + iota)
+    big = np.hypot(c, np.sqrt(values) * math.sqrt(1.0 - iota)) + np.abs(c)
+    nu_inf = np.where(c >= 0.0, (1.0 - iota) * (values / big), big)
+    k_inf = (nu_inf + values) / (nu_inf + values + 1.0)
     if values.ndim:
         return FixedPoint(s=values, iota=float(iota), nu_inf=nu_inf, k_inf=k_inf)
     return FixedPoint(s=float(s), iota=float(iota), nu_inf=float(nu_inf), k_inf=float(k_inf))
@@ -201,8 +204,8 @@ def power(eta_std, k: int, s: float, mode: str = "exact") -> PowerCurve:
     """
     if k < 2:
         raise InvalidArgumentError(f"k must be >= 2, got {k}")
-    if not s > 0:
-        raise InvalidArgumentError(f"s must be positive, got {s}")
+    if not (s > 0 and math.isfinite(s)):
+        raise InvalidArgumentError(f"s must be positive and finite, got {s}")
     if mode not in ("exact", "asymptotic"):
         raise InvalidArgumentError("mode must be 'exact' or 'asymptotic'")
     x = np.atleast_1d(np.asarray(eta_std, dtype=float))

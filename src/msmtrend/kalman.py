@@ -23,6 +23,7 @@ from .errors import (
     DegenerateVarianceError,
     InvalidArgumentError,
     InvalidSpecError,
+    NumericalError,
 )
 from .numdiff import hessian_covariance, hessian_fd
 from .trend import TrendSeries
@@ -164,7 +165,7 @@ def run_filter(series, model: FilterModel, meas_var=None) -> FilterOutput:
     measurement variances) or a plain vector, in which case ``meas_var``
     supplies them.  Free mode ignores both in favor of ``model.sigma_eps``.
     The log likelihood is summed over the waves in order; a wave whose
-    innovation variance is not positive raises.
+    innovation variance is not positive, or whose squared innovation overflows, raises.
     """
     beta_hat, series_var = _as_series(series, meas_var)
     T = beta_hat.size
@@ -180,7 +181,10 @@ def run_filter(series, model: FilterModel, meas_var=None) -> FilterOutput:
     for k, v, F in zip(range(d, T), out.innovation[d:].tolist(), out.innovation_var[d:].tolist()):
         if F <= 0.0:
             raise DegenerateVarianceError(f"innovation variance is {F} at wave {k + 1}")
-        loglik -= 0.5 * (LOG2PI + math.log(F) + v**2 / F)
+        try:
+            loglik -= 0.5 * (LOG2PI + math.log(F) + v**2 / F)
+        except OverflowError:
+            raise NumericalError(f"squared innovation {v} overflows a float at wave {k + 1}") from None
     out.loglik = loglik
     return out
 
@@ -377,8 +381,12 @@ def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", m
     axes = ["sigma_eta", "sigma_xi"] if variant == "stoch_drift" else ["sigma_eta"]
     meas = _meas_var(T, series_var, replace(proto, sigma_eps=1.0))
     profile = partial(_profile, beta_hat, meas, variant, free)
-    scale = max(float(np.std(np.diff(beta_hat))), 1e-6)
-    hi_sd = math.log(max(100.0 * scale, 10.0 * float(np.std(beta_hat)), 1e-3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spreads = 100.0 * float(np.std(np.diff(beta_hat))), 10.0 * float(np.std(beta_hat))
+    # the search's variances reach the larger one squared, the Hessian's stencil a little more
+    if not all(v < 1e150 for v in spreads):
+        raise NumericalError(f"the trend's spread {max(spreads):.3g} is beyond 1e150; check its scale")
+    hi_sd = math.log(max(*spreads, 1e-3))
     hi = -_LOG_FLOOR if free else hi_sd
     x, best, flat = _search(lambda x: -profile(x)[0], _LOG_FLOOR, hi, np.ones(len(axes), bool),
                             free)
@@ -398,6 +406,8 @@ def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", m
     model = replace(proto, nu=float(nu[0]), sigma_eps=s * eps if free else None,
                     **{a: s * math.exp(v) for a, v in zip(axes, x)})
     output = run_filter(beta_hat, model, meas_var=series_var)
+    if not math.isfinite(output.loglik):
+        raise NumericalError(f"log likelihood at the fit is {output.loglik}; check the trend's scale")
 
     names = [name for name in model.free_names() if name not in boundary]
     x_hat = np.array([getattr(model, n) if n == "nu" else math.log(getattr(model, n)) for n in names])
@@ -522,6 +532,10 @@ def diagnostics(output: FilterOutput, model: FilterModel, n_waves: int, lags: in
     notes: list = []
     resid = output.std_residuals
     tp = resid.size
+    # a power of two, which is exact, keeps the moments of residuals far from one in range
+    top = float(np.max(np.abs(resid), initial=0.0))
+    if top > 0.0 and not 2.0**-60 <= top <= 2.0**60:
+        resid = np.ldexp(resid, -math.frexp(top)[1])
     value_bic = bic(output.loglik, model.n_params, n_waves)
 
     r1 = _autocorr(resid, 1) if tp >= 2 else None

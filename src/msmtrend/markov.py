@@ -254,32 +254,28 @@ class IntensityMatrix:
             raise InvalidSpecError("reverse transitions are not permitted")
 
 
-def covariate_design(structure: ModelStructure, ages, female):
-    """Centered spline basis, its female interaction and centered age.
-
-    ``female`` broadcasts against ``ages``; the basis arrays gain a trailing
-    axis of length K-1.  Spline terms are centered at ``structure.ref_age``.
-    """
+def covariate_design(structure: ModelStructure, ages):
+    """Spline basis (a trailing axis of length K-1) and age, both centered
+    at ``structure.ref_age``."""
     ages = np.asarray(ages, dtype=float)
-    female = np.asarray(female, dtype=float)
     basis = spline_basis_matrix(ages.ravel(), structure.knots) - spline_basis_matrix(
         [structure.ref_age], structure.knots
     )
     basis = basis.reshape(ages.shape + (structure.n_basis,))
-    return basis, basis * female[..., None], ages - structure.ref_age
+    return basis, ages - structure.ref_age
 
 
-def log_intensities(params: HazardParams, wave, female, basis, basis_f, age_centered):
+def log_intensities(params: HazardParams, wave, female, basis, age_centered):
     """Log intensities (log q12, log q13, log q23) on a covariate design.
 
-    ``wave`` is the 1-based index of the interval's left endpoint; the other
-    arrays come from :func:`covariate_design` and broadcast together.
+    ``wave`` is the 1-based index of the interval's left endpoint; ``female``
+    is 0 or 1 and, with the arrays of :func:`covariate_design`, broadcasts.
     """
     lin12 = (
         params.beta[wave - 1]
         + params.female_12 * female
         + basis @ params.age_spline_12
-        + basis_f @ params.age_spline_f_12
+        + (basis @ params.age_spline_f_12) * female
     )
     lin13 = (params.log_q13_0 + params.female_13 * female + params.age_13 * age_centered
              + params.trend_13 * wave)
@@ -297,7 +293,7 @@ def build_intensity(
     params.validate(structure)
     female = np.array([float(z.female)])
     lin12, lin13, lin23 = log_intensities(
-        params, np.array([wave], dtype=int), female, *covariate_design(structure, [z.age], female)
+        params, np.array([wave], dtype=int), female, *covariate_design(structure, [z.age])
     )
     q12, q13, q23 = math.exp(lin12[0]), math.exp(lin13[0]), math.exp(lin23[0])
     if not all(map(math.isfinite, (q12, q13, q23))):
@@ -349,93 +345,79 @@ def transition_entries(q12, q13, q23, w):
     return p11, p12, p13, p22, p23
 
 
-# Taylor coefficients in (-x)^k, k = 0..19, of the moments of e^{-xs} over
-# s in [0, 1] against (1-s), s, (1-s)^2, s(1-s) and s^2 (psi, phi1, chi20,
-# chi11, chi02 below); at x < 1 the first omitted term is below 1e-19 of
-# the sum
-_PSI_SERIES = np.array([1.0 / math.factorial(k + 2) for k in range(20)])[::-1]
-_PHI1_SERIES = np.array([(k + 1) / math.factorial(k + 2) for k in range(20)])[::-1]
-_CHI20_SERIES = np.array([2.0 / math.factorial(k + 3) for k in range(20)])[::-1]
-_CHI11_SERIES = np.array([(k + 1) / math.factorial(k + 3) for k in range(20)])[::-1]
-_CHI02_SERIES = np.array([(k + 1) * (k + 2) / math.factorial(k + 3) for k in range(20)])[::-1]
+# Taylor coefficients in (-x)^k, k = 0..19, of m1 and m2 of _moments, one
+# column each: s^i s^k/k! integrates to 1/(k!(k+i+1)) over [0, 1]; at x < 1
+# the first omitted term is below 1e-19 of the sum
+_M12_SERIES = np.array([[1.0 / (math.factorial(k) * (k + i + 1)) for i in (1, 2)]
+                        for k in range(20)])[::-1]
 
 
-def _kernel_split(a, b, w):
-    """Split of the p12 kernel exponent -w(a(1-s) + bs) at min(a, b): the
-    factor e^{-min(a,b) w}, x = |a-b|w, whether the remaining weight
-    e^{-xs} sits on s (a <= b; otherwise on 1 - s), and the grid on which
-    the moments are taken: the series argument -x where x < 1, and x
-    floored at 1 for the closed forms, which are used above it."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _moments(a, b, w):
+    """The p12 kernel e^{-w(a(1-s) + bs)} split at min(a, b): the factor
+    e^{-min(a,b) w}, whether the remaining weight e^{-xs}, x = |a-b|w, sits
+    on s (a <= b; otherwise on 1 - s), and the moments m_k, the integrals
+    of s^k e^{-xs} over s in [0, 1], k = 0, 1, 2.  m0 = -expm1(-x)/x; m1
+    and m2 come from one series below x = 1, where the recurrence
+    m_k = (k m_{k-1} - e^{-x})/x cancels, and from the recurrence above it
+    (taken at x floored at 1, so that the unused branch is finite)."""
     x = np.abs(a - b) * w
     small = x < 1.0
-    return (np.exp(-np.minimum(a, b) * w), a <= b, small,
-            np.where(small, -x, 0.0), np.where(small, 1.0, x))
+    xl = np.where(small, 1.0, x)
+    ex = np.exp(-xl)
+    m0 = _expm1_ratio(-x)
+    m1 = (m0 - ex) / xl
+    # Horner's rule on both columns at once; a leading column axis keeps NumPy's loops long
+    table = _M12_SERIES.reshape(_M12_SERIES.shape + (1,) * np.ndim(x))
+    series = np.polyval(table, np.where(small, -x, 0.0))
+    m1, m2 = np.where(small, series, (m1, (2.0 * m1 - ex) / xl))
+    return np.exp(-np.minimum(a, b) * w), a <= b, m0, m1, m2
+
+
+def _ratio_jet(w, decay, lo, m0, m1, m2):
+    """(df/da, df/db) and (d2f/da2, d2f/dadb, d2f/db2) of the f of
+    :func:`p12_ratio_grad` from :func:`_moments`.  Where the weight sits on
+    s, the integrals against 1 - s, s, (1-s)^2, s(1-s) and s^2 are m0 - m1,
+    m1, m0 - 2 m1 + m2, m1 - m2 and m2; elsewhere s and 1 - s swap."""
+    g, h = -w * w * decay, w**3 * decay
+    ga, gb, haa, hbb = g * (m0 - m1), g * m1, h * (m0 - 2.0 * m1 + m2), h * m2
+    return ((np.where(lo, ga, gb), np.where(lo, gb, ga)),
+            (np.where(lo, haa, hbb), h * (m1 - m2), np.where(lo, hbb, haa)))
 
 
 def p12_ratio_grad(a, b, w):
     """Partial derivatives of f = p12/q12 = w * integral of
     e^{-w(a(1-s) + bs)} over s in [0, 1] with respect to a = q12+q13 and
-    b = q23.
-
-    df/da = -w^2 * integral of (1-s) e^{...} and df/db = -w^2 * integral of
-    s e^{...}.  The exponent is factored at min(a, b), as in
-    :func:`transition_entries`, so nothing overflows.  The remaining
-    moments psi and phi1 of e^{-xs}, x = |a-b|w, come from a short series
-    below x = 1, where any closed form cancels, and from the closed forms
-    (1 - phi0)/x and (phi0 - e^{-x})/x, phi0 = -expm1(-x)/x, above it.
-    """
-    decay, lo, small, xs, xl = _kernel_split(a, b, w)
-    phi0 = -np.expm1(-xl) / xl
-    psi = np.where(small, np.polyval(_PSI_SERIES, xs), (1.0 - phi0) / xl)
-    phi1 = np.where(small, np.polyval(_PHI1_SERIES, xs), (phi0 - np.exp(-xl)) / xl)
-    scale = -w * w * decay
-    return scale * np.where(lo, psi, phi1), scale * np.where(lo, phi1, psi)
+    b = q23: -w^2 times the integrals of 1 - s and s against the kernel,
+    which :func:`_moments` splits at min(a, b) so that nothing overflows."""
+    return _ratio_jet(w, *_moments(a, b, w))[0]
 
 
 def p12_ratio_hess(a, b, w):
     """Second partial derivatives (d2f/da2, d2f/dadb, d2f/db2) of the f of
-    :func:`p12_ratio_grad`.
-
-    They are w^3 times the integrals of (1-s)^2, s(1-s) and s^2 against
-    e^{-w(a(1-s) + bs)}, factored at min(a, b) in the same way.  The
-    moments chi20, chi11 and chi02 of e^{-xs} come from the series below
-    x = 1 and above it from chi20 = (1 - 2 psi)/x, chi02 = phi2 =
-    (2 phi1 - e^{-x})/x and chi11 = phi1 - phi2, each free of cancellation
-    that grows with x.
-    """
-    decay, lo, small, xs, xl = _kernel_split(a, b, w)
-    ex = np.exp(-xl)
-    phi0 = -np.expm1(-xl) / xl
-    phi1 = (phi0 - ex) / xl
-    phi2 = (2.0 * phi1 - ex) / xl
-    chi20 = np.where(small, np.polyval(_CHI20_SERIES, xs), (1.0 - 2.0 * (1.0 - phi0) / xl) / xl)
-    chi11 = np.where(small, np.polyval(_CHI11_SERIES, xs), phi1 - phi2)
-    chi02 = np.where(small, np.polyval(_CHI02_SERIES, xs), phi2)
-    scale = w**3 * decay
-    return (scale * np.where(lo, chi20, chi02), scale * chi11,
-            scale * np.where(lo, chi02, chi20))
+    :func:`p12_ratio_grad`: w^3 times the integrals of (1-s)^2, s(1-s) and
+    s^2 against the kernel."""
+    return _ratio_jet(w, *_moments(a, b, w))[1]
 
 
 def free_entries_grad(q12, q13, q23, w):
     """Gradients of the free entries p11, p12 and p22 of
     :func:`transition_entries` with respect to (q12, q13, q23): an array of
-    shape (3, 3) + shape indexed [entry, rate], and the partials (fa, fb) of
-    :func:`p12_ratio_grad` it was built from.  The other two entries follow
-    from p13 = -expm1(-aw) - p12 and p23 = -expm1(-bw), a = q12 + q13,
-    b = q23: their derivatives are minus those of p11 + p12 and of p22, the
+    shape (3, 3) + shape indexed [entry, rate], and the :func:`_moments` it
+    was built from.  The other two entries follow from
+    p13 = -expm1(-aw) - p12 and p23 = -expm1(-bw), a = q12 + q13, b = q23:
+    their derivatives are minus those of p11 + p12 and of p22, the
     round-off floor on p13 being treated as inactive.
     """
     a, b = q12 + q13, q23
-    fa, fb = p12_ratio_grad(a, b, w)
+    moments = decay, _, m0, _, _ = _moments(a, b, w)
+    fa, fb = _ratio_jet(w, *moments)[0]
     grad = np.zeros((3, 3) + np.shape(fa))
-    # p11 = e^{-aw}, p22 = e^{-bw} and p12 = q12 f(a, b)
+    # p11 = e^{-aw}, p22 = e^{-bw} and p12 = q12 f(a, b), f = w e^{-min(a,b)w} m0
     grad[0, 0] = grad[0, 1] = -w * np.exp(-a * w)
     grad[1, 1], grad[1, 2] = q12 * fa, q12 * fb
-    grad[1, 0] = grad[1, 1] + w * np.exp(-np.minimum(a, b) * w) * _expm1_ratio(-np.abs(a - b) * w)
+    grad[1, 0] = grad[1, 1] + w * decay * m0
     grad[2, 2] = -w * np.exp(-b * w)
-    return grad, (fa, fb)
+    return grad, moments
 
 
 def free_entries_jet(q12, q13, q23, w):
@@ -446,8 +428,8 @@ def free_entries_jet(q12, q13, q23, w):
     (3, 3, 3) + shape indexed [entry, rate, rate]; the derivatives of p13
     and p23 follow as stated there.
     """
-    grad, (fa, fb) = free_entries_grad(q12, q13, q23, w)
-    faa, fab, fbb = p12_ratio_hess(q12 + q13, q23, w)
+    grad, moments = free_entries_grad(q12, q13, q23, w)
+    (fa, fb), (faa, fab, fbb) = _ratio_jet(w, *moments)
     zero = np.zeros_like(faa)
     # d p11 / da = -w p11, so d2 p11 / da2 = -w d p11 / da; likewise p22 in b
     dd11, dd22 = -w * grad[0, 0], -w * grad[2, 2]

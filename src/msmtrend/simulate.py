@@ -74,12 +74,8 @@ def _latent_paths_vectorized(config: SimulationConfig, u: np.ndarray, age0, fem,
     state = state0.copy()
     for k in range(1, T + 1):
         width = wt[k] - wt[k - 1]
-        lin12, lin13, lin23 = log_intensities(
-            params, np.full(n, k), fem, *covariate_design(structure, age0 + wt[k - 1], fem)
-        )
-        q12 = np.exp(lin12)
-        q13 = np.exp(lin13)
-        q23 = np.exp(lin23)
+        q12, q13, q23 = np.exp(log_intensities(
+            params, np.full(n, k), fem, *covariate_design(structure, age0 + wt[k - 1])))
         u1 = u[:, 3 * (k - 1)]
         u2 = u[:, 3 * (k - 1) + 1]
         u3 = u[:, 3 * (k - 1) + 2]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc, fdtrc, ndtr, ndtri, stdtr
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalError
 from .trend import TrendSeries
 
 __all__ = [
@@ -383,18 +383,22 @@ def run_trend_tests(
     """
     if estimator not in ("hac", "long_run"):
         raise InvalidArgumentError("estimator must be 'hac' or 'long_run'")
-    transformed = demean_diff_transform(series.beta, series.cov)
-    if estimator == "hac":
-        sigma2 = hac_variance(transformed.omega, lags, double_offdiag=double_offdiag)
-        negative = sigma2 < 0
-    else:
-        est = long_run_variance(transformed.values, lags)
-        sigma2, negative = est.value, est.negative
-    if sigma2 <= 0:
-        raise InvalidArgumentError(
-            f"long-run variance estimate {sigma2:.3e} is not positive; cannot form t-statistics"
-        )
-    stats = t_statistics(series.beta, math.sqrt(sigma2))
+    # a trend or covariance near an end of the float range is refused below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        transformed = demean_diff_transform(series.beta, series.cov)
+        if estimator == "hac":
+            sigma2 = hac_variance(transformed.omega, lags, double_offdiag=double_offdiag)
+            negative = sigma2 < 0
+        else:
+            est = long_run_variance(transformed.values, lags)
+            sigma2, negative = est.value, est.negative
+        if not sigma2 > 0:
+            raise InvalidArgumentError(
+                f"long-run variance estimate {sigma2:.3e} is not positive; cannot form t-statistics"
+            )
+        stats = t_statistics(series.beta, math.sqrt(sigma2))
+    if not all(map(math.isfinite, (sigma2, *vars(stats).values()))):
+        raise NumericalError("a trend statistic or its variance overflows a float; check the scale")
 
     T = series.n_waves
     p_normal = 2.0 * float(ndtr(-abs(stats.t_nu)))

@@ -415,7 +415,7 @@ def score_adjoint(design: PanelDesign, gamma) -> tuple:
     qbars = transition_entries_vjp(q12, q13, q23, design.widths, bars)
     params = tape["params"]
     lins = log_intensities(params, design.waves, design.female[:, None], design.basis,
-                           design.basis_f, design.age_centered)
+                           design.age_centered)
     # d exp(clip(lin)) / d lin = q inside the clip, 0 outside
     l12, l13, l23 = (qb * q * (np.abs(lin) < _LIN_CLIP)
                      for qb, q, lin in zip(qbars, tape["rates"], lins))
@@ -427,7 +427,7 @@ def score_adjoint(design: PanelDesign, gamma) -> tuple:
         "beta": np.bincount(cell.ravel(), l12.ravel(), minlength=n * T).reshape(n, T),
         "female_12": fem * l12.sum(axis=1),
         "age_spline_12": np.einsum("ij,ijk->ik", l12, design.basis),
-        "age_spline_f_12": np.einsum("ij,ijk->ik", l12, design.basis_f),
+        "age_spline_f_12": fem[:, None] * np.einsum("ij,ijk->ik", l12, design.basis),
         "logit_e12": d_e12 * e12 * (1.0 - e12),
         "logit_e21": d_e21 * e21 * (1.0 - e21),
         "logit_p2": d_p2 * p2 * (1.0 - p2),
@@ -458,7 +458,7 @@ def param_scales_by_field(design: PanelDesign) -> np.ndarray:
     scales = np.ones(i)
     for j in range(st.n_basis):
         scales[at["age_spline_12"] + j] = rms(design.basis[:, :, j])
-        scales[at["age_spline_f_12"] + j] = rms(design.basis_f[:, :, j])
+        scales[at["age_spline_f_12"] + j] = rms(design.basis[:, :, j] * design.female[:, None])
     scales[[at["age_13"], at["age_23"]]] = rms(design.age_centered)
     scales[[at["trend_13"], at["trend_23"]]] = rms(design.waves.astype(float))
     return scales

@@ -1,12 +1,20 @@
+import contextlib
+import csv
 import hashlib
 import inspect
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msmtrend import cli, estimator, gain, kalman, simulate, trendtests
 from msmtrend.markov import HazardParams, save_model_spec
@@ -450,10 +458,13 @@ def test_non_finite_or_unindexable_grid_is_one_line_error(tmp_path, spec):
 
 # a horizon is tried only at 1,000,001, which is rejected before the fit
 @pytest.mark.parametrize("flag, count", [("k", 1_000_001), ("k", 10**18), ("periods", 1_000_001),
-                                         ("periods", 10**18), ("horizon", 1_000_001)])
-def test_order_and_periods_beyond_a_million_are_one_line_errors(tmp_path, flag, count):
+                                         ("periods", 10**18), ("horizon", 1_000_001),
+                                         ("n", 10**12)])
+def test_order_and_periods_beyond_a_million_are_one_line_errors(spec_file, tmp_path, flag, count):
     out = tmp_path / "out.csv"
-    if flag == "k":
+    if flag == "n":  # NumPy's memory error used to end this in a traceback
+        args = ["simulate", "--model-spec", spec_file, "--n", count, "--seed", 1, "--out", out]
+    elif flag == "k":
         args = ["power-curve", "--k", count, "--s", 1.26, "--out", out]
     elif flag == "periods":
         args = ["gain-analysis", "--s", 1.26, "--periods", count, "--out-trajectory", out,
@@ -625,3 +636,101 @@ def test_malformed_model_spec_is_one_line_error(spec_file, tmp_path, edit):
     assert res.returncode == 1
     assert res.stderr.startswith("error: validation:")
     assert res.stderr.count("\n") == 1
+
+
+def test_huge_signal_to_noise_gives_finite_curve_and_fixed_points(tmp_path):
+    # the fixed point's textbook root overflowed beyond s = 1.3e154 and wrote
+    # an all-nan curve and k_inf with exit 0
+    out, fp = tmp_path / "power.csv", tmp_path / "fp.csv"
+    res = run_cli("power-curve", "--k", 30, "--s", 1e300, "--mode", "asymptotic", "--out", out)
+    assert res.returncode == 0, res.stderr
+    assert all(math.isfinite(float(r["value"]))
+               for r in csv.DictReader(out.read_text().splitlines()))
+    res = run_cli("gain-analysis", "--s", 1e300, "--periods", 5, "--out-trajectory",
+                  tmp_path / "traj.csv", "--out-fixed-point", fp)
+    assert res.returncode == 0, res.stderr
+    rows = list(csv.DictReader(fp.read_text().splitlines()))
+    assert [float(r["k_inf"]) for r in rows] == [1.0] * 5
+    res = run_cli("power-curve", "--k", 30, "--s", "inf", "--mode", "asymptotic",
+                  "--out", tmp_path / "inf.csv")
+    assert res.returncode == 1
+    assert res.stderr == "error: validation: s must be positive and finite, got inf\n"
+    assert not (tmp_path / "inf.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every command that reads a trend or a signal-to-noise ratio, at
+# magnitudes from 1e-300 to 1e300, ends in an answer or a one-line error
+
+_MAGNITUDES = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-300, 300))
+
+
+@st.composite
+def _trend_docs(draw):
+    T = draw(st.integers(3, 10))
+    if draw(st.booleans()):  # one scale for the whole series
+        scale = draw(_MAGNITUDES)
+        beta = [scale * v for v in draw(st.lists(st.floats(-10.0, 10.0), min_size=T, max_size=T))]
+    else:  # each value at its own magnitude, either sign, or zero
+        value = st.one_of(st.just(0.0), _MAGNITUDES, _MAGNITUDES.map(lambda v: -v))
+        beta = draw(st.lists(value, min_size=T, max_size=T))
+    var = draw(st.one_of(_MAGNITUDES.map(lambda v: [v] * T),
+                         st.lists(_MAGNITUDES, min_size=T, max_size=T)))
+    return {"beta": beta, "var_diag": var}
+
+
+_FUZZ_COMMANDS = ([("fit-filter", v, m) for v in kalman.VARIANTS for m in ("constrained", "free")]
+                  + [("test-trend",), ("gain-analysis", "--trend"), ("gain-analysis", "--s"),
+                     ("power-curve", "exact"), ("power-curve", "asymptotic")])
+_ORDINARY = {"beta": [0.1, 0.3, 0.2, 0.5, 0.4, 0.7, 0.6, 0.9], "var_diag": [0.01] * 8}
+
+
+def _fuzz_argv(command, trend, s, out):
+    name = command[0]
+    if name == "fit-filter":
+        return [name, "--trend", trend, "--variant", command[1], "--mode", command[2], "--out", out]
+    if name == "test-trend":
+        return [name, "--trend", trend, "--seed", "1", "--mc-reps", "1000", "--mc-grid", "50",
+                "--out", out]
+    if name == "gain-analysis":
+        source = ["--trend", trend, "--sigma-eta", repr(s)] if command[1] == "--trend" else [
+            "--s", repr(s), "--periods", "5"]
+        return [name, *source, "--out-trajectory", out + ".traj", "--out-fixed-point", out]
+    return [name, "--k", "30", "--s", repr(s), "--mode", command[1], "--out", out]
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(_FUZZ_COMMANDS), doc=_trend_docs(), s=_MAGNITUDES)
+@example(command=("fit-filter", "const_drift", "constrained"),
+         doc={"beta": [0.0, 1e300, -1e300, 2.0], "var_diag": [1.0] * 4}, s=1.0)
+@example(command=("fit-filter", "zero_drift", "constrained"),
+         doc={"beta": _ORDINARY["beta"], "var_diag": [1e300] * 8}, s=1.0)
+@example(command=("fit-filter", "stoch_drift", "constrained"),
+         doc={"beta": [1e-300 * b for b in _ORDINARY["beta"]], "var_diag": [1e-300] * 8}, s=1.0)
+@example(command=("power-curve", "asymptotic"), doc=_ORDINARY, s=1e300)
+@example(command=("gain-analysis", "--s"), doc=_ORDINARY, s=1e300)
+@example(command=("gain-analysis", "--trend"), doc=_ORDINARY, s=1e300)
+def test_extreme_magnitudes_end_in_an_answer_or_one_line_error(command, doc, s):
+    with tempfile.TemporaryDirectory() as tmp:
+        trend, out = os.path.join(tmp, "trend.json"), os.path.join(tmp, "out")
+        with open(trend, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        # a warning is a fault here too: the command must handle what it warns of
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli.main(_fuzz_argv(command, trend, s, out))
+        assert code in (0, 1, 2)
+        if code:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            assert err.getvalue().startswith("error: ")
+            return
+        assert err.getvalue() == ""
+        with open(out) as fh:
+            if command[0] == "fit-filter":
+                loglik = json.load(fh)["loglik"]
+                assert isinstance(loglik, float) and math.isfinite(loglik)
+            elif command[0] in ("power-curve", "gain-analysis"):
+                rows = list(csv.DictReader(fh))
+                assert rows and all(math.isfinite(float(v)) for r in rows for v in r.values())

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -123,6 +124,32 @@ def test_fixed_point_limits():
     assert fixed_point(1e6).k_inf > 1 - 2e-3
     fp = fixed_point(1.26)
     assert fp.nu_inf == pytest.approx(fp.k_inf, abs=1e-12)  # iota = 0 identity
+
+
+@pytest.mark.parametrize("iota", [0.0, 0.5, -3.0, 0.999])
+def test_fixed_point_matches_mpmath_root_from_tiny_to_huge_s(iota):
+    # the positive root of nu^2 + (s + iota) nu - s (1 - iota), from the
+    # high-precision form that does not cancel; the textbook form lost 2.5e-9
+    # at s = 1e8 and overflowed to nan beyond s = 1.3e154
+    mpmath.mp.dps = 60
+    for e in range(-300, 301, 20):
+        for s in (10.0**e, 3.7 * 10.0**e):
+            S, i = mpmath.mpf(s), mpmath.mpf(iota)
+            c1, disc = S + i, mpmath.sqrt((S + i) ** 2 + 4 * S * (1 - i))
+            root = 2 * S * (1 - i) / (c1 + disc) if c1 >= 0 else (disc - c1) / 2
+            fp = fixed_point(s, iota)
+            assert abs((fp.nu_inf - root) / root) <= 4e-16, s
+            assert math.isfinite(fp.k_inf) and 0.0 < fp.k_inf <= 1.0, s
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_fixed_point_and_power_reject_non_finite_s(s):
+    with pytest.raises(InvalidArgumentError, match="s must be positive and finite"):
+        fixed_point(s)
+    with pytest.raises(InvalidArgumentError, match="s must be positive and finite"):
+        fixed_point(np.array([1.0, s]))
+    with pytest.raises(InvalidArgumentError, match="s must be positive and finite"):
+        power([-1.0], 5, s, mode="asymptotic")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from msmtrend import kalman
-from msmtrend.errors import DegenerateVarianceError, InvalidArgumentError
+from msmtrend.errors import DegenerateVarianceError, InvalidArgumentError, NumericalError
 from msmtrend.estimator import TrendSeries
 from msmtrend.kalman import (
     VARIANTS,
@@ -129,6 +129,21 @@ def test_scale_invariance_of_gains():
 def test_degenerate_variance_raises():
     with pytest.raises(DegenerateVarianceError):
         run_filter(np.array([0.1, 0.2, 0.3]), FilterModel(sigma_eta=0.0), meas_var=np.zeros(3))
+
+
+def test_overflowing_squared_innovation_is_a_numerical_error():
+    # v**2 of a float overflows in the likelihood sum; it used to escape as
+    # a bare OverflowError
+    model = FilterModel(sigma_eta=1.0)
+    with pytest.raises(NumericalError, match="overflows a float at wave 2"):
+        run_filter(np.array([0.0, 1e300, -1e300, 2.0]), model, meas_var=np.ones(4))
+
+
+def test_trend_beyond_the_float_range_of_its_variances_is_a_numerical_error():
+    for y in (np.array([0.0, 1e300, -1e300, 2.0]), np.array([0.0, 0.0, 0.0, 3e152])):
+        for variant in VARIANTS:
+            with pytest.raises(NumericalError, match="beyond 1e150"):
+                fit_filter(y, variant=variant, meas_var=np.ones(4))
 
 
 def test_const_drift_enters_prediction():
@@ -478,6 +493,21 @@ def test_diagnostics_zero_residuals():
     assert report.ljung_box == pytest.approx(0.0)
     assert report.bowman_shenton == 0.0
     assert any("degenerate" in note for note in report.notes)
+
+
+def test_diagnostics_of_tiny_residuals_equal_those_scaled_by_a_power_of_two():
+    # residuals near 1e-180 used to make m2**1.5 underflow to zero and
+    # divide by it; scaling by a power of two is exact, so the statistics
+    # are those of the same residuals near one
+    model = FilterModel(sigma_eta=0.3)
+    out = run_filter(np.random.default_rng(8).normal(size=12), model, meas_var=np.full(12, 0.1))
+    top = float(np.max(np.abs(out.std_residuals)))
+    near_one, tiny = (replace(out, innovation=np.ldexp(out.innovation, -math.frexp(top)[1] - e))
+                      for e in (0, 600))
+    want, got = diagnostics(near_one, model, 12), diagnostics(tiny, model, 12)
+    for name in ("r1", "r2", "ljung_box", "ljung_box_pvalue", "bowman_shenton",
+                 "bowman_shenton_pvalue"):
+        assert getattr(got, name) == getattr(want, name), name
 
 
 def test_diagnostics_counts_params():

@@ -264,11 +264,13 @@ def test_exit_probabilities_match_mpmath_at_small_rates():
             assert abs((p13 - want13) / want13) <= 1e-13
 
 
-@pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-6, 1e-2, 1.0, 30.0])
+@pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-8, 1e-6, 1e-2, 1.0 - 1e-12, 1.0, 1.0 + 1e-12,
+                                 30.0, 700.0])
 def test_p12_ratio_grad_matches_mpmath(gap):
     # f = p12/q12 = w * int_0^1 exp(-w(a(1-s) + bs)) ds; at |a - b| w = gap
     # the derivatives need no difference quotient, so they keep full
-    # precision across a = b
+    # precision across a = b and on both sides of the moments' series
+    # switch at 1, and at rates of 1e-10 or an exponent of 700
     mpmath.mp.dps = 50
 
     def reference(a, b, w):
@@ -278,7 +280,7 @@ def test_p12_ratio_grad_matches_mpmath(gap):
                 -w**2 * mpmath.quad(lambda s: s * kernel(s), [0, 1]))
 
     for w in (0.5, 2.0):
-        for a in (1e-3, 0.3, 5.0):
+        for a in (1e-10, 1e-3, 0.3, 5.0):
             for b in {a + gap / w, max(a - gap / w, 0.0)}:
                 got = p12_ratio_grad(a, b, w)
                 for g, want in zip(got, reference(a, b, w)):

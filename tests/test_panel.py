@@ -80,8 +80,7 @@ def test_design_arrays_match_per_individual_reference(validate):
             continue
         design = est.PanelDesign(panel, STRUCTURE, validate=validate)
         states, valid, widths, waves, age_left, female = oracles.design_cells(panel, STRUCTURE)
-        np.testing.assert_array_equal(design.states, states)
-        np.testing.assert_array_equal(design.valid, valid)
+        np.testing.assert_array_equal(design.state_idx, np.where(valid, states - 1, 3))
         np.testing.assert_array_equal(design.active, valid[:, 1:])
         np.testing.assert_array_equal(design.widths, widths)
         np.testing.assert_array_equal(design.waves, waves)
@@ -90,7 +89,6 @@ def test_design_arrays_match_per_individual_reference(validate):
         basis = spline_basis_matrix(age_left.ravel(), STRUCTURE.knots) - spline_basis_matrix(
             [STRUCTURE.ref_age], STRUCTURE.knots)[0]
         np.testing.assert_array_equal(design.basis, basis.reshape(design.basis.shape))
-        np.testing.assert_array_equal(design.basis_f, design.basis * female[:, None, None])
         assert design.n_transitions == len(panel) - panel.n_individuals
 
 
