@@ -13,11 +13,23 @@ first derivatives from :func:`msmtrend.markov.free_entries_grad`.  The fit
 is a trust-region Newton method whose curvature is first the outer product
 of those scores (BHHH) and then that exact information.  Standard errors
 come from the inverse of the exact information at the estimate.
+
+A fit's score passes, Hessians and closing log likelihood take their
+working arrays from one :class:`_Workspace`, which :func:`fit_msm` creates
+and drops when it returns: the forward tape, the rates, their clip slopes
+and the transition entries, the backward variables and emission factors,
+the kernel's derivatives and the score's adjoints, and the Hessian's
+accumulators.  Every block of every call reuses its one buffer through
+views and ``out=`` writes, so that after the first call a fit allocates
+little but the arrays it returns.  At eight waves the buffer holds 2,608
+bytes per individual of a block, 5.1 MiB at ``_BLOCK``; a call without a
+workspace takes one of its own.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,19 +96,66 @@ _REJECTED = 1e12
 # smallest power of two at which a block's NumPy calls, each over one to three
 # cells per individual, stop paying for call overhead (on a 50,000-person
 # panel, 1,024 made loglik 15% slower, while 4,096 and 8,192 were no faster).
-# At eight waves a block's arrays then take about 2 MB in loglik and 7 MB in
-# loglik_and_score.  The Hessian holds about 1.4 times a score pass's arrays
-# per individual, so it takes half blocks, 5 MB at eight waves, and needs
-# less memory than a score pass of the same panel
+# At eight waves a block takes 2,608 bytes per individual of workspace in
+# loglik_and_score, 5.1 MiB, and about 870 in loglik.  The Hessian holds
+# about twice a score pass's arrays per individual, so it takes half blocks,
+# 4.9 MiB, which fit in the workspace a fit's score passes size
 _BLOCK = 2048
 
-# the local coordinate of a step or of the initial factor that each
-# parameter field moves: log q12, log q13, log q23 (0-2) or the logit of
-# e12, e21, p2 (3-5)
-_SLOT = {"beta": 0, "female_12": 0, "age_spline_12": 0, "age_spline_f_12": 0,
-         "log_q13_0": 1, "female_13": 1, "age_13": 1, "trend_13": 1,
-         "log_q23_0": 2, "female_23": 2, "age_23": 2, "trend_23": 2,
-         "logit_e12": 3, "logit_e21": 4, "logit_p2": 5}
+# the design map of step one, field by field: the local coordinate of a step
+# or of the initial factor that the field moves (log q12, log q13, log q23,
+# then the logits of e12, e21 and p2: 0-5), its regressor there (a wave
+# dummy, one, the spline basis, age or the wave index; none for logit p2,
+# which only the initial factor carries) and whether female multiplies it
+_FIELDS = {"beta": (0, "dummy", False), "female_12": (0, "one", True),
+           "age_spline_12": (0, "basis", False), "age_spline_f_12": (0, "basis", True),
+           "log_q13_0": (1, "one", False), "female_13": (1, "one", True),
+           "age_13": (1, "age_centered", False), "trend_13": (1, "waves", False),
+           "log_q23_0": (2, "one", False), "female_23": (2, "one", True),
+           "age_23": (2, "age_centered", False), "trend_23": (2, "waves", False),
+           "logit_e12": (3, "one", False), "logit_e21": (4, "one", False),
+           "logit_p2": (5, "none", False)}
+
+
+class _Workspace:
+    """The float arrays of step one's passes, taken from one flat buffer
+    that lives as long as its owner, one :func:`fit_msm`.
+
+    Each block of a pass starts with :meth:`reset` and takes its arrays
+    front to back, so every later block, a smaller last block and the
+    Hessian's half blocks reuse the same memory through views.  A pass hands
+    back what it took after a point by setting ``used`` back to it, once
+    those arrays are dead.  An array that does not fit is allocated afresh,
+    and the buffer grows to the largest block's need at the next reset: a
+    new workspace allocates as a pass without one did, and from its second
+    block on it allocates nothing.
+    """
+
+    def __init__(self):
+        self.buffer = np.empty(0)
+        self.used = self.need = 0
+
+    def reset(self) -> None:
+        if self.need > self.buffer.size:
+            self.buffer = np.empty(self.need)
+        self.used = 0
+
+    def take(self, *shape: int) -> np.ndarray:
+        start = self.used
+        self.used += math.prod(shape)
+        self.need = max(self.need, self.used)
+        if self.used > self.buffer.size:
+            return np.empty(shape)
+        return self.buffer[start: self.used].reshape(shape)
+
+
+def _step_sum(terms) -> np.ndarray:
+    """terms[0] + terms[1] + ..., added in that order, so that no sum's bits
+    depend on how many individuals a block holds."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 def minimize(*args, **kwargs):
@@ -157,7 +216,10 @@ class PanelDesign:
     Covariates and spline bases depend only on data, so they are built once.
     :meth:`loglik`, :meth:`loglik_and_score` and :meth:`hessian` share one
     block loop, :meth:`_blocks`, that works on _BLOCK individuals at a time
-    (half as many in the Hessian).
+    (half as many in the Hessian), and each takes an optional
+    :class:`_Workspace`, which one fit holds for all of its calls.  The
+    recursions' arrays run by step, then individual, so that a step's
+    cells are contiguous.
     """
 
     def __init__(self, panel: Panel, structure: ModelStructure, validate: bool = True):
@@ -182,17 +244,20 @@ class PanelDesign:
         # row-sized temporaries is dropped once used, so that few are held at once
         row = np.repeat(np.arange(self.n), counts)
         col = np.arange(len(p)) - np.repeat(starts, counts)
-        # observation code by cell: the state less one, 3 at padding
-        self.state_idx = np.full((self.n, mmax), 3, dtype=np.int64)
+        # the codes, widths and waves by individual and step are stored step by
+        # step, so that a step's cells, which the recursions take one step at a
+        # time, are contiguous; observation code by cell: the state less one,
+        # 3 at padding
+        self.state_idx = np.full((mmax, self.n), 3, dtype=np.int64).T
         self.state_idx[row, col] = p.states - 1
         self.female = p.female[starts].astype(float)
         # rows whose successor belongs to the same individual open a step
         left = np.flatnonzero(col[1:] != 0)
         cell = row[left], col[left]
         del row, col
-        self.widths = np.zeros((self.n, self.n_steps))
+        self.widths = np.zeros((self.n_steps, self.n)).T
         self.widths[cell] = p.times[left + 1] - p.times[left]
-        self.waves = np.ones((self.n, self.n_steps), dtype=np.int64)
+        self.waves = np.ones((self.n_steps, self.n), dtype=np.int64).T
         self.waves[cell] = structure.wave_indices(p.times[left])
         age_left = np.full((self.n, self.n_steps), structure.ref_age)
         age_left[cell] = p.ages[left]
@@ -203,9 +268,9 @@ class PanelDesign:
         self.basis, self.age_centered = covariate_design(structure, age_left)
 
     def _slots(self) -> np.ndarray:
-        """The local coordinate (see ``_SLOT``) that each entry of the flat
+        """The local coordinate (see ``_FIELDS``) that each entry of the flat
         parameter vector moves."""
-        return np.concatenate([np.full(size or 1, _SLOT[name])
+        return np.concatenate([np.full(size or 1, _FIELDS[name][0])
                                for name, size in param_layout(self.structure)])
 
     def param_scales(self) -> np.ndarray:
@@ -217,46 +282,61 @@ class PanelDesign:
                       for j, act in enumerate(self.active.T))
         return np.maximum(1.0, np.sqrt(squares / np.count_nonzero(self.active)))
 
-    def loglik(self, gamma: np.ndarray) -> float:
+    def loglik(self, gamma: np.ndarray, work: _Workspace | None = None) -> float:
         """Total forward-algorithm log likelihood at parameter vector gamma.
         The per-individual values come from the one block loop,
         :meth:`_blocks`, and are summed once, in fixed id order, so that the
-        total does not depend on the block size."""
-        lls = [b._forward(gamma, None) for b in self._blocks(_BLOCK)]
-        return float(np.concatenate(lls).sum())
+        total does not depend on the block size.  The working arrays come
+        from ``work``, or are allocated block by block when there is none."""
+        lls = np.empty(self.n)
+        for rows, b in self._blocks(_BLOCK, work):
+            lls[rows] = b._forward(gamma, None, work)
+        return float(lls.sum())
 
-    def _blocks(self, size: int):
+    def _blocks(self, size: int, work: _Workspace | None = None):
         """The one block loop of step one: this design's individuals in id
-        order, ``size`` at a time, each block a design of views of this one's
-        arrays.  Every term of the likelihood, the score and the Hessian
-        belongs to one individual, so blocks change no number but the order
-        of the Hessian's sum over them; they bound the working arrays, which
-        grow with the block."""
+        order, ``size`` at a time, each block its slice of rows and a design
+        of views of this one's arrays, and each the start of the arrays it
+        takes from ``work``.  Every term of the likelihood, the score and
+        the Hessian belongs to one individual, so blocks change no number
+        but the order of the Hessian's sum over them; they bound the working
+        arrays, which grow with the block."""
         for lo in range(0, self.n, size):
-            yield self._individuals(slice(lo, lo + size))
+            rows = slice(lo, lo + size)
+            if work is not None:
+                work.reset()
+            yield rows, self._individuals(rows)
 
-    def _forward(self, gamma: np.ndarray, tape: dict | None) -> np.ndarray:
+    def _forward(self, gamma: np.ndarray, tape: dict | None,
+                 work: _Workspace | None = None) -> np.ndarray:
         """Per-individual log likelihoods by the rescaled forward recursion,
         the sums of the log normalisers c_k.  A zero normaliser, which only
         an impossible sequence gives, makes that individual's log likelihood
         -inf and its filtered probabilities zero from there on.
 
         With a ``tape`` dict, also records what :meth:`_backward`, the
-        score and the Hessian need: parameters, rates, their clip slopes
-        dq/dlin = d2q/dlin2, transition entries, and arrays indexed by
-        observation, then individual: the emission factors ``obs``, the
+        score and the Hessian need, in arrays indexed by step or
+        observation, then individual: the parameters; the rates, their clip
+        slopes dq/dlin = d2q/dlin2, each (3, steps, n), and the transition
+        entries, each (steps, n); the emission table ``emit`` (rows by
+        observation code, see ``state_idx``, columns by true state); the
         filtered probabilities ``alpha`` and the predicted (pre-emission)
         probabilities ``pred``, each (steps + 1, n, 3), and the normalisers
-        ``raw``, (steps + 1, n).  Without a tape, two slots of each serve
-        the whole recursion.
+        ``raw``, (steps + 1, n).  Two slots of the emission factors, and
+        without a tape of every array, serve the whole recursion.  The
+        arrays come from ``work``, or are allocated when there is none.
         """
+        take = (work or _Workspace()).take
         params = unpack_params(gamma, self.structure)
-        lins = np.array(log_intensities(
+        steps, n = self.n_steps, self.n
+        lins = take(3, steps, n)
+        lins[0], lins[1], lins[2] = (lin.T for lin in log_intensities(
             params, self.waves, self.female[:, None], self.basis, self.age_centered
         ))
-        rates = np.clip(lins, -_LIN_CLIP, _LIN_CLIP)
+        rates = np.clip(lins, -_LIN_CLIP, _LIN_CLIP, out=take(3, steps, n))
         np.exp(rates, out=rates)
-        p11, p12, p13, p22, p23 = entries = transition_entries(*rates, self.widths)
+        p11, p12, p13, p22, p23 = entries = transition_entries(*rates, self.widths.T,
+                                                               out=take(5, steps, n))
 
         # emission factors by observation code (rows; code 3 pads) and true state
         emit = np.vstack((misclassification_matrix(
@@ -264,11 +344,13 @@ class PanelDesign:
         ).T, np.ones(3)))
         p2 = expit(params.logit_p2)
 
-        m = self.n_steps + 1
+        m = steps + 1
         slots = m if tape is not None else 2
-        obs, alpha, pred = (np.empty((slots, self.n, 3)) for _ in range(3))
-        raw = np.empty((slots, self.n))
-        loglik = np.zeros(self.n)
+        obs = take(2, 3, n).swapaxes(1, 2)
+        alpha, pred = (take(slots, 3, n).swapaxes(1, 2) for _ in range(2))
+        raw = take(slots, n)
+        loglik = take(n)
+        loglik[:] = 0.0
         pred[0] = 1.0 - p2, p2, 0.0
         with np.errstate(divide="ignore"):  # log 0 = -inf
             for k in range(m):
@@ -277,20 +359,33 @@ class PanelDesign:
                     # alpha times the upper-triangular transition matrix, death absorbing
                     j = k - 1
                     a0, a1, a2 = alpha[j % slots].T
-                    pred[now, :, 0] = a0 * p11[:, j]
-                    pred[now, :, 1] = a0 * p12[:, j] + a1 * p22[:, j]
-                    pred[now, :, 2] = a0 * p13[:, j] + a1 * p23[:, j] + a2
-                np.take(emit, self.state_idx[:, k], axis=0, out=obs[now])
-                np.multiply(pred[now], obs[now], out=alpha[now])
-                np.sum(alpha[now], axis=1, out=raw[now])
+                    to0, to1, to2 = pred[now].T
+                    np.multiply(a0, p11[j], out=to0)
+                    np.multiply(a0, p12[j], out=to1)
+                    to1 += a1 * p22[j]
+                    np.multiply(a0, p13[j], out=to2)
+                    to2 += a1 * p23[j]
+                    to2 += a2
+                # the codes are valid, and "clip" writes out= without a buffer
+                np.take(emit.T, self.state_idx[:, k], axis=1, out=obs[k % 2].T, mode="clip")
+                np.multiply(pred[now], obs[k % 2], out=alpha[now])
+                # the sum over states as two adds, which a reduction over an
+                # axis of three is several times slower than
+                np.add(alpha[now, :, 0], alpha[now, :, 1], out=raw[now])
+                raw[now] += alpha[now, :, 2]
                 loglik += np.log(raw[now])
                 alpha[now] /= np.where(raw[now] > 0.0, raw[now], 1.0)[:, None]
         if tape is not None:
-            tape.update(params=params, rates=rates, slopes=rates * (np.abs(lins) < _LIN_CLIP),
-                        entries=entries, obs=obs, alpha=alpha, pred=pred, raw=raw)
+            # the clip slope is the rate inside the clip and zero outside
+            slopes = np.abs(lins, out=lins)
+            np.less(slopes, _LIN_CLIP, out=slopes)
+            slopes *= rates
+            tape.update(params=params, rates=rates, slopes=slopes,
+                        entries=entries, emit=emit, alpha=alpha, pred=pred, raw=raw)
         return loglik
 
-    def loglik_and_score(self, gamma: np.ndarray) -> tuple[float, np.ndarray]:
+    def loglik_and_score(self, gamma: np.ndarray,
+                         work: _Workspace | None = None) -> tuple[float, np.ndarray]:
         """Log likelihood (equal to :meth:`loglik`) and the per-individual
         score matrix, one row per individual in id order, one column per
         parameter.
@@ -300,72 +395,145 @@ class PanelDesign:
         beta_{j+1}(s) / c_{j+1}, and similarly for the emission and
         initial-state entries.  Contracted with :func:`free_entries_grad` and
         the clip slopes, they give the adjoints of the three log-intensity
-        grids; with the emission logits these are each step's local
-        adjoints, which :meth:`_step_design` carries to the parameters.
+        grids, (3, steps, n); with those of the emission logits, these are
+        the local adjoints that :meth:`_score_rows` carries to the
+        parameters field by field.
         The score is the gradient of the clipped function, so it is zero in
         a cell where |lin| >= 30, and it is exact wherever the likelihood is
         positive.  Where alpha underflows, beta grows like the inverse of
         the normalisers, and their product can overflow while the log
         likelihood is finite; :func:`fit_msm` rejects such a point.
+
+        The working arrays come from ``work`` (see :class:`_Workspace`), or
+        from a workspace of this call alone; the returned arrays are always
+        new.
         """
-        lls, scores = zip(*(b._loglik_and_score(gamma) for b in self._blocks(_BLOCK)))
-        return float(np.concatenate(lls).sum()), np.concatenate(scores)
+        work = _Workspace() if work is None else work
+        lls, scores = np.empty(self.n), None
+        for rows, b in self._blocks(_BLOCK, work):
+            lls[rows], block = b._loglik_and_score(gamma, work)
+            if scores is None:
+                # allocated once the first block's working arrays are freed or held
+                scores = np.empty((self.n, block.shape[0]))
+            scores[rows] = block.T
+        return float(lls.sum()), scores
 
-    def _loglik_and_score(self, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-individual log likelihoods and score rows over all of this
-        design's individuals."""
+    def _loglik_and_score(self, gamma: np.ndarray, work: _Workspace) -> tuple:
+        """Per-individual log likelihoods and the score with one row per
+        parameter, (p, n), over all of this design's individuals, in arrays
+        of ``work``."""
+        take = work.take
         tape: dict = {}
-        loglik = self._forward(gamma, tape)
-        ec, betas, (h12, h21, _, _) = self._backward(tape)
-        eb = ec * betas
-        (a0, a1, _), (e0, e1, e2) = tape["alpha"][:-1].T, eb[1:].T
-        # as the rows of P_j sum to one, its free entries p11, p12 and p22 carry
-        # a0 (e0 - e2), a0 (e1 - e2) and a1 (e1 - e2), (e0, e1, e2) = e beta / c at j + 1
-        bars = np.array((a0 * (e0 - e2), a0 * (e1 - e2), a1 * (e1 - e2)))
-        lin = np.einsum("erij,eij->rij", free_entries_grad(*tape["rates"], self.widths)[0],
-                        bars) * tape["slopes"]
+        loglik = self._forward(gamma, tape, work)
+        ec, betas, h = self._backward(tape, work)
+        n, steps = self.n, self.n_steps
+        # e beta / c, in place of e / c
+        eb = np.multiply(ec, betas, out=ec)
+        # by step: alpha_j and (e0, e1, e2) = e beta / c at j + 1
+        a0, a1, _ = tape["alpha"][:-1].transpose(2, 0, 1)
+        e0, e1, e2 = eb[1:].transpose(2, 0, 1)
+        # the log-intensity adjoints lin, the sum over the entries e of
+        # grad[e] bars[e] times the clip slopes, are formed in grad[0], and
+        # the rest of grad and bars are then dead
+        mark = work.used
+        grad = free_entries_grad(*tape["rates"], self.widths.T, out=take(3, 3, steps, n))[0]
+        # as the rows of P_j sum to one, its free entries p11, p12 and p22
+        # carry a0 (e0 - e2), a0 (e1 - e2) and a1 (e1 - e2)
+        bars = take(3, steps, n)
+        np.subtract(e0, e2, out=bars[0])
+        bars[0] *= a0
+        np.subtract(e1, e2, out=bars[2])
+        np.multiply(a0, bars[2], out=bars[1])
+        bars[2] *= a1
+        grad *= bars[:, None]
+        lin = grad[0]
+        lin += grad[1]
+        lin += grad[2]
+        lin *= tape["slopes"]
+        work.used = mark + lin.size
         # the emission logits at each observation: the predicted probability
-        # (the initial distribution at 0) times d(e/c) times beta
+        # (the initial distribution at 0) times d(e/c) times beta, in place of d(e/c)
         pred = tape["pred"]
-        d_e12 = pred[:, :, 0] * h12 * betas[:, :, 0]
-        d_e21 = pred[:, :, 1] * h21 * betas[:, :, 1]
-        slot = self._slots()
-        scores = np.zeros((slot.size, self.n))
+        for d_e, state in zip(h, (0, 1)):
+            d_e *= pred[:, :, state]
+            d_e *= betas[:, :, state]
         p2 = expit(tape["params"].logit_p2)
-        scores[slot >= 3] = d_e12[0], d_e21[0], p2 * (1.0 - p2) * (eb[0, :, 1] - eb[0, :, 0])
-        zero = np.zeros(self.n)
-        for j in range(self.n_steps):
-            local = np.array((*lin[:, :, j], d_e12[j + 1], d_e21[j + 1], zero))
-            scores += local[slot] * self._step_design(j)
-        return loglik, scores.T.copy()
+        emission = (*_step_sum(h.swapaxes(0, 1)),
+                    p2 * (1.0 - p2) * (eb[0, :, 1] - eb[0, :, 0]))
+        return loglik, self._score_rows(lin, emission, work)
 
-    def _step_design(self, j: int) -> np.ndarray:
-        """Design of step j folded to one row per parameter and one column
-        per individual: the derivative of the step's local coordinate that
-        the parameter enters (see ``_SLOT``) with respect to it."""
-        wave, fem = self.waves[:, j], self.female
-        rows = {"beta": np.arange(self.structure.n_waves)[:, None] == wave - 1,
-                "female_12": fem, "age_spline_12": self.basis[:, j].T,
-                "age_spline_f_12": self.basis[:, j].T * fem,
-                "logit_e12": 1.0, "logit_e21": 1.0, "logit_p2": 0.0}
-        for k in ("13", "23"):
-            rows.update({f"log_q{k}_0": 1.0, f"female_{k}": fem,
-                         f"age_{k}": self.age_centered[:, j], f"trend_{k}": wave})
-        layout = param_layout(self.structure)
-        G, i = np.empty((sum(size or 1 for _, size in layout), self.n)), 0
-        for name, size in layout:
-            G[i: i + (size or 1)] = rows[name]
+    def _regressor(self, kind: str) -> np.ndarray:
+        """Regressor ``kind`` of ``_FIELDS`` at every step, by step, column
+        and individual, (steps, k, n): one column for one, none, age and the
+        wave index, one per basis function for the spline."""
+        if kind == "basis":
+            return self.basis.transpose(1, 2, 0)
+        if kind in ("one", "none"):
+            return np.broadcast_to(float(kind == "one"), (self.n_steps, 1, self.n))
+        return getattr(self, kind).T[:, None]
+
+    def _score_rows(self, lin: np.ndarray, emission: tuple, work: _Workspace) -> np.ndarray:
+        """Carry the log-intensity adjoints ``lin``, (3, steps, n), and the
+        per-individual emission-logit adjoints to the parameters, field by
+        field of ``_FIELDS``: each field's regressor times the adjoint of
+        its local coordinate, summed over steps in order (by
+        :func:`_step_sum`; the wave dummies by ``np.bincount``, which adds
+        in the same order), times female where marked.  Returns the score
+        with one row per parameter, (p, n)."""
+        n, steps, T = self.n, self.n_steps, self.structure.n_waves
+        rows = work.take(self._slots().size, n)
+        terms = work.take(steps, self.structure.n_basis, n)
+        sums: dict = {}
+        i = 0
+        for name, size in param_layout(self.structure):
+            slot, kind, female = _FIELDS[name]
+            field = rows[i: i + (size or 1)]
             i += size or 1
+            if slot >= 3:
+                field[0] = emission[slot - 3]
+            elif kind == "dummy":
+                # bin (wave, individual), fed step by step
+                cells = (self.waves.T - 1) * n + np.arange(n)
+                field[:] = np.bincount(cells.ravel(), lin[slot].ravel(),
+                                       minlength=T * n).reshape(T, n)
+            else:
+                if (slot, kind) not in sums:
+                    reg = self._regressor(kind)
+                    part = np.multiply(lin[slot][:, None], reg, out=terms[:, :reg.shape[1]])
+                    sums[slot, kind] = _step_sum(part)
+                np.multiply(sums[slot, kind], self.female if female else 1.0, out=field)
+        return rows
+
+    def _step_design(self, j: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Design of step j folded to one row per parameter and one column
+        per individual, written into ``out`` when it is given: the
+        derivative of the step's local coordinate that the parameter enters
+        (see ``_FIELDS``) with respect to it."""
+        layout = param_layout(self.structure)
+        G = np.empty((self._slots().size, self.n)) if out is None else out
+        i = 0
+        for name, size in layout:
+            _, kind, female = _FIELDS[name]
+            rows = G[i: i + (size or 1)]
+            i += size or 1
+            if kind == "dummy":
+                np.equal(np.arange(1, size + 1)[:, None], self.waves[:, j], out=rows)
+            else:
+                rows[:] = self._regressor(kind)[j]
+            if female:
+                rows *= self.female
         return G
 
-    def hessian(self, gamma: np.ndarray) -> np.ndarray:
+    def hessian(self, gamma: np.ndarray, work: _Workspace | None = None) -> np.ndarray:
         """Hessian of the log likelihood: the Jacobian of the summed score of
         :meth:`loglik_and_score`, under the same convention.  It is a sum
         over individuals, taken over half blocks (rounded up) of the one
         block loop, :meth:`_blocks`, so that its working arrays, the tape
-        included, stay smaller than a score pass's.
+        included, fit in the ``work`` that a score pass sizes (or in a
+        workspace of this call alone).
         """
-        return sum(b._hessian(gamma) for b in self._blocks((_BLOCK + 1) // 2))
+        work = _Workspace() if work is None else work
+        return sum(b._hessian(gamma, work) for _, b in self._blocks((_BLOCK + 1) // 2, work))
 
     def _individuals(self, rows: slice) -> PanelDesign:
         """The design of a block of individuals, as views of this one's arrays."""
@@ -375,7 +543,7 @@ class PanelDesign:
         sub.n = sub.female.size
         return sub
 
-    def _backward(self, tape: dict):
+    def _backward(self, tape: dict, work: _Workspace):
         """The one backward recursion, over the tape of :meth:`_forward`.
 
         The forward pass is rescaled, so step j is the factor
@@ -387,32 +555,52 @@ class PanelDesign:
         - the rescaled backward variables beta_j = F_j beta_{j+1}, one at
           the last observation, so that alpha_j beta_j = 1, of the same
           shape;
-        - (h12, h21, hh12, hh21), each (steps + 1, n): the first and second
-          derivatives of e(0)/c in logit e12 and of e(1)/c in logit e21, the
-          only emission entries that move.
+        - (h12, h21), (2, steps + 1, n): the derivatives of e(0)/c in
+          logit e12 and of e(1)/c in logit e21, the only emission entries
+          that move; their second derivatives are h12 (1 - 2 e12) and
+          h21 (1 - 2 e21).
 
         A zero normaliser is taken as one here, so that nothing is divided
         by zero; that individual's log likelihood is -inf, and its score and
-        curvature carry no meaning.
+        curvature carry no meaning.  The arrays come from ``work``.
         """
+        take = work.take
         p11, p12, p13, p22, p23 = tape["entries"]
-        inv_c = 1.0 / np.where(tape["raw"] > 0.0, tape["raw"], 1.0)
-        ec = tape["obs"] * inv_c[:, :, None]
+        raw = tape["raw"]
+        m, n = raw.shape
+        ec, h, betas = take(m, 3, n), take(2, m, n), take(m, 3, n).swapaxes(1, 2)
+        # 1/c is dead once e/c and d(e/c) are formed
+        mark = work.used
+        inv_c = take(m, n)
+        inv_c[:] = 1.0
+        np.divide(1.0, raw, out=inv_c, where=raw > 0.0)
+        for k in range(m):
+            np.take(tape["emit"].T, self.state_idx[:, k], axis=1, out=ec[k], mode="clip")
+        ec = ec.swapaxes(1, 2)
+        ec *= inv_c[:, :, None]
         params = tape["params"]
         e12, e21 = expit([params.logit_e12, params.logit_e21])
-        sign = np.array([-1.0, 1.0, 0.0, 0.0])[self.state_idx.T] * inv_c
-        h12, h21 = sign * e12 * (1.0 - e12), -sign * e21 * (1.0 - e21)
-        jets = h12, h21, h12 * (1.0 - 2.0 * e12), h21 * (1.0 - 2.0 * e21)
+        # d(e/c) by code (padding 3 is one) is the sign of e(0)/c in logit
+        # e12 times e12 (1 - e12), and minus that of e(1)/c in logit e21
+        h12, h21 = h
+        np.take([-1.0, 1.0, 0.0, 0.0], self.state_idx.T, out=h21, mode="clip")
+        h21 *= inv_c
+        np.multiply(h21, e12, out=h12)
+        h12 *= 1.0 - e12
+        np.negative(h21, out=h21)
+        h21 *= e21
+        h21 *= 1.0 - e21
+        work.used = mark
 
-        betas = np.ones_like(ec)
+        betas[-1] = 1.0
         for j in range(self.n_steps - 1, -1, -1):
             eb = ec[j + 1] * betas[j + 1]
-            betas[j, :, 0] = p11[:, j] * eb[:, 0] + p12[:, j] * eb[:, 1] + p13[:, j] * eb[:, 2]
-            betas[j, :, 1] = p22[:, j] * eb[:, 1] + p23[:, j] * eb[:, 2]
+            betas[j, :, 0] = p11[j] * eb[:, 0] + p12[j] * eb[:, 1] + p13[j] * eb[:, 2]
+            betas[j, :, 1] = p22[j] * eb[:, 1] + p23[j] * eb[:, 2]
             betas[j, :, 2] = eb[:, 2]
-        return ec, betas, jets
+        return ec, betas, h
 
-    def _hessian(self, gamma: np.ndarray) -> np.ndarray:
+    def _hessian(self, gamma: np.ndarray, work: _Workspace) -> np.ndarray:
         """Hessian of the log likelihood over all of this design's individuals.
 
         With the factors and backward variables of :meth:`_backward`,
@@ -427,27 +615,33 @@ class PanelDesign:
         intensities, two misclassification logits) to the parameters.
         S beta_j is the score of the factors before step j, so s comes from
         the same sweep.  A padded step is the identity, and every derivative
-        of its P = I (width zero) vanishes.
+        of its P = I (width zero) vanishes.  The kernel's derivatives come
+        from one :func:`free_entries_jet` call over every step.
         """
+        take = work.take
         tape: dict = {}
-        self._forward(gamma, tape)
-        ec, betas, (h12, h21, hh12, hh21) = self._backward(tape)
+        self._forward(gamma, tape, work)
+        ec, betas, (h12, h21) = self._backward(tape, work)
         n, steps = self.n, self.n_steps
         slot = self._slots()
         p = slot.size
         p11, p12, p13, p22, p23 = tape["entries"]
         alphas, preds = tape["alpha"], tape["pred"]
-        p2 = expit(tape["params"].logit_p2)
+        params = tape["params"]
+        e12, e21, p2 = expit([params.logit_e12, params.logit_e21, params.logit_p2])
+        # the second derivatives of e/c in the logits
+        c12, c21 = 1.0 - 2.0 * e12, 1.0 - 2.0 * e21
 
         # A is gathered as a half whose sum with its transpose is A
         A = np.zeros((p, p))
-        S = np.zeros((3, p, n))
+        S = take(3, p, n)
+        S[:] = 0.0
         # initial factor, local coordinates (logit e12, logit e21, logit p2)
         b0, d2 = betas[0], p2 * (1.0 - p2)
         eb0 = ec[0] * b0
         W0 = np.zeros((3, 3, n))
-        W0[0, 0] = (1.0 - p2) * hh12[0] * b0[:, 0]
-        W0[1, 1] = p2 * hh21[0] * b0[:, 1]
+        W0[0, 0] = (1.0 - p2) * (h12[0] * c12) * b0[:, 0]
+        W0[1, 1] = p2 * (h21[0] * c21) * b0[:, 1]
         W0[2, 2] = d2 * (1.0 - 2.0 * p2) * (eb0[:, 1] - eb0[:, 0])
         W0[0, 2] = W0[2, 0] = -d2 * h12[0] * b0[:, 0]
         W0[1, 2] = W0[2, 1] = d2 * h21[0] * b0[:, 1]
@@ -456,51 +650,88 @@ class PanelDesign:
         S[0, init[[0, 2]]] = (1.0 - p2) * h12[0], -d2 * ec[0, :, 0]
         S[1, init[[1, 2]]] = p2 * h21[0], d2 * ec[0, :, 1]
 
-        slots = [np.flatnonzero(slot == k) for k in range(5)]
+        # the kernel's derivatives in the log intensities, at every step at once:
+        # gl = dP/dq dq/dlin and hl = d2P/dq2 (dq/dlin)^2 + dP/dq d2q/dlin2
+        gls, dd = take(3, 3, steps, n), take(2, steps, n)
+        mark = work.used
+        hls = take(3, 3, 3, steps, n)
+        free_entries_jet(*tape["rates"], self.widths.T, out=(gls, hls))
+        slopes = tape["slopes"]
+        gls *= slopes
+        hls *= slopes[:, None] * slopes
+        hls[:, [0, 1, 2], [0, 1, 2]] += gls
+        # by step, the differences d0, d1 of e beta / c at j + 1 from its state
+        # 3; the curvature of each step in the log intensities,
+        # alpha_j d2P_j beta_{j+1}, the sum over the free entries of hl times
+        # (a0 d0, a0 d1, a1 d1), is formed in hl[0], and the rest is then dead
+        eb = np.multiply(ec[1:], betas[1:], out=take(steps, 3, n).swapaxes(1, 2))
+        np.subtract(eb[:, :, 0], eb[:, :, 2], out=dd[0])
+        np.subtract(eb[:, :, 1], eb[:, :, 2], out=dd[1])
+        (a0, a1, _), (d0, d1) = alphas[:-1].transpose(2, 0, 1), dd
+        for hl, coef in zip(hls, (a0 * d0, a0 * d1, a1 * d1)):
+            hl *= coef
+        curv = hls[0]
+        curv += hls[1]
+        curv += hls[2]
+        work.used = mark + curv.size
+        R, C, W = take(6, 3, n), take(6, 2, n), take(6, 6, n)
+        G, Z, T = take(p, n), take(p, n), take(p, n)
+        # the parameters of each local coordinate are a run of the flat vector
+        ends = np.searchsorted(slot, np.arange(6), side="right")
+        slots = [slice(lo, hi) for lo, hi in zip(np.r_[0, ends[:4]], ends[:5])]
         for j in range(steps):
             k = j + 1
             a0, a1 = alphas[j, :, 0], alphas[j, :, 1]
             bk, eck, pred = betas[k], ec[k], preds[k]
-            eb = eck * bk
-            t = tape["slopes"][:, :, j]
-            grad, hess = free_entries_jet(*tape["rates"][:, :, j], self.widths[:, j])
-            gl = grad * t
-            hl = hess * (t[:, None] * t)
-            hl[:, [0, 1, 2], [0, 1, 2]] += gl
+            gl, d0, d1 = gls[:, :, j], dd[0, j], dd[1, j]
             # alpha_j dP_j / dlin has entries (x, y + z, -x - y - z): the rows of dP sum to 0
             x, y, z = a0 * gl[0], a0 * gl[1], a1 * gl[2]
-            d0, d1 = eb[:, 0] - eb[:, 2], eb[:, 1] - eb[:, 2]
             # local coordinates (lin12, lin13, lin23, logit e12, logit e21,
             # and logit p2, on which no step depends): rows R = alpha_j dF_j,
             # columns C = dF_j beta_{j+1} (state 3's entry is always zero)
             # and curvature W = alpha_j d2F_j beta_{j+1}
-            R = np.zeros((6, 3, n))
+            R[:] = 0.0
             R[:3, 0], R[:3, 1], R[:3, 2] = x * eck[:, 0], (y + z) * eck[:, 1], -(x + y + z) * eck[:, 2]
             R[3, 0] = pred[:, 0] * h12[k]
             R[4, 1] = pred[:, 1] * h21[k]
-            C = np.zeros((6, 2, n))
+            C[:] = 0.0
             C[:3, 0] = gl[0] * d0 + gl[1] * d1
             C[:3, 1] = gl[2] * d1
-            C[3, 0] = p11[:, j] * h12[k] * bk[:, 0]
-            C[4] = p12[:, j] * h21[k] * bk[:, 1], p22[:, j] * h21[k] * bk[:, 1]
-            W = np.zeros((6, 6, n))
-            W[:3, :3] = a0 * d0 * hl[0] + a0 * d1 * hl[1] + a1 * d1 * hl[2]
+            C[3, 0] = p11[j] * h12[k] * bk[:, 0]
+            C[4] = p12[j] * h21[k] * bk[:, 1], p22[j] * h21[k] * bk[:, 1]
+            W[:] = 0.0
+            W[:3, :3] = curv[:, :, j]
             W[:3, 3] = W[3, :3] = x * h12[k] * bk[:, 0]
             W[:3, 4] = W[4, :3] = (y + z) * h21[k] * bk[:, 1]
-            W[3, 3] = pred[:, 0] * hh12[k] * bk[:, 0]
-            W[4, 4] = pred[:, 1] * hh21[k] * bk[:, 1]
+            W[3, 3] = pred[:, 0] * (h12[k] * c12) * bk[:, 0]
+            W[4, 4] = pred[:, 1] * (h21[k] * c21) * bk[:, 1]
 
-            G = self._step_design(j)
+            self._step_design(j, out=G)
+            # within the step, 0.5 D_j' W D_j, a slot of rows at a time (each
+            # take spreads a local coordinate's row over its parameters)
             for c, rows in enumerate(slots):
-                Z = 0.5 * W[c][slot] * G + S[0] * C[c, 0] + S[1] * C[c, 1]
-                A[rows] += G[rows] @ Z.T
+                np.take(W[c], slot, axis=0, out=Z, mode="clip")
+                Z *= G
+                A[rows] += 0.5 * (G[rows] @ Z.T)
+            # across steps, (D_j' C_s) S_s' for the states s = 0, 1 (C is zero at the slot of p2)
+            for s in range(2):
+                np.take(C[:, s], slot, axis=0, out=Z, mode="clip")
+                Z *= G
+                A += Z @ S[s].T
             # S <- S F_j with F_j = P_j diag(e/c) upper triangular, last state first
             f0, f1, f2 = eck.T
-            S[2] = S[0] * (p13[:, j] * f2) + S[1] * (p23[:, j] * f2) + S[2] * f2
-            S[1] = S[0] * (p12[:, j] * f1) + S[1] * (p22[:, j] * f1)
-            S[0] *= p11[:, j] * f0
+            np.multiply(S[0], p13[j] * f2, out=T)
+            T += np.multiply(S[1], p23[j] * f2, out=Z)
+            S[2] *= f2
+            S[2] += T
+            np.multiply(S[0], p12[j] * f1, out=T)
+            S[1] *= p22[j] * f1
+            S[1] += T
+            S[0] *= p11[j] * f0
             for s in range(3):
-                S[s] += R[slot, s] * G
+                np.take(R[:, s], slot, axis=0, out=Z, mode="clip")
+                Z *= G
+                S[s] += Z
         s = S.sum(axis=0)
         return A + A.T - s @ s.T
 
@@ -613,6 +844,9 @@ def fit_msm(
     identity.
     Non-convergence is flagged on the result, never raised; a start point
     whose log likelihood or score is not finite raises ``NumericalError``.
+    Every score pass, Hessian and the closing log likelihood of the fit
+    take their working arrays from one :class:`_Workspace`, sized by the
+    first block and dropped when the fit returns.
     ``validate=False`` skips the schema checks of a panel the caller has
     already passed through :func:`validate_panel`.
 
@@ -660,12 +894,15 @@ def fit_msm(
         x[idx_free] = z_free / scale
         return x
 
+    # the working arrays of every score pass and Hessian of this fit
+    work = _Workspace()
+
     def nll_and_grad(z_free: np.ndarray):
         # where alpha underflows, far from the data, beta grows and the
         # score can overflow; that point is rejected below, as is one where
         # the log likelihood is -inf
         with np.errstate(over="ignore", invalid="ignore"):
-            value, scores = design.loglik_and_score(gamma_of(z_free))
+            value, scores = design.loglik_and_score(gamma_of(z_free), work)
         scores = scores[:, idx_free] / scale
         if not (np.isfinite(value) and np.all(np.isfinite(scores))):
             # a point the trust region must reject
@@ -695,7 +932,7 @@ def fit_msm(
             if at(z_free)[0] == _REJECTED:
                 H = np.zeros((idx_free.size, idx_free.size))
             else:
-                H = -design.hessian(gamma_of(z_free))[np.ix_(idx_free, idx_free)]
+                H = -design.hessian(gamma_of(z_free), work)[np.ix_(idx_free, idx_free)]
             exact.update(z=z_free.copy(), H=H / np.outer(scale, scale))
         return exact["H"]
 
@@ -761,7 +998,7 @@ def fit_msm(
         names=names,
         estimates=x_hat,
         free=free,
-        loglik=float(design.loglik(x_hat)),
+        loglik=design.loglik(x_hat, work),
         converged=converged,
         iterations=iterations,
         n_transitions=design.n_transitions,

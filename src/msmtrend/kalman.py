@@ -386,6 +386,12 @@ def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", m
     # the search's variances reach the larger one squared, the Hessian's stencil a little more
     if not all(v < 1e150 for v in spreads):
         raise NumericalError(f"the trend's spread {max(spreads):.3g} is beyond 1e150; check its scale")
+    # free mode's sigma_eps^2 is a mean squared innovation, below the float
+    # range for a trend that varies by less than 1e-150 (whose std underflows)
+    span = float(np.ptp(beta_hat))
+    if free and 0.0 < span < 1e-150:
+        raise NumericalError(f"the trend's range {span:.3g} is below 1e-150, where free mode's "
+                             "variances leave the float range; check its scale")
     hi_sd = math.log(max(*spreads, 1e-3))
     hi = -_LOG_FLOOR if free else hi_sd
     x, best, flat = _search(lambda x: -profile(x)[0], _LOG_FLOOR, hi, np.ones(len(axes), bool),

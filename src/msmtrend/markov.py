@@ -311,14 +311,13 @@ def build_intensity(
 def _expm1_ratio(x):
     """(e^x - 1)/x, stable for small and zero x."""
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    nz = x != 0.0
-    out[nz] = np.expm1(x[nz]) / x[nz]
-    return out
+    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
-def transition_entries(q12, q13, q23, w):
-    """Closed-form entries of exp(wQ) for the triangular generator.
+def transition_entries(q12, q13, q23, w, out=None):
+    """Closed-form entries of exp(wQ) for the triangular generator:
+    (p11, p12, p13, p22, p23), written into the five arrays of ``out`` when
+    it is given.
 
     Eigenvalues are -(q12+q13), -q23 and 0.  The off-diagonal entry
 
@@ -335,13 +334,15 @@ def transition_entries(q12, q13, q23, w):
     q12 = np.asarray(q12, dtype=float)
     q13 = np.asarray(q13, dtype=float)
     q23 = np.asarray(q23, dtype=float)
+    p11, p12, p13, p22, p23 = (None,) * 5 if out is None else out
     a = q12 + q13
     b = q23
-    p11 = np.exp(-a * w)
-    p22 = np.exp(-b * w)
-    p12 = q12 * w * np.exp(-np.minimum(a, b) * w) * _expm1_ratio(-np.abs(a - b) * w)
-    p13 = np.maximum(-np.expm1(-a * w) - p12, 0.0)
-    p23 = -np.expm1(-b * w)
+    p11 = np.exp(-a * w, out=p11)
+    p22 = np.exp(-b * w, out=p22)
+    p12 = np.multiply(q12 * w * np.exp(-np.minimum(a, b) * w), _expm1_ratio(-np.abs(a - b) * w),
+                      out=p12)
+    p13 = np.maximum(-np.expm1(-a * w) - p12, 0.0, out=p13)
+    p23 = np.negative(np.expm1(-b * w), out=p23)
     return p11, p12, p13, p22, p23
 
 
@@ -362,26 +363,53 @@ def _moments(a, b, w):
     (taken at x floored at 1, so that the unused branch is finite)."""
     x = np.abs(a - b) * w
     small = x < 1.0
-    xl = np.where(small, 1.0, x)
-    ex = np.exp(-xl)
     m0 = _expm1_ratio(-x)
-    m1 = (m0 - ex) / xl
-    # Horner's rule on both columns at once; a leading column axis keeps NumPy's loops long
-    table = _M12_SERIES.reshape(_M12_SERIES.shape + (1,) * np.ndim(x))
-    series = np.polyval(table, np.where(small, -x, 0.0))
-    m1, m2 = np.where(small, series, (m1, (2.0 * m1 - ex) / xl))
-    return np.exp(-np.minimum(a, b) * w), a <= b, m0, m1, m2
+    # below x = 1 one series in -x (each temporary is dropped once used: these
+    # are the largest arrays of the kernel's derivatives)
+    u = np.where(small, -x, 0.0)
+    # above it the recurrence
+    xl = np.where(small, 1.0, x)
+    del x
+    ex = np.exp(-xl)
+    m1 = m0 - ex
+    m1 /= xl
+    m2 = 2.0 * m1
+    m2 -= ex
+    m2 /= xl
+    del xl, ex
+    # Horner's rule on both columns of the series at once, in place; a
+    # leading column axis keeps NumPy's loops long
+    table = _M12_SERIES.reshape(_M12_SERIES.shape + (1,) * np.ndim(u))
+    series = np.empty(table.shape[1:2] + u.shape)
+    series[...] = table[0]
+    for coef in table[1:]:
+        series *= u
+        series += coef
+    del u
+    np.copyto(series[:1], m1, where=~small)
+    np.copyto(series[1:], m2, where=~small)
+    del m1, m2
+    return np.exp(-np.minimum(a, b) * w), a <= b, m0, series[0], series[1]
 
 
-def _ratio_jet(w, decay, lo, m0, m1, m2):
-    """(df/da, df/db) and (d2f/da2, d2f/dadb, d2f/db2) of the f of
-    :func:`p12_ratio_grad` from :func:`_moments`.  Where the weight sits on
-    s, the integrals against 1 - s, s, (1-s)^2, s(1-s) and s^2 are m0 - m1,
-    m1, m0 - 2 m1 + m2, m1 - m2 and m2; elsewhere s and 1 - s swap."""
-    g, h = -w * w * decay, w**3 * decay
-    ga, gb, haa, hbb = g * (m0 - m1), g * m1, h * (m0 - 2.0 * m1 + m2), h * m2
-    return ((np.where(lo, ga, gb), np.where(lo, gb, ga)),
-            (np.where(lo, haa, hbb), h * (m1 - m2), np.where(lo, hbb, haa)))
+def _ratio_grad(w, decay, lo, m0, m1, m2):
+    """(df/da, df/db) of the f of :func:`p12_ratio_grad` from
+    :func:`_moments`.  Where the weight sits on s, the integrals against
+    1 - s and s are m0 - m1 and m1; elsewhere s and 1 - s swap."""
+    g = -w * w * decay
+    ga = g * (m0 - m1)
+    gb = g * m1
+    del g
+    return np.where(lo, ga, gb), np.where(lo, gb, ga)
+
+
+def _ratio_hess(w, decay, lo, m0, m1, m2):
+    """(d2f/da2, d2f/dadb, d2f/db2) of the f of :func:`p12_ratio_grad` from
+    :func:`_moments`: the integrals against (1-s)^2, s(1-s) and s^2 are
+    m0 - 2 m1 + m2, m1 - m2 and m2 where the weight sits on s."""
+    h = w**3 * decay
+    haa, hbb = h * (m0 - 2.0 * m1 + m2), h * m2
+    return np.where(lo, haa, hbb), h * (m1 - m2), np.where(lo, hbb, haa)
 
 
 def p12_ratio_grad(a, b, w):
@@ -389,56 +417,64 @@ def p12_ratio_grad(a, b, w):
     e^{-w(a(1-s) + bs)} over s in [0, 1] with respect to a = q12+q13 and
     b = q23: -w^2 times the integrals of 1 - s and s against the kernel,
     which :func:`_moments` splits at min(a, b) so that nothing overflows."""
-    return _ratio_jet(w, *_moments(a, b, w))[0]
+    return _ratio_grad(w, *_moments(a, b, w))
 
 
 def p12_ratio_hess(a, b, w):
     """Second partial derivatives (d2f/da2, d2f/dadb, d2f/db2) of the f of
     :func:`p12_ratio_grad`: w^3 times the integrals of (1-s)^2, s(1-s) and
     s^2 against the kernel."""
-    return _ratio_jet(w, *_moments(a, b, w))[1]
+    return _ratio_hess(w, *_moments(a, b, w))
 
 
-def free_entries_grad(q12, q13, q23, w):
+def free_entries_grad(q12, q13, q23, w, out=None):
     """Gradients of the free entries p11, p12 and p22 of
     :func:`transition_entries` with respect to (q12, q13, q23): an array of
-    shape (3, 3) + shape indexed [entry, rate], and the :func:`_moments` it
-    was built from.  The other two entries follow from
-    p13 = -expm1(-aw) - p12 and p23 = -expm1(-bw), a = q12 + q13, b = q23:
-    their derivatives are minus those of p11 + p12 and of p22, the
-    round-off floor on p13 being treated as inactive.
+    shape (3, 3) + shape indexed [entry, rate], written into ``out`` when it
+    is given, and the :func:`_moments` it was built from.  The other two
+    entries follow from p13 = -expm1(-aw) - p12 and p23 = -expm1(-bw),
+    a = q12 + q13, b = q23: their derivatives are minus those of p11 + p12
+    and of p22, the round-off floor on p13 being treated as inactive.
     """
     a, b = q12 + q13, q23
-    moments = decay, _, m0, _, _ = _moments(a, b, w)
-    fa, fb = _ratio_jet(w, *moments)[0]
-    grad = np.zeros((3, 3) + np.shape(fa))
-    # p11 = e^{-aw}, p22 = e^{-bw} and p12 = q12 f(a, b), f = w e^{-min(a,b)w} m0
+    grad = np.empty((3, 3) + np.broadcast(a, b, w).shape) if out is None else out
+    # p11 = e^{-aw}, p22 = e^{-bw}
     grad[0, 0] = grad[0, 1] = -w * np.exp(-a * w)
-    grad[1, 1], grad[1, 2] = q12 * fa, q12 * fb
-    grad[1, 0] = grad[1, 1] + w * decay * m0
     grad[2, 2] = -w * np.exp(-b * w)
+    grad[0, 2] = grad[2, 0] = grad[2, 1] = 0.0
+    # p12 = q12 f(a, b), f = w e^{-min(a,b)w} m0
+    moments = decay, _, m0, _, _ = _moments(a, b, w)
+    del a
+    fa, fb = _ratio_grad(w, *moments)
+    grad[1, 1] = q12 * fa
+    grad[1, 2] = q12 * fb
+    grad[1, 0] = grad[1, 1] + w * decay * m0
     return grad, moments
 
 
-def free_entries_jet(q12, q13, q23, w):
+def free_entries_jet(q12, q13, q23, w, out=None):
     """Gradients and Hessians of p11, p12 and p22 of
     :func:`transition_entries` with respect to (q12, q13, q23).
 
     Returns the gradient of :func:`free_entries_grad` and an array of shape
-    (3, 3, 3) + shape indexed [entry, rate, rate]; the derivatives of p13
-    and p23 follow as stated there.
+    (3, 3, 3) + shape indexed [entry, rate, rate], written into the two
+    arrays of ``out`` when it is given; the derivatives of p13 and p23
+    follow as stated there.
     """
-    grad, moments = free_entries_grad(q12, q13, q23, w)
-    (fa, fb), (faa, fab, fbb) = _ratio_jet(w, *moments)
-    zero = np.zeros_like(faa)
+    grad, moments = free_entries_grad(q12, q13, q23, w, out=None if out is None else out[0])
+    fa, fb = _ratio_grad(w, *moments)
+    faa, fab, fbb = _ratio_hess(w, *moments)
+    hess = np.empty((3,) + grad.shape) if out is None else out[1]
     # d p11 / da = -w p11, so d2 p11 / da2 = -w d p11 / da; likewise p22 in b
-    dd11, dd22 = -w * grad[0, 0], -w * grad[2, 2]
-    h11 = [[dd11, dd11, zero], [dd11, dd11, zero], [zero, zero, zero]]
-    h12 = [[2.0 * fa + q12 * faa, fa + q12 * faa, fb + q12 * fab],
-           [fa + q12 * faa, q12 * faa, q12 * fab],
-           [fb + q12 * fab, q12 * fab, q12 * fbb]]
-    h22 = [[zero, zero, zero], [zero, zero, zero], [zero, zero, dd22]]
-    return grad, np.array([h11, h12, h22])
+    hess[0] = hess[2] = 0.0
+    hess[0, :2, :2] = -w * grad[0, 0]
+    hess[2, 2, 2] = -w * grad[2, 2]
+    # p12 = q12 f(a, b)
+    h, qaa, qab = hess[1], q12 * faa, q12 * fab
+    h[0, 0], h[0, 1], h[0, 2] = 2.0 * fa + qaa, fa + qaa, fb + qab
+    h[1, 0], h[1, 1], h[1, 2] = h[0, 1], qaa, qab
+    h[2, 0], h[2, 1], h[2, 2] = h[0, 2], qab, q12 * fbb
+    return grad, hess
 
 
 def save_model_spec(path, structure: ModelStructure, params: HazardParams | None = None) -> None:

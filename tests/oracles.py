@@ -377,8 +377,12 @@ def score_adjoint(design: PanelDesign, gamma) -> tuple:
     tape: dict = {}
     loglik = float(design._forward(gamma, tape).sum())
     n, steps = design.n, design.n_steps
-    p11, p12, p13, p22, p23 = tape["entries"]
-    alphas, obs, raws = tape["alpha"], tape["obs"], tape["raw"]
+    # the tape holds rates and entries by step; this oracle works by individual
+    p11, p12, p13, p22, p23 = (entry.T for entry in tape["entries"])
+    rates = tape["rates"].swapaxes(1, 2)
+    alphas, raws = tape["alpha"], tape["raw"]
+    # the emission factor of each observation and true state
+    obs = np.take(tape["emit"], design.state_idx.T, axis=0)
 
     def step_adjoint(abar, k):
         # adjoint of the unnormalised step k from that of its normalised
@@ -411,14 +415,14 @@ def score_adjoint(design: PanelDesign, gamma) -> tuple:
     d_e21 = -np.sum(d_obs[:, :, 1] * sign, axis=0)
     d_p2 = gs[0][:, 1] * obs[0][:, 1] - gs[0][:, 0] * obs[0][:, 0]
 
-    q12, q13, q23 = tape["rates"]
+    q12, q13, q23 = rates
     qbars = transition_entries_vjp(q12, q13, q23, design.widths, bars)
     params = tape["params"]
     lins = log_intensities(params, design.waves, design.female[:, None], design.basis,
                            design.age_centered)
     # d exp(clip(lin)) / d lin = q inside the clip, 0 outside
     l12, l13, l23 = (qb * q * (np.abs(lin) < _LIN_CLIP)
-                     for qb, q, lin in zip(qbars, tape["rates"], lins))
+                     for qb, q, lin in zip(qbars, rates, lins))
     T = design.structure.n_waves
     cell = np.arange(n)[:, None] * T + design.waves - 1
     fem = design.female

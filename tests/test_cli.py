@@ -707,6 +707,8 @@ def _fuzz_argv(command, trend, s, out):
          doc={"beta": _ORDINARY["beta"], "var_diag": [1e300] * 8}, s=1.0)
 @example(command=("fit-filter", "stoch_drift", "constrained"),
          doc={"beta": [1e-300 * b for b in _ORDINARY["beta"]], "var_diag": [1e-300] * 8}, s=1.0)
+@example(command=("fit-filter", "const_drift", "free"),
+         doc={"beta": [1e-300 * b for b in _ORDINARY["beta"]], "var_diag": [1e-300] * 8}, s=1.0)
 @example(command=("power-curve", "asymptotic"), doc=_ORDINARY, s=1e300)
 @example(command=("gain-analysis", "--s"), doc=_ORDINARY, s=1e300)
 @example(command=("gain-analysis", "--trend"), doc=_ORDINARY, s=1e300)

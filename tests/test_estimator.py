@@ -462,6 +462,117 @@ def test_loglik_peak_memory_is_one_blocks(monkeypatch, pipeline_design):
 
 
 # ---------------------------------------------------------------------------
+# the workspace of a fit
+
+
+@pytest.fixture(scope="module")
+def rejected_point():
+    """The 60-person paper-like panel (seed 5, legacy draw), its design and
+    the point of its fit where some individuals' likelihoods are positive
+    but their scores overflow, which the fit rejects."""
+    structure = paperlike_structure()
+    panel = legacy_panel(SimulationConfig(n=60, structure=structure,
+                                          params=paperlike_params(), seed=5))
+    seen = []
+    score = est.PanelDesign.loglik_and_score
+
+    def spy(self, gamma, work=None):
+        out = score(self, gamma, work)
+        if not np.all(np.isfinite(out[1])):
+            seen.append(gamma.copy())
+        return out
+
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(est.PanelDesign, "loglik_and_score", spy)
+        est.fit_msm(panel, structure)
+    return panel, est.PanelDesign(panel, structure), seen[0]
+
+
+def calls_in(design, points, work=None):
+    """The bytes of loglik, the score pass and the Hessian at each point,
+    and the arrays returned."""
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gamma in points:
+            loglik, (total, scores), hessian = (design.loglik(gamma, work),
+                                               design.loglik_and_score(gamma, work),
+                                               design.hessian(gamma, work))
+            out.append((np.array([loglik, total]).tobytes(), scores.tobytes(), hessian.tobytes(),
+                        (scores, hessian)))
+    return out
+
+
+def test_one_workspace_serves_interleaved_calls(rejected_point):
+    # a workspace carries nothing from one call into the next: loglik, score
+    # passes and Hessians at three points, the rejected one among them,
+    # interleaved in one workspace and repeated after its buffer is filled
+    # with NaN, give the bytes of calls that each start their own; and no
+    # call touches the arrays that an earlier one returned, which fit_msm
+    # caches
+    _, design, bad = rejected_point
+    truth = est.pack_params(paperlike_params(), design.structure)
+    points = [truth, truth + np.random.default_rng(4).normal(0.0, 0.2, truth.size), bad]
+    fresh = [got[:3] for got in calls_in(design, points)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(design.loglik_and_score(bad)[1]))
+    work = est._Workspace()
+    first = calls_in(design, points, work)
+    work.reset()
+    assert work.buffer.size == work.need > 0
+    work.buffer[:] = np.nan
+    again = calls_in(design, points[::-1], work)[::-1]
+    for want, got in zip(fresh + fresh, first + again):
+        assert got[:3] == want
+    for got in first + again:
+        assert tuple(array.tobytes() for array in got[3]) == got[1:3]
+
+
+def test_a_partial_last_block_uses_views_of_the_workspace(monkeypatch, pipeline_design):
+    # 7-person blocks over 150 people end in a block of 3, and the Hessian's
+    # half blocks of 4 in one of 2: the arrays of the first block serve them
+    # as views, and give the bytes of calls without a workspace, also after
+    # the buffer is filled with NaN
+    design = pipeline_design._individuals(slice(0, 150))
+    gamma = est.pack_params(paperlike_params(), design.structure)
+    monkeypatch.setattr(est, "_BLOCK", 7)
+    fresh = [got[:3] for got in calls_in(design, [gamma])]
+    work = est._Workspace()
+    calls_in(design, [gamma], work)
+    work.reset()
+    work.buffer[:] = np.nan
+    assert [got[:3] for got in calls_in(design, [gamma], work)] == fresh
+
+
+def test_fit_rejects_a_point_whose_score_is_not_finite(rejected_point):
+    # on the individuals whose likelihood is positive at the rejected point,
+    # the log likelihood is finite there and the score is not: a fit that
+    # starts there refuses it
+    panel, design, bad = rejected_point
+    alive = np.unique(panel.ids)[np.isfinite(design._forward(bad, None))]
+    keep = np.isin(panel.ids, alive)
+    sub = Panel(panel.ids[keep], panel.times[keep], panel.states[keep], panel.ages[keep],
+                panel.female[keep])
+    with np.errstate(over="ignore", invalid="ignore"):
+        loglik, scores = est.PanelDesign(sub, design.structure).loglik_and_score(bad)
+    assert np.isfinite(loglik) and not np.all(np.isfinite(scores))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="score is not finite at the start point"):
+        est.fit_msm(sub, design.structure, start=bad)
+
+
+def test_warm_score_pass_allocates_a_quarter_of_a_cold_one(pipeline_design):
+    # the allocation guard of the workspace: once a fit's first score pass
+    # and Hessian have sized it, a score pass allocates little beyond the
+    # score it returns; going back to allocating per call fails here
+    gamma = est.pack_params(paperlike_params(), pipeline_design.structure)
+    cold = peak_bytes(pipeline_design.loglik_and_score, gamma)
+    work = est._Workspace()
+    pipeline_design.loglik_and_score(gamma, work)
+    pipeline_design.hessian(gamma, work)
+    assert peak_bytes(pipeline_design.loglik_and_score, gamma, work) <= 0.25 * cold
+
+
+# ---------------------------------------------------------------------------
 # design construction errors
 
 

@@ -146,6 +146,19 @@ def test_trend_beyond_the_float_range_of_its_variances_is_a_numerical_error():
                 fit_filter(y, variant=variant, meas_var=np.ones(4))
 
 
+def test_free_mode_refuses_a_trend_below_the_float_range_of_its_variances():
+    # the innovations of a trend at 1e-300 are not zero, but their squares,
+    # and so sigma_eps^2, underflow: free mode names the scale instead of
+    # claiming zero innovations, and constrained mode still fits the trend
+    y = 1e-300 * np.array([1.0, 3.0, 2.0, 5.0, 4.0, 7.0, 6.0, 9.0])
+    for variant in VARIANTS:
+        with pytest.raises(NumericalError, match=r"^the trend's range 8e-300 is below") as err:
+            fit_filter(y, variant=variant, mode="free")
+        assert "innovations all zero" not in str(err.value)
+        fit = fit_filter(y, variant=variant, meas_var=np.full(8, 1e-300))
+        assert math.isfinite(fit.loglik)
+
+
 def test_const_drift_enters_prediction():
     y = np.zeros(5)
     model = FilterModel(variant="const_drift", sigma_eta=0.1, nu=0.25)

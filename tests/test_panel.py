@@ -133,6 +133,27 @@ def test_write_csv_across_block_boundaries(tmp_path, monkeypatch, block_rows):
     assert path.read_bytes() == b"int,float,mixed,distinct\n"
 
 
+def test_write_csv_int_columns_of_any_span(tmp_path):
+    # negative columns and columns near the ends of int64, whose span is
+    # narrow (counted over the span) or as wide as int64 (sorted), give the
+    # cell-by-cell bytes, and nothing is allocated by the span
+    rng = np.random.default_rng(11)
+    n = 1000
+    columns = {"negative": rng.integers(-7, 0, n),
+               "wide": rng.choice([-(2**63), -(2**62) - 1, 0, 2**62, 2**63 - 1], n),
+               "near_min": -(2**63) + rng.integers(0, 5, n),
+               "near_max": 2**62 + rng.integers(0, 5, n),
+               "one_value": np.full(n, -(2**62))}
+    path = tmp_path / "table.csv"
+    assert oracles.peak_bytes(write_csv, path, columns) < 1_000_000
+    assert path.read_bytes() == oracles.csv_text(columns).encode()
+    for name in ("negative", "wide", "near_min", "near_max", "one_value"):
+        distinct, inverse = panel_mod._distinct_ints(columns[name])
+        want_distinct, want_inverse = np.unique(columns[name], return_inverse=True)
+        np.testing.assert_array_equal(distinct, want_distinct)
+        np.testing.assert_array_equal(inverse, want_inverse)
+
+
 def test_write_csv_peak_memory_is_one_blocks(tmp_path):
     # formatting a whole column at once held every cell's text; per block the
     # peak stays well under even the whole column's text as a bytes array
