@@ -133,7 +133,6 @@ def cmd_fit_filter(args) -> int:
         },
         "ci": {k: list(v) for k, v in fit.ci.items()},
         "flags": {
-            "converged": fit.converged,
             "boundary": fit.boundary,
             "no_ci": fit.no_ci,
             "warnings": fit.warnings,

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     CurvatureError,
@@ -43,12 +42,14 @@ from .errors import (
     NumericalError,
 )
 from .markov import (
+    FIELDS,
     HazardParams,
     ModelStructure,
     covariate_design,
     free_entries_grad,
     free_entries_jet,
     log_intensities,
+    logistic,
     param_layout,
     transition_entries,
 )
@@ -101,20 +102,6 @@ _REJECTED = 1e12
 # about twice a score pass's arrays per individual, so it takes half blocks,
 # 4.9 MiB, which fit in the workspace a fit's score passes size
 _BLOCK = 2048
-
-# the design map of step one, field by field: the local coordinate of a step
-# or of the initial factor that the field moves (log q12, log q13, log q23,
-# then the logits of e12, e21 and p2: 0-5), its regressor there (a wave
-# dummy, one, the spline basis, age or the wave index; none for logit p2,
-# which only the initial factor carries) and whether female multiplies it
-_FIELDS = {"beta": (0, "dummy", False), "female_12": (0, "one", True),
-           "age_spline_12": (0, "basis", False), "age_spline_f_12": (0, "basis", True),
-           "log_q13_0": (1, "one", False), "female_13": (1, "one", True),
-           "age_13": (1, "age_centered", False), "trend_13": (1, "waves", False),
-           "log_q23_0": (2, "one", False), "female_23": (2, "one", True),
-           "age_23": (2, "age_centered", False), "trend_23": (2, "waves", False),
-           "logit_e12": (3, "one", False), "logit_e21": (4, "one", False),
-           "logit_p2": (5, "none", False)}
 
 
 class _Workspace:
@@ -190,8 +177,7 @@ def param_names(structure: ModelStructure) -> list[str]:
 
 def pack_params(params: HazardParams, structure: ModelStructure) -> np.ndarray:
     params.validate(structure)
-    layout = param_layout(structure)
-    return np.concatenate([np.atleast_1d(getattr(params, name)) for name, _ in layout])
+    return np.concatenate([np.atleast_1d(getattr(params, name)) for name in FIELDS])
 
 
 def unpack_params(gamma: np.ndarray, structure: ModelStructure) -> HazardParams:
@@ -268,9 +254,9 @@ class PanelDesign:
         self.basis, self.age_centered = covariate_design(structure, age_left)
 
     def _slots(self) -> np.ndarray:
-        """The local coordinate (see ``_FIELDS``) that each entry of the flat
+        """The local coordinate (see ``FIELDS``) that each entry of the flat
         parameter vector moves."""
-        return np.concatenate([np.full(size or 1, _FIELDS[name][0])
+        return np.concatenate([np.full(size or 1, FIELDS[name][0])
                                for name, size in param_layout(self.structure)])
 
     def param_scales(self) -> np.ndarray:
@@ -316,9 +302,10 @@ class PanelDesign:
 
         With a ``tape`` dict, also records what :meth:`_backward`, the
         score and the Hessian need, in arrays indexed by step or
-        observation, then individual: the parameters; the rates, their clip
-        slopes dq/dlin = d2q/dlin2, each (3, steps, n), and the transition
-        entries, each (steps, n); the emission table ``emit`` (rows by
+        observation, then individual: the parameters and the probabilities
+        e12, e21 and p2 of their logits; the rates, their clip slopes
+        dq/dlin = d2q/dlin2, each (3, steps, n), and the transition entries,
+        each (steps, n); the emission table ``emit`` (rows by
         observation code, see ``state_idx``, columns by true state); the
         filtered probabilities ``alpha`` and the predicted (pre-emission)
         probabilities ``pred``, each (steps + 1, n, 3), and the normalisers
@@ -339,10 +326,8 @@ class PanelDesign:
                                                                out=take(5, steps, n))
 
         # emission factors by observation code (rows; code 3 pads) and true state
-        emit = np.vstack((misclassification_matrix(
-            float(expit(params.logit_e12)), float(expit(params.logit_e21))
-        ).T, np.ones(3)))
-        p2 = expit(params.logit_p2)
+        e12, e21, p2 = map(logistic, (params.logit_e12, params.logit_e21, params.logit_p2))
+        emit = np.vstack((misclassification_matrix(e12, e21).T, np.ones(3)))
 
         m = steps + 1
         slots = m if tape is not None else 2
@@ -380,8 +365,8 @@ class PanelDesign:
             slopes = np.abs(lins, out=lins)
             np.less(slopes, _LIN_CLIP, out=slopes)
             slopes *= rates
-            tape.update(params=params, rates=rates, slopes=slopes,
-                        entries=entries, emit=emit, alpha=alpha, pred=pred, raw=raw)
+            tape.update(params=params, rates=rates, slopes=slopes, entries=entries,
+                        e12=e12, e21=e21, p2=p2, emit=emit, alpha=alpha, pred=pred, raw=raw)
         return loglik
 
     def loglik_and_score(self, gamma: np.ndarray,
@@ -457,13 +442,13 @@ class PanelDesign:
         for d_e, state in zip(h, (0, 1)):
             d_e *= pred[:, :, state]
             d_e *= betas[:, :, state]
-        p2 = expit(tape["params"].logit_p2)
+        p2 = tape["p2"]
         emission = (*_step_sum(h.swapaxes(0, 1)),
                     p2 * (1.0 - p2) * (eb[0, :, 1] - eb[0, :, 0]))
         return loglik, self._score_rows(lin, emission, work)
 
     def _regressor(self, kind: str) -> np.ndarray:
-        """Regressor ``kind`` of ``_FIELDS`` at every step, by step, column
+        """Regressor ``kind`` of ``FIELDS`` at every step, by step, column
         and individual, (steps, k, n): one column for one, none, age and the
         wave index, one per basis function for the spline."""
         if kind == "basis":
@@ -475,7 +460,7 @@ class PanelDesign:
     def _score_rows(self, lin: np.ndarray, emission: tuple, work: _Workspace) -> np.ndarray:
         """Carry the log-intensity adjoints ``lin``, (3, steps, n), and the
         per-individual emission-logit adjoints to the parameters, field by
-        field of ``_FIELDS``: each field's regressor times the adjoint of
+        field of ``FIELDS``: each field's regressor times the adjoint of
         its local coordinate, summed over steps in order (by
         :func:`_step_sum`; the wave dummies by ``np.bincount``, which adds
         in the same order), times female where marked.  Returns the score
@@ -486,7 +471,7 @@ class PanelDesign:
         sums: dict = {}
         i = 0
         for name, size in param_layout(self.structure):
-            slot, kind, female = _FIELDS[name]
+            slot, kind, female = FIELDS[name]
             field = rows[i: i + (size or 1)]
             i += size or 1
             if slot >= 3:
@@ -508,12 +493,11 @@ class PanelDesign:
         """Design of step j folded to one row per parameter and one column
         per individual, written into ``out`` when it is given: the
         derivative of the step's local coordinate that the parameter enters
-        (see ``_FIELDS``) with respect to it."""
-        layout = param_layout(self.structure)
+        (see ``FIELDS``) with respect to it."""
         G = np.empty((self._slots().size, self.n)) if out is None else out
         i = 0
-        for name, size in layout:
-            _, kind, female = _FIELDS[name]
+        for name, size in param_layout(self.structure):
+            _, kind, female = FIELDS[name]
             rows = G[i: i + (size or 1)]
             i += size or 1
             if kind == "dummy":
@@ -578,8 +562,7 @@ class PanelDesign:
             np.take(tape["emit"].T, self.state_idx[:, k], axis=1, out=ec[k], mode="clip")
         ec = ec.swapaxes(1, 2)
         ec *= inv_c[:, :, None]
-        params = tape["params"]
-        e12, e21 = expit([params.logit_e12, params.logit_e21])
+        e12, e21 = tape["e12"], tape["e21"]
         # d(e/c) by code (padding 3 is one) is the sign of e(0)/c in logit
         # e12 times e12 (1 - e12), and minus that of e(1)/c in logit e21
         h12, h21 = h
@@ -627,8 +610,7 @@ class PanelDesign:
         p = slot.size
         p11, p12, p13, p22, p23 = tape["entries"]
         alphas, preds = tape["alpha"], tape["pred"]
-        params = tape["params"]
-        e12, e21, p2 = expit([params.logit_e12, params.logit_e21, params.logit_p2])
+        e12, e21, p2 = tape["e12"], tape["e21"], tape["p2"]
         # the second derivatives of e/c in the logits
         c12, c21 = 1.0 - 2.0 * e12, 1.0 - 2.0 * e21
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InvalidArgumentError
 
@@ -212,6 +211,8 @@ def power(eta_std, k: int, s: float, mode: str = "exact") -> PowerCurve:
     gains = gain_sequence(np.full(k, s)).gains if mode == "exact" else np.full(k, fixed_point(s).k_inf)
     table = exact_coefficients(k, gains)
     c, d = table.c / table.c[-1], table.d / table.c[-1]
+    # imported here, so that importing the package loads no SciPy
+    from scipy.special import ndtr
     theta = ndtr(-x / math.sqrt(float(np.sum(c[:-1] ** 2) + np.sum(d**2) / s)))
     return PowerCurve(eta_std=x, theta=theta, k=k, s=float(s), mode=mode)
 

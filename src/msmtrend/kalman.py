@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import chdtrc, ndtri
 
 from .errors import (
     CurvatureError,
@@ -259,7 +258,6 @@ class FilterFit:
     model: FilterModel
     output: FilterOutput
     loglik: float
-    converged: bool  # always true: the zoom always ends below its tolerance
     ci: dict = field(default_factory=dict)
     boundary: list = field(default_factory=list)
     no_ci: list = field(default_factory=list)
@@ -346,6 +344,8 @@ def _profile(y: np.ndarray, var: np.ndarray, variant: str, free: bool, x: np.nda
 def _normal_quantile(level: float) -> float:
     if not 0.0 < level < 1.0:
         raise InvalidArgumentError(f"level must lie in (0, 1), got {level}")
+    # imported here, so that importing the package loads no SciPy
+    from scipy.special import ndtri
     return ndtri(0.5 + level / 2.0)
 
 
@@ -454,7 +454,7 @@ def fit_filter(series, variant: str = "zero_drift", mode: str = "constrained", m
                 warnings.append(f"{name} interval endpoint overflows a float; interval suppressed")
                 no_ci.append(name)
 
-    return FilterFit(model, output, output.loglik, True, ci, boundary, sorted(set(no_ci)),
+    return FilterFit(model, output, output.loglik, ci, boundary, sorted(set(no_ci)),
                      warnings)
 
 
@@ -535,6 +535,7 @@ def diagnostics(output: FilterOutput, model: FilterModel, n_waves: int, lags: in
     """
     if lags < 1:
         raise InvalidArgumentError(f"Ljung-Box lags must be >= 1, got {lags}")
+    from scipy.special import chdtrc
     notes: list = []
     resid = output.std_residuals
     tp = resid.size

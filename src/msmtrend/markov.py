@@ -7,8 +7,9 @@ covariates: the 1->2 transition carries a natural cubic spline in age, a
 female indicator, their interaction and one free dummy per wave; the two
 mortality transitions are linear in age, female and the wave index.
 
-One hazard kernel serves the likelihood, the simulator and
-:func:`build_intensity`: :func:`covariate_design` and
+The model is stated once, in :data:`FIELDS`, and :func:`logistic` gives each
+probability from its logit.  One hazard kernel serves the likelihood, the
+simulator and :func:`build_intensity`: :func:`covariate_design` and
 :func:`log_intensities` map covariates and parameters to log intensities, and
 :func:`transition_entries` maps intensities and interval widths to the
 closed-form transition probabilities.  :func:`free_entries_grad` is the one
@@ -20,7 +21,7 @@ for the Hessian.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,11 +32,13 @@ __all__ = [
     "Covariates",
     "ModelStructure",
     "HazardParams",
+    "FIELDS",
     "IntensityMatrix",
     "spline_basis_matrix",
     "build_intensity",
     "covariate_design",
     "log_intensities",
+    "logistic",
     "transition_entries",
     "p12_ratio_grad",
     "p12_ratio_hess",
@@ -173,9 +176,23 @@ def default_structure(ages, wave_times) -> ModelStructure:
     return ModelStructure(knots=tuple(knots), wave_times=tuple(wave_times))
 
 
+# Step one's model, one entry per HazardParams field in its order: the local
+# coordinate that the field moves (log q12, log q13, log q23, then the logits
+# of e12, e21 and p2: 0-5), its regressor there (none for logit p2, which only
+# the initial factor carries) and whether female multiplies it
+FIELDS = {"beta": (0, "dummy", False), "female_12": (0, "one", True),
+          "age_spline_12": (0, "basis", False), "age_spline_f_12": (0, "basis", True),
+          "log_q13_0": (1, "one", False), "female_13": (1, "one", True),
+          "age_13": (1, "age_centered", False), "trend_13": (1, "waves", False),
+          "log_q23_0": (2, "one", False), "female_23": (2, "one", True),
+          "age_23": (2, "age_centered", False), "trend_23": (2, "waves", False),
+          "logit_e12": (3, "one", False), "logit_e21": (4, "one", False),
+          "logit_p2": (5, "none", False)}
+
+
 @dataclass
 class HazardParams:
-    """Numeric parameters of the transition model.
+    """Numeric parameters of the transition model (see :data:`FIELDS`).
 
     beta              wave dummies for the 1->2 transition (length T); the
                       1->2 baseline is fixed at 1 so the dummies carry the level
@@ -205,30 +222,27 @@ class HazardParams:
     logit_p2: float = -12.0
 
     def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.age_spline_12 = np.asarray(self.age_spline_12, dtype=float)
-        self.age_spline_f_12 = np.asarray(self.age_spline_f_12, dtype=float)
+        for name, (_, kind, _) in FIELDS.items():
+            if kind in ("dummy", "basis"):
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
     def validate(self, structure: ModelStructure) -> None:
-        if self.beta.shape != (structure.n_waves,):
-            raise InvalidSpecError(
-                f"beta has length {self.beta.size}, expected {structure.n_waves}"
-            )
-        nb = structure.n_basis
-        if self.age_spline_12.shape != (nb,) or self.age_spline_f_12.shape != (nb,):
-            raise InvalidSpecError(f"spline weights must have length {nb}")
-        vals = np.concatenate([np.atleast_1d(getattr(self, f.name)) for f in fields(self)])
+        for name, size in param_layout(structure):
+            value = getattr(self, name)
+            if size is None and np.ndim(value) != 0:
+                raise InvalidSpecError(f"{name} must be one number, got {value!r}")
+            if size is not None and value.shape != (size,):
+                raise InvalidSpecError(f"{name} has length {value.size}, expected {size}")
+        vals = np.concatenate([np.atleast_1d(getattr(self, name)) for name in FIELDS])
         if not np.all(np.isfinite(vals)):
             raise NumericalError("non-finite parameter value")
 
 
 def param_layout(structure: ModelStructure) -> list:
-    """(name, length) of each :class:`HazardParams` field in declaration
-    order, which is also the order of the flat parameter vector; scalar
-    fields have length None."""
-    sizes = {"beta": structure.n_waves, "age_spline_12": structure.n_basis,
-             "age_spline_f_12": structure.n_basis}
-    return [(f.name, sizes.get(f.name)) for f in fields(HazardParams)]
+    """(name, length) of each field of :data:`FIELDS` in order, which is also
+    the order of the flat parameter vector; scalar fields have length None."""
+    sizes = {"dummy": structure.n_waves, "basis": structure.n_basis}
+    return [(name, sizes.get(kind)) for name, (_, kind, _) in FIELDS.items()]
 
 
 @dataclass(frozen=True)
@@ -266,22 +280,35 @@ def covariate_design(structure: ModelStructure, ages):
 
 
 def log_intensities(params: HazardParams, wave, female, basis, age_centered):
-    """Log intensities (log q12, log q13, log q23) on a covariate design.
+    """Log intensities (log q12, log q13, log q23) on a covariate design:
+
+        log q12 = beta[wave] + female_12 female + basis . age_spline_12
+                  + (basis . age_spline_f_12) female
+        log q13 = log_q13_0 + female_13 female + age_13 age + trend_13 wave
+        log q23 = log_q23_0 + female_23 female + age_23 age + trend_23 wave
 
     ``wave`` is the 1-based index of the interval's left endpoint; ``female``
     is 0 or 1 and, with the arrays of :func:`covariate_design`, broadcasts.
     """
-    lin12 = (
-        params.beta[wave - 1]
-        + params.female_12 * female
-        + basis @ params.age_spline_12
-        + (basis @ params.age_spline_f_12) * female
-    )
-    lin13 = (params.log_q13_0 + params.female_13 * female + params.age_13 * age_centered
-             + params.trend_13 * wave)
-    lin23 = (params.log_q23_0 + params.female_23 * female + params.age_23 * age_centered
-             + params.trend_23 * wave)
-    return lin12, lin13, lin23
+    terms = {"dummy": lambda v: v[wave - 1], "one": lambda v: v, "basis": lambda v: basis @ v,
+             "age_centered": lambda v: v * age_centered, "waves": lambda v: v * wave}
+    lins: dict = {}
+    for name, (coord, kind, by_female) in FIELDS.items():
+        if coord <= 2:
+            term = terms[kind](getattr(params, name))
+            if by_female:
+                term = term * female
+            lins[coord] = lins[coord] + term if coord in lins else term
+    return lins[0], lins[1], lins[2]
+
+
+def logistic(x: float) -> float:
+    """The probability 1 / (1 + e^-x) of the logit ``x``, a Python float:
+    scipy's ``expit`` to the bit, and 0.0 where e^-x overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 def build_intensity(
@@ -512,15 +539,11 @@ def load_model_spec(path):
     if "params" in doc:
         try:
             p = dict(doc["params"])
-            params = HazardParams(
-                beta=np.asarray(p.pop("beta"), dtype=float),
-                age_spline_12=np.asarray(p.pop("age_spline_12"), dtype=float),
-                age_spline_f_12=np.asarray(p.pop("age_spline_f_12"), dtype=float),
-                **p,
-            )
+            missing = [name for name in FIELDS if name not in p]
+            if missing:
+                raise InvalidSpecError(f"model spec params missing field {missing[0]!r}")
+            params = HazardParams(**p)
             params.validate(structure)
-        except KeyError as exc:
-            raise InvalidSpecError(f"model spec params missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise InvalidSpecError(f"model spec params: {exc}") from exc
     return structure, params

@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InvalidSpecError
-from .markov import HazardParams, ModelStructure, covariate_design, log_intensities
+from .markov import HazardParams, ModelStructure, covariate_design, log_intensities, logistic
 from .panel import Panel
 
 __all__ = ["SimulationConfig", "simulate_panel"]
@@ -118,9 +117,7 @@ def _panel_from_uniforms(config: SimulationConfig, u: np.ndarray) -> Panel:
     T = structure.n_waves
     wt = np.asarray(structure.wave_times)
     lo, hi = config.age_range
-    e12 = expit(params.logit_e12)
-    e21 = expit(params.logit_e21)
-    p2 = expit(params.logit_p2)
+    e12, e21, p2 = map(logistic, (params.logit_e12, params.logit_e21, params.logit_p2))
 
     age0 = lo + u[:, 0] * (hi - lo)
     fem = (u[:, 1] < config.female_share).astype(np.int64)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, fdtrc, ndtr, ndtri, stdtr
 
 from .errors import InvalidArgumentError, NumericalError
 from .trend import TrendSeries
@@ -170,6 +169,8 @@ def f_statistic(beta, cov, n: int) -> FTestResult:
     T = b.size
     if T < 2:
         raise InvalidArgumentError(f"the joint test needs at least 2 waves, got {T}")
+    # imported here, so that importing the package loads no SciPy
+    from scipy.special import chdtrc, fdtrc
     used_pinv = False
     try:
         sol = np.linalg.solve(cov, b)
@@ -254,6 +255,7 @@ def _draw_functionals(n_grid: int, reps: int, seed: int) -> tuple[np.ndarray, np
     gives row ``rep`` of the other terms' normals, the bridge's first, so a
     replication's two draws are independent and no draw depends on the block size.
     """
+    from scipy.special import ndtri
     (v, v_tail), (w, w_tail) = (_truncate(s) for s in _eigen_series(n_grid))
     rng = np.random.default_rng(seed)
     # upper-tail probability q in stratum (k/reps, (k+1)/reps]; chi2(1)'s is ndtri(q/2)^2
@@ -400,6 +402,7 @@ def run_trend_tests(
     if not all(map(math.isfinite, (sigma2, *vars(stats).values()))):
         raise NumericalError("a trend statistic or its variance overflows a float; check the scale")
 
+    from scipy.special import ndtr, stdtr
     T = series.n_waves
     p_normal = 2.0 * float(ndtr(-abs(stats.t_nu)))
     p_t = 2.0 * float(stdtr(T - 1, -abs(stats.t_nu)))

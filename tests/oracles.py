@@ -48,7 +48,6 @@ from msmtrend.markov import (
     IntensityMatrix,
     _expm1_ratio,
     build_intensity,
-    log_intensities,
     p12_ratio_grad,
     param_layout,
     transition_entries,
@@ -216,6 +215,22 @@ def validate_panel(panel) -> list:
                 f"row {sl.start + int(dead[0]) + 3}: id {_id} has observations after death"
             )
     return problems
+
+
+def log_intensities_formula(params, wave, female, basis, age_centered):
+    """``markov.log_intensities`` written out formula by formula, the model
+    stated apart from the field table that the package evaluates."""
+    lin12 = (
+        params.beta[wave - 1]
+        + params.female_12 * female
+        + basis @ params.age_spline_12
+        + (basis @ params.age_spline_f_12) * female
+    )
+    lin13 = (params.log_q13_0 + params.female_13 * female + params.age_13 * age_centered
+             + params.trend_13 * wave)
+    lin23 = (params.log_q23_0 + params.female_23 * female + params.age_23 * age_centered
+             + params.trend_23 * wave)
+    return lin12, lin13, lin23
 
 
 def design_cells(panel, structure):
@@ -418,8 +433,8 @@ def score_adjoint(design: PanelDesign, gamma) -> tuple:
     q12, q13, q23 = rates
     qbars = transition_entries_vjp(q12, q13, q23, design.widths, bars)
     params = tape["params"]
-    lins = log_intensities(params, design.waves, design.female[:, None], design.basis,
-                           design.age_centered)
+    lins = log_intensities_formula(params, design.waves, design.female[:, None], design.basis,
+                                   design.age_centered)
     # d exp(clip(lin)) / d lin = q inside the clip, 0 outside
     l12, l13, l23 = (qb * q * (np.abs(lin) < _LIN_CLIP)
                      for qb, q, lin in zip(qbars, rates, lins))

@@ -615,8 +615,9 @@ def test_critical_csv_is_the_simulated_table(pipeline, tmp_path, functional):
         assert report[stat]["critical_95"] == ref.quantiles[0.95]
 
 
-@pytest.mark.parametrize("edit", ["truncate", "drop_field", "bad_value", "bad_scalar", "bad_knots"])
-def test_malformed_model_spec_is_one_line_error(spec_file, tmp_path, edit):
+@pytest.mark.parametrize("edit", ["truncate", "drop_field", "drop_scalar", "bad_value",
+                                  "bad_scalar", "list_scalar", "bad_knots"])
+def test_malformed_model_spec_is_one_line_error(spec_file, panel_file, tmp_path, edit):
     path = tmp_path / "spec.json"
     text = spec_file.read_text()
     if edit == "truncate":
@@ -625,10 +626,16 @@ def test_malformed_model_spec_is_one_line_error(spec_file, tmp_path, edit):
         doc = json.loads(text)
         if edit == "drop_field":
             del doc["params"]["age_spline_12"]
+        elif edit == "drop_scalar":
+            # a scalar the dataclass has a default for is still required
+            del doc["params"]["logit_e12"]
         elif edit == "bad_value":
             doc["params"]["beta"][0] = "x"
         elif edit == "bad_scalar":
             doc["params"]["female_12"] = "x"
+        elif edit == "list_scalar":
+            # broadcast against the panel, this raised a traceback
+            doc["params"]["female_12"] = [0.1, 0.2]
         else:
             doc["knots"] = ["a", "b", "c"]
         path.write_text(json.dumps(doc))
@@ -636,6 +643,13 @@ def test_malformed_model_spec_is_one_line_error(spec_file, tmp_path, edit):
     assert res.returncode == 1
     assert res.stderr.startswith("error: validation:")
     assert res.stderr.count("\n") == 1
+    if edit.startswith("drop"):
+        missing = "error: validation: model spec params missing field '{}'\n".format(
+            "age_spline_12" if edit == "drop_field" else "logit_e12")
+        assert res.stderr == missing
+        res = run_cli("fit-msm", "--panel", panel_file, "--model-spec", path,
+                      "--out-estimate", tmp_path / "e.json", "--out-trend", tmp_path / "t.json")
+        assert (res.returncode, res.stderr) == (1, missing)
 
 
 def test_huge_signal_to_noise_gives_finite_curve_and_fixed_points(tmp_path):

@@ -1,17 +1,26 @@
+from dataclasses import fields
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from msmtrend.errors import InvalidArgumentError, InvalidSpecError
+from msmtrend.estimator import PanelDesign, pack_params, unpack_params
 from msmtrend.markov import (
+    FIELDS,
     Covariates,
     HazardParams,
     IntensityMatrix,
     ModelStructure,
     build_intensity,
+    covariate_design,
     load_model_spec,
+    log_intensities,
+    logistic,
+    param_layout,
     free_entries_grad,
     free_entries_jet,
     p12_ratio_grad,
@@ -20,9 +29,11 @@ from msmtrend.markov import (
     spline_basis_matrix,
     transition_entries,
 )
+from msmtrend.simulate import SimulationConfig, simulate_panel
 
-from conftest import taylor_expm, random_generator, WAVE_TIMES
-from oracles import rates, transition_entries_vjp, transition_probability
+from conftest import paperlike_params, paperlike_structure, taylor_expm, random_generator, WAVE_TIMES
+from oracles import log_intensities_formula, rates, transition_entries_vjp, transition_probability
+from test_special_tails import EXTREMES
 
 
 # ---------------------------------------------------------------------------
@@ -392,3 +403,47 @@ def test_model_spec_roundtrip(tmp_path, structure, truth):
     assert st2.wave_times == structure.wave_times
     np.testing.assert_array_equal(p2.beta, truth.beta)
     assert p2.logit_e21 == truth.logit_e21
+
+
+# ---------------------------------------------------------------------------
+# the model's field table and its logistic
+
+
+def test_fields_are_the_hazard_params_and_give_the_layout():
+    assert list(FIELDS) == [f.name for f in fields(HazardParams)]
+    assert param_layout(paperlike_structure()) == [
+        ("beta", 8), ("female_12", None), ("age_spline_12", 2), ("age_spline_f_12", 2),
+        ("log_q13_0", None), ("female_13", None), ("age_13", None), ("trend_13", None),
+        ("log_q23_0", None), ("female_23", None), ("age_23", None), ("trend_23", None),
+        ("logit_e12", None), ("logit_e21", None), ("logit_p2", None)]
+    bad = HazardParams(beta=np.zeros(8), age_spline_12=np.zeros(3))
+    with pytest.raises(InvalidSpecError, match="^age_spline_12 has length 3, expected 2$"):
+        bad.validate(paperlike_structure())
+
+
+def test_log_intensities_equal_the_formula_oracle():
+    structure = paperlike_structure()
+    rng = np.random.default_rng(8)
+    truth = paperlike_params()
+    # the likelihood's design: the benchmark's pipeline panel
+    panel = simulate_panel(SimulationConfig(n=2000, structure=structure, params=truth, seed=2))
+    design = PanelDesign(panel, structure)
+    # the simulator's: one wave for everyone, female as integers
+    ages, fem = rng.uniform(52.0, 88.0, 500), rng.integers(0, 2, 500)
+    # build_intensity's: one point
+    calls = [(design.waves, design.female[:, None], design.basis, design.age_centered),
+             (np.full(500, 3), fem, *covariate_design(structure, ages + 4.0)),
+             (np.array([5]), np.array([1.0]), *covariate_design(structure, [71.5]))]
+    gamma = pack_params(truth, structure)
+    for params in (truth, unpack_params(gamma + rng.normal(0.0, 0.3, gamma.size), structure)):
+        for args in calls:
+            for got, want in zip(log_intensities(params, *args),
+                                 log_intensities_formula(params, *args)):
+                np.testing.assert_array_equal(got, want, strict=True)
+
+
+def test_logistic_is_expit_to_the_bit():
+    xs = np.concatenate([EXTREMES, [709.78, -709.78, 710.0, -710.0, -745.0],
+                         np.random.default_rng(3).normal(0.0, 50.0, 100_000)])
+    got = np.array([logistic(float(x)) for x in xs])
+    assert np.array_equal(got.view(np.uint64), expit(xs).view(np.uint64))
