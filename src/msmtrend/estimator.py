@@ -199,7 +199,11 @@ class PanelDesign:
     Individuals are padded to the longest observation sequence; ``active``
     masks which (individual, step) cells are real.  A padded step has width
     zero and observation code 3 in ``state_idx``, so it is the identity.
-    Covariates and spline bases depend only on data, so they are built once.
+    Covariates and spline bases depend only on data, so they are built once,
+    one step at a time.  The design stores nothing it can derive: the codes
+    take one byte, the wave indices the narrowest integer that holds
+    ``structure.n_waves``, and ``active`` and ``age_centered`` are derived
+    on access.
     :meth:`loglik`, :meth:`loglik_and_score` and :meth:`hessian` share one
     block loop, :meth:`_blocks`, that works on _BLOCK individuals at a time
     (half as many in the Hessian), and each takes an optional
@@ -226,32 +230,51 @@ class PanelDesign:
         mmax = int(counts.max())
         self.n_steps = mmax - 1
 
-        # (individual, observation) cell of every sorted row; each of these
-        # row-sized temporaries is dropped once used, so that few are held at once
-        row = np.repeat(np.arange(self.n), counts)
-        col = np.arange(len(p)) - np.repeat(starts, counts)
         # the codes, widths and waves by individual and step are stored step by
         # step, so that a step's cells, which the recursions take one step at a
         # time, are contiguous; observation code by cell: the state less one,
         # 3 at padding
-        self.state_idx = np.full((mmax, self.n), 3, dtype=np.int64).T
-        self.state_idx[row, col] = p.states - 1
+        self.state_idx = np.full((mmax, self.n), 3, dtype=np.int8).T
         self.female = p.female[starts].astype(float)
-        # rows whose successor belongs to the same individual open a step
-        left = np.flatnonzero(col[1:] != 0)
-        cell = row[left], col[left]
-        del row, col
         self.widths = np.zeros((self.n_steps, self.n)).T
-        self.widths[cell] = p.times[left + 1] - p.times[left]
-        self.waves = np.ones((self.n_steps, self.n), dtype=np.int64).T
-        self.waves[cell] = structure.wave_indices(p.times[left])
-        age_left = np.full((self.n, self.n_steps), structure.ref_age)
-        age_left[cell] = p.ages[left]
-        del left, cell
-        # step j is real when the individual has an observation j+1
-        self.active = self.state_idx[:, 1:] != 3
-        # covariate design at the interval's left endpoint
-        self.basis, self.age_centered = covariate_design(structure, age_left)
+        # signed, and wide enough for the last wave: a signed type holds
+        # n_waves exactly when it holds -n_waves - 1
+        self.waves = np.ones((self.n_steps, self.n),
+                             dtype=np.min_scalar_type(-structure.n_waves - 1)).T
+        # covariate design at the interval's left endpoint; a padded step's is
+        # that of the reference age, zero
+        self.basis = np.zeros((self.n, self.n_steps, structure.n_basis))
+        # observation k of every individual that has one is row starts + k,
+        # and it opens step k when the individual has an observation k + 1
+        for k in range(mmax):
+            cell = np.flatnonzero(counts > k)
+            row = starts[cell] + k
+            self.state_idx[cell, k] = p.states[row] - 1
+            if k == self.n_steps:
+                break
+            opens = counts[cell] > k + 1
+            cell, row = cell[opens], row[opens]
+            self.widths[cell, k] = p.times[row + 1] - p.times[row]
+            try:
+                self.waves[cell, k] = structure.wave_indices(p.times[row])
+            except InvalidArgumentError:
+                # raised again for the first bad time in row order
+                structure.wave_indices(p.times[np.r_[p.ids[1:] == p.ids[:-1], False]])
+                raise
+            self.basis[cell, k] = covariate_design(structure, p.ages[row])[0]
+
+    @property
+    def active(self) -> np.ndarray:
+        """Which (individual, step) cells are real: step j is when the
+        individual has an observation j+1."""
+        return self.state_idx[:, 1:] != 3
+
+    @property
+    def age_centered(self) -> np.ndarray:
+        """Age at each step's left endpoint less ``structure.ref_age``, a view:
+        the first column of the spline basis, whose first function is the
+        age itself."""
+        return self.basis[..., 0]
 
     def _slots(self) -> np.ndarray:
         """The local coordinate (see ``FIELDS``) that each entry of the flat
@@ -264,9 +287,10 @@ class PanelDesign:
         the optimizer: the root mean square of its row of the design over
         the active steps and at least one, so that dummies, baselines and
         logits scale at one.  The design is built one step at a time."""
+        active = self.active
         squares = sum(np.sum(self._step_design(j)[:, act] ** 2, axis=1)
-                      for j, act in enumerate(self.active.T))
-        return np.maximum(1.0, np.sqrt(squares / np.count_nonzero(self.active)))
+                      for j, act in enumerate(active.T))
+        return np.maximum(1.0, np.sqrt(squares / np.count_nonzero(active)))
 
     def loglik(self, gamma: np.ndarray, work: _Workspace | None = None) -> float:
         """Total forward-algorithm log likelihood at parameter vector gamma.
@@ -477,8 +501,9 @@ class PanelDesign:
             if slot >= 3:
                 field[0] = emission[slot - 3]
             elif kind == "dummy":
-                # bin (wave, individual), fed step by step
-                cells = (self.waves.T - 1) * n + np.arange(n)
+                # bin (wave, individual), fed step by step, as intp: a narrow
+                # wave index times n would overflow
+                cells = (self.waves.T.astype(np.intp) - 1) * n + np.arange(n)
                 field[:] = np.bincount(cells.ravel(), lin[slot].ravel(),
                                        minlength=T * n).reshape(T, n)
             else:
@@ -522,7 +547,7 @@ class PanelDesign:
     def _individuals(self, rows: slice) -> PanelDesign:
         """The design of a block of individuals, as views of this one's arrays."""
         sub = copy.copy(self)
-        for name in ("female", "widths", "waves", "active", "basis", "age_centered", "state_idx"):
+        for name in ("female", "widths", "waves", "basis", "state_idx"):
             setattr(sub, name, getattr(self, name)[rows])
         sub.n = sub.female.size
         return sub

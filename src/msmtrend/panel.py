@@ -33,6 +33,11 @@ _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
 # distinct floats at this size; on the 415,000-row panel, blocks of 16,384
 # rows wrote as fast and blocks of 4,096 rows 20% slower
 _BLOCK_ROWS = 1 << 13
+# bytes per block of read_panel: a block is held with the buffer it was read
+# into and NumPy's table of its rows (40 bytes a row, about 1.4 times the
+# block's bytes), under 4 times _CHUNK beside the columns; on the
+# 415,000-row panel, blocks of 128 and 256 KiB read no faster
+_CHUNK = 1 << 16
 
 
 @dataclass
@@ -403,21 +408,21 @@ def read_panel(path) -> Panel:
     """Parse a panel CSV, raising DataValidationError with row numbers.
 
     A file of printable ASCII, tabs and line breaks is parsed by NumPy's C
-    reader.  Any other file, and any file that reader refuses or warns about,
-    is parsed by :func:`parse_panel_text`, whose row rules are the only
-    source of error messages.  Where the C reader succeeds, the row rules
-    give the same columns.  The file is read as bytes, with the newline
-    translation of text mode (CR LF and a lone CR become LF), and decoded
-    only for the row rules.
+    reader, block by block (:func:`_read_plain`).  Any other file, and any
+    file that reader refuses or warns about in some block, is read again
+    whole and parsed by :func:`parse_panel_text`, whose row rules are the
+    only source of error messages.  Where the C reader succeeds, the row
+    rules give the same columns.  The file is read as bytes, with the
+    newline translation of text mode (CR LF and a lone CR become LF), and
+    decoded only for the row rules.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    panel = _parse_plain(data)
-    if panel is not None:
-        del data  # the file's bytes go before the columns are copied out of the table
-        return Panel(*(np.ascontiguousarray(getattr(panel, f.name)) for f in fields(Panel)))
+        if not fh.seekable():  # a pipe, read once
+            fh = io.BytesIO(fh.read())
+        panel = _read_plain(fh)
+        if panel is not None:
+            return panel
+        data = b"".join(_blocks(fh))
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -425,24 +430,79 @@ def read_panel(path) -> Panel:
     return parse_panel_text(text)
 
 
-def _parse_plain(data: bytes) -> Panel | None:
-    """The panel as NumPy's C reader parses the file's bytes, or None where
-    the row rules must decide.  Its columns are views of the reader's one
-    table, which holds a row's five fields side by side.
+def _blocks(fh):
+    """The bytes of ``fh`` from the start, newlines translated, in blocks of
+    whole lines.  Each is read into one buffer of _CHUNK bytes and ends
+    after its last LF, so that no CR LF pair is split; a line that fills the
+    buffer doubles it, so a file with no LF, such as one of bare CRs, is one
+    block."""
+    fh.seek(0)
+    buf = bytearray(_CHUNK)
+    held = 0  # the bytes of an unfinished line, at the front of buf
+    while True:
+        with memoryview(buf) as view:
+            read = fh.readinto(view[held:])
+            end = held + read
+            cut = buf.rfind(b"\n", 0, end) + 1 if read else end
+            block = bytes(view[:cut])
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if block:
+            yield block
+        if not read:
+            return
+        held = end - cut
+        buf[:held] = buf[cut:end]
+        if held == len(buf):
+            buf.extend(bytes(held))
+
+
+def _read_plain(fh) -> Panel | None:
+    """The panel as NumPy's C reader parses the blocks of :func:`_blocks`
+    (:func:`_parse_plain`), or None where the row rules must decide.  A
+    first pass counts the lines, which bound the rows, so that each block's
+    rows are copied straight into columns allocated once, and only a block
+    and its table are held beside them."""
+    lines = sum(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+                for block in _blocks(fh))
+    cols = [np.empty(lines, dtype=_PANEL_ROW[name]) for name in _PANEL_ROW.names]
+    rows, blocks = 0, 0
+    for block in _blocks(fh):
+        part = _parse_plain(block, header=not blocks)
+        if part is None or rows + len(part) > lines:  # refused, or the file grew
+            return None
+        for col, f in zip(cols, fields(Panel)):
+            col[rows: rows + len(part)] = getattr(part, f.name)
+        rows += len(part)
+        blocks += 1
+        del part  # the table goes before the next block is read
+    if not blocks:  # an empty file has no header
+        return None
+    return Panel(*(col[:rows] for col in cols))
+
+
+def _parse_plain(data: bytes, header: bool = True) -> Panel | None:
+    """The rows of a block of whole lines as NumPy's C reader parses them,
+    after the header line when ``header``, or None where the row rules must
+    decide.  Its columns are views of the reader's one table, which holds a
+    row's five fields side by side.
 
     The C reader takes digits only in ASCII, and it keeps inside a field (or
     strips as whitespace) some characters at which ``str.splitlines`` breaks
     a line, such as form feed and U+2028; so only bytes of printable ASCII,
     tabs and newlines are given to it.
     """
-    if (data.partition(b"\n")[0].strip() != CSV_HEADER.encode()
-            or data.translate(None, _PLAIN_BYTES)):
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    # the header line is compared without copying the rows after it
+    if header and data[:data.find(b"\n") + 1 or None].strip() != CSV_HEADER.encode():
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(io.BytesIO(data), dtype=_PANEL_ROW, delimiter=",", comments=None,
-                               skiprows=1, ndmin=1, encoding="ascii")
+            table = np.loadtxt(io.BytesIO(data), dtype=_PANEL_ROW, delimiter=",",
+                               comments=None, skiprows=int(header), ndmin=1,
+                               encoding="ascii")
     except (ValueError, Warning):
         return None
     return Panel(*(table[name] for name in _PANEL_ROW.names))

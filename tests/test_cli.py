@@ -750,3 +750,71 @@ def test_extreme_magnitudes_end_in_an_answer_or_one_line_error(command, doc, s):
             elif command[0] in ("power-curve", "gain-analysis"):
                 rows = list(csv.DictReader(fh))
                 assert rows and all(math.isfinite(float(v)) for r in rows for v in r.values())
+
+
+# ---------------------------------------------------------------------------
+# malformed panels: every byte-level fault ends in an answer or one line
+
+_SMALL_PANEL = (b"id,time,state,age,female\n"
+                b"1,0,1,70.5,0\n1,2,2,72.5,0\n1,4,3,74.5,0\n"
+                b"2,0,1,64.25,1\n2,2,1,66.25,1\n2,4,2,68.25,1\n"
+                b"3,0,2,80,0\n3,2,2,82,0\n")
+_NON_ASCII = ["\u00e9".encode(), b"\xff", "\u2028".encode(), "\u0661".encode()]
+_BEYOND_64_BITS = [2**63, 2**64 + 1, -2**63 - 1, 10**30]
+
+
+@st.composite
+def _mangled_panels(draw):
+    """The small panel with one or two byte-level faults: cut short, a field
+    dropped, a line end made CR LF or CR or a CR put anywhere, a non-ASCII
+    character put anywhere, or a field made an integer beyond 64 bits."""
+    data = bytearray(_SMALL_PANEL)
+    for _ in range(draw(st.integers(1, 2))):
+        fault = draw(st.sampled_from(["truncate", "drop-field", "cr", "non-ascii", "big-int"]))
+        # a byte of a row, the rows drawn alike
+        lines = [k + 1 for k, byte in enumerate(data) if byte == ord("\n")]
+        at = draw(st.sampled_from(lines[:-1] or [len(data)]))
+        at += draw(st.integers(0, max(data.find(b"\n", at) - at, 0)))
+        # the field or line end at or after `at`
+        ends = [e for e in (data.find(b",", at), data.find(b"\n", at)) if e >= 0]
+        end = min(ends, default=len(data))
+        start = max(data.rfind(b",", 0, end), data.rfind(b"\n", 0, end)) + 1
+        if fault == "truncate":
+            del data[at:]
+        elif fault == "drop-field":
+            del data[max(start - 1, 0): end]
+        elif fault == "cr":
+            if end < len(data) and data[end: end + 1] == b"\n" and draw(st.booleans()):
+                data[end: end + 1] = draw(st.sampled_from([b"\r\n", b"\r"]))
+            else:
+                data[at:at] = b"\r"
+        elif fault == "non-ascii":
+            data[at:at] = draw(st.sampled_from(_NON_ASCII))
+        else:
+            data[start: end] = str(draw(st.sampled_from(_BEYOND_64_BITS))).encode()
+    return bytes(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=_mangled_panels(), command=st.sampled_from(["validate", "fit-msm"]))
+@example(raw=_SMALL_PANEL.replace(b"\n", b"\r\n"), command="fit-msm")
+@example(raw=_SMALL_PANEL.replace(b"2,4,2", str(2**64).encode() + b",4,2"), command="fit-msm")
+def test_mangled_panels_end_in_an_answer_or_one_line_error(raw, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        panel = os.path.join(tmp, "panel.csv")
+        with open(panel, "wb") as fh:
+            fh.write(raw)
+        argv = ["validate", "--panel", panel]
+        if command == "fit-msm":
+            argv = ["fit-msm", "--panel", panel, "--maxiter", "1",
+                    "--out-estimate", os.path.join(tmp, "e.json"),
+                    "--out-trend", os.path.join(tmp, "t.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert err.getvalue() == ""

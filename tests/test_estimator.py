@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from itertools import product
 
@@ -15,8 +16,9 @@ from msmtrend.panel import Panel
 from msmtrend.simulate import SimulationConfig, simulate_panel
 
 from conftest import WAVE_TIMES, paperlike_params, paperlike_structure
-from oracles import (forward_loglik, hessian_fd, individual_slices, jacobian_fd, legacy_panel,
-                     param_scales_by_field, peak_bytes, score_adjoint, transition_probability)
+from oracles import (design_cells, forward_loglik, hessian_fd, individual_slices, jacobian_fd,
+                     legacy_panel, param_scales_by_field, peak_bytes, score_adjoint,
+                     transition_probability)
 
 
 SMALL_STRUCTURE = ModelStructure(knots=(58.0, 68.0, 80.0), wave_times=(0.0, 2.0, 4.0, 6.0))
@@ -589,6 +591,66 @@ def test_design_rejects_off_grid_time(validate):
     panel = small_panel([2, 2, 2, 1, 1, 1], [0.0, 2.5, 4.0, 0.0, 1.0, 2.0], [1] * 6)
     with pytest.raises(InvalidArgumentError, match=r"^time 1\.0 is not on the wave grid"):
         est.PanelDesign(panel, SMALL_STRUCTURE, validate=validate)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_design_names_the_first_off_grid_time_in_row_order(validate):
+    # the design is built step by step, but of id 1's off-grid time, which
+    # opens its third step, and id 2's, which opens its second, the message
+    # names id 1's, the first in (id, time) order
+    panel = small_panel([1, 1, 1, 1, 2, 2, 2], [0.0, 2.0, 3.0, 4.0, 0.0, 1.0, 2.0], [1] * 7)
+    with pytest.raises(InvalidArgumentError, match=r"^time 3\.0 is not on the wave grid"):
+        est.PanelDesign(panel, SMALL_STRUCTURE, validate=validate)
+
+
+@pytest.mark.parametrize("n_waves, individuals", [
+    # 128 intervals: the last wave index, 128, is one past int8
+    (128, [(0, 1, 3), (100, 126, 127, 128), (127, 128)]),
+    # 299 intervals: dummies past 127 indexed from late waves
+    (299, [(0, 1, 3), (126, 127, 128, 130), (200, 250), (296, 298, 299)]),
+])
+def test_waves_beyond_int8_index_their_own_dummies(n_waves, individuals):
+    # intervals a tenth of a year apart take 16-bit wave indices; each
+    # tuple is one individual's observation times in tenths, and one ends
+    # at the final wave
+    structure = ModelStructure(knots=(58.0, 68.0, 80.0),
+                               wave_times=tuple(k / 10 for k in range(n_waves + 1)))
+    rng = np.random.default_rng(17)
+    ids, times, states = [], [], []
+    for ident, waves in enumerate(individuals):
+        ids += [ident] * len(waves)
+        times += [k / 10 for k in waves]
+        states += [1] * (len(waves) - 1) + [int(rng.integers(1, 4))]
+    panel = small_panel(ids, times, states)
+    design = est.PanelDesign(panel, structure)
+    assert design.waves.dtype == np.int16
+    assert design.waves.max() == n_waves
+    np.testing.assert_array_equal(design.waves, design_cells(panel, structure)[3])
+    for _ in range(5):
+        params = random_params(rng, structure)
+        # per-wave trends at the scale of a long wave grid
+        params.trend_13 /= 30
+        params.trend_23 /= 30
+        got = design.loglik(est.pack_params(params, structure))
+        assert got == pytest.approx(enumeration_loglik(panel, structure, params), rel=1e-10)
+
+
+def test_design_build_holds_little_beyond_what_it_keeps():
+    # at eight waves the design keeps one-byte codes and wave indices, the
+    # widths, the two basis columns and female: 28 bytes per (individual,
+    # step) at most; its build makes no temporary as long as the rows
+    structure = paperlike_structure()
+    panel = simulate_panel(SimulationConfig(n=5_000, structure=structure,
+                                            params=paperlike_params(), seed=3))
+    tracemalloc.start()
+    try:
+        design = est.PanelDesign(panel, structure)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert structure.n_waves == design.n_steps == 8
+    assert kept <= 28 * design.n * design.n_steps
+    assert peak <= 1.6 * kept
 
 
 @pytest.mark.parametrize("validate", [True, False])

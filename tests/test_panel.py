@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ import msmtrend.estimator as est
 import msmtrend.panel as panel_mod
 from msmtrend.errors import DataValidationError
 from msmtrend.markov import ModelStructure, spline_basis_matrix
-from msmtrend.panel import (Panel, float_text, parse_panel_text, read_json, read_panel,
-                            validate_panel, write_csv, write_json, write_panel)
+from msmtrend.panel import (CSV_HEADER, Panel, float_text, parse_panel_text, read_json,
+                            read_panel, validate_panel, write_csv, write_json, write_panel)
 from msmtrend.simulate import SimulationConfig, simulate_panel
 
 import oracles
@@ -244,6 +246,18 @@ def test_read_panel_never_holds_bytes_table_and_columns_at_once(tmp_path):
     assert oracles.peak_bytes(read_panel, path) < path.stat().st_size + 1.5 * table
 
 
+def test_read_panel_holds_at_most_four_chunks_beside_the_columns(tmp_path, monkeypatch):
+    # a block's bytes, the buffer they were read into and NumPy's table of
+    # the block's rows are all that the streamed reader holds beside the columns
+    panel = simulate_panel(SimulationConfig(n=20_000, structure=paperlike_structure(),
+                                            params=paperlike_params(), seed=3))
+    path = tmp_path / "panel.csv"
+    write_panel(path, panel)
+    monkeypatch.setattr(panel_mod, "_CHUNK", 1 << 16)
+    columns = len(panel) * panel_mod._PANEL_ROW.itemsize
+    assert oracles.peak_bytes(read_panel, path) < columns + 4 * panel_mod._CHUNK
+
+
 def test_sort_skips_sorted_panels_and_otherwise_matches_lexsort():
     rng = np.random.default_rng(12)
     # ties, and -0.0 after 0.0, are in order
@@ -362,10 +376,30 @@ def _row_rules(path):
 @pytest.mark.parametrize("raw", [*(text.encode() for text in _READER_EDGES.values()),
                                  _HEADER.encode() + b"1,0,1,6\xff0,0\n"],
                          ids=[*_READER_EDGES, "not-utf8"])
-def test_read_panel_matches_row_rules_on_edge_inputs(tmp_path, raw):
+def test_read_panel_matches_row_rules_on_edge_inputs(tmp_path, monkeypatch, raw):
     path = tmp_path / "panel.csv"
     path.write_bytes(raw)
     assert _outcome(lambda: read_panel(path)) == _outcome(lambda: _row_rules(path))
+    # and in blocks of a few bytes, which split rows and CR LF pairs across reads
+    monkeypatch.setattr(panel_mod, "_CHUNK", 7)
+    assert _outcome(lambda: read_panel(path)) == _outcome(lambda: _row_rules(path))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_read_panel_reads_a_pipe_once(tmp_path):
+    # a pipe cannot be read twice, as a file is for the line count
+    raw = _READER_EDGES["crlf"].encode()
+    pipe, path = tmp_path / "pipe", tmp_path / "panel.csv"
+    path.write_bytes(raw)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(raw,), daemon=True)
+    writer.start()
+    try:
+        got = _outcome(lambda: read_panel(pipe))
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == _outcome(lambda: _row_rules(path))
 
 
 def test_splitlines_separator_in_a_field_is_a_row_error(tmp_path):
@@ -407,3 +441,16 @@ def test_c_reader_agrees_with_row_rules_where_it_accepts(lines, end):
     fast = panel_mod._parse_plain(text.encode())
     if fast is not None:
         assert _outcome(lambda: fast) == _outcome(lambda: parse_panel_text(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_panel_lines(), max_size=6), end=st.sampled_from(["\n", "\r\n", "\r"]),
+       final=st.booleans(), chunk=st.integers(1, 64))
+def test_read_panel_matches_row_rules_across_chunk_boundaries(tmp_path_factory, lines, end, final,
+                                                              chunk):
+    # blocks of a few bytes, so that rows, and CR LF pairs, straddle reads
+    path = tmp_path_factory.getbasetemp() / "chunked.csv"
+    path.write_bytes((end.join([CSV_HEADER, *lines]) + (end if final else "")).encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(panel_mod, "_CHUNK", chunk)
+        assert _outcome(lambda: read_panel(path)) == _outcome(lambda: _row_rules(path))
