@@ -102,6 +102,10 @@ _REJECTED = 1e12
 # about twice a score pass's arrays per individual, so it takes half blocks,
 # 4.9 MiB, which fit in the workspace a fit's score passes size
 _BLOCK = 2048
+# individuals per block of PanelDesign's build: on the 50,000-person panel a
+# build holds 1.4 MiB beside the 10.3 MiB it keeps, where the whole panel's
+# steps at once held 4.7 MiB, and takes as long
+_BUILD_BLOCK = 1 << 13
 
 
 class _Workspace:
@@ -245,23 +249,26 @@ class PanelDesign:
         # that of the reference age, zero
         self.basis = np.zeros((self.n, self.n_steps, structure.n_basis))
         # observation k of every individual that has one is row starts + k,
-        # and it opens step k when the individual has an observation k + 1
-        for k in range(mmax):
-            cell = np.flatnonzero(counts > k)
-            row = starts[cell] + k
-            self.state_idx[cell, k] = p.states[row] - 1
-            if k == self.n_steps:
-                break
-            opens = counts[cell] > k + 1
-            cell, row = cell[opens], row[opens]
-            self.widths[cell, k] = p.times[row + 1] - p.times[row]
-            try:
-                self.waves[cell, k] = structure.wave_indices(p.times[row])
-            except InvalidArgumentError:
-                # raised again for the first bad time in row order
-                structure.wave_indices(p.times[np.r_[p.ids[1:] == p.ids[:-1], False]])
-                raise
-            self.basis[cell, k] = covariate_design(structure, p.ages[row])[0]
+        # and it opens step k when the individual has an observation k + 1;
+        # the individuals are taken _BUILD_BLOCK at a time, so that a step's
+        # temporaries are a block's
+        for lo in range(0, self.n, _BUILD_BLOCK):
+            for k in range(mmax):
+                cell = lo + np.flatnonzero(counts[lo: lo + _BUILD_BLOCK] > k)
+                row = starts[cell] + k
+                self.state_idx[cell, k] = p.states[row] - 1
+                if k == self.n_steps:
+                    break
+                opens = counts[cell] > k + 1
+                cell, row = cell[opens], row[opens]
+                self.widths[cell, k] = p.times[row + 1] - p.times[row]
+                try:
+                    self.waves[cell, k] = structure.wave_indices(p.times[row])
+                except InvalidArgumentError:
+                    # raised again for the first bad time in row order
+                    structure.wave_indices(p.times[np.r_[p.ids[1:] == p.ids[:-1], False]])
+                    raise
+                self.basis[cell, k] = covariate_design(structure, p.ages[row])[0]
 
     @property
     def active(self) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, fields
 
@@ -27,6 +28,9 @@ from .errors import DataValidationError
 CSV_HEADER = "id,time,state,age,female"
 _PANEL_ROW = np.dtype([("id", "i8"), ("time", "f8"), ("state", "i8"), ("age", "f8"),
                        ("female", "i8")])
+_INT8 = np.iinfo(np.int8)
+# a line of spaces and tabs, after the line break before it
+_BLANK_LINE = re.compile(rb"\n[ \t]+(?=\n|\Z)")
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
 # rows per block of write_csv: float_text holds about a dozen uint64 arrays
 # of a block's distinct float values at once, under 0.9 MB per column of
@@ -42,7 +46,13 @@ _CHUNK = 1 << 16
 
 @dataclass
 class Panel:
-    """Column-oriented panel of wave observations."""
+    """Column-oriented panel of wave observations.
+
+    ``ids`` are ``int64`` and ``times`` and ``ages`` floats.  The two codes,
+    ``states`` and ``female``, take one byte (``int8``) whenever all their
+    values fit, as on every valid panel, and are ``int64`` otherwise, so
+    that an invalid code keeps its value for :func:`validate_panel`.
+    """
 
     ids: np.ndarray
     times: np.ndarray
@@ -53,9 +63,9 @@ class Panel:
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
         self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=np.int64)
+        self.states = _codes(self.states)
         self.ages = np.asarray(self.ages, dtype=float)
-        self.female = np.asarray(self.female, dtype=np.int64)
+        self.female = _codes(self.female)
         n = self.ids.size
         for name in ("times", "states", "ages", "female"):
             if getattr(self, name).size != n:
@@ -80,6 +90,16 @@ class Panel:
             self.ids[order], self.times[order], self.states[order],
             self.ages[order], self.female[order],
         )
+
+
+def _codes(values) -> np.ndarray:
+    """A code column as ``int8`` when every value fits, else ``int64``."""
+    col = np.asarray(values)
+    if col.dtype != np.int8:
+        col = np.asarray(col, dtype=np.int64)
+        if not col.size or _INT8.min <= col.min() and col.max() <= _INT8.max:
+            col = col.astype(np.int8)
+    return col
 
 
 def write_csv(path, columns: dict) -> None:
@@ -465,14 +485,22 @@ def _read_plain(fh) -> Panel | None:
     and its table are held beside them."""
     lines = sum(np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
                 for block in _blocks(fh))
-    cols = [np.empty(lines, dtype=_PANEL_ROW[name]) for name in _PANEL_ROW.names]
+    # each column in the dtype of a panel of no rows, the codes in one byte;
+    # a code column is widened once, when a block holds a code beyond it
+    empty = Panel(*(np.empty(0, dtype=_PANEL_ROW[name]) for name in _PANEL_ROW.names))
+    cols = [np.empty(lines, dtype=getattr(empty, f.name).dtype) for f in fields(Panel)]
     rows, blocks = 0, 0
     for block in _blocks(fh):
         part = _parse_plain(block, header=not blocks)
         if part is None or rows + len(part) > lines:  # refused, or the file grew
             return None
-        for col, f in zip(cols, fields(Panel)):
-            col[rows: rows + len(part)] = getattr(part, f.name)
+        for j, f in enumerate(fields(Panel)):
+            values = getattr(part, f.name)
+            if not np.can_cast(values.dtype, cols[j].dtype):
+                wide = np.empty(lines, dtype=values.dtype)
+                wide[:rows] = cols[j][:rows]
+                cols[j] = wide
+            cols[j][rows: rows + len(part)] = values
         rows += len(part)
         blocks += 1
         del part  # the table goes before the next block is read
@@ -497,6 +525,12 @@ def _parse_plain(data: bytes, header: bool = True) -> Panel | None:
     # the header line is compared without copying the rows after it
     if header and data[:data.find(b"\n") + 1 or None].strip() != CSV_HEADER.encode():
         return None
+    # the C reader skips empty lines but refuses lines of spaces and tabs,
+    # which the row rules skip too, so those are emptied (a search for one
+    # byte costs little beside the C reader; one for a line break and a space
+    # took a tenth of its time)
+    if b" " in data or b"\t" in data:
+        data = _BLANK_LINE.sub(b"\n", b"\n" + data)[1:]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -509,9 +543,10 @@ def _parse_plain(data: bytes, header: bool = True) -> Panel | None:
 
 
 def parse_panel_text(text: str) -> Panel:
-    """Parse panel CSV text by the row rules: ``int``/``float`` per field,
-    whitespace-only lines skipped, one-line errors numbered by file row."""
-    lines = text.splitlines()
+    """Parse panel CSV text by the row rules: one leading byte-order mark
+    (U+FEFF) dropped, ``int``/``float`` per field, whitespace-only lines
+    skipped, one-line errors numbered by file row."""
+    lines = text.removeprefix("\ufeff").splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise DataValidationError(f"expected header '{CSV_HEADER}'")
     cols = ([], [], [], [], [])

@@ -11,14 +11,15 @@ reported exactly.
 Randomness is one stream, ``numpy.random.default_rng(seed)``, read as an
 (n, m) array of uniforms, m per individual: row i is individual i's.  So a
 panel of n individuals is the first n of any larger panel with the same
-seed and structure, and blocks of rows drawn in order give the same bytes
-as one draw.  Panels drawn before this layout, one ``default_rng([seed,
-id])`` per individual, differ; the law of every draw is the same.
+seed and structure, and blocks of rows drawn in order, as
+:func:`simulate_panel` draws them, give the same bytes as one draw.  Panels
+drawn before this layout, one ``default_rng([seed, id])`` per individual,
+differ; the law of every draw is the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from .panel import Panel
 __all__ = ["SimulationConfig", "simulate_panel"]
 
 _DRAWS_PER_INTERVAL = 3  # event clock, destination pick, onward clock
+# individuals per block of simulate_panel: a block's uniforms and paths are
+# held beside the blocks' columns, not the whole panel's
+_BLOCK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,8 @@ def _latent_paths_vectorized(config: SimulationConfig, u: np.ndarray, age0, fem,
     structure, params = config.structure, config.params
     T = structure.n_waves
     wt = structure.wave_times
-    n = config.n
-    states = np.empty((n, T + 1), dtype=np.int64)
+    n = u.shape[0]
+    states = np.empty((n, T + 1), dtype=np.int8)
     states[:, 0] = state0
     state = state0.copy()
     for k in range(1, T + 1):
@@ -105,23 +109,39 @@ def _latent_paths_vectorized(config: SimulationConfig, u: np.ndarray, age0, fem,
 def simulate_panel(config: SimulationConfig) -> Panel:
     """Generate an observed panel; deterministic given the seed.  Row i of
     ``default_rng(seed).random((n, m))`` is individual i's uniforms: [age,
-    female, initial state, path (3 per interval), report (one per wave)]."""
+    female, initial state, path (3 per interval), report (one per wave)].
+    The rows are drawn and simulated in blocks of _BLOCK_ROWS, in order, and
+    the blocks' columns joined."""
     T = config.structure.n_waves
     m = 3 + _DRAWS_PER_INTERVAL * T + (T + 1)
-    return _panel_from_uniforms(config, np.random.default_rng(config.seed).random((config.n, m)))
+    rng = np.random.default_rng(config.seed)
+    parts = [_panel_from_uniforms(config, rng.random((min(_BLOCK_ROWS, config.n - start), m)), start)
+             for start in range(0, config.n, _BLOCK_ROWS)]
+    blocks = [[getattr(part, f.name) for part in parts] for f in fields(Panel)]
+    del parts
+    return Panel(*map(_join, blocks))
 
 
-def _panel_from_uniforms(config: SimulationConfig, u: np.ndarray) -> Panel:
-    """The panel whose individual i draws from row i of ``u``."""
+def _join(blocks: list) -> np.ndarray:
+    """The blocks of one column joined, and let go before the next is."""
+    col = np.concatenate(blocks)
+    blocks.clear()
+    return col
+
+
+def _panel_from_uniforms(config: SimulationConfig, u: np.ndarray, first_id: int = 0) -> Panel:
+    """The panel whose individual ``first_id + i`` draws from row i of ``u``."""
     structure, params = config.structure, config.params
     T = structure.n_waves
     wt = np.asarray(structure.wave_times)
     lo, hi = config.age_range
+    n = u.shape[0]
     e12, e21, p2 = map(logistic, (params.logit_e12, params.logit_e21, params.logit_p2))
 
     age0 = lo + u[:, 0] * (hi - lo)
-    fem = (u[:, 1] < config.female_share).astype(np.int64)
-    state0 = np.where(u[:, 2] < p2, 2, 1).astype(np.int64)
+    # the codes in one byte, as the panel holds them
+    fem = (u[:, 1] < config.female_share).astype(np.int8)
+    state0 = np.where(u[:, 2] < p2, 2, 1).astype(np.int8)
 
     latent = _latent_paths_vectorized(config, u[:, 3: 3 + 3 * T], age0, fem, state0)
     u_obs = u[:, 3 + 3 * T:]
@@ -135,9 +155,10 @@ def _panel_from_uniforms(config: SimulationConfig, u: np.ndarray) -> Panel:
     keep = np.arange(T + 1)[None, :] <= first_dead[:, None]
     rows_per = keep.sum(axis=1)
 
-    ids = np.repeat(np.arange(config.n), rows_per)
-    times = np.broadcast_to(wt, (config.n, T + 1))[keep]
+    ids = np.repeat(np.arange(first_id, first_id + n), rows_per)
+    times = np.broadcast_to(wt, (n, T + 1))[keep]
     states = observed[keep]
-    ages = (age0[:, None] + wt[None, :])[keep]
+    ages = np.repeat(age0, rows_per)
+    ages += times
     female = np.repeat(fem, rows_per)
     return Panel(ids, times, states, ages, female)

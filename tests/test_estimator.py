@@ -117,6 +117,33 @@ def test_forward_equals_enumeration():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+def _with_int64_codes(panel: Panel) -> Panel:
+    """The panel with its codes as int64, as panels held them before they
+    took one byte."""
+    wide = Panel(panel.ids, panel.times, panel.states, panel.ages, panel.female)
+    wide.states, wide.female = panel.states.astype(np.int64), panel.female.astype(np.int64)
+    return wide
+
+
+def test_one_byte_codes_leave_step_one_unchanged():
+    # the codes' width reaches no number: on the enumeration panels and the
+    # pipeline panel, int64 codes give the same loglik, and on the pipeline
+    # panel the same scores and Hessian, bit for bit
+    structure = paperlike_structure()
+    pipeline = simulate_panel(SimulationConfig(n=2000, structure=structure,
+                                               params=paperlike_params(), seed=2))
+    cases = [(panel, SMALL_STRUCTURE, est.pack_params(params, SMALL_STRUCTURE))
+             for params, panel in enumeration_panels()]
+    cases.append((pipeline, structure, est.pack_params(paperlike_params(), structure)))
+    for panel, structure, gamma in cases:
+        assert panel.states.dtype == panel.female.dtype == np.int8
+        narrow, wide = (est.PanelDesign(p, structure) for p in (panel, _with_int64_codes(panel)))
+        assert narrow.loglik(gamma) == wide.loglik(gamma)
+    (ll, scores), (ll_wide, scores_wide) = (d.loglik_and_score(gamma) for d in (narrow, wide))
+    assert ll == ll_wide and scores.tobytes() == scores_wide.tobytes()
+    assert narrow.hessian(gamma).tobytes() == wide.hessian(gamma).tobytes()
+
+
 def test_param_pack_unpack_roundtrip():
     rng = np.random.default_rng(44)
     params = random_params(rng, SMALL_STRUCTURE)
@@ -635,22 +662,34 @@ def test_waves_beyond_int8_index_their_own_dummies(n_waves, individuals):
         assert got == pytest.approx(enumeration_loglik(panel, structure, params), rel=1e-10)
 
 
-def test_design_build_holds_little_beyond_what_it_keeps():
-    # at eight waves the design keeps one-byte codes and wave indices, the
-    # widths, the two basis columns and female: 28 bytes per (individual,
-    # step) at most; its build makes no temporary as long as the rows
-    structure = paperlike_structure()
-    panel = simulate_panel(SimulationConfig(n=5_000, structure=structure,
-                                            params=paperlike_params(), seed=3))
+def _build_peak(panel, structure) -> tuple:
     tracemalloc.start()
     try:
         design = est.PanelDesign(panel, structure)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return design, kept, peak
+
+
+def test_design_build_holds_little_beyond_what_it_keeps(monkeypatch):
+    # at eight waves the design keeps one-byte codes and wave indices, the
+    # widths, the two basis columns and female: 28 bytes per (individual,
+    # step) at most; its build makes no temporary as long as the rows
+    structure = paperlike_structure()
+    panel = simulate_panel(SimulationConfig(n=5_000, structure=structure,
+                                            params=paperlike_params(), seed=3))
+    design, kept, peak = _build_peak(panel, structure)
     assert structure.n_waves == design.n_steps == 8
     assert kept <= 28 * design.n * design.n_steps
     assert peak <= 1.6 * kept
+    # built 1,024 individuals at a time, a step's temporaries are a block's:
+    # the same arrays, at a peak of 1.15 times what the design keeps
+    monkeypatch.setattr(est, "_BUILD_BLOCK", 1024)
+    blocks, kept, peak = _build_peak(panel, structure)
+    assert peak <= 1.25 * kept
+    for name in ("state_idx", "female", "widths", "waves", "basis"):
+        assert getattr(blocks, name).tobytes() == getattr(design, name).tobytes(), name
 
 
 @pytest.mark.parametrize("validate", [True, False])

@@ -254,7 +254,9 @@ def test_read_panel_holds_at_most_four_chunks_beside_the_columns(tmp_path, monke
     path = tmp_path / "panel.csv"
     write_panel(path, panel)
     monkeypatch.setattr(panel_mod, "_CHUNK", 1 << 16)
-    columns = len(panel) * panel_mod._PANEL_ROW.itemsize
+    # the columns as read: 26 bytes a row, the codes in one byte each
+    columns = sum(col.nbytes for col in _columns(read_panel(path)))
+    assert columns == 26 * len(panel)
     assert oracles.peak_bytes(read_panel, path) < columns + 4 * panel_mod._CHUNK
 
 
@@ -281,6 +283,7 @@ def test_sort_skips_sorted_panels_and_otherwise_matches_lexsort():
                                st.floats(allow_nan=False, allow_infinity=False), _INT64),
                      max_size=12))
 @example(rows=[(2**63 - 1, -0.0, -(2**63), 5e-324, 0), (0, 1.7976931348623157e308, 1, 0.1, 1)])
+@example(rows=[(-(2**63), 0.0, -128, 60.0, 127), (7, 2.0, 3, 62.5, 0)])
 def test_panel_csv_round_trip_is_exact(tmp_path_factory, rows):
     panel = Panel(*(np.array([r[j] for r in rows], dtype=np.int64 if j in (0, 2, 4) else float)
                     for j in range(5)))
@@ -352,6 +355,10 @@ for _ch in _SPLITLINES_ONLY:
     _READER_EDGES[f"sep-{ord(_ch):04x}-at-line-end"] = _HEADER + f"1,0,1,60,0{_ch}\n1,2,1,62,0\n"
 
 
+def _columns(panel):
+    return panel.ids, panel.times, panel.states, panel.ages, panel.female
+
+
 def _outcome(parse):
     """Column dtypes and bytes, or the one-line DataValidationError message."""
     try:
@@ -359,8 +366,7 @@ def _outcome(parse):
     except DataValidationError as exc:
         assert "\n" not in str(exc)
         return str(exc)
-    return [(col.dtype.str, col.tobytes())
-            for col in (got.ids, got.times, got.states, got.ages, got.female)]
+    return [(col.dtype.str, col.tobytes()) for col in _columns(got)]
 
 
 def _row_rules(path):
@@ -422,8 +428,8 @@ _PAD = st.sampled_from(["", "", " ", "\t"])
 
 @st.composite
 def _panel_lines(draw):
-    if draw(st.integers(0, 19)) == 0:
-        return draw(st.sampled_from(["", " ", "\t"]))
+    if draw(st.integers(0, 9)) == 0:  # empty, or whitespace only
+        return draw(st.sampled_from(["", " ", "\t", " \t ", "\t\t", "   "]))
     line = []
     for text in (_INT_TEXT, _FLOAT_TEXT, _INT_TEXT, _FLOAT_TEXT, _INT_TEXT):
         odd = draw(st.integers(0, 19)) == 0
@@ -454,3 +460,85 @@ def test_read_panel_matches_row_rules_across_chunk_boundaries(tmp_path_factory, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(panel_mod, "_CHUNK", chunk)
         assert _outcome(lambda: read_panel(path)) == _outcome(lambda: _row_rules(path))
+
+
+def test_bom_is_dropped_once(tmp_path):
+    # a file that starts with U+FEFF, as spreadsheets write "CSV UTF-8", is
+    # read as the same file without it; a second U+FEFF is part of the header
+    path = tmp_path / "panel.csv"
+    plain = _READER_EDGES["bom"].removeprefix("\ufeff")
+    path.write_text(plain, encoding="utf-8")
+    want = _outcome(lambda: read_panel(path))
+    assert not isinstance(want, str)
+    path.write_text(_READER_EDGES["bom"], encoding="utf-8")
+    assert _outcome(lambda: read_panel(path)) == want == _outcome(lambda: _row_rules(path))
+    path.write_text("\ufeff" + _READER_EDGES["bom"], encoding="utf-8")
+    with pytest.raises(DataValidationError, match=f"^expected header '{CSV_HEADER}'$"):
+        read_panel(path)
+
+
+def test_whitespace_only_lines_stay_on_the_c_reader(tmp_path):
+    # lines of spaces and tabs, anywhere after the header, are skipped as the
+    # row rules skip them, without sending the file to the row rules
+    lines = ["1,0,1,60,0", " \t ", "1,2,1,62,0", "\t", "2,0,2,70,1", "  "]
+    path = tmp_path / "panel.csv"
+    path.write_text(_HEADER + "\n".join(lines) + "\n", encoding="ascii")
+    with open(path, "rb") as fh:
+        fast = panel_mod._read_plain(fh)
+    assert fast is not None and len(fast) == 3
+    assert _outcome(lambda: fast) == _outcome(lambda: read_panel(path)) == _outcome(
+        lambda: _row_rules(path))
+
+
+_CODES = [-129, -128, 127, 128, 1000, -(2**63), 2**63 - 1]
+
+
+@pytest.mark.parametrize("chunk", [None, 48], ids=["whole", "48-byte-blocks"])
+@pytest.mark.parametrize("code", _CODES)
+def test_codes_take_one_byte_exactly_when_every_value_fits(tmp_path, monkeypatch, code, chunk):
+    # one row of 40 holds ``code`` as its state and its sex; the columns are
+    # int8 when it fits and int64 otherwise, with the same values and the
+    # same messages, whether built by Panel, read by the C reader or parsed
+    # by the row rules; at 48-byte blocks, about three rows each after the
+    # header and first row, the code is in a late block, so the reader widens
+    # columns it has filled in one byte (at fewer bytes than the header and a
+    # row, the header is a block alone, which the C reader refuses)
+    n = 40
+    ids = np.repeat(np.arange(n // 2), 2)
+    times = np.tile([0.0, 2.0], n // 2)
+    states, female = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    at = 3 * n // 4
+    states[at] = female[at] = code
+    panel = Panel(ids, times, states, np.full(n, 60.0), female)
+    want = np.int8 if -128 <= code <= 127 else np.int64
+    assert panel.states.dtype == panel.female.dtype == want
+    assert panel.states[at] == panel.female[at] == code
+    path = tmp_path / "panel.csv"
+    write_panel(path, panel)
+    if chunk:
+        monkeypatch.setattr(panel_mod, "_CHUNK", chunk)
+    with open(path, "rb") as fh:
+        assert panel_mod._read_plain(fh) is not None  # the C-parsed route
+    assert (_outcome(lambda: read_panel(path)) == _outcome(lambda: panel)
+            == _outcome(lambda: parse_panel_text(path.read_text())))
+    assert validate_panel(read_panel(path)) == [f"row {at + 2}: state {code} outside {{1,2,3}}",
+                                                f"row {at + 2}: female {code} outside {{0,1}}"]
+
+
+def test_every_constructor_gives_one_byte_codes(tmp_path):
+    # a valid panel's codes take one byte however it was made, and its ids
+    # stay int64, in which arithmetic on ids does not wrap
+    config = SimulationConfig(n=300, structure=paperlike_structure(), params=paperlike_params(),
+                              seed=4)
+    sim = simulate_panel(config)
+    path = tmp_path / "panel.csv"
+    write_panel(path, sim)
+    shuffled = Panel(*(col[::-1] for col in _columns(sim)))
+    keep = sim.ids % 2 == 0
+    panels = [sim, read_panel(path), parse_panel_text(path.read_text()), shuffled, shuffled.sort(),
+              Panel(*(col[keep] for col in _columns(sim))), oracles.legacy_panel(config),
+              Panel(*(col.tolist() for col in _columns(sim)))]
+    for panel in panels:
+        assert validate_panel(panel) == []
+        assert [col.dtype for col in _columns(panel)] == [np.int64, np.float64, np.int8, np.float64,
+                                                          np.int8]

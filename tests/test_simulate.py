@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+import msmtrend.simulate as simulate_mod
 from msmtrend.errors import InvalidSpecError
 from msmtrend.markov import HazardParams, ModelStructure, build_intensity, Covariates
 from msmtrend.panel import validate_panel
@@ -12,9 +13,12 @@ from oracles import (
     apply_observation_scheme,
     crude_incidence_rate,
     individual_slices,
+    peak_bytes,
     simulate_individual_path,
     transition_probability,
 )
+
+COLUMNS = ("ids", "times", "states", "ages", "female")
 
 
 def constant_rate_params(rate12: float, rate13: float, rate23: float) -> HazardParams:
@@ -65,7 +69,7 @@ def test_fixed_seed_reproducible(flat_structure):
     )
     a = simulate_panel(cfg)
     b = simulate_panel(cfg)
-    for col in ("ids", "times", "states", "ages", "female"):
+    for col in COLUMNS:
         assert getattr(a, col).tobytes() == getattr(b, col).tobytes(), col
 
 
@@ -99,8 +103,34 @@ def test_panel_is_the_prefix_of_a_larger_panel(seed):
     small, large = (simulate_panel(SimulationConfig(n=n, structure=st, params=paperlike_params(),
                                                     seed=seed)) for n in (300, 1000))
     first = large.ids < 300
-    for col in ("ids", "times", "states", "ages", "female"):
+    for col in COLUMNS:
         assert getattr(small, col).tobytes() == getattr(large, col)[first].tobytes(), col
+
+
+def test_blocks_of_rows_give_the_bytes_of_one_draw(monkeypatch):
+    # blocks of 7 rows, the last one short, drawn in order from the one
+    # stream: the panel of the whole (n, m) array, byte for byte
+    st = paperlike_structure()
+    cfg = SimulationConfig(n=52, structure=st, params=paperlike_params(), seed=6)
+    u = np.random.default_rng(6).random((52, 4 + 4 * st.n_waves))
+    whole = simulate_mod._panel_from_uniforms(cfg, u)
+    monkeypatch.setattr(simulate_mod, "_BLOCK_ROWS", 7)
+    blocks = simulate_panel(cfg)
+    for col in COLUMNS:
+        a, b = getattr(whole, col), getattr(blocks, col)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), col
+
+
+def test_simulate_panel_holds_one_block_beside_the_columns():
+    # the whole (n, m) array of uniforms (39.5 MiB at 50,000 persons) is
+    # never held: at 20,000 persons the peak, 6.41 MB, stays below the
+    # panel's columns (4.31 MB) plus one block's uniforms (2.36 MB), 6.67 MB
+    st = paperlike_structure()
+    cfg = SimulationConfig(n=20_000, structure=st, params=paperlike_params(), seed=3)
+    panel = simulate_panel(cfg)
+    columns = sum(getattr(panel, col).nbytes for col in COLUMNS)
+    uniforms = simulate_mod._BLOCK_ROWS * (4 + 4 * st.n_waves) * 8
+    assert peak_bytes(simulate_panel, cfg) < columns + uniforms
 
 
 def test_identity_misclassification_is_noop():
