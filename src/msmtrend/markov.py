@@ -99,15 +99,14 @@ def spline_basis_matrix(ages, knots) -> np.ndarray:
     norm = (knots[K - 1] - knots[0]) ** 2
 
     def trunc_cube(v):
-        return np.maximum(v, 0.0) ** 3
+        # products, not ** 3, which calls libm's pow once per element
+        v = np.maximum(v, 0.0)
+        return v * v * v
 
-    d_last = (trunc_cube(x - knots[K - 2]) - trunc_cube(x - knots[K - 1])) / (
-        knots[K - 1] - knots[K - 2]
-    )
+    last = trunc_cube(x - knots[K - 1])
+    d_last = (trunc_cube(x - knots[K - 2]) - last) / (knots[K - 1] - knots[K - 2])
     for j in range(K - 2):
-        d_j = (trunc_cube(x - knots[j]) - trunc_cube(x - knots[K - 1])) / (
-            knots[K - 1] - knots[j]
-        )
+        d_j = (trunc_cube(x - knots[j]) - last) / (knots[K - 1] - knots[j])
         out[:, j + 1] = (d_j - d_last) / norm
     return out
 
@@ -434,7 +433,7 @@ def _ratio_hess(w, decay, lo, m0, m1, m2):
     """(d2f/da2, d2f/dadb, d2f/db2) of the f of :func:`p12_ratio_grad` from
     :func:`_moments`: the integrals against (1-s)^2, s(1-s) and s^2 are
     m0 - 2 m1 + m2, m1 - m2 and m2 where the weight sits on s."""
-    h = w**3 * decay
+    h = w * w * w * decay
     haa, hbb = h * (m0 - 2.0 * m1 + m2), h * m2
     return np.where(lo, haa, hbb), h * (m1 - m2), np.where(lo, hbb, haa)
 

@@ -31,6 +31,8 @@ _PANEL_ROW = np.dtype([("id", "i8"), ("time", "f8"), ("state", "i8"), ("age", "f
 _INT8 = np.iinfo(np.int8)
 # a line of spaces and tabs, after the line break before it
 _BLANK_LINE = re.compile(rb"\n[ \t]+(?=\n|\Z)")
+# the rest of a block that holds no row: spaces, tabs and line breaks only
+_NO_ROWS = re.compile(rb"[ \t\n]*\Z")
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
 # rows per block of write_csv: float_text holds about a dozen uint64 arrays
 # of a block's distinct float values at once, under 0.9 MB per column of
@@ -487,7 +489,7 @@ def _read_plain(fh) -> Panel | None:
                 for block in _blocks(fh))
     # each column in the dtype of a panel of no rows, the codes in one byte;
     # a code column is widened once, when a block holds a code beyond it
-    empty = Panel(*(np.empty(0, dtype=_PANEL_ROW[name]) for name in _PANEL_ROW.names))
+    empty = _no_rows()
     cols = [np.empty(lines, dtype=getattr(empty, f.name).dtype) for f in fields(Panel)]
     rows, blocks = 0, 0
     for block in _blocks(fh):
@@ -509,6 +511,11 @@ def _read_plain(fh) -> Panel | None:
     return Panel(*(col[:rows] for col in cols))
 
 
+def _no_rows() -> Panel:
+    """A panel of no rows, in the dtypes of the C reader's columns."""
+    return Panel(*(np.empty(0, dtype=_PANEL_ROW[name]) for name in _PANEL_ROW.names))
+
+
 def _parse_plain(data: bytes, header: bool = True) -> Panel | None:
     """The rows of a block of whole lines as NumPy's C reader parses them,
     after the header line when ``header``, or None where the row rules must
@@ -522,9 +529,13 @@ def _parse_plain(data: bytes, header: bool = True) -> Panel | None:
     """
     if data.translate(None, _PLAIN_BYTES):
         return None
+    rows = (data.find(b"\n") + 1 or len(data)) if header else 0  # where the rows start
     # the header line is compared without copying the rows after it
-    if header and data[:data.find(b"\n") + 1 or None].strip() != CSV_HEADER.encode():
+    if header and data[:rows].strip() != CSV_HEADER.encode():
         return None
+    # loadtxt warns of a block with no rows, such as the header alone
+    if _NO_ROWS.match(data, rows):
+        return _no_rows()
     # the C reader skips empty lines but refuses lines of spaces and tabs,
     # which the row rules skip too, so those are emptied (a search for one
     # byte costs little beside the C reader; one for a line break and a space

@@ -85,9 +85,10 @@ def _latent_paths_vectorized(config: SimulationConfig, u: np.ndarray, age0, fem,
 
         with np.errstate(divide="ignore"):
             total = q12 + q13
-            t_event = np.where(total > 0, -np.log(1.0 - u1) / np.where(total > 0, total, 1.0), np.inf)
+            e1 = -np.log(1.0 - u1)  # one unit exponential, for the clocks out of 1 and 2
+            t_event = np.where(total > 0, e1 / np.where(total > 0, total, 1.0), np.inf)
             t_onward = np.where(q23 > 0, -np.log(1.0 - u3) / np.where(q23 > 0, q23, 1.0), np.inf)
-            t_death2 = np.where(q23 > 0, -np.log(1.0 - u1) / np.where(q23 > 0, q23, 1.0), np.inf)
+            t_death2 = np.where(q23 > 0, e1 / np.where(q23 > 0, q23, 1.0), np.inf)
 
         from1 = state == 1
         from2 = state == 2

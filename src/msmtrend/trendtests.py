@@ -217,10 +217,17 @@ class CriticalValueTable:
 # float64 elements in _draw_functionals' work buffer (512 KiB); a block holds
 # max(1, _BLOCK_ELEMENTS // K) replications of K normals each
 _BLOCK_ELEMENTS = 1 << 16
-# the largest sd the series terms a draw leaves out may have: the 95% values
-# of 20,000-replication tables spread over seeds with sd 0.002 (bridge) and
-# 0.005 (Wiener), so a cut this small does not show in a table
-_TAIL_SD = 1e-4
+# the largest sd the series terms a draw leaves out may have.  Their mean
+# stands in for them, which moves a quantile q by about (s^2 / 2) |f'/f|(q),
+# s their sd and f the functional's density: second order in s.  |f'/f| at
+# the 90, 95 and 99% points is 6.9, 6.3 and 5.7 for the bridge (tending to
+# pi^2/2 in the tail) and 1.7, 1.6 and 1.4 for the Wiener integral (tending
+# to pi^2/8); bounded by 7 and 1.7, at s = 3e-3 the three points move by at
+# most 3.1e-5, 2.8e-5 and 2.6e-5 (bridge) and 7.6e-6, 7.0e-6 and 6.4e-6
+# (Wiener), under 2% of the sd with which a 20,000-replication table's 95%
+# value spreads over seeds, 0.002 and 0.005.  At n_grid = 1000 a draw keeps
+# 9 + 10 terms, 17 normals beside the two stratified leading terms
+_TAIL_SD = 3e-3
 
 
 def _eigen_series(n: int) -> tuple[np.ndarray, np.ndarray]:

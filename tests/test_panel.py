@@ -490,19 +490,37 @@ def test_whitespace_only_lines_stay_on_the_c_reader(tmp_path):
         lambda: _row_rules(path))
 
 
+@pytest.mark.parametrize("name", ["header-only", "header-no-newline", "whitespace-only-lines",
+                                  "crlf"])
+def test_blocks_shorter_than_the_header_and_a_row_stay_on_the_c_reader(tmp_path, monkeypatch,
+                                                                       name):
+    # at 16-byte blocks the header is a block alone, with no row after it:
+    # the C reader takes it as no rows, so a file stays on that route and
+    # gives the row rules' panel, and a header-only file is an empty panel
+    path = tmp_path / "panel.csv"
+    path.write_bytes(_READER_EDGES[name].encode())
+    monkeypatch.setattr(panel_mod, "_CHUNK", 16)
+    with open(path, "rb") as fh:
+        fast = panel_mod._read_plain(fh)
+    assert fast is not None
+    assert _outcome(lambda: fast) == _outcome(lambda: read_panel(path)) == _outcome(
+        lambda: _row_rules(path))
+    if name.startswith("header"):
+        assert len(fast) == 0 and validate_panel(fast) == ["panel is empty"]
+
+
 _CODES = [-129, -128, 127, 128, 1000, -(2**63), 2**63 - 1]
 
 
-@pytest.mark.parametrize("chunk", [None, 48], ids=["whole", "48-byte-blocks"])
+@pytest.mark.parametrize("chunk", [None, 48, 16], ids=["whole", "48-byte-blocks", "16-byte-blocks"])
 @pytest.mark.parametrize("code", _CODES)
 def test_codes_take_one_byte_exactly_when_every_value_fits(tmp_path, monkeypatch, code, chunk):
     # one row of 40 holds ``code`` as its state and its sex; the columns are
     # int8 when it fits and int64 otherwise, with the same values and the
     # same messages, whether built by Panel, read by the C reader or parsed
-    # by the row rules; at 48-byte blocks, about three rows each after the
-    # header and first row, the code is in a late block, so the reader widens
-    # columns it has filled in one byte (at fewer bytes than the header and a
-    # row, the header is a block alone, which the C reader refuses)
+    # by the row rules; at 48-byte blocks, about three rows each, and at
+    # 16-byte blocks, one row each after the header's own, the code is in a
+    # late block, so the reader widens columns it has filled in one byte
     n = 40
     ids = np.repeat(np.arange(n // 2), 2)
     times = np.tile([0.0, 2.0], n // 2)

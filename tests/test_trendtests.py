@@ -316,23 +316,75 @@ def test_eigen_series_are_the_walk_functionals_weights(n):
     assert math.isclose(np.sum(wiener), (n + 1) / (2 * n), rel_tol=1e-13)
 
 
-@pytest.mark.parametrize("n_grid, kept", [(2, (1, 2)), (50, (49, 50)), (1000, (89, 90))])
+# the bound on |f'/f| at the 90, 95 and 99% points that the cut is sized
+# by, and the sd with which a 20,000-replication table's 95% value spreads
+# over seeds: the cut moves a quantile by at most a 50th of that sd
+_LOG_SLOPE = {"bridge": 7.0, "wiener": 1.7}
+_SEED_SD = {"bridge": 0.002, "wiener": 0.005}
+
+
+@pytest.mark.parametrize("n_grid, kept", [(2, (1, 2)), (50, (10, 10)), (1000, (9, 10))])
 def test_truncation_keeps_the_leading_terms_and_the_tails_mean(n_grid, kept):
-    for series, keep in zip(trendtests._eigen_series(n_grid), kept):
+    # the fewest leading terms whose dropped tail has sd s <= _TAIL_SD; its
+    # mean stands in for it, which moves a quantile by about (s^2 / 2) |f'/f|
+    for name, series, keep in zip(("bridge", "wiener"), trendtests._eigen_series(n_grid), kept):
         head, tail_mean = trendtests._truncate(series)
         assert head.size == keep
-        assert math.sqrt(2 * np.sum(series[keep:] ** 2)) <= trendtests._TAIL_SD
-        assert math.sqrt(2 * np.sum(series[keep - 1:] ** 2)) > trendtests._TAIL_SD
+        assert (math.sqrt(2 * np.sum(series[keep:] ** 2)) <= trendtests._TAIL_SD
+                < math.sqrt(2 * np.sum(series[keep - 1:] ** 2)))
+        assert trendtests._TAIL_SD**2 / 2 * _LOG_SLOPE[name] <= _SEED_SD[name] / 50
         assert math.isclose(np.sum(head) + tail_mean, np.sum(series), rel_tol=1e-14)
 
 
-# (n_grid, reps, seed, block budget): one block of 1000 rows at n_grid = 2; a
-# partial last block (177 normals a row, 1000 = 2 * 370 + 260) at n_grid =
-# 1001; one-row blocks, with budgets below two rows of 97 normals; a last
-# block of one row (1000 = 333 * 3 + 1); seeds of two and three uint32 words
+@pytest.mark.parametrize("n_grid", [50, 200, 500, 1000])
+def test_the_cut_moves_the_tables_points_by_a_50th_of_their_seed_sd(n_grid):
+    # at the 90, 95 and 99% points of each grid's law, found by inverting its
+    # characteristic function, |f'/f| stays within the bound the cut is sized
+    # by, and the second-order move (s^2 / 2) |f'/f|, s^2 / 2 the sum of the
+    # dropped weights' squares, within a 50th of a table's seed sd (the
+    # grids below 50 in use drop no term)
+    for name, series in zip(("bridge", "wiener"), trendtests._eigen_series(n_grid)):
+        dropped = series[trendtests._truncate(series)[0].size:]
+        law = oracles.quadratic_form_law(series)
+        points = oracles.law_quantiles(law, (0.90, 0.95, 0.99), 20 * np.sum(series))
+        _, density, slope = law(points)
+        log_slope = np.abs(slope / density)
+        assert np.all(log_slope <= _LOG_SLOPE[name]), (name, log_slope)
+        assert np.all(np.sum(dropped**2) * log_slope <= _SEED_SD[name] / 50)
+
+
+def test_tables_at_the_cut_agree_with_a_thirtyfold_finer_cut(monkeypatch):
+    # ten seeds of the pipeline's tables at the cut and at sd 1e-4, which
+    # keeps 89 + 90 terms instead of 9 + 10: every point agrees within 3
+    # Monte-Carlo SEs of the difference of the two ten-seed means
+    levels = (0.90, 0.95, 0.99)
+
+    def points():
+        tables = [trendtests._critical_tables(1000, 20_000, seed, levels) for seed in range(10)]
+        return {name: np.array([[t[name].quantiles[lv] for lv in levels] for t in tables])
+                for name in ("bridge", "wiener")}
+
+    cut = points()
+    monkeypatch.setattr(trendtests, "_TAIL_SD", 1e-4)
+    fine = points()
+    for name in cut:
+        se = np.hypot(cut[name].std(axis=0, ddof=1), fine[name].std(axis=0, ddof=1)) / math.sqrt(10)
+        assert np.all(np.abs(cut[name].mean(axis=0) - fine[name].mean(axis=0)) <= 3 * se), name
+
+
+# (n_grid, reps, seed, block budget): one block of 1000 rows at n_grid = 2;
+# at n_grid = 1001, 17 normals a row, one block of 1000 rows and a partial
+# last block (5000 = 3855 + 1145); at n_grid = 50, 18 normals a row,
+# one-row blocks at budgets below two rows, a last block of one row
+# (1000 = 333 * 3 + 1), and blocks of 2, 8 and 16 rows, the last of 8;
+# seeds of two and three uint32 words
 @pytest.mark.parametrize("n_grid, reps, seed, budget", [
     (2, 1000, 7, None),
     (1001, 1000, 5, None),
+    (1001, 5000, 5, None),
+    (50, 1000, 3, 10),
+    (50, 1000, 3, 30),
+    (50, 1000, 3, 60),
     (50, 1000, 3, 40),
     (50, 1000, 3, 150),
     (50, 1000, 3, 297),
@@ -379,8 +431,9 @@ def test_stratified_tables_spread_less_over_seeds():
 @pytest.mark.parametrize("n_grid", [2, 7, 50, 1000])
 def test_draws_follow_the_simulated_walk(n_grid):
     # the spectral draws against Riemann sums over simulated walks, one
-    # (seed, rep) substream each: from n_grid = 50 down the two are equal in
-    # distribution, and at 1000 the cut tail has sd at most 1e-4
+    # (seed, rep) substream each: at n_grid = 2 and 7 the two are equal in
+    # distribution, and at 50 and 1000 the cut tail, whose mean stands in
+    # for it, has sd at most 3e-3
     from scipy.stats import ks_2samp
 
     reps = 10_000
