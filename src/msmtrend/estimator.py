@@ -844,7 +844,7 @@ def _default_start(design: PanelDesign, structure: ModelStructure) -> np.ndarray
 def fit_msm(
     panel: Panel,
     structure: ModelStructure,
-    start: np.ndarray | HazardParams | None = None,
+    start: np.ndarray | None = None,
     fixed: dict | None = None,
     maxiter: int = 500,
     validate: bool = True,
@@ -890,8 +890,6 @@ def fit_msm(
 
     if start is None:
         x_full = _default_start(design, structure)
-    elif isinstance(start, HazardParams):
-        x_full = pack_params(start, structure)
     else:
         x_full = np.asarray(start, dtype=float).copy()
         if x_full.size != p:

@@ -37,17 +37,15 @@ __all__ = [
 class GainTrajectory:
     """Gain and normalized-variance path for a signal-to-noise sequence.
 
-    ``A`` holds the gain history A_k and ``nu_var`` = s_k A_k the normalized
-    posterior variances P_{k|k} / sigma_kk^2.  ``slope`` and ``intercept``
-    hold the affine step K_{k+1} = m_k K_k + b_k at each k, NaN outside
-    2 <= k <= T - 1.
+    ``nu_var`` = s_k A_k holds the normalized posterior variances
+    P_{k|k} / sigma_kk^2, A_k being the gain history of :func:`gain_sequence`.
+    ``slope`` and ``intercept`` hold the affine step K_{k+1} = m_k K_k + b_k
+    at each k, NaN outside 2 <= k <= T - 1.
     """
 
     s: np.ndarray
     gains: np.ndarray
-    A: np.ndarray
     nu_var: np.ndarray
-    iota: np.ndarray
     slope: np.ndarray
     intercept: np.ndarray
 
@@ -81,13 +79,10 @@ def gain_sequence(s) -> GainTrajectory:
     for k in range(1, T):
         gains[k] = s[k] * (A[k - 1] + 1.0) / (s[k] * A[k - 1] + s[k] + 1.0)
         A[k] = (1.0 - gains[k]) * (A[k - 1] + 1.0)
-    with np.errstate(over="ignore"):  # a ratio beyond the float range is iota = -inf
-        iota = 1.0 - s[1:] / s[:-1] if T > 1 else np.empty(0)
     slope, intercept = np.full(T, np.nan), np.full(T, np.nan)
     slope[1:-1] = -s[2:] * (A[:-2] + 1.0) * (1.0 - gains[2:]) ** 2
     intercept[1:-1] = gains[2:] - slope[1:-1] * gains[1:-1]
-    return GainTrajectory(s=s, gains=gains, A=A, nu_var=s * A, iota=iota, slope=slope,
-                          intercept=intercept)
+    return GainTrajectory(s=s, gains=gains, nu_var=s * A, slope=slope, intercept=intercept)
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,6 @@ __all__ = [
     "log_intensities",
     "logistic",
     "transition_entries",
-    "p12_ratio_grad",
-    "p12_ratio_hess",
     "free_entries_grad",
     "free_entries_jet",
     "param_layout",
@@ -419,9 +417,10 @@ def _moments(a, b, w):
 
 
 def _ratio_grad(w, decay, lo, m0, m1, m2):
-    """(df/da, df/db) of the f of :func:`p12_ratio_grad` from
-    :func:`_moments`.  Where the weight sits on s, the integrals against
-    1 - s and s are m0 - m1 and m1; elsewhere s and 1 - s swap."""
+    """(df/da, df/db) of f = p12/q12 = w * integral of e^{-w(a(1-s) + bs)}
+    over s in [0, 1], a = q12+q13 and b = q23, from :func:`_moments`: -w^2
+    times the integrals of 1 - s and s against the kernel.  Where the weight
+    sits on s, those are m0 - m1 and m1; elsewhere s and 1 - s swap."""
     g = -w * w * decay
     ga = g * (m0 - m1)
     gb = g * m1
@@ -430,34 +429,21 @@ def _ratio_grad(w, decay, lo, m0, m1, m2):
 
 
 def _ratio_hess(w, decay, lo, m0, m1, m2):
-    """(d2f/da2, d2f/dadb, d2f/db2) of the f of :func:`p12_ratio_grad` from
-    :func:`_moments`: the integrals against (1-s)^2, s(1-s) and s^2 are
-    m0 - 2 m1 + m2, m1 - m2 and m2 where the weight sits on s."""
+    """(d2f/da2, d2f/dadb, d2f/db2) of the f of :func:`_ratio_grad` from
+    :func:`_moments`: w^3 times the integrals of (1-s)^2, s(1-s) and s^2
+    against the kernel, m0 - 2 m1 + m2, m1 - m2 and m2 where the weight
+    sits on s."""
     h = w * w * w * decay
     haa, hbb = h * (m0 - 2.0 * m1 + m2), h * m2
     return np.where(lo, haa, hbb), h * (m1 - m2), np.where(lo, hbb, haa)
-
-
-def p12_ratio_grad(a, b, w):
-    """Partial derivatives of f = p12/q12 = w * integral of
-    e^{-w(a(1-s) + bs)} over s in [0, 1] with respect to a = q12+q13 and
-    b = q23: -w^2 times the integrals of 1 - s and s against the kernel,
-    which :func:`_moments` splits at min(a, b) so that nothing overflows."""
-    return _ratio_grad(w, *_moments(a, b, w))
-
-
-def p12_ratio_hess(a, b, w):
-    """Second partial derivatives (d2f/da2, d2f/dadb, d2f/db2) of the f of
-    :func:`p12_ratio_grad`: w^3 times the integrals of (1-s)^2, s(1-s) and
-    s^2 against the kernel."""
-    return _ratio_hess(w, *_moments(a, b, w))
 
 
 def free_entries_grad(q12, q13, q23, w, out=None):
     """Gradients of the free entries p11, p12 and p22 of
     :func:`transition_entries` with respect to (q12, q13, q23): an array of
     shape (3, 3) + shape indexed [entry, rate], written into ``out`` when it
-    is given, and the :func:`_moments` it was built from.  The other two
+    is given, and ``(moments, fa, fb)``: the :func:`_moments` it was built
+    from and their (df/da, df/db) of :func:`_ratio_grad`.  The other two
     entries follow from p13 = -expm1(-aw) - p12 and p23 = -expm1(-bw),
     a = q12 + q13, b = q23: their derivatives are minus those of p11 + p12
     and of p22, the round-off floor on p13 being treated as inactive.
@@ -475,7 +461,7 @@ def free_entries_grad(q12, q13, q23, w, out=None):
     grad[1, 1] = q12 * fa
     grad[1, 2] = q12 * fb
     grad[1, 0] = grad[1, 1] + w * decay * m0
-    return grad, moments
+    return grad, (moments, fa, fb)
 
 
 def free_entries_jet(q12, q13, q23, w, out=None):
@@ -487,8 +473,7 @@ def free_entries_jet(q12, q13, q23, w, out=None):
     arrays of ``out`` when it is given; the derivatives of p13 and p23
     follow as stated there.
     """
-    grad, moments = free_entries_grad(q12, q13, q23, w, out=None if out is None else out[0])
-    fa, fb = _ratio_grad(w, *moments)
+    grad, (moments, fa, fb) = free_entries_grad(q12, q13, q23, w, None if out is None else out[0])
     faa, fab, fbb = _ratio_hess(w, *moments)
     hess = np.empty((3,) + grad.shape) if out is None else out[1]
     # d p11 / da = -w p11, so d2 p11 / da2 = -w d p11 / da; likewise p22 in b

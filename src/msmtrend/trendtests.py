@@ -228,6 +228,8 @@ _BLOCK_ELEMENTS = 1 << 16
 # value spreads over seeds, 0.002 and 0.005.  At n_grid = 1000 a draw keeps
 # 9 + 10 terms, 17 normals beside the two stratified leading terms
 _TAIL_SD = 3e-3
+# the levels at which every table gives its quantiles
+_LEVELS = (0.90, 0.95, 0.99)
 
 
 def _eigen_series(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +284,7 @@ def _draw_functionals(n_grid: int, reps: int, seed: int) -> tuple[np.ndarray, np
     return bridge, wiener
 
 
-def _critical_tables(n_grid: int, reps: int, seed: int, levels) -> dict:
+def _critical_tables(n_grid: int, reps: int, seed: int) -> dict:
     """Both functionals' tables from one pass of :func:`_draw_functionals`."""
     if n_grid < 2:
         raise InvalidArgumentError("n_grid must be >= 2")
@@ -290,15 +292,12 @@ def _critical_tables(n_grid: int, reps: int, seed: int, levels) -> dict:
         raise InvalidArgumentError("need at least 1000 replications")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
-    levels = tuple(levels)
-    if any(not 0 < lv < 1 for lv in levels):
-        raise InvalidArgumentError("levels must lie strictly inside (0, 1)")
     tables = {}
     for functional, draws in zip(("bridge", "wiener"), _draw_functionals(n_grid, reps, seed)):
         draws.sort()
         tables[functional] = CriticalValueTable(
             functional=functional, n_grid=n_grid, reps=reps, seed=seed,
-            quantiles={float(lv): float(np.quantile(draws, lv)) for lv in levels},
+            quantiles={lv: float(np.quantile(draws, lv)) for lv in _LEVELS},
             draws=draws,
         )
     return tables
@@ -309,7 +308,6 @@ def simulate_critical_values(
     n_grid: int = 1000,
     reps: int = 100_000,
     seed: int = 0,
-    levels=(0.90, 0.95, 0.99),
 ) -> CriticalValueTable:
     """Simulate quantiles of int B(r)^2 dr ("bridge") or int W(r)^2 dr ("wiener").
 
@@ -318,11 +316,12 @@ def simulate_critical_values(
     eigen-series rather than from the path, its leading term stratified
     (:func:`_draw_functionals`).  The draws come from one
     ``default_rng(seed)`` stream in a fixed layout and are sorted before
-    quantile extraction, so the result is deterministic.
+    quantile extraction, so the result is deterministic.  ``quantiles``
+    maps each level of 0.90, 0.95 and 0.99 to its quantile.
     """
     if functional not in ("bridge", "wiener"):
         raise InvalidArgumentError("functional must be 'bridge' or 'wiener'")
-    return _critical_tables(n_grid, reps, seed, levels)[functional]
+    return _critical_tables(n_grid, reps, seed)[functional]
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +413,7 @@ def run_trend_tests(
     p_normal = 2.0 * float(ndtr(-abs(stats.t_nu)))
     p_t = 2.0 * float(stdtr(T - 1, -abs(stats.t_nu)))
 
-    tables = _critical_tables(mc_grid, mc_reps, seed, levels=(0.90, 0.95, 0.99))
+    tables = _critical_tables(mc_grid, mc_reps, seed)
     bridge, wiener = tables["bridge"], tables["wiener"]
 
     ftest = None

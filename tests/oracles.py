@@ -18,7 +18,10 @@ score is the judge of the exact Hessian that replaced it in the fit, and
 adjoint score and the per-field parameter scales are the step-one code that
 one backward recursion and one design map replaced; the adjoint's pullback
 through the transition entries, ``transition_entries_vjp``, is the
-vector-Jacobian product that ``markov.free_entries_grad`` replaced.  The
+vector-Jacobian product that ``markov.free_entries_grad`` replaced.
+``p12_ratio_grad``, the derivative of p12/q12 it pulls back through, and
+``p12_ratio_hess`` call the kernel's private moments and ratio derivatives,
+so that the mpmath tests judge the code the score and the Hessian run.  The
 scalar transition matrix and its wrapper restate the closed form for one
 generator at a time.  ``peak_bytes`` is the one memory probe of the tests
 that bound a peak.  ``hessian_fd`` calls its function once per stencil
@@ -49,8 +52,10 @@ from msmtrend.markov import (
     HazardParams,
     IntensityMatrix,
     _expm1_ratio,
+    _moments,
+    _ratio_grad,
+    _ratio_hess,
     build_intensity,
-    p12_ratio_grad,
     param_layout,
     transition_entries,
 )
@@ -363,6 +368,19 @@ def transition_probability(Q: IntensityMatrix, w: float) -> TransitionMatrix:
     p[0] = np.clip(p[0], 0.0, 1.0)
     p[0, 0] = 1.0 - p[0, 1] - p[0, 2]
     return TransitionMatrix(p, float(w))
+
+
+def p12_ratio_grad(a, b, w):
+    """Partial derivatives of f = p12/q12 = w * integral of
+    e^{-w(a(1-s) + bs)} over s in [0, 1] with respect to a = q12+q13 and
+    b = q23, by the kernel code of ``markov.free_entries_grad``."""
+    return _ratio_grad(w, *_moments(a, b, w))
+
+
+def p12_ratio_hess(a, b, w):
+    """Second partial derivatives (d2f/da2, d2f/dadb, d2f/db2) of the f of
+    :func:`p12_ratio_grad`, by the kernel code of ``markov.free_entries_jet``."""
+    return _ratio_hess(w, *_moments(a, b, w))
 
 
 def transition_entries_vjp(q12, q13, q23, w, bars):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,19 +59,25 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def spec_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("spec") / "model_spec.json"
+def write_fixture_spec(path):
     save_model_spec(path, paperlike_structure(), fixture_params())
     return path
 
 
-@pytest.fixture(scope="module")
-def panel_file(spec_file, tmp_path_factory):
-    out = tmp_path_factory.mktemp("panel") / "panel.csv"
+def simulate_fixture_panel(spec_file, out):
     res = run_cli("simulate", "--model-spec", spec_file, "--n", 500, "--seed", 4, "--out", out)
     assert res.returncode == 0, res.stderr
     return out
+
+
+@pytest.fixture(scope="module")
+def spec_file(tmp_path_factory):
+    return write_fixture_spec(tmp_path_factory.mktemp("spec") / "model_spec.json")
+
+
+@pytest.fixture(scope="module")
+def panel_file(spec_file, tmp_path_factory):
+    return simulate_fixture_panel(spec_file, tmp_path_factory.mktemp("panel") / "panel.csv")
 
 
 def test_simulate_deterministic(spec_file, tmp_path):
@@ -146,10 +153,8 @@ def test_validate_clean_panel(panel_file):
     assert "clean" in res.stdout
 
 
-@pytest.fixture(scope="module")
-def pipeline(panel_file, spec_file, tmp_path_factory):
-    """Full pipeline artifacts from the bundled 500-individual fixture."""
-    out = tmp_path_factory.mktemp("artifacts")
+def run_pipeline(panel_file, spec_file, out):
+    """Run every command on the fixture panel into ``out``; the artifacts' paths by name."""
     est, trend = out / "estimate.json", out / "trend.json"
     res = run_cli("fit-msm", "--panel", panel_file, "--model-spec", spec_file,
                   "--out-estimate", est, "--out-trend", trend)
@@ -176,6 +181,79 @@ def pipeline(panel_file, spec_file, tmp_path_factory):
     return {"estimate": est, "trend": trend, "filter": filt, "forecast": fc,
             "trendtest": tt, "gain": gt, "fixed": gf, "power": pw, "size": sz,
             "report": rep, "panel": panel_file}
+
+
+@pytest.fixture(scope="module")
+def pipeline(panel_file, spec_file, tmp_path_factory):
+    """Full pipeline artifacts from the bundled 500-individual fixture."""
+    return run_pipeline(panel_file, spec_file, tmp_path_factory.mktemp("artifacts"))
+
+
+def read_columns(path) -> dict:
+    """A CSV artifact as lists by column: integers as int, every other cell as float."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {name: [int(v) if v.lstrip("-").isdigit() else float(v) for v in column]
+            for name, column in zip(header, zip(*rows))}
+
+
+def pipeline_numbers(paths) -> dict:
+    """What the pipeline fixture writes, by artifact: the panel's sha256, the
+    JSON documents whole and each CSV by column.  The report only gathers
+    the documents, so it is left out."""
+    doc = {"panel_sha256": sha(paths["panel"])}
+    for key in ("estimate", "trend", "filter", "trendtest"):
+        doc[key] = json.loads(paths[key].read_text())
+    for key in ("forecast", "gain", "fixed", "power", "size"):
+        doc[key] = read_columns(paths[key])
+    return doc
+
+
+# pipeline_numbers of the fixture, written by tests/reference/write_pipeline.py
+REFERENCE = Path(__file__).parent / "reference" / "pipeline.json"
+# The reference's tolerances.  Against the file, 11 runs moved nothing but
+# floats: OpenBLAS on 1, 2 and 4 threads, its Sandybridge, Nehalem, Prescott,
+# SkylakeX and Zen kernels (OPENBLAS_CORETYPE), and estimator._BLOCK at 64,
+# 100 and 333 (8, 5 and 2 blocks).  Their largest moves: 3.4e-14 SE on an
+# estimate, 1.4e-12 of se_i se_j on a covariance entry, and 2.4e-11 relative
+# on any other float (the F test's p_f of 4.5e-18; 7.7e-13 outside its
+# p-values).  Handing BHHH over at a gain of 1e-6 instead of 1e-2 moves the
+# fit's iterations from 8 to 23 and its estimates by up to 6.7e-6 SE.
+_REFERENCE_SE = 1e-8
+_REFERENCE_REL = 1e-8
+
+
+def reference_mismatches(got, want, tol, path=()) -> list:
+    """(path, got, want) wherever ``got`` departs from ``want``: a dict's key
+    set, a list's length, a float by more than ``tol(path, want)`` and any
+    other value (integers, flags, strings) at all."""
+    if isinstance(want, dict) and isinstance(got, dict) and got.keys() == want.keys():
+        return [m for k in want for m in reference_mismatches(got[k], want[k], tol, path + (k,))]
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in reference_mismatches(g, w, tol, path + (i,))]
+    if isinstance(want, float) and isinstance(got, float):
+        if got == want or math.isnan(got) and math.isnan(want) or abs(got - want) <= tol(path, want):
+            return []
+    elif type(got) is type(want) and got == want:
+        return []
+    return [(path, got, want)]
+
+
+def test_pipeline_matches_the_reference(pipeline):
+    # the fit's estimates and covariance in units of the reference's SEs,
+    # every other float relative to itself
+    want = json.loads(REFERENCE.read_text())
+    se = want["estimate"]["se"]
+
+    def tol(path, value):
+        if path[:2] == ("estimate", "estimate"):
+            return _REFERENCE_SE * se[path[2]]
+        if path[:2] == ("estimate", "covariance"):
+            return _REFERENCE_SE * se[path[2]] * se[path[3]]
+        return _REFERENCE_REL * abs(value)
+
+    assert reference_mismatches(pipeline_numbers(pipeline), want, tol) == []
 
 
 def test_pipeline_emits_all_artifacts(pipeline):

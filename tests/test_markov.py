@@ -23,8 +23,6 @@ from msmtrend.markov import (
     param_layout,
     free_entries_grad,
     free_entries_jet,
-    p12_ratio_grad,
-    p12_ratio_hess,
     save_model_spec,
     spline_basis_matrix,
     transition_entries,
@@ -32,7 +30,14 @@ from msmtrend.markov import (
 from msmtrend.simulate import SimulationConfig, simulate_panel
 
 from conftest import paperlike_params, paperlike_structure, taylor_expm, random_generator, WAVE_TIMES
-from oracles import log_intensities_formula, rates, transition_entries_vjp, transition_probability
+from oracles import (
+    log_intensities_formula,
+    p12_ratio_grad,
+    p12_ratio_hess,
+    rates,
+    transition_entries_vjp,
+    transition_probability,
+)
 from test_special_tails import EXTREMES
 
 

@@ -293,8 +293,6 @@ def test_invalid_settings():
         simulate_critical_values("bridge", 1, 2000, 0)
     with pytest.raises(InvalidArgumentError):
         simulate_critical_values("bridge", 100, 10, 0)
-    with pytest.raises(InvalidArgumentError):
-        simulate_critical_values("bridge", 100, 2000, 0, levels=(0.0, 0.95))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 50, 300])
@@ -360,7 +358,7 @@ def test_tables_at_the_cut_agree_with_a_thirtyfold_finer_cut(monkeypatch):
     levels = (0.90, 0.95, 0.99)
 
     def points():
-        tables = [trendtests._critical_tables(1000, 20_000, seed, levels) for seed in range(10)]
+        tables = [trendtests._critical_tables(1000, 20_000, seed) for seed in range(10)]
         return {name: np.array([[t[name].quantiles[lv] for lv in levels] for t in tables])
                 for name in ("bridge", "wiener")}
 
@@ -458,7 +456,7 @@ def test_draws_build_no_generator_per_replication(monkeypatch):
 
     for name in ("default_rng", "SeedSequence"):
         monkeypatch.setattr(np.random, name, counted(name))
-    trendtests._critical_tables(50, 1000, 3, (0.95,))
+    trendtests._critical_tables(50, 1000, 3)
     assert calls == ["default_rng"]
 
 
