@@ -188,14 +188,15 @@ def cmd_test_trend(args) -> int:
         seed=args.seed,
         double_offdiag=args.double_offdiag,
     )
-    write_json(args.out, report.to_json_dict())
+    write_json(args.out, report)
     if args.out_critical:
         # the table run_trend_tests drew for this functional, seed and grid
-        levels, values = zip(*sorted(report.mc_settings[f"{args.critical_functional}_quantiles"].items()))
+        levels, values = zip(*sorted(report["mc"][f"{args.critical_functional}_quantiles"].items()))
         write_csv(args.out_critical, {"level": levels, "value": values})
+    t_nu, t_sd, t_s = report["t_nu"], report["t_sd"], report["t_s"]
     print(
-        f"t_nu={report.t_nu:.4f} (p_normal={report.t_nu_p_normal:.4f}), "
-        f"t_sd={report.t_sd:.4f} (p={report.t_sd_p:.4f}), t_s={report.t_s:.4f} (p={report.t_s_p:.4f})"
+        f"t_nu={t_nu['stat']:.4f} (p_normal={t_nu['p_normal']:.4f}), "
+        f"t_sd={t_sd['stat']:.4f} (p={t_sd['p']:.4f}), t_s={t_s['stat']:.4f} (p={t_s['p']:.4f})"
     )
     return 0
 

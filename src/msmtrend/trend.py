@@ -35,6 +35,10 @@ class TrendSeries:
             raise InvalidSpecError("covariance block is not positive semidefinite")
         if np.any(np.diag(self.cov) <= 0):
             raise InvalidSpecError("covariance diagonal must be positive")
+        n = self.n_transitions
+        # a bool is an int to Python, and JSON's true is not a count
+        if n is not None and (isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0):
+            raise InvalidSpecError(f"n_transitions must be a nonnegative integer, got {n!r}")
 
     @property
     def n_waves(self) -> int:

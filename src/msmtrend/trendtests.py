@@ -7,6 +7,13 @@ the squared Brownian bridge and Wiener integrals over a discretised walk,
 drawn from the walk's eigen-series.  Long-run variances come either from
 the sample autocovariances of the differenced series (homoskedastic) or
 from the first-stage sampling covariance (HAC).
+
+:func:`run_trend_tests` returns the ``tests.json`` document itself, a dict
+that ``test-trend`` writes as it is.  The helpers return plain values:
+:func:`demean_diff_transform` the triple ``(values, psi, omega)``,
+:func:`long_run_variance` and :func:`hac_variance` a float,
+:func:`t_statistics` the triple ``(t_nu, t_sd, t_s)`` and
+:func:`f_statistic` the document's ``"f"`` block.
 """
 
 from __future__ import annotations
@@ -21,18 +28,13 @@ from .trend import TrendSeries
 
 __all__ = [
     "bartlett_weight",
-    "DemeanedDiffSeries",
     "demean_diff_transform",
-    "VarianceEstimate",
     "long_run_variance",
     "hac_variance",
-    "TrendTStats",
     "t_statistics",
-    "FTestResult",
     "f_statistic",
     "CriticalValueTable",
     "simulate_critical_values",
-    "TrendTestReport",
     "run_trend_tests",
 ]
 
@@ -42,17 +44,9 @@ def bartlett_weight(tau: int, m: int) -> float:
     return 1.0 - tau / (m + 1.0)
 
 
-@dataclass
-class DemeanedDiffSeries:
-    """First differences of the trend, demeaned, with their covariance."""
-
-    values: np.ndarray
-    psi: np.ndarray
-    omega: np.ndarray
-
-
-def demean_diff_transform(beta, cov) -> DemeanedDiffSeries:
-    """Apply the (T-1) x T demean-difference map and transform the covariance."""
+def demean_diff_transform(beta, cov) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The demeaned first differences ``psi @ beta``, the (T-1) x T map ``psi``
+    and the transformed covariance ``psi @ cov @ psi.T``."""
     beta = np.asarray(beta, dtype=float)
     cov = np.asarray(cov, dtype=float)
     T = beta.size
@@ -63,13 +57,7 @@ def demean_diff_transform(beta, cov) -> DemeanedDiffSeries:
     psi = center @ diff
     values = psi @ beta
     omega = psi @ cov @ psi.T
-    return DemeanedDiffSeries(values=values, psi=psi, omega=omega)
-
-
-@dataclass
-class VarianceEstimate:
-    value: float
-    negative: bool = False
+    return values, psi, omega
 
 
 def _check_lags(m: int, n: int) -> None:
@@ -77,11 +65,12 @@ def _check_lags(m: int, n: int) -> None:
         raise InvalidArgumentError(f"lag length {m} must lie in [0, {n}) for a series of length {n}")
 
 
-def long_run_variance(series, m: int) -> VarianceEstimate:
+def long_run_variance(series, m: int) -> float:
     """Bartlett long-run variance gamma(0) + 2 sum_tau w(tau,m) gamma(tau).
 
-    Autocovariances use the 1/n divisor.  In small samples the estimate can
-    come out negative; it is returned as-is with a flag rather than clipped.
+    Autocovariances use the 1/n divisor.  With that divisor and Bartlett
+    weights the estimate is never negative (Newey & West 1987): it is the
+    periodogram of the centred series smoothed by the nonnegative Fejer kernel.
     """
     x = np.asarray(series, dtype=float)
     n = x.size
@@ -92,7 +81,7 @@ def long_run_variance(series, m: int) -> VarianceEstimate:
     for tau in range(1, m + 1):
         g = float(np.sum(xc[tau:] * xc[:-tau]) / n)
         total += 2.0 * bartlett_weight(tau, m) * g
-    return VarianceEstimate(value=total, negative=total < 0)
+    return total
 
 
 def hac_variance(omega, m: int, double_offdiag: bool = False) -> float:
@@ -118,15 +107,8 @@ def hac_variance(omega, m: int, double_offdiag: bool = False) -> float:
     return total
 
 
-@dataclass
-class TrendTStats:
-    t_nu: float
-    t_sd: float
-    t_s: float
-
-
-def t_statistics(beta, sigma_hat: float) -> TrendTStats:
-    """The three trend statistics given a long-run standard deviation.
+def t_statistics(beta, sigma_hat: float) -> tuple[float, float, float]:
+    """The three trend statistics ``(t_nu, t_sd, t_s)`` given a long-run standard deviation.
 
         t_nu  = T^{-1/2} sigma^{-1} (b_T - b_1)
         t_sd  = T^{-2} sigma^{-2} sum_k (b_k - b_1 - (k/T)(b_T - b_1))^2
@@ -144,25 +126,17 @@ def t_statistics(beta, sigma_hat: float) -> TrendTStats:
     bridge = b - b[0] - (k / T) * rng
     t_sd = float(np.sum(bridge**2)) / (T**2 * sigma_hat**2)
     t_s = float(np.sum((b - b[0]) ** 2)) / (T**2 * sigma_hat**2)
-    return TrendTStats(t_nu=float(t_nu), t_sd=t_sd, t_s=t_s)
+    return float(t_nu), t_sd, t_s
 
 
-@dataclass
-class FTestResult:
-    statistic: float
-    p_chi2: float
-    p_f: float
-    df1: int
-    df2: int
-    used_pinv: bool = False
-
-
-def f_statistic(beta, cov, n: int) -> FTestResult:
+def f_statistic(beta, cov, n: int) -> dict:
     """Joint test that all wave effects are zero: beta' cov^{-1} beta / T.
 
-    p-values are reported under both conventions, F(T-1, n-T-2) and
-    chi2(T-1), where n counts individual transitions.  A singular
-    covariance falls back to the pseudo-inverse with a flag.
+    Returns the ``"f"`` block of the ``tests.json`` document: ``stat``, its
+    p-values under both conventions, ``p_chi2`` from chi2(T-1) and ``p_f``
+    from F(T-1, n-T-2) with n counting individual transitions, ``df1``,
+    ``df2``, and ``used_pinv``, set when a singular covariance falls back
+    to the pseudo-inverse.
     """
     b = np.asarray(beta, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -183,14 +157,8 @@ def f_statistic(beta, cov, n: int) -> FTestResult:
     # a covariance that is semidefinite only to round-off can make the
     # statistic negative, below the support, where both tails are 1
     x = max(stat, 0.0)
-    return FTestResult(
-        statistic=stat,
-        p_chi2=float(chdtrc(df1, x)),
-        p_f=float(fdtrc(df1, df2, x)),
-        df1=df1,
-        df2=df2,
-        used_pinv=used_pinv,
-    )
+    return {"stat": stat, "p_chi2": float(chdtrc(df1, x)), "p_f": float(fdtrc(df1, df2, x)),
+            "df1": df1, "df2": df2, "used_pinv": used_pinv}
 
 
 # ---------------------------------------------------------------------------
@@ -328,49 +296,6 @@ def simulate_critical_values(
 # composition
 
 
-@dataclass
-class TrendTestReport:
-    t_nu: float
-    t_nu_p_normal: float
-    t_nu_p_t: float
-    t_sd: float
-    t_sd_critical: float
-    t_sd_p: float
-    t_s: float
-    t_s_critical: float
-    t_s_p: float
-    f_test: FTestResult | None
-    estimator: str
-    lags: int
-    sigma2: float
-    sigma2_negative: bool
-    n_waves: int
-    mc_settings: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "T": self.n_waves,
-            "estimator": self.estimator,
-            "lags": self.lags,
-            "sigma2": self.sigma2,
-            "sigma2_negative": self.sigma2_negative,
-            "t_nu": {"stat": self.t_nu, "p_normal": self.t_nu_p_normal, "p_t": self.t_nu_p_t},
-            "t_sd": {"stat": self.t_sd, "critical_95": self.t_sd_critical, "p": self.t_sd_p},
-            "t_s": {"stat": self.t_s, "critical_95": self.t_s_critical, "p": self.t_s_p},
-            "mc": self.mc_settings,
-        }
-        if self.f_test is not None:
-            doc["f"] = {
-                "stat": self.f_test.statistic,
-                "p_chi2": self.f_test.p_chi2,
-                "p_f": self.f_test.p_f,
-                "df1": self.f_test.df1,
-                "df2": self.f_test.df2,
-                "used_pinv": self.f_test.used_pinv,
-            }
-        return doc
-
-
 def run_trend_tests(
     series: TrendSeries,
     lags: int = 3,
@@ -379,68 +304,53 @@ def run_trend_tests(
     mc_reps: int = 20_000,
     seed: int = 0,
     double_offdiag: bool = False,
-) -> TrendTestReport:
-    """Full drift-testing report for an estimated trend series.
+) -> dict:
+    """The ``tests.json`` document for an estimated trend series.
 
     ``estimator`` picks the long-run variance: "hac" uses the transformed
     first-stage covariance, "long_run" the sample autocovariances of the
     demeaned differences.  The zero-drift statistic gets p-values from both
     the normal and the t reference distribution.  Critical values and
     p-values for the two stochastic-drift statistics come from the bridge
-    and Wiener tables :func:`simulate_critical_values` gives for ``seed``.
+    and Wiener tables :func:`simulate_critical_values` gives for ``seed``,
+    whose quantiles the document's ``"mc"`` block holds.  The ``"f"`` block
+    (:func:`f_statistic`) is there when the series counts its transitions.
     """
     if estimator not in ("hac", "long_run"):
         raise InvalidArgumentError("estimator must be 'hac' or 'long_run'")
     # a trend or covariance near an end of the float range is refused below, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        transformed = demean_diff_transform(series.beta, series.cov)
+        values, _, omega = demean_diff_transform(series.beta, series.cov)
         if estimator == "hac":
-            sigma2 = hac_variance(transformed.omega, lags, double_offdiag=double_offdiag)
-            negative = sigma2 < 0
+            sigma2 = hac_variance(omega, lags, double_offdiag=double_offdiag)
         else:
-            est = long_run_variance(transformed.values, lags)
-            sigma2, negative = est.value, est.negative
+            sigma2 = long_run_variance(values, lags)
         if not sigma2 > 0:
             raise InvalidArgumentError(
                 f"long-run variance estimate {sigma2:.3e} is not positive; cannot form t-statistics"
             )
-        stats = t_statistics(series.beta, math.sqrt(sigma2))
-    if not all(map(math.isfinite, (sigma2, *vars(stats).values()))):
+        t_nu, t_sd, t_s = t_statistics(series.beta, math.sqrt(sigma2))
+    if not all(map(math.isfinite, (sigma2, t_nu, t_sd, t_s))):
         raise NumericalError("a trend statistic or its variance overflows a float; check the scale")
 
     from scipy.special import ndtr, stdtr
     T = series.n_waves
-    p_normal = 2.0 * float(ndtr(-abs(stats.t_nu)))
-    p_t = 2.0 * float(stdtr(T - 1, -abs(stats.t_nu)))
-
     tables = _critical_tables(mc_grid, mc_reps, seed)
     bridge, wiener = tables["bridge"], tables["wiener"]
-
-    ftest = None
+    doc = {
+        "T": T,
+        "estimator": estimator,
+        "lags": lags,
+        "sigma2": sigma2,
+        # a variance that is not positive is refused above
+        "sigma2_negative": False,
+        "t_nu": {"stat": t_nu, "p_normal": 2.0 * float(ndtr(-abs(t_nu))),
+                 "p_t": 2.0 * float(stdtr(T - 1, -abs(t_nu)))},
+        "t_sd": {"stat": t_sd, "critical_95": bridge.quantiles[0.95], "p": bridge.p_value(t_sd)},
+        "t_s": {"stat": t_s, "critical_95": wiener.quantiles[0.95], "p": wiener.p_value(t_s)},
+        "mc": {"grid": mc_grid, "reps": mc_reps, "seed": seed,
+               "bridge_quantiles": bridge.quantiles, "wiener_quantiles": wiener.quantiles},
+    }
     if series.n_transitions is not None:
-        ftest = f_statistic(series.beta, series.cov, series.n_transitions)
-
-    return TrendTestReport(
-        t_nu=stats.t_nu,
-        t_nu_p_normal=p_normal,
-        t_nu_p_t=p_t,
-        t_sd=stats.t_sd,
-        t_sd_critical=bridge.quantiles[0.95],
-        t_sd_p=bridge.p_value(stats.t_sd),
-        t_s=stats.t_s,
-        t_s_critical=wiener.quantiles[0.95],
-        t_s_p=wiener.p_value(stats.t_s),
-        f_test=ftest,
-        estimator=estimator,
-        lags=lags,
-        sigma2=sigma2,
-        sigma2_negative=negative,
-        n_waves=T,
-        mc_settings={
-            "grid": mc_grid,
-            "reps": mc_reps,
-            "seed": seed,
-            "bridge_quantiles": bridge.quantiles,
-            "wiener_quantiles": wiener.quantiles,
-        },
-    )
+        doc["f"] = f_statistic(series.beta, series.cov, series.n_transitions)
+    return doc

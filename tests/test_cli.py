@@ -491,7 +491,10 @@ def test_trend_with_non_numeric_beta_is_one_line_error(tmp_path):
     for text in ['{"beta": ["a", 1.0, 2.0], "var_diag": [0.01, 0.01, 0.01]}',
                  '{"beta": [[0.1, 0.2, 0.3]], "var_diag": [0.01, 0.01, 0.01]}',
                  '{"beta": [0.1, 0.2, NaN, 0.5], "var_diag": [0.01, 0.01, 0.01, 0.01]}',
-                 '{"beta": [0.1, 0.2, 0.3, 0.5], "var_diag": [0.01, Infinity, 0.01, 0.01]}']:
+                 '{"beta": [0.1, 0.2, 0.3, 0.5], "var_diag": [0.01, Infinity, 0.01, 0.01]}',
+                 *('{"beta": [0.1, 0.2, 0.3, 0.5], "var_diag": [0.01, 0.01, 0.01, 0.01], '
+                   f'"n_transitions": {n}}}'
+                   for n in ('"abc"', "1e400", "[1]", "{}", "-5", "2.5", "true"))]:
         path.write_text(text)
         for args in (["fit-filter", "--trend", path, "--out", tmp_path / "f.json"],
                      ["test-trend", "--trend", path, "--seed", 1, "--out", tmp_path / "t.json"]):

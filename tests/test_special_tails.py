@@ -127,14 +127,14 @@ def test_diagnostics_p_values_are_chi2_tails(lags):
 def test_f_statistic_p_values_are_chi2_and_f_tails(T, n):
     for x in (0.0, 1e-300, 0.3, 1.0, 8.5, 40.0, 1e3, 1e300):
         res = f_statistic(np.full(T, np.sqrt(x)), np.eye(T), n)
-        assert res.statistic == pytest.approx(x, rel=1e-14)
-        assert res.p_chi2 == stats.chi2.sf(res.statistic, res.df1)
-        assert res.p_f == stats.f.sf(res.statistic, res.df1, res.df2)
+        assert res["stat"] == pytest.approx(x, rel=1e-14)
+        assert res["p_chi2"] == stats.chi2.sf(res["stat"], res["df1"])
+        assert res["p_f"] == stats.f.sf(res["stat"], res["df1"], res["df2"])
     # an indefinite covariance puts the statistic below the support
     res = f_statistic(np.ones(T), -np.eye(T), n)
-    assert res.statistic < 0
-    assert res.p_chi2 == stats.chi2.sf(res.statistic, res.df1) == 1.0
-    assert res.p_f == stats.f.sf(res.statistic, res.df1, res.df2) == 1.0
+    assert res["stat"] < 0
+    assert res["p_chi2"] == stats.chi2.sf(res["stat"], res["df1"]) == 1.0
+    assert res["p_f"] == stats.f.sf(res["stat"], res["df1"], res["df2"]) == 1.0
 
 
 def test_f_statistic_needs_two_waves():
@@ -148,8 +148,8 @@ def test_zero_drift_p_values_are_normal_and_t_tails(T):
     for slope in (0.0, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e100):
         series = TrendSeries(beta=slope * np.arange(T), cov=np.eye(T), n_transitions=50_000)
         report = run_trend_tests(series, lags=1, mc_grid=2, mc_reps=1000, seed=0)
-        t = abs(report.t_nu)
-        assert report.t_nu_p_normal == 2.0 * stats.norm.sf(t)
-        assert report.t_nu_p_t == 2.0 * stats.t.sf(t, T - 1)
-        assert report.f_test.p_chi2 == stats.chi2.sf(report.f_test.statistic, T - 1)
-        assert report.f_test.p_f == stats.f.sf(report.f_test.statistic, T - 1, 50_000 - T - 2)
+        t = abs(report["t_nu"]["stat"])
+        assert report["t_nu"]["p_normal"] == 2.0 * stats.norm.sf(t)
+        assert report["t_nu"]["p_t"] == 2.0 * stats.t.sf(t, T - 1)
+        assert report["f"]["p_chi2"] == stats.chi2.sf(report["f"]["stat"], T - 1)
+        assert report["f"]["p_f"] == stats.f.sf(report["f"]["stat"], T - 1, 50_000 - T - 2)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtri
 from scipy.stats import chi2
@@ -28,16 +30,16 @@ from msmtrend.trendtests import (
 
 def test_constant_increments_map_to_zero():
     beta = np.arange(1.0, 9.0)
-    out = demean_diff_transform(beta, np.eye(8))
-    np.testing.assert_allclose(out.values, 0.0, atol=1e-14)
+    values, _, _ = demean_diff_transform(beta, np.eye(8))
+    np.testing.assert_allclose(values, 0.0, atol=1e-14)
 
 
 def test_transformed_series_sums_to_zero():
     rng = np.random.default_rng(2)
     for _ in range(20):
         beta = rng.normal(size=8)
-        out = demean_diff_transform(beta, np.eye(8))
-        assert abs(out.values.sum()) < 1e-12
+        values, _, _ = demean_diff_transform(beta, np.eye(8))
+        assert abs(values.sum()) < 1e-12
 
 
 def test_psi_covariance_matches_hand_product():
@@ -45,11 +47,11 @@ def test_psi_covariance_matches_hand_product():
     beta = rng.normal(size=6)
     m = rng.normal(size=(6, 6))
     cov = m @ m.T
-    out = demean_diff_transform(beta, cov)
-    np.testing.assert_allclose(out.omega, out.psi @ cov @ out.psi.T, atol=1e-12)
+    values, psi, omega = demean_diff_transform(beta, cov)
+    np.testing.assert_allclose(omega, psi @ cov @ psi.T, atol=1e-12)
     # and psi itself reproduces the definition row by row
     diffs = np.diff(beta)
-    np.testing.assert_allclose(out.values, diffs - diffs.mean(), atol=1e-12)
+    np.testing.assert_allclose(values, diffs - diffs.mean(), atol=1e-12)
 
 
 def test_needs_three_waves():
@@ -64,7 +66,7 @@ def test_needs_three_waves():
 def test_lag_zero_is_gamma0():
     x = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     est = long_run_variance(x, m=0)
-    assert est.value == pytest.approx(np.mean((x - x.mean()) ** 2))
+    assert est == pytest.approx(np.mean((x - x.mean()) ** 2))
 
 
 def test_alternating_series_hand_value():
@@ -75,21 +77,34 @@ def test_alternating_series_hand_value():
     g0 = np.sum(xc * xc) / 6
     g1 = np.sum(xc[1:] * xc[:-1]) / 6
     want = g0 + 2 * bartlett_weight(1, 1) * g1
-    assert est.value == pytest.approx(want, rel=1e-14)
-    assert est.value < g0
+    assert est == pytest.approx(want, rel=1e-14)
+    assert est < g0
 
 
 def test_iid_long_run_variance_near_one():
     rng = np.random.default_rng(11)
     x = rng.standard_normal(10_000)
     est = long_run_variance(x, m=3)
-    assert abs(est.value - 1.0) < 0.05
+    assert abs(est - 1.0) < 0.05
 
 
-def test_negative_estimate_flagged():
-    x = np.array([1.0, -1.0, 1.0, -1.0])
-    est = long_run_variance(x, m=1)
-    assert est.negative == (est.value < 0)
+# values rounded to 6 decimals, so that no product of two centred values
+# underflows to where a float keeps too few bits to stay exact in sign
+_VALUES = st.floats(-1e3, 1e3).map(lambda v: round(v, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(_VALUES, min_size=1, max_size=40),
+    st.tuples(_VALUES, st.integers(1, 40)).map(lambda a: [a[0] * (-1.0) ** k for k in range(a[1])]),
+))
+def test_long_run_variance_is_never_negative(series):
+    # with 1/n autocovariances and Bartlett weights the estimate is the
+    # periodogram smoothed by the nonnegative Fejer kernel (Newey & West
+    # 1987), at every lag length; alternating series, whose gamma(1) is the
+    # most negative, come nearest to zero
+    for m in range(len(series)):
+        assert long_run_variance(series, m) >= 0.0, m
 
 
 def test_lag_bounds():
@@ -140,7 +155,7 @@ def test_hac_toeplitz_matches_long_run_with_double_flag():
     gamma = [np.sum(x[tau:] * x[:-tau or None]) / (n - tau) for tau in range(n)]
     omega = np.array([[gamma[abs(i - j)] for j in range(n)] for i in range(n)])
     got = hac_variance(omega, m, double_offdiag=True)
-    want = long_run_variance(x, m).value
+    want = long_run_variance(x, m)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -154,13 +169,13 @@ def test_hac_rejects_nonsquare():
 
 
 def test_constant_series_all_zero():
-    stats = t_statistics(np.full(8, 2.5), 1.0)
-    assert stats.t_nu == 0.0 and stats.t_sd == 0.0 and stats.t_s == 0.0
+    t_nu, t_sd, t_s = t_statistics(np.full(8, 2.5), 1.0)
+    assert t_nu == 0.0 and t_sd == 0.0 and t_s == 0.0
 
 
 def test_two_point_hand_value():
-    stats = t_statistics(np.array([0.0, 1.0]), 1.0)
-    assert stats.t_nu == pytest.approx(2 ** -0.5)
+    t_nu, _, _ = t_statistics(np.array([0.0, 1.0]), 1.0)
+    assert t_nu == pytest.approx(2 ** -0.5)
 
 
 def independent_t_stats(beta, sigma):
@@ -183,9 +198,9 @@ def test_matches_independent_recomputation():
         sigma = float(rng.uniform(0.2, 2.0))
         got = t_statistics(beta, sigma)
         want = independent_t_stats(list(beta), sigma)
-        assert got.t_nu == pytest.approx(want[0], rel=1e-12)
-        assert got.t_sd == pytest.approx(want[1], rel=1e-12)
-        assert got.t_s == pytest.approx(want[2], rel=1e-12)
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        assert got[1] == pytest.approx(want[1], rel=1e-12)
+        assert got[2] == pytest.approx(want[2], rel=1e-12)
 
 
 def test_additive_shift_invariance():
@@ -193,9 +208,9 @@ def test_additive_shift_invariance():
     beta = rng.normal(size=8)
     a = t_statistics(beta, 0.7)
     b = t_statistics(beta + 123.456, 0.7)
-    assert a.t_nu == pytest.approx(b.t_nu, abs=1e-9)
-    assert a.t_sd == pytest.approx(b.t_sd, rel=1e-9)
-    assert a.t_s == pytest.approx(b.t_s, rel=1e-9)
+    assert a[0] == pytest.approx(b[0], abs=1e-9)
+    assert a[1] == pytest.approx(b[1], rel=1e-9)
+    assert a[2] == pytest.approx(b[2], rel=1e-9)
 
 
 def test_requires_positive_sigma():
@@ -209,14 +224,14 @@ def test_requires_positive_sigma():
 
 def test_f_zero_beta():
     res = f_statistic(np.zeros(8), np.eye(8), n=50_000)
-    assert res.statistic == 0.0
-    assert res.p_chi2 == 1.0 and res.p_f == 1.0
+    assert res["stat"] == 0.0
+    assert res["p_chi2"] == 1.0 and res["p_f"] == 1.0
 
 
 def test_f_unit_case():
     res = f_statistic(np.ones(8), np.eye(8), n=50_000)
-    assert res.statistic == pytest.approx(1.0)
-    assert res.df1 == 7
+    assert res["stat"] == pytest.approx(1.0)
+    assert res["df1"] == 7
 
 
 def test_f_against_cholesky_oracle():
@@ -227,16 +242,16 @@ def test_f_against_cholesky_oracle():
         beta = rng.normal(size=8)
         res = f_statistic(beta, cov, n=70_000)
         want = float(beta @ cho_solve(cho_factor(cov), beta)) / 8
-        assert res.statistic == pytest.approx(want, rel=1e-10)
-        assert res.p_chi2 == pytest.approx(float(chi2.sf(want, 7)), rel=1e-12)
+        assert res["stat"] == pytest.approx(want, rel=1e-10)
+        assert res["p_chi2"] == pytest.approx(float(chi2.sf(want, 7)), rel=1e-12)
 
 
 def test_f_singular_covariance_uses_pinv():
     cov = np.zeros((4, 4))
     cov[0, 0] = 1.0
     res = f_statistic(np.array([1.0, 0, 0, 0]), cov, n=1000)
-    assert res.used_pinv
-    assert np.isfinite(res.statistic)
+    assert res["used_pinv"]
+    assert np.isfinite(res["stat"])
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +487,7 @@ def make_series(rng, T=8, sigma_eta=0.15, sigma_eps=0.13):
 def test_report_runs_and_round_trips(tmp_path):
     rng = np.random.default_rng(20)
     series = make_series(rng)
-    report = run_trend_tests(series, lags=3, estimator="hac", seed=3, mc_reps=2_000)
-    doc = report.to_json_dict()
+    doc = run_trend_tests(series, lags=3, estimator="hac", seed=3, mc_reps=2_000)
     assert 0.0 <= doc["t_sd"]["p"] <= 1.0
     assert 0.0 <= doc["t_s"]["p"] <= 1.0
     assert doc["f"]["df1"] == 7
@@ -486,7 +500,7 @@ def test_lag_sweep_smooth():
     pvals = []
     for m in range(1, 7):
         report = run_trend_tests(series, lags=m, estimator="hac", seed=3, mc_reps=2_000)
-        pvals.append(report.t_nu_p_normal)
+        pvals.append(report["t_nu"]["p_normal"])
     assert all(0.0 <= p <= 1.0 for p in pvals)
     assert np.max(np.abs(np.diff(pvals))) < 0.6  # varies smoothly, no blowups
 
@@ -500,10 +514,10 @@ def test_strong_drift_detected():
     reps = 200
     for _ in range(reps):
         beta = np.cumsum(rng.normal(-0.5, 0.05, 8)) + rng.normal(0, 0.05, 8)
-        transformed = demean_diff_transform(beta, np.diag(np.full(8, 0.05**2)))
-        sigma2 = hac_variance(transformed.omega, 3)
-        stats = t_statistics(beta, math.sqrt(sigma2))
-        p = 2 * norm.sf(abs(stats.t_nu))
+        _, _, omega = demean_diff_transform(beta, np.diag(np.full(8, 0.05**2)))
+        sigma2 = hac_variance(omega, 3)
+        t_nu, _, _ = t_statistics(beta, math.sqrt(sigma2))
+        p = 2 * norm.sf(abs(t_nu))
         hits += p < 0.01
     assert hits / reps >= 0.95
 
@@ -512,5 +526,5 @@ def test_long_run_estimator_variant():
     rng = np.random.default_rng(22)
     series = make_series(rng, T=10)
     report = run_trend_tests(series, lags=2, estimator="long_run", seed=3, mc_reps=2_000)
-    assert report.estimator == "long_run"
-    assert report.sigma2 > 0
+    assert report["estimator"] == "long_run"
+    assert report["sigma2"] > 0
