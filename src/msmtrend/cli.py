@@ -12,6 +12,7 @@ error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -217,14 +218,12 @@ def cmd_gain_analysis(args) -> int:
         _check_count("periods", args.periods)
         # a negative count gets the same one-line error as zero
         s = np.full(max(args.periods, 0), args.s)
-    traj = gain.gain_sequence(s)
     k = np.arange(1, len(s) + 1)
-    write_csv(args.out_trajectory, {"k": k, "k_paper": k - 1, "s": traj.s, "gain": traj.gains,
-                                    "nu_var": traj.nu_var, "slope": traj.slope,
-                                    "intercept": traj.intercept})
-    fp = gain.fixed_point(s)
-    write_csv(args.out_fixed_point, {"k": k, "s": fp.s, "iota": np.full(len(s), fp.iota),
-                                     "nu_inf": fp.nu_inf, "k_inf": fp.k_inf})
+    write_csv(args.out_trajectory, {"k": k, "k_paper": k - 1, "s": s, **gain.gain_sequence(s)})
+    nu_inf, k_inf = gain.fixed_point(s)
+    # the iota column is kept for the format: the variance map here has none
+    write_csv(args.out_fixed_point, {"k": k, "s": s, "iota": np.zeros(len(s)),
+                                     "nu_inf": nu_inf, "k_inf": k_inf})
     print(f"wrote gain trajectory ({len(s)} waves) and fixed points")
     return 0
 
@@ -258,9 +257,8 @@ def cmd_power_curve(args) -> int:
     curve = gain.power(grid, args.k, args.s, mode=args.mode)
     write_csv(args.out, {"x": curve.eta_std, "value": curve.theta})
     if args.size_out:
-        # size lives on nonnegative shocks: mirror the power grid
-        size_grid = np.unique(np.abs(grid))
-        alpha = gain.size(size_grid, args.k, args.s, mode=args.mode)
+        # size is the power curve on nonnegative shocks: mirror the power grid
+        alpha = gain.power(np.unique(np.abs(grid)), args.k, args.s, mode=args.mode)
         write_csv(args.size_out, {"x": alpha.eta_std, "value": alpha.theta})
     print(f"wrote power curve over {grid.size} points (k={args.k}, s={args.s}, {args.mode})")
     return 0
@@ -300,6 +298,9 @@ def cmd_validate(args) -> int:
 # parser
 
 
+# built once per process: parsing does not change a parser, and main runs
+# many commands in one process when it is called as a library
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="msmtrend", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

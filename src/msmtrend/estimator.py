@@ -278,7 +278,7 @@ class PanelDesign:
                     # raised again for the first bad time in row order
                     structure.wave_indices(p.times[np.r_[p.ids[1:] == p.ids[:-1], False]])
                     raise
-                self.basis[cell, k] = covariate_design(structure, p.ages[row])[0]
+                self.basis[cell, k] = covariate_design(structure, p.ages[row])
 
     @property
     def active(self) -> np.ndarray:
@@ -359,7 +359,7 @@ class PanelDesign:
         steps, n = self.n_steps, self.n
         lins = take(3, steps, n)
         lins[0], lins[1], lins[2] = (lin.T for lin in log_intensities(
-            params, self.waves, self.female[:, None], self.basis, self.age_centered
+            params, self.waves, self.female[:, None], self.basis
         ))
         rates = np.clip(lins, -_LIN_CLIP, _LIN_CLIP, out=take(3, steps, n))
         np.exp(rates, out=rates)

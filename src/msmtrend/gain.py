@@ -21,36 +21,15 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 __all__ = [
-    "GainTrajectory",
     "gain_sequence",
-    "FixedPoint",
     "fixed_point",
-    "CoefficientTable",
     "exact_coefficients",
     "PowerCurve",
     "power",
-    "size",
 ]
 
 
-@dataclass
-class GainTrajectory:
-    """Gain and normalized-variance path for a signal-to-noise sequence.
-
-    ``nu_var`` = s_k A_k holds the normalized posterior variances
-    P_{k|k} / sigma_kk^2, A_k being the gain history of :func:`gain_sequence`.
-    ``slope`` and ``intercept`` hold the affine step K_{k+1} = m_k K_k + b_k
-    at each k, NaN outside 2 <= k <= T - 1.
-    """
-
-    s: np.ndarray
-    gains: np.ndarray
-    nu_var: np.ndarray
-    slope: np.ndarray
-    intercept: np.ndarray
-
-
-def gain_sequence(s) -> GainTrajectory:
+def gain_sequence(s) -> dict:
     """Gains K_1 = 1, K_{k} = s_k (A_{k-1} + 1) / (s_k A_{k-1} + s_k + 1).
 
     A_k = sum_{d=1..k} prod_{i=d..k} (1 - K_i) accumulates the gain history;
@@ -64,6 +43,10 @@ def gain_sequence(s) -> GainTrajectory:
         m_k = -s_{k+1} (A_{k-1} + 1) (1 - K_{k+1})^2,   b_k = K_{k+1} - m_k K_k.
 
     It reproduces K_{k+1} exactly, and |m_k| < 1 expresses the contraction.
+
+    Returns the columns of the trajectory: ``gain``, ``nu_var`` = s_k A_k
+    (the normalized posterior variances P_{k|k} / sigma_kk^2), and ``slope``
+    m_k and ``intercept`` b_k, NaN outside 2 <= k <= T - 1.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 1 or s.size < 1:
@@ -82,61 +65,38 @@ def gain_sequence(s) -> GainTrajectory:
     slope, intercept = np.full(T, np.nan), np.full(T, np.nan)
     slope[1:-1] = -s[2:] * (A[:-2] + 1.0) * (1.0 - gains[2:]) ** 2
     intercept[1:-1] = gains[2:] - slope[1:-1] * gains[1:-1]
-    return GainTrajectory(s=s, gains=gains, nu_var=s * A, slope=slope, intercept=intercept)
+    return {"gain": gains, "nu_var": s * A, "slope": slope, "intercept": intercept}
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    """One fixed point per signal-to-noise ratio: ``s``, ``nu_inf`` and
-    ``k_inf`` are floats for a scalar ``s`` and arrays for an array."""
+def fixed_point(s) -> tuple:
+    """Fixed point ``(nu_inf, k_inf)`` of the variance map and the limiting gain.
 
-    s: float | np.ndarray
-    iota: float
-    nu_inf: float | np.ndarray
-    k_inf: float | np.ndarray
-
-
-def fixed_point(s, iota: float = 0.0) -> FixedPoint:
-    """Fixed point of the variance map and the implied limiting gain.
-
-    Solves nu = (1 - iota)(nu + s)/(nu + s + 1), i.e. the positive root of
-    nu^2 + (s + iota)nu - s(1 - iota) = 0, and K = (nu + s)/(nu + s + 1).
-    With c = (s + iota)/2, the root of larger magnitude, h + |c| with
-    h = hypot(c, sqrt(s(1 - iota))), does not cancel; where c >= 0 the root
-    product -s(1 - iota) gives nu from it.  Nothing overflows for finite s.
-    For iota = 0 the gain limit equals nu itself.  ``s`` may be an array;
-    each of its entries gets the same double as a scalar call would.
+    Solves nu = (nu + s)/(nu + s + 1), i.e. the positive root of
+    nu^2 + s nu - s = 0, and K = (nu + s)/(nu + s + 1), equal to nu in exact
+    arithmetic.  The root is taken as s / (h + s/2) with h = hypot(s/2, sqrt(s)), from the
+    root product -s and the root of larger magnitude, which does not cancel;
+    nothing overflows for finite s.  Floats for a scalar ``s``, arrays for an
+    array, each entry the same double as a scalar call would give.
     """
     values = np.asarray(s, dtype=float)
     if not np.all((values > 0) & np.isfinite(values)):
         bad = s if values.ndim == 0 else values[~((values > 0) & np.isfinite(values))][0]
         raise InvalidArgumentError(f"s must be positive and finite, got {bad}")
-    if not iota < 1:
-        raise InvalidArgumentError(f"iota must be below 1, got {iota}")
-    c = 0.5 * (values + iota)
-    big = np.hypot(c, np.sqrt(values) * math.sqrt(1.0 - iota)) + np.abs(c)
-    nu_inf = np.where(c >= 0.0, (1.0 - iota) * (values / big), big)
+    half = 0.5 * values
+    nu_inf = values / (np.hypot(half, np.sqrt(values)) + half)
     k_inf = (nu_inf + values) / (nu_inf + values + 1.0)
     if values.ndim:
-        return FixedPoint(s=values, iota=float(iota), nu_inf=nu_inf, k_inf=k_inf)
-    return FixedPoint(s=float(s), iota=float(iota), nu_inf=float(nu_inf), k_inf=float(k_inf))
+        return nu_inf, k_inf
+    return float(nu_inf), float(k_inf)
 
 
 # ---------------------------------------------------------------------------
 # innovation expansion coefficients
 
 
-@dataclass
-class CoefficientTable:
-    """Coefficients of K_k v_k = sum_i c_i(k) eta_i + d_i(k) eps_i."""
-
-    order: int
-    c: np.ndarray
-    d: np.ndarray
-
-
-def exact_coefficients(k: int, gains) -> CoefficientTable:
-    """Shock coefficients, defined by the forward recursions
+def exact_coefficients(k: int, gains) -> tuple:
+    """Coefficients ``(c, d)`` of K_k v_k = sum_i c_i(k) eta_i + d_i(k) eps_i,
+    defined by the forward recursions
 
         c_i(j+1) = (-K_{j+1}) (-1 + sum_{s=i..j} c_i(s)),   c_i(i) = K_i
         d_i(j+1) = (-K_{j+1}) sum_{s=i..j} d_i(s),          d_i(i) = K_i
@@ -160,11 +120,11 @@ def exact_coefficients(k: int, gains) -> CoefficientTable:
     tail = np.append(np.cumprod(1.0 - g[-2::-1])[::-1], 1.0)
     c = g[-1] * tail
     d = np.append(-g[-1] * g[:-1] * tail[1:], g[-1])
-    return CoefficientTable(order=k, c=c, d=d)
+    return c, d
 
 
 # ---------------------------------------------------------------------------
-# power and size
+# power
 
 
 @dataclass
@@ -203,24 +163,11 @@ def power(eta_std, k: int, s: float, mode: str = "exact") -> PowerCurve:
     if mode not in ("exact", "asymptotic"):
         raise InvalidArgumentError("mode must be 'exact' or 'asymptotic'")
     x = np.atleast_1d(np.asarray(eta_std, dtype=float))
-    gains = gain_sequence(np.full(k, s)).gains if mode == "exact" else np.full(k, fixed_point(s).k_inf)
-    table = exact_coefficients(k, gains)
-    c, d = table.c / table.c[-1], table.d / table.c[-1]
+    gains = gain_sequence(np.full(k, s))["gain"] if mode == "exact" else np.full(k, fixed_point(s)[1])
+    c, d = exact_coefficients(k, gains)
+    c, d = c / c[-1], d / c[-1]
     # imported here, so that importing the package loads no SciPy
     from scipy.special import ndtr
     theta = ndtr(-x / math.sqrt(float(np.sum(c[:-1] ** 2) + np.sum(d**2) / s)))
     return PowerCurve(eta_std=x, theta=theta, k=k, s=float(s), mode=mode)
 
-
-def size(eta_std, k: int, s: float, mode: str = "exact") -> PowerCurve:
-    """False-positive probability for nonnegative shocks.
-
-    The probability of registering a fall given eta_k = x is the same
-    Gaussian tail for any x, so the size curve is the power expression
-    continued onto x >= 0; by symmetry alpha(x) = 1 - theta(-x), the
-    complement of power at the mirrored shock.
-    """
-    x = np.atleast_1d(np.asarray(eta_std, dtype=float))
-    if np.any(x < 0):
-        raise InvalidArgumentError("size is defined on nonnegative standardized shocks")
-    return power(x, k, s, mode)

@@ -21,6 +21,7 @@ for the Hessian.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -85,7 +86,8 @@ def spline_basis_matrix(ages, knots) -> np.ndarray:
     which are cubic between the boundary knots, linear outside them and
     have zero second derivative at both boundaries.  The (k_K - k_1)^2
     normalization keeps the curvature columns on the scale of x itself.
-    No intercept column; the caller supplies one if needed.
+    No intercept column; the caller supplies one if needed.  An age whose
+    basis is not finite (its cube overflows) is refused.
     """
     knots = _check_knots(knots)
     x = np.atleast_1d(np.asarray(ages, dtype=float))
@@ -101,11 +103,15 @@ def spline_basis_matrix(ages, knots) -> np.ndarray:
         v = np.maximum(v, 0.0)
         return v * v * v
 
-    last = trunc_cube(x - knots[K - 1])
-    d_last = (trunc_cube(x - knots[K - 2]) - last) / (knots[K - 1] - knots[K - 2])
-    for j in range(K - 2):
-        d_j = (trunc_cube(x - knots[j]) - last) / (knots[K - 1] - knots[j])
-        out[:, j + 1] = (d_j - d_last) / norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = trunc_cube(x - knots[K - 1])
+        d_last = (trunc_cube(x - knots[K - 2]) - last) / (knots[K - 1] - knots[K - 2])
+        for j in range(K - 2):
+            d_j = (trunc_cube(x - knots[j]) - last) / (knots[K - 1] - knots[j])
+            out[:, j + 1] = (d_j - d_last) / norm
+    if not np.isfinite(out).all():
+        age = x[~np.isfinite(out).all(axis=1)][0]
+        raise InvalidArgumentError(f"age {age} is too large for the spline basis")
     return out
 
 
@@ -128,8 +134,15 @@ class ModelStructure:
         wt = np.asarray(self.wave_times, dtype=float)
         if wt.size < 2 or not np.all(np.diff(wt) > 0):
             raise InvalidSpecError("wave_times must be strictly increasing, length >= 2")
+        # NumPy reads true and false as 1.0 and 0.0
+        for name in ("knots", "wave_times"):
+            if any(isinstance(v, (bool, np.bool_)) for v in getattr(self, name)):
+                raise InvalidSpecError(f"{name} must be numbers, not true or false")
         if self.ref_age is None:
             object.__setattr__(self, "ref_age", float(self.knots[len(self.knots) // 2]))
+        elif not (isinstance(self.ref_age, numbers.Real) and not isinstance(self.ref_age, bool)
+                  and math.isfinite(self.ref_age)):
+            raise InvalidSpecError(f"ref_age must be a finite number, got {self.ref_age!r}")
         object.__setattr__(self, "knots", tuple(float(k) for k in self.knots))
         object.__setattr__(self, "wave_times", tuple(float(t) for t in wt))
 
@@ -220,8 +233,12 @@ class HazardParams:
 
     def __post_init__(self):
         for name, (_, kind, _) in FIELDS.items():
+            value = getattr(self, name)
             if kind in ("dummy", "basis"):
-                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+                setattr(self, name, np.asarray(value, dtype=float))
+            # an integer times the simulator's int8 codes would stay int8
+            elif isinstance(value, numbers.Integral) and not isinstance(value, bool):
+                setattr(self, name, float(value))
 
     def validate(self, structure: ModelStructure) -> None:
         for name, size in param_layout(structure):
@@ -266,17 +283,16 @@ class IntensityMatrix:
 
 
 def covariate_design(structure: ModelStructure, ages):
-    """Spline basis (a trailing axis of length K-1) and age, both centered
-    at ``structure.ref_age``."""
+    """Spline basis (a trailing axis of length K-1) centered at
+    ``structure.ref_age``; its first column is the centered age."""
     ages = np.asarray(ages, dtype=float)
     basis = spline_basis_matrix(ages.ravel(), structure.knots) - spline_basis_matrix(
         [structure.ref_age], structure.knots
     )
-    basis = basis.reshape(ages.shape + (structure.n_basis,))
-    return basis, ages - structure.ref_age
+    return basis.reshape(ages.shape + (structure.n_basis,))
 
 
-def log_intensities(params: HazardParams, wave, female, basis, age_centered):
+def log_intensities(params: HazardParams, wave, female, basis):
     """Log intensities (log q12, log q13, log q23) on a covariate design:
 
         log q12 = beta[wave] + female_12 female + basis . age_spline_12
@@ -285,10 +301,11 @@ def log_intensities(params: HazardParams, wave, female, basis, age_centered):
         log q23 = log_q23_0 + female_23 female + age_23 age + trend_23 wave
 
     ``wave`` is the 1-based index of the interval's left endpoint; ``female``
-    is 0 or 1 and, with the arrays of :func:`covariate_design`, broadcasts.
+    is 0 or 1 and, with the basis of :func:`covariate_design`, broadcasts.
+    The centered age is the basis's first column.
     """
     terms = {"dummy": lambda v: v[wave - 1], "one": lambda v: v, "basis": lambda v: basis @ v,
-             "age_centered": lambda v: v * age_centered, "waves": lambda v: v * wave}
+             "age_centered": lambda v: v * basis[..., 0], "waves": lambda v: v * wave}
     lins: dict = {}
     for name, (coord, kind, by_female) in FIELDS.items():
         if coord <= 2:
@@ -317,7 +334,7 @@ def build_intensity(
     params.validate(structure)
     female = np.array([float(z.female)])
     lin12, lin13, lin23 = log_intensities(
-        params, np.array([wave], dtype=int), female, *covariate_design(structure, [z.age])
+        params, np.array([wave], dtype=int), female, covariate_design(structure, [z.age])
     )
     q12, q13, q23 = math.exp(lin12[0]), math.exp(lin13[0]), math.exp(lin23[0])
     if not all(map(math.isfinite, (q12, q13, q23))):
@@ -517,7 +534,7 @@ def load_model_spec(path):
         )
     except KeyError as exc:
         raise InvalidSpecError(f"model spec missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpecError(f"model spec: {exc}") from exc
     params = None
     if "params" in doc:
@@ -528,6 +545,6 @@ def load_model_spec(path):
                 raise InvalidSpecError(f"model spec params missing field {missing[0]!r}")
             params = HazardParams(**p)
             params.validate(structure)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidSpecError(f"model spec params: {exc}") from exc
     return structure, params

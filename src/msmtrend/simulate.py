@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, NumericalError
 from .markov import HazardParams, ModelStructure, covariate_design, log_intensities, logistic
 from .panel import Panel
 
@@ -77,8 +77,11 @@ def _latent_paths_vectorized(config: SimulationConfig, u: np.ndarray, age0, fem,
     state = state0.copy()
     for k in range(1, T + 1):
         width = wt[k] - wt[k - 1]
-        q12, q13, q23 = np.exp(log_intensities(
-            params, np.full(n, k), fem, *covariate_design(structure, age0 + wt[k - 1])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            q12, q13, q23 = rates = np.exp(log_intensities(
+                params, np.full(n, k), fem, covariate_design(structure, age0 + wt[k - 1])))
+        if not np.isfinite(rates).all():
+            raise NumericalError(f"intensity overflow in wave {k}; check parameter scale and ages")
         u1 = u[:, 3 * (k - 1)]
         u2 = u[:, 3 * (k - 1) + 1]
         u3 = u[:, 3 * (k - 1) + 2]

@@ -44,7 +44,7 @@ from scipy.special import expit
 
 from msmtrend.errors import InvalidArgumentError, InvalidSpecError, NumericalError
 from msmtrend.estimator import _LIN_CLIP, PanelDesign, pack_params
-from msmtrend.gain import CoefficientTable, exact_coefficients, gain_sequence
+from msmtrend.gain import exact_coefficients, gain_sequence
 from msmtrend.kalman import run_filter
 from msmtrend.markov import (
     ROW_SUM_TOL,
@@ -694,8 +694,9 @@ def coefficients_recursion(k: int, gains) -> tuple:
     return c, d
 
 
-def asymptotic_coefficients(k: int, k_inf: float) -> CoefficientTable:
-    """Steady-state coefficients: the exact ones with every gain at its limit,
+def asymptotic_coefficients(k: int, k_inf: float) -> tuple:
+    """Steady-state coefficients ``(c, d)``: the exact ones with every gain at
+    its limit,
 
         c_i(k) = sum_m (-1)^m C(k-i, m) K^{m+1}      = K (1-K)^{k-i}
         d_i(k) = sum_m (-1)^{m+1} C(k-i-1, m) K^{m+2} = -K^2 (1-K)^{k-i-1}, i < k
@@ -714,7 +715,7 @@ def enumerate_coefficients_oracle(k: int, gains):
 
     c_i(k) sums (-1)^{len+1} prod K over all subsets of {i..k} whose largest
     element is k; d_i(k) over subsets containing both i and k.  Exponential
-    cost, refused above order 10.  Returns (table, c_terms, d_terms) where
+    cost, refused above order 10.  Returns ((c, d), c_terms, d_terms) where
     the term lists hold (sign, indices) tuples.
     """
     if k < 2:
@@ -746,8 +747,7 @@ def enumerate_coefficients_oracle(k: int, gains):
         # that contain i cover the definition
         c_terms[i] = ct
         d_terms[i] = dt
-    table = CoefficientTable(order=k, c=c, d=d)
-    return table, c_terms, d_terms
+    return (c, d), c_terms, d_terms
 
 
 
@@ -763,7 +763,7 @@ def mc_power(k: int, s: float, eta_std: float, reps: int, seed: int = 0) -> floa
     """
     if k < 2:
         raise InvalidArgumentError(f"k must be >= 2, got {k}")
-    gains = gain_sequence(np.full(k, s)).gains
+    gains = gain_sequence(np.full(k, s))["gain"]
     block = 10_000
     falls = 0
     done = 0

@@ -169,19 +169,19 @@ def test_acceptance_06_filter_ml_consistency():
 
 
 def test_acceptance_07_gain_convergence():
-    traj = gain_sequence(np.full(8, 1.26))
-    fp = fixed_point(1.26)
+    gains = gain_sequence(np.full(8, 1.26))["gain"]
+    _, k_inf = fixed_point(1.26)
     ok = (
-        round(float(traj.gains[1]), 2) == 0.56
-        and round(float(traj.gains[2]), 2) == 0.65
-        and round(fp.k_inf, 2) == 0.66
-        and abs(traj.gains[3] - fp.k_inf) < 0.01
+        round(float(gains[1]), 2) == 0.56
+        and round(float(gains[2]), 2) == 0.65
+        and round(k_inf, 2) == 0.66
+        and abs(gains[3] - k_inf) < 0.01
     )
     check(
         "7. gain path 0.56 / 0.65 / K_inf 0.66, converged by k=4",
         ok,
-        f"gains {traj.gains[1]:.4f}, {traj.gains[2]:.4f}, K_inf {fp.k_inf:.4f}, "
-        f"|K_4-K_inf| {abs(traj.gains[3] - fp.k_inf):.4f}",
+        f"gains {gains[1]:.4f}, {gains[2]:.4f}, K_inf {k_inf:.4f}, "
+        f"|K_4-K_inf| {abs(gains[3] - k_inf):.4f}",
     )
 
 
@@ -191,7 +191,7 @@ def test_acceptance_08a_power_published_values():
     # (beta_{k-1} - hat beta_{k-1|k-1}) + eta_k + eps_k with variance
     # sigma_eta^2 (1 + K_inf)/s, so theta(x) = Phi(-x sqrt(s/(1 + K_inf))),
     # where K_inf = (-s + sqrt(s^2 + 4s))/2 is also the normalized posterior
-    # variance (iota = 0).  That gives 0.808 and 0.959.
+    # variance.  That gives 0.808 and 0.959.
     #
     # The narrative values 0.73 / 0.98 are not asserted: every curve of the
     # documented form Phi(-c x / sqrt(Vbar)) has Phi^{-1}(theta(-2)) =
@@ -242,10 +242,9 @@ def test_acceptance_09_coefficient_machinery():
     for _ in range(100):
         k = int(rng.integers(2, 9))
         gains = rng.uniform(0.05, 0.95, size=k)
-        fast = exact_coefficients(k, gains)
-        slow, c_terms, d_terms = enumerate_coefficients_oracle(k, gains)
-        worst = max(worst, float(np.abs(fast.c - slow.c).max()),
-                    float(np.abs(fast.d - slow.d).max()))
+        c, d = exact_coefficients(k, gains)
+        (slow_c, slow_d), _, _ = enumerate_coefficients_oracle(k, gains)
+        worst = max(worst, float(np.abs(c - slow_c).max()), float(np.abs(d - slow_d).max()))
 
     counts_ok = True
     gains10 = np.full(9, 0.5)
@@ -256,15 +255,15 @@ def test_acceptance_09_coefficient_machinery():
 
     # symbolic order-2/3 tables evaluated at random gains
     k1, k2, k3 = rng.uniform(0.1, 0.9, size=3)
-    t2 = exact_coefficients(2, np.array([k1, k2]))
-    t3 = exact_coefficients(3, np.array([k1, k2, k3]))
+    c2, d2 = exact_coefficients(2, np.array([k1, k2]))
+    c3, d3 = exact_coefficients(3, np.array([k1, k2, k3]))
     tables_ok = (
-        np.allclose(t2.c, [k2 - k2 * k1, k2], atol=1e-14)
-        and np.allclose(t2.d, [-k2 * k1, k2], atol=1e-14)
+        np.allclose(c2, [k2 - k2 * k1, k2], atol=1e-14)
+        and np.allclose(d2, [-k2 * k1, k2], atol=1e-14)
         and np.allclose(
-            t3.c, [k3 - k3 * k1 - k3 * k2 + k3 * k2 * k1, k3 - k3 * k2, k3], atol=1e-14
+            c3, [k3 - k3 * k1 - k3 * k2 + k3 * k2 * k1, k3 - k3 * k2, k3], atol=1e-14
         )
-        and np.allclose(t3.d, [-k3 * k1 + k3 * k2 * k1, -k3 * k2, k3], atol=1e-14)
+        and np.allclose(d3, [-k3 * k1 + k3 * k2 * k1, -k3 * k2, k3], atol=1e-14)
     )
 
     # end-to-end: K_k v_k equals the coefficient expansion on shock histories
@@ -276,8 +275,8 @@ def test_acceptance_09_coefficient_machinery():
         eps = rng.normal(0, 1.0, size=k) / np.sqrt(s)
         beta_hat = np.cumsum(eta) + eps
         out = run_filter(beta_hat, FilterModel(sigma_eta=1.0), meas_var=1.0 / s)
-        table = exact_coefficients(k, out.gain)
-        want = float(table.c @ eta + table.d @ eps)
+        c, d = exact_coefficients(k, out.gain)
+        want = float(c @ eta + d @ eps)
         got = out.gain[k - 1] * out.innovation[k - 1]
         expansion_worst = max(expansion_worst, abs(got - want))
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -753,6 +754,70 @@ def test_huge_signal_to_noise_gives_finite_curve_and_fixed_points(tmp_path):
     assert not (tmp_path / "inf.csv").exists()
 
 
+def run_main(argv):
+    """``cli.main`` in this process: its exit code and its stderr lines, each
+    warning it raised counted as one more line."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+def spec_commands(spec, panel, tmp_path):
+    return [["simulate", "--model-spec", spec, "--n", 20, "--seed", 1, "--out", tmp_path / "p.csv"],
+            fit_msm_args(panel, tmp_path, spec)]
+
+
+@pytest.mark.parametrize("ref_age", ["x", "", "70", {}, [], [60, 75, 90], True, math.inf,
+                                     -math.inf, math.nan],
+                         ids=["letter", "empty", "digits", "object", "empty_list", "list", "true",
+                              "inf", "minus_inf", "nan"])
+def test_ref_age_must_be_a_finite_number(spec_file, panel_file, tmp_path, ref_age):
+    # each ended in a traceback, ran as age 1.0 (true), or was reported as
+    # "ages must be finite"
+    doc = json.loads(spec_file.read_text())
+    doc["ref_age"] = ref_age
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    for argv in spec_commands(spec, panel_file, tmp_path):
+        assert run_main(argv) == (1, [f"error: validation: ref_age must be a finite number, "
+                                      f"got {ref_age!r}"])
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("field, at", [("knots", 0), ("wave_times", 0), ("wave_times", 1)])
+def test_true_or_false_is_no_knot_or_wave_time(spec_file, panel_file, tmp_path, field, at):
+    # NumPy read true as 1.0 and false as 0.0, which drew a panel
+    doc = json.loads(spec_file.read_text())
+    doc[field][at] = bool(at)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    for argv in spec_commands(spec, panel_file, tmp_path):
+        assert run_main(argv) == (1, [f"error: validation: {field} must be numbers, not true or false"])
+
+
+def test_age_beyond_the_spline_basis_is_one_line_error(spec_file, panel_file, tmp_path):
+    # the basis's cubes overflowed: fit-msm printed RuntimeWarnings and
+    # exited 2, and simulate drew a panel from NaN intensities with exit 0
+    lines = panel_file.read_text().splitlines()
+    row = lines[5].split(",")
+    row[3] = "1e300"
+    panel = tmp_path / "panel.csv"
+    panel.write_text("\n".join(lines[:5] + [",".join(row)] + lines[6:]) + "\n")
+    message = ["error: validation: age 1e+300 is too large for the spline basis"]
+    for spec in (spec_file, None):
+        assert run_main(fit_msm_args(panel, tmp_path, spec)) == (1, message)
+    assert not (tmp_path / "e.json").exists()
+    code, err = run_main(["simulate", "--model-spec", spec_file, "--n", 20, "--seed", 1,
+                          "--age-max", 1e300, "--out", tmp_path / "p.csv"])
+    assert code == 1 and len(err) == 1, err
+    assert err[0].startswith("error: validation: age ") and err[0].endswith(
+        " is too large for the spline basis")
+    assert not (tmp_path / "p.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # fuzz: every command that reads a trend or a signal-to-noise ratio, at
 # magnitudes from 1e-300 to 1e300, ends in an answer or a one-line error
@@ -899,3 +964,131 @@ def test_mangled_panels_end_in_an_answer_or_one_line_error(raw, command):
         assert err.getvalue().startswith("error: ")
     else:
         assert err.getvalue() == ""
+
+
+def test_parser_is_built_once_and_keeps_no_config(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    config, out = tmp_path / "config.json", tmp_path / "power.csv"
+    config.write_text(json.dumps({"grid": "-1:0:0.5", "mode": "asymptotic"}))
+    assert run_main(["power-curve", "--k", 4, "--s", 1.26, "--config", config, "--out", out]) == (0, [])
+    assert len(out.read_text().splitlines()) == 4
+    # the next call, without the config, writes the defaults' curve
+    assert run_main(["power-curve", "--k", 4, "--s", 1.26, "--out", out]) == (0, [])
+    x, value = zip(*(map(float, line.split(",")) for line in out.read_text().splitlines()[1:]))
+    assert len(x) == 31 and x[0] == -3.0
+    assert list(value) == gain.power(np.array(x), 4, 1.26).theta.tolist()
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one field of a valid model spec, one config value or one flag value
+# made malformed; every command ends in an answer or one stderr line
+
+# values of the wrong type, shape or range; counts between 50 and 1e7 are
+# left out, since they are valid and only slow (--n, --mc-reps, ...)
+_JUNK_NUMBERS = st.one_of(st.integers(-5, 50), st.integers(10**7, 10**30),
+                          st.integers(-10**30, -6), st.sampled_from([10**400, -10**400]),
+                          st.floats(allow_nan=True, allow_infinity=True))
+_JUNK = st.one_of(_JUNK_NUMBERS, st.none(), st.booleans(), st.text(max_size=4),
+                  st.lists(st.floats(-100.0, 100.0), max_size=4), st.just({}))
+_JUNK_FLAGS = st.one_of(_JUNK_NUMBERS.map(str), st.text(max_size=6),
+                        st.sampled_from(["nan", "-inf", "1e400", "-0", "1:2", "0:1:0"]))
+
+# each command's settings, which the fuzz passes as flags or in a config
+_SETTINGS = {
+    "simulate": {"n": 20, "seed": 1, "age-min": 60.0, "age-max": 70.0, "female-share": 0.5},
+    "fit-msm": {"maxiter": 1},
+    "fit-filter": {"variant": "const_drift", "mode": "constrained", "level": 0.9, "lags": 2,
+                   "horizon": 3},
+    "test-trend": {"seed": 1, "mc-reps": 1000, "mc-grid": 50, "lags": 2, "estimator": "hac",
+                   "double-offdiag": False, "critical-functional": "wiener"},
+    "gain-analysis": {"s": 1.26, "periods": 5},
+    "power-curve": {"k": 4, "s": 1.26, "mode": "exact", "grid": "-1:1:0.5"},
+}
+_CASES = [(command, where) for command in _SETTINGS
+          for where in (("spec",) if command in ("simulate", "fit-msm") else ()) + ("config", "flag")]
+
+
+def _spec_doc() -> dict:
+    structure, params = paperlike_structure(), fixture_params()
+    return {"knots": list(structure.knots), "wave_times": list(structure.wave_times),
+            "ref_age": structure.ref_age,
+            "params": {name: np.asarray(v).tolist() for name, v in asdict(params).items()}}
+
+
+def _json_paths(value, path=()):
+    """Every position in a JSON document, containers and leaves."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _json_paths(item, path + (key,))
+
+
+_SPEC_PATHS = list(_json_paths(_spec_doc()))[1:]
+
+
+def _malformed_argv(tmp, command, spec_doc):
+    """The command's argv without its settings, on a valid panel and trend
+    and the model spec ``spec_doc``, written into ``tmp``."""
+    f = lambda name: os.path.join(tmp, name)  # noqa: E731
+    with open(f("spec.json"), "w") as fh:
+        json.dump(spec_doc, fh)
+    with open(f("panel.csv"), "wb") as fh:
+        fh.write(_SMALL_PANEL)
+    with open(f("trend.json"), "w") as fh:
+        json.dump(_ORDINARY, fh)
+    return {
+        "simulate": ["simulate", "--model-spec", f("spec.json"), "--out", f("out.csv")],
+        "fit-msm": ["fit-msm", "--panel", f("panel.csv"), "--model-spec", f("spec.json"),
+                    "--out-estimate", f("e.json"), "--out-trend", f("t.json")],
+        "fit-filter": ["fit-filter", "--trend", f("trend.json"), "--out", f("filter.json"),
+                       "--out-forecast", f("forecast.csv")],
+        "test-trend": ["test-trend", "--trend", f("trend.json"), "--out", f("tests.json"),
+                       "--out-critical", f("critical.csv")],
+        "gain-analysis": ["gain-analysis", "--out-trajectory", f("gain.csv"),
+                          "--out-fixed-point", f("fixed.csv")],
+        "power-curve": ["power-curve", "--out", f("power.csv"), "--size-out", f("size.csv")],
+    }[command]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(_CASES), path=st.sampled_from(_SPEC_PATHS), pick=st.integers(0, 20),
+       value=_JUNK, flag_value=_JUNK_FLAGS)
+@example(case=("simulate", "spec"), path=("ref_age",), pick=0, value="x", flag_value="")
+@example(case=("fit-msm", "spec"), path=("ref_age",), pick=0, value=[60, 75, 90], flag_value="")
+# an integer parameter times the simulator's int8 codes overflowed them
+@example(case=("simulate", "spec"), path=("params", "female_13"), pick=0, value=10**7, flag_value="")
+# ages near 1e7 drew a panel from infinite intensities
+@example(case=("simulate", "flag"), path=("knots",), pick=3, value=None, flag_value="10000000")
+def test_malformed_specs_configs_and_flags_end_in_an_answer_or_one_line_error(
+        case, path, pick, value, flag_value):
+    command, where = case
+    spec, settings_ = _spec_doc(), dict(_SETTINGS[command])
+    if where == "spec":
+        *parents, last = path
+        holder = spec
+        for key in parents:
+            holder = holder[key]
+        holder[last] = value
+    elif where == "config":
+        keys = [*settings_, "bogus"]
+        settings_[keys[pick % len(keys)]] = value
+    else:
+        keys = list(settings_)
+        settings_[keys[pick % len(keys)]] = flag_value
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _malformed_argv(tmp, command, spec)
+        if where == "config":
+            with open(os.path.join(tmp, "config.json"), "w") as fh:
+                json.dump(settings_, fh)
+            argv += ["--config", os.path.join(tmp, "config.json")]
+        else:
+            # a switch is its flag alone, and an unset one is left out
+            argv += [a for k, v in settings_.items()
+                     for a in ([f"--{k}"] if v is True else [] if v is False else [f"--{k}={v}"])]
+        code, err = run_main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err) == 1 and err[0].startswith("error: "), err
+    else:
+        assert err == []

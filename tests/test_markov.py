@@ -436,13 +436,16 @@ def test_log_intensities_equal_the_formula_oracle():
     # the simulator's: one wave for everyone, female as integers
     ages, fem = rng.uniform(52.0, 88.0, 500), rng.integers(0, 2, 500)
     # build_intensity's: one point
+    # each with its age less ref_age, which the package reads from the basis
     calls = [(design.waves, design.female[:, None], design.basis, design.age_centered),
-             (np.full(500, 3), fem, *covariate_design(structure, ages + 4.0)),
-             (np.array([5]), np.array([1.0]), *covariate_design(structure, [71.5]))]
+             (np.full(500, 3), fem, covariate_design(structure, ages + 4.0),
+              ages + 4.0 - structure.ref_age),
+             (np.array([5]), np.array([1.0]), covariate_design(structure, [71.5]),
+              np.array([71.5 - structure.ref_age]))]
     gamma = pack_params(truth, structure)
     for params in (truth, unpack_params(gamma + rng.normal(0.0, 0.3, gamma.size), structure)):
         for args in calls:
-            for got, want in zip(log_intensities(params, *args),
+            for got, want in zip(log_intensities(params, *args[:3]),
                                  log_intensities_formula(params, *args)):
                 np.testing.assert_array_equal(got, want, strict=True)
 

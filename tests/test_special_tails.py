@@ -75,9 +75,9 @@ def test_every_command_but_fit_msm_loads_no_scipy_optimize(tmp_path):
 @pytest.mark.parametrize("mode", ["exact", "asymptotic"])
 @pytest.mark.parametrize("k, s", [(2, 1e-3), (4, 1.26), (30, 1.26), (3000, 100.0)])
 def test_power_is_the_normal_cdf(mode, k, s):
-    gains = gain_sequence(np.full(k, s)).gains if mode == "exact" else np.full(k, fixed_point(s).k_inf)
-    table = exact_coefficients(k, gains)
-    c, d = table.c / table.c[-1], table.d / table.c[-1]
+    gains = gain_sequence(np.full(k, s))["gain"] if mode == "exact" else np.full(k, fixed_point(s)[1])
+    c, d = exact_coefficients(k, gains)
+    c, d = c / c[-1], d / c[-1]
     scale = np.sqrt(float(np.sum(c[:-1] ** 2) + np.sum(d**2) / s))
     np.testing.assert_array_equal(power(EXTREMES, k, s, mode=mode).theta,
                                   stats.norm.cdf(-EXTREMES / scale), strict=True)
