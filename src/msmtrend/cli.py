@@ -139,19 +139,7 @@ def cmd_fit_filter(args) -> int:
             "warnings": fit.warnings,
         },
         "loglik": fit.loglik,
-        "diagnostics": {
-            "bic": report.bic,
-            "n_params": report.n_params,
-            "ljung_box": {
-                "lags": report.ljung_box_lags,
-                "stat": report.ljung_box,
-                "p": report.ljung_box_pvalue,
-            },
-            "bowman_shenton": {"stat": report.bowman_shenton, "p": report.bowman_shenton_pvalue},
-            "r1": report.r1,
-            "r2": report.r2,
-            "notes": report.notes,
-        },
+        "diagnostics": report,
         "waves": {
             "prior_mean": out.prior_mean,
             "prior_var": out.prior_var,
@@ -171,7 +159,7 @@ def cmd_fit_filter(args) -> int:
                                       "lo": fc.lower, "hi": fc.upper,
                                       "mean_hazard_scale": fc.mean_hazard_scale})
     flags = f" boundary={fit.boundary}" if fit.boundary else ""
-    print(f"filter {fit.model.variant}/{fit.model.mode}: loglik={fit.loglik:.6f} bic={report.bic:.6f}{flags}")
+    print(f"filter {fit.model.variant}/{fit.model.mode}: loglik={fit.loglik:.6f} bic={report['bic']:.6f}{flags}")
     return 0
 
 

@@ -14,8 +14,8 @@ is a trust-region Newton method whose curvature is first the outer product
 of those scores (BHHH) and then that exact information.  Standard errors
 come from the inverse of the exact information at the estimate.
 
-A fit's score passes, Hessians and closing log likelihood take their
-working arrays from one :class:`_Workspace`, which :func:`fit_msm` creates
+A fit's score passes and Hessians take their working
+arrays from one :class:`_Workspace`, which :func:`fit_msm` creates
 and drops when it returns: the forward tape, the rates, their clip slopes
 and the transition entries, the backward variables and emission factors,
 the kernel's derivatives and the score's adjoints, and the Hessian's
@@ -792,9 +792,6 @@ class EstimationResult:
     def se(self) -> np.ndarray:
         return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
 
-    def __getitem__(self, name: str) -> float:
-        return float(self.estimates[self.names.index(name)])
-
     def to_json_dict(self) -> dict:
         return {
             "names": list(self.names),
@@ -868,9 +865,10 @@ def fit_msm(
     identity.
     Non-convergence is flagged on the result, never raised; a start point
     whose log likelihood or score is not finite raises ``NumericalError``.
-    Every score pass, Hessian and the closing log likelihood of the fit
-    take their working arrays from one :class:`_Workspace`, sized by the
-    first block and dropped when the fit returns.
+    ``loglik`` is the value of the score pass at the final point.  Every
+    score pass and Hessian of the fit take their working arrays from one
+    :class:`_Workspace`, sized by the first block and dropped when the fit
+    returns.
     ``validate=False`` skips the schema checks of a panel the caller has
     already passed through :func:`validate_panel`.
 
@@ -1020,7 +1018,8 @@ def fit_msm(
         names=names,
         estimates=x_hat,
         free=free,
-        loglik=design.loglik(x_hat, work),
+        # the score pass at the accepted final point already summed it
+        loglik=-float(res.fun),
         converged=converged,
         iterations=iterations,
         n_transitions=design.n_transitions,

@@ -37,7 +37,6 @@ __all__ = [
     "Forecast",
     "forecast",
     "bic",
-    "DiagnosticsReport",
     "diagnostics",
 ]
 
@@ -503,21 +502,6 @@ def bic(loglik: float, n_params: int, n_waves: int) -> float:
     return -2.0 * loglik + n_params * math.log(n_waves)
 
 
-@dataclass
-class DiagnosticsReport:
-    loglik: float
-    bic: float
-    n_params: int
-    ljung_box: float | None
-    ljung_box_lags: int
-    ljung_box_pvalue: float | None
-    bowman_shenton: float | None
-    bowman_shenton_pvalue: float | None
-    r1: float | None
-    r2: float | None
-    notes: list = field(default_factory=list)
-
-
 def _autocorr(x: np.ndarray, lag: int) -> float:
     xc = x - x.mean()
     denom = float(np.sum(xc**2))
@@ -526,12 +510,15 @@ def _autocorr(x: np.ndarray, lag: int) -> float:
     return float(np.sum(xc[lag:] * xc[:-lag]) / denom)
 
 
-def diagnostics(output: FilterOutput, model: FilterModel, n_waves: int, lags: int = 4) -> DiagnosticsReport:
-    """Model-fit report: BIC, Ljung-Box Q(m), Bowman-Shenton, r(1), r(2).
+def diagnostics(output: FilterOutput, model: FilterModel, n_waves: int, lags: int = 4) -> dict:
+    """Model-fit report, the ``"diagnostics"`` block of ``fit-filter``'s
+    document: ``bic``, ``n_params``, ``ljung_box`` (``lags``, Q(lags) as
+    ``stat`` and its chi-square ``p``), ``bowman_shenton`` (``stat``, ``p``),
+    the autocorrelations ``r1`` and ``r2``, and ``notes``.
 
     All residual statistics use the standardized innovations over the
-    non-diffuse waves.  With residuals too few for Q(lags) the statistic is
-    omitted with a notice rather than extrapolated.
+    non-diffuse waves.  With residuals too few for a statistic, it and its
+    p-value are None, with a notice rather than an extrapolation.
     """
     if lags < 1:
         raise InvalidArgumentError(f"Ljung-Box lags must be >= 1, got {lags}")
@@ -543,7 +530,6 @@ def diagnostics(output: FilterOutput, model: FilterModel, n_waves: int, lags: in
     top = float(np.max(np.abs(resid), initial=0.0))
     if top > 0.0 and not 2.0**-60 <= top <= 2.0**60:
         resid = np.ldexp(resid, -math.frexp(top)[1])
-    value_bic = bic(output.loglik, model.n_params, n_waves)
 
     r1 = _autocorr(resid, 1) if tp >= 2 else None
     r2 = _autocorr(resid, 2) if tp >= 3 else None
@@ -563,8 +549,7 @@ def diagnostics(output: FilterOutput, model: FilterModel, n_waves: int, lags: in
         xc = resid - resid.mean()
         m2 = float(np.mean(xc**2))
         if m2 == 0.0:
-            bs = 0.0
-            bs_p = 1.0
+            bs, bs_p = 0.0, 1.0
             notes.append("Bowman-Shenton degenerate: residuals have zero variance")
         else:
             skew = float(np.mean(xc**3)) / m2**1.5
@@ -574,16 +559,6 @@ def diagnostics(output: FilterOutput, model: FilterModel, n_waves: int, lags: in
     else:
         notes.append("Bowman-Shenton omitted: too few residuals")
 
-    return DiagnosticsReport(
-        loglik=output.loglik,
-        bic=value_bic,
-        n_params=model.n_params,
-        ljung_box=lb,
-        ljung_box_lags=lags,
-        ljung_box_pvalue=lb_p,
-        bowman_shenton=bs,
-        bowman_shenton_pvalue=bs_p,
-        r1=r1,
-        r2=r2,
-        notes=notes,
-    )
+    return {"bic": bic(output.loglik, model.n_params, n_waves), "n_params": model.n_params,
+            "ljung_box": {"lags": lags, "stat": lb, "p": lb_p},
+            "bowman_shenton": {"stat": bs, "p": bs_p}, "r1": r1, "r2": r2, "notes": notes}

@@ -234,6 +234,11 @@ class HazardParams:
     def __post_init__(self):
         for name, (_, kind, _) in FIELDS.items():
             value = getattr(self, name)
+            # NumPy reads true and false as 1.0 and 0.0
+            items = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
+            if any(isinstance(v, (bool, np.bool_)) for v in items):
+                what = "numbers" if kind in ("dummy", "basis") else "a number"
+                raise InvalidSpecError(f"{name} must be {what}, not true or false")
             if kind in ("dummy", "basis"):
                 setattr(self, name, np.asarray(value, dtype=float))
             # an integer times the simulator's int8 codes would stay int8

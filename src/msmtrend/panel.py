@@ -34,6 +34,11 @@ _BLANK_LINE = re.compile(rb"\n[ \t]+(?=\n|\Z)")
 # the rest of a block that holds no row: spaces, tabs and line breaks only
 _NO_ROWS = re.compile(rb"[ \t\n]*\Z")
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n"
+# the largest age validate_panel passes, a bound that needs no knots: the
+# spline basis cubes an age's distance past a knot and divides by the knots'
+# gaps, and 1e100 cubed is 1e300, so the basis is finite at every age up to
+# it for any knots at least 0.002 apart (the cube alone overflows near 5.6e102)
+_AGE_MAX = 1e100
 # rows per block of write_csv: float_text holds about a dozen uint64 arrays
 # of a block's distinct float values at once, under 0.9 MB per column of
 # distinct floats at this size; on the 415,000-row panel, blocks of 16,384
@@ -604,6 +609,8 @@ def validate_panel(panel: Panel) -> list[str]:
                  for i in np.flatnonzero(~np.isin(p.female, (0, 1)))]
     problems += [f"row {i + 2}: age {p.ages[i]} must be positive"
                  for i in np.flatnonzero(p.ages <= 0)]
+    problems += [f"row {i + 2}: age {p.ages[i]} must be at most {_AGE_MAX:g}"
+                 for i in np.flatnonzero(p.ages > _AGE_MAX)]
     # per-individual checks, in id order; within an individual: dead at the
     # first observation, then times, then observations after death
     first = np.r_[True, p.ids[1:] != p.ids[:-1]]

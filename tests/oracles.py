@@ -208,6 +208,8 @@ def validate_panel(panel) -> list:
         problems.append(f"row {idx + 2}: female {p.female[idx]} outside {{0,1}}")
     for idx in np.flatnonzero(p.ages <= 0):
         problems.append(f"row {idx + 2}: age {p.ages[idx]} must be positive")
+    for idx in np.flatnonzero(p.ages > 1e100):
+        problems.append(f"row {idx + 2}: age {p.ages[idx]} must be at most 1e+100")
     for _id, sl in individual_slices(p):
         t = p.times[sl]
         s = p.states[sl]

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import hashlib
 import inspect
 import io
@@ -279,6 +280,16 @@ def test_filter_json_bic_identity(pipeline):
     assert bic == pytest.approx(want, rel=1e-15)
     # the same arithmetic reproduces the published row: -2(3.606) + ln 8
     assert -2 * 3.606 + 1 * math.log(8) == pytest.approx(-5.132, abs=1e-3)
+
+
+def test_filter_json_diagnostics_are_the_library_block(pipeline):
+    doc = json.loads(pipeline["filter"].read_text())
+    series = estimator.TrendSeries.from_json_dict(json.loads(pipeline["trend"].read_text()))
+    fit = kalman.fit_filter(series)
+    block = kalman.diagnostics(fit.output, fit.model, series.n_waves)
+    assert doc["diagnostics"] == block
+    assert list(doc["diagnostics"]) == list(block) == [
+        "bic", "n_params", "ljung_box", "bowman_shenton", "r1", "r2", "notes"]
 
 
 def test_forecast_csv_schema(pipeline):
@@ -798,17 +809,39 @@ def test_true_or_false_is_no_knot_or_wave_time(spec_file, panel_file, tmp_path, 
         assert run_main(argv) == (1, [f"error: validation: {field} must be numbers, not true or false"])
 
 
+@pytest.mark.parametrize("field, at, what", [("female_12", None, "a number"),
+                                             ("beta", 3, "numbers"),
+                                             ("age_spline_f_12", 1, "numbers")],
+                         ids=["scalar", "wave_dummy", "spline_weight"])
+def test_true_or_false_is_no_hazard_parameter(spec_file, panel_file, tmp_path, field, at, what):
+    # NumPy read true as 1.0 and false as 0.0, and simulate drew a panel
+    doc = json.loads(spec_file.read_text())
+    if at is None:
+        doc["params"][field] = True
+    else:
+        doc["params"][field][at] = False
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    for argv in spec_commands(spec, panel_file, tmp_path):
+        assert run_main(argv) == (1, [f"error: validation: {field} must be {what}, "
+                                      "not true or false"])
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_age_beyond_the_spline_basis_is_one_line_error(spec_file, panel_file, tmp_path):
     # the basis's cubes overflowed: fit-msm printed RuntimeWarnings and
-    # exited 2, and simulate drew a panel from NaN intensities with exit 0
+    # exited 2, and simulate drew a panel from NaN intensities with exit 0.
+    # Then validate called the panel clean, which fit-msm refused; now both
+    # refuse it by the one bound on ages, which needs no knots
     lines = panel_file.read_text().splitlines()
     row = lines[5].split(",")
     row[3] = "1e300"
     panel = tmp_path / "panel.csv"
     panel.write_text("\n".join(lines[:5] + [",".join(row)] + lines[6:]) + "\n")
-    message = ["error: validation: age 1e+300 is too large for the spline basis"]
+    message = ["error: validation: row 6: age 1e+300 must be at most 1e+100"]
     for spec in (spec_file, None):
         assert run_main(fit_msm_args(panel, tmp_path, spec)) == (1, message)
+    assert run_main(["validate", "--panel", panel]) == (1, ["error: validation: 1 problem(s) found"])
     assert not (tmp_path / "e.json").exists()
     code, err = run_main(["simulate", "--model-spec", spec_file, "--n", 20, "--seed", 1,
                           "--age-max", 1e300, "--out", tmp_path / "p.csv"])
@@ -1092,3 +1125,51 @@ def test_malformed_specs_configs_and_flags_end_in_an_answer_or_one_line_error(
         assert len(err) == 1 and err[0].startswith("error: "), err
     else:
         assert err == []
+
+
+# ---------------------------------------------------------------------------
+# one input contract: whatever panel validate calls clean, fit-msm takes
+
+_CELLS = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                   st.integers(-5, 100).map(str),
+                   st.sampled_from(["1e300", "1e100", "1.0000000000000002e100", "5e-324",
+                                    "-0.0", str(2**63 - 1), ""]))
+
+
+@functools.cache
+def _contract_panel_lines() -> tuple:
+    """The lines of a 30-person panel of the fixture's model."""
+    pnl = simulate.simulate_panel(simulate.SimulationConfig(
+        n=30, structure=paperlike_structure(), params=fixture_params(), seed=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "panel.csv")
+        write_panel(path, pnl)
+        with open(path) as fh:
+            return tuple(fh.read().splitlines())
+
+
+@settings(max_examples=40, deadline=None)
+@given(row=st.integers(1, 10**6), column=st.integers(0, 4), cell=_CELLS)
+# validate called an age of 1e300 clean, and fit-msm refused it
+@example(row=5, column=3, cell="1e300")
+def test_a_panel_that_validate_calls_clean_is_one_that_fit_msm_takes(row, column, cell):
+    lines = list(_contract_panel_lines())
+    row = 1 + (row - 1) % (len(lines) - 1)  # a data line, the header kept
+    fields = lines[row].split(",")
+    fields[column] = cell
+    lines[row] = ",".join(fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        panel = os.path.join(tmp, "panel.csv")
+        with open(panel, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code, err = run_main(["validate", "--panel", panel])
+        if code:
+            assert code == 1 and len(err) == 1, err
+            return
+        code, err = run_main(["fit-msm", "--panel", panel, "--maxiter", 1,
+                              "--out-estimate", os.path.join(tmp, "e.json"),
+                              "--out-trend", os.path.join(tmp, "t.json")])
+    # not a validation error, and at most one line: maxiter 1 leaves the fit
+    # short of convergence, which exits 2
+    assert code in (0, 2), err
+    assert len(err) == (1 if code else 0), err

@@ -826,7 +826,8 @@ def test_death_only_mle_matches_closed_form():
     })
     result = est.fit_msm(panel, structure, fixed=fixed)
     assert result.converged
-    assert result["log_q13_0"] == pytest.approx(np.log(closed_form), abs=1e-5)
+    log_q13 = result.estimates[result.names.index("log_q13_0")]
+    assert log_q13 == pytest.approx(np.log(closed_form), abs=1e-5)
 
 
 @pytest.fixture(scope="module")
@@ -900,6 +901,20 @@ def test_unidentified_combination_stops_at_the_box():
     assert np.isfinite(result.loglik)
 
 
+def test_fit_loglik_is_the_likelihood_at_its_estimates(small_fit):
+    # the fit reports the value of its last accepted score pass, which is
+    # the likelihood pass's double there, whether it converged, stopped at
+    # the box or ran out of iterations
+    structure, panel, converged = small_fit
+    box = legacy_panel(SimulationConfig(n=20, structure=structure,
+                                        params=paperlike_params(), seed=2))
+    boxed, cut = est.fit_msm(box, structure), est.fit_msm(panel, structure, maxiter=1)
+    assert converged.converged and "does not identify" in boxed.warnings[0]
+    assert not cut.converged and cut.iterations == 1
+    for p, fit in ((panel, converged), (box, boxed), (panel, cut)):
+        assert fit.loglik == est.PanelDesign(p, structure).loglik(fit.estimates)
+
+
 def test_exact_phase_rejects_points_whose_likelihood_overflows():
     # 60 people, seed 5 (legacy draw): the exact phase proposes a point where
     # some individuals have zero likelihood and others' scores overflow;
@@ -924,7 +939,7 @@ def test_wave_without_events_does_not_run_away():
     panel = legacy_panel(SimulationConfig(n=1500, structure=structure, params=truth, seed=5))
     result = est.fit_msm(panel, structure)
     assert result.converged
-    assert -31.0 < result["beta_3"] < -10.0
+    assert -31.0 < result.estimates[result.names.index("beta_3")] < -10.0
     assert np.all(np.isfinite(result.se))
 
 

@@ -426,6 +426,16 @@ def test_fields_are_the_hazard_params_and_give_the_layout():
         bad.validate(paperlike_structure())
 
 
+def test_numpy_bools_are_no_hazard_parameters():
+    # the library's own callers pass NumPy values: np.bool_ scalars and bool
+    # arrays are refused as JSON's true and false are
+    for kwargs, field in (({"logit_e12": np.bool_(True)}, "logit_e12"),
+                          ({"age_spline_12": np.array([True, False])}, "age_spline_12"),
+                          ({"beta": np.ones(8, dtype=bool)}, "beta")):
+        with pytest.raises(InvalidSpecError, match=f"^{field} must be"):
+            HazardParams(**{"beta": np.zeros(8), **kwargs})
+
+
 def test_log_intensities_equal_the_formula_oracle():
     structure = paperlike_structure()
     rng = np.random.default_rng(8)

@@ -27,7 +27,7 @@ def messy_panel(rng, n_rows) -> Panel:
     ids = rng.integers(0, max(1, n_rows // 4), size=n_rows)
     times = rng.choice([0.0, 2.0, 4.0, 6.0, 8.0, 8.0, 3.0, np.nan], size=n_rows)
     states = rng.choice([1, 1, 2, 3, 3, 0, 4], size=n_rows)
-    ages = rng.choice([55.0, 70.0, 85.0, 0.0, -1.0, np.inf], size=n_rows)
+    ages = rng.choice([55.0, 70.0, 85.0, 0.0, -1.0, np.inf, 1e100, 1e300], size=n_rows)
     female = rng.choice([0, 1, 1, 2], size=n_rows)
     return Panel(ids, times, states, ages, female)
 

@@ -113,11 +113,12 @@ def test_diagnostics_p_values_are_chi2_tails(lags):
             post_var=np.ones(n), loglik=-1.0, n_diffuse=0, drift_mean=np.zeros(n),
             final_state_cov=np.eye(2))
         report = kalman.diagnostics(output, model, n, lags=lags)
-        if report.ljung_box is not None:
-            assert report.ljung_box_pvalue == stats.chi2.sf(report.ljung_box, lags)
+        lb, bs = report["ljung_box"], report["bowman_shenton"]
+        if lb["stat"] is not None:
+            assert lb["p"] == stats.chi2.sf(lb["stat"], lags)
             checked += 1
-        if report.bowman_shenton and np.any(resid):
-            assert report.bowman_shenton_pvalue == stats.chi2.sf(report.bowman_shenton, 2)
+        if bs["stat"] and np.any(resid):
+            assert bs["p"] == stats.chi2.sf(bs["stat"], 2)
             checked += 1
     assert checked >= 6
 
