@@ -98,8 +98,7 @@ def cmd_fit_msm(args) -> int:
         wave_times = tuple(sorted(np.unique(pnl.times)))
         structure = markov.default_structure(pnl.ages, wave_times)
     # checked above, before the default structure reads the ages
-    result = estimator.fit_msm(pnl, structure, maxiter=args.maxiter, validate=False)
-    doc = result.to_json_dict()
+    doc = estimator.fit_msm(pnl, structure, maxiter=args.maxiter, validate=False)
     doc["structure"] = {
         "knots": list(structure.knots),
         "wave_times": list(structure.wave_times),
@@ -107,9 +106,9 @@ def cmd_fit_msm(args) -> int:
     }
     write_json(args.out_estimate, doc)
     # a fit that did not converge keeps its estimate and exits 2 here
-    trend = estimator.extract_trend(result, structure)
+    trend = estimator.extract_trend(doc, structure)
     write_json(args.out_trend, trend.to_json_dict())
-    print(f"fit converged: loglik={result.loglik:.6f}, n={result.n_transitions} transitions")
+    print(f"fit converged: loglik={doc['loglik']:.6f}, n={doc['n_transitions']} transitions")
     return 0
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,7 +67,6 @@ __all__ = [
     "fit_msm",
     "hessian_fd",
     "hessian_covariance",
-    "EstimationResult",
     "TrendSeries",
     "extract_trend",
 ]
@@ -220,10 +218,10 @@ class PanelDesign:
     on access.
     :meth:`loglik`, :meth:`loglik_and_score` and :meth:`hessian` share one
     block loop, :meth:`_blocks`, that works on _BLOCK individuals at a time
-    (half as many in the Hessian), and each takes an optional
-    :class:`_Workspace`, which one fit holds for all of its calls.  The
-    recursions' arrays run by step, then individual, so that a step's
-    cells are contiguous.
+    (half as many in the Hessian); the score pass and the Hessian each take
+    an optional :class:`_Workspace`, which one fit holds for all of its
+    calls.  The recursions' arrays run by step, then individual, so that a
+    step's cells are contiguous.
     """
 
     def __init__(self, panel: Panel, structure: ModelStructure, validate: bool = True):
@@ -309,15 +307,15 @@ class PanelDesign:
                       for j, act in enumerate(active.T))
         return np.maximum(1.0, np.sqrt(squares / np.count_nonzero(active)))
 
-    def loglik(self, gamma: np.ndarray, work: _Workspace | None = None) -> float:
+    def loglik(self, gamma: np.ndarray) -> float:
         """Total forward-algorithm log likelihood at parameter vector gamma.
         The per-individual values come from the one block loop,
         :meth:`_blocks`, and are summed once, in fixed id order, so that the
-        total does not depend on the block size.  The working arrays come
-        from ``work``, or are allocated block by block when there is none."""
+        total does not depend on the block size.  The working arrays are
+        allocated block by block."""
         lls = np.empty(self.n)
-        for rows, b in self._blocks(_BLOCK, work):
-            lls[rows] = b._forward(gamma, None, work)
+        for rows, b in self._blocks(_BLOCK):
+            lls[rows] = b._forward(gamma, None)
         return float(lls.sum())
 
     def _blocks(self, size: int, work: _Workspace | None = None):
@@ -432,7 +430,8 @@ class PanelDesign:
 
         The working arrays come from ``work`` (see :class:`_Workspace`), or
         from a workspace of this call alone; the returned arrays are always
-        new.
+        new.  The score is column-major, the layout in which :func:`fit_msm`
+        sums it and forms its BHHH product, whose bits it reports.
         """
         work = _Workspace() if work is None else work
         lls, scores = np.empty(self.n), None
@@ -440,7 +439,7 @@ class PanelDesign:
             lls[rows], block = b._loglik_and_score(gamma, work)
             if scores is None:
                 # allocated once the first block's working arrays are freed or held
-                scores = np.empty((self.n, block.shape[0]))
+                scores = np.empty((self.n, block.shape[0]), order="F")
             scores[rows] = block.T
         return float(lls.sum()), scores
 
@@ -764,49 +763,6 @@ class PanelDesign:
 # fitting
 
 
-@dataclass
-class EstimationResult:
-    """Maximum-likelihood fit of the multi-state model."""
-
-    names: list
-    estimates: np.ndarray
-    free: np.ndarray
-    loglik: float
-    converged: bool
-    iterations: int
-    n_transitions: int
-    cov_free: np.ndarray | None
-    warnings: list = field(default_factory=list)
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """Full-size covariance with zero rows/columns at fixed parameters."""
-        p = len(self.names)
-        cov = np.zeros((p, p))
-        if self.cov_free is not None:
-            idx = np.flatnonzero(self.free)
-            cov[np.ix_(idx, idx)] = self.cov_free
-        return cov
-
-    @property
-    def se(self) -> np.ndarray:
-        return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "estimate": self.estimates.tolist(),
-            "se": self.se.tolist(),
-            "free": self.free.astype(bool).tolist(),
-            "loglik": self.loglik,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "n_transitions": self.n_transitions,
-            "covariance": self.covariance.tolist(),
-            "warnings": list(self.warnings),
-        }
-
-
 def _default_start(design: PanelDesign, structure: ModelStructure) -> np.ndarray:
     """Heuristic start: crude rates for levels, zeros for covariate effects."""
     # observation codes are the states less one
@@ -838,15 +794,10 @@ def _default_start(design: PanelDesign, structure: ModelStructure) -> np.ndarray
     return pack_params(params, structure)
 
 
-def fit_msm(
-    panel: Panel,
-    structure: ModelStructure,
-    start: np.ndarray | None = None,
-    fixed: dict | None = None,
-    maxiter: int = 500,
-    validate: bool = True,
-) -> EstimationResult:
-    """Maximize the misclassified-panel likelihood.
+def fit_msm(panel: Panel, structure: ModelStructure, maxiter: int = 500,
+            validate: bool = True) -> dict:
+    """Maximize the misclassified-panel likelihood from the crude rates of
+    :func:`_default_start`; return the ``estimate.json`` document.
 
     A trust-region Newton method (scipy ``trust-exact``) runs on the
     analytic score of :meth:`PanelDesign.loglik_and_score`.  Its curvature
@@ -854,23 +805,24 @@ def fit_msm(
     per-individual scores, which comes from the same pass.  Once an
     accepted iteration gains less than 1e-2 in log likelihood, or after 50
     BHHH iterations, the fit continues with the exact curvature of
-    :meth:`PanelDesign.hessian`, one forward sweep per point, restricted to
-    the free parameters.  It stops when the
+    :meth:`PanelDesign.hessian`, one forward sweep per point.  It stops when the
     score's Euclidean norm in the scaled coordinates is below 1e-5, or when
-    the exact model can no longer predict a gain above round-off.  The
-    covariance is the inverse of the exact information at the final point.
-    ``iterations`` counts trust-region iterations over both phases, and
-    ``maxiter`` (at least 1) bounds that count.  ``fixed`` maps parameter
-    names to frozen values, e.g. to pin the misclassification at the
-    identity.
-    Non-convergence is flagged on the result, never raised; a start point
+    the exact model can no longer predict a gain above round-off.
+    ``maxiter`` (at least 1) bounds the trust-region iterations.
+    Non-convergence is flagged in the document, never raised; a start point
     whose log likelihood or score is not finite raises ``NumericalError``.
-    ``loglik`` is the value of the score pass at the final point.  Every
-    score pass and Hessian of the fit take their working arrays from one
-    :class:`_Workspace`, sized by the first block and dropped when the fit
-    returns.
+    Every score pass and Hessian of the fit take their working arrays from
+    one :class:`_Workspace`, sized by the first block and dropped when the
+    fit returns.
     ``validate=False`` skips the schema checks of a panel the caller has
     already passed through :func:`validate_panel`.
+
+    The document's keys, in order: ``names`` (:func:`param_names`);
+    ``estimate`` and ``se``, arrays; ``free``, all true; ``loglik``, the
+    value of the score pass at the final point; ``converged``;
+    ``iterations``, over both phases; ``n_transitions``; ``covariance``, the
+    inverse of the exact information at the final point, or zeros where
+    that has a negative eigenvalue; and ``warnings``.
 
     A wave dummy whose wave has no events does not run away: once its log
     intensity passes the -30 clip the likelihood is flat in it, so its
@@ -886,74 +838,50 @@ def fit_msm(
     names = param_names(structure)
     p = len(names)
 
-    if start is None:
-        x_full = _default_start(design, structure)
-    else:
-        x_full = np.asarray(start, dtype=float).copy()
-        if x_full.size != p:
-            raise InvalidArgumentError(f"start vector must have length {p}")
-
-    free = np.ones(p, dtype=bool)
-    if fixed:
-        for name, value in fixed.items():
-            if name not in names:
-                raise InvalidArgumentError(f"unknown parameter {name!r}")
-            k = names.index(name)
-            free[k] = False
-            x_full[k] = float(value)
-    idx_free = np.flatnonzero(free)
-    if idx_free.size == 0:
-        raise InvalidArgumentError("no free parameters")
-
     # optimize z = scale * gamma so that the trust region, a ball, is not
     # stretched by covariate columns of large typical magnitude
-    scale = design.param_scales()[idx_free]
-
-    def gamma_of(z_free: np.ndarray) -> np.ndarray:
-        x = x_full.copy()
-        x[idx_free] = z_free / scale
-        return x
+    scale = design.param_scales()
 
     # the working arrays of every score pass and Hessian of this fit
     work = _Workspace()
 
-    def nll_and_grad(z_free: np.ndarray):
+    def nll_and_grad(z: np.ndarray):
         # where alpha underflows, far from the data, beta grows and the
         # score can overflow; that point is rejected below, as is one where
         # the log likelihood is -inf
         with np.errstate(over="ignore", invalid="ignore"):
-            value, scores = design.loglik_and_score(gamma_of(z_free), work)
-        scores = scores[:, idx_free] / scale
+            value, scores = design.loglik_and_score(z / scale, work)
+        scores /= scale
         if not (np.isfinite(value) and np.all(np.isfinite(scores))):
             # a point the trust region must reject
-            return _REJECTED, np.zeros(idx_free.size), np.zeros_like(scores)
+            return _REJECTED, np.zeros(p), np.zeros_like(scores)
         return -value, -scores.sum(axis=0), scores
 
     # trust-exact asks for the value, gradient and Hessian at each proposed
     # point separately; one score pass answers all three
     last: dict = {}
 
-    def at(z_free: np.ndarray):
-        if not np.array_equal(last.get("z"), z_free):
-            last.update(z=z_free.copy(), out=nll_and_grad(z_free))
+    def at(z: np.ndarray):
+        if not np.array_equal(last.get("z"), z):
+            last.update(z=z.copy(), out=nll_and_grad(z))
         return last["out"]
 
-    def bhhh(z_free: np.ndarray) -> np.ndarray:
-        scores = at(z_free)[2]
+    def bhhh(z: np.ndarray) -> np.ndarray:
+        scores = at(z)[2]
         return scores.T @ scores
 
     exact: dict = {}
 
-    def exact_hessian(z_free: np.ndarray) -> np.ndarray:
-        if not np.array_equal(exact.get("z"), z_free):
+    def exact_hessian(z: np.ndarray) -> np.ndarray:
+        if not np.array_equal(exact.get("z"), z):
             # trust-exact asks for the curvature at each point it proposes,
             # before it rejects one; where the likelihood or score is not
             # finite, the curvature is zero, as the BHHH matrix is there
-            if at(z_free)[0] == _REJECTED:
-                H = np.zeros((idx_free.size, idx_free.size))
+            if at(z)[0] == _REJECTED:
+                H = np.zeros((p, p))
             else:
-                H = -design.hessian(gamma_of(z_free), work)[np.ix_(idx_free, idx_free)]
-            exact.update(z=z_free.copy(), H=H / np.outer(scale, scale))
+                H = -design.hessian(z / scale, work)
+            exact.update(z=z.copy(), H=H / np.outer(scale, scale))
         return exact["H"]
 
     watch = {"bhhh": True, "k": 0, "f": np.inf, "stop": None}
@@ -978,7 +906,7 @@ def fit_msm(
         return minimize(lambda z: at(z)[:2], z0, method="trust-exact", jac=True, hess=hess,
                         callback=monitor, options={"maxiter": iterations, "gtol": _GTOL})
 
-    z_start = x_full[idx_free] * scale
+    z_start = _default_start(design, structure) * scale
     if at(z_start)[0] == _REJECTED:
         # the trust region would stop there at once, "converged"
         raise NumericalError("the log likelihood or its score is not finite at the start point")
@@ -993,56 +921,55 @@ def fit_msm(
     # round-off of the log likelihood, which marks a stationary point
     converged = watch["stop"] is None and (
         res.status == 0 or (res.status == 2 and not watch["bhhh"]))
-    z_free = res.x
-    x_hat = gamma_of(z_free)
+    z = res.x
     warnings: list[str] = []
     if watch["stop"] == "box":
-        far = ", ".join(names[i] for i in idx_free[np.abs(z_free) > _Z_BOX])
+        far = ", ".join(names[i] for i in np.flatnonzero(np.abs(z) > _Z_BOX))
         warnings.append(f"stopped where {far} left the scaled box [-{_Z_BOX:g}, {_Z_BOX:g}]; "
                         "the panel does not identify them")
     elif not converged:
         warnings.append(f"optimizer message: {res.message}")
 
-    cov_free = None
+    cov = np.zeros((p, p))
     # Hessian in the scaled coordinates (well conditioned), mapped back to
     # the natural parameterization: cov_gamma = S^{-1} cov_z S^{-1}
     try:
-        cov_z, cov_warnings = hessian_covariance(-exact_hessian(z_free))
-        cov_free = cov_z / np.outer(scale, scale)
+        cov_z, cov_warnings = hessian_covariance(-exact_hessian(z))
+        cov = cov_z / np.outer(scale, scale)
         warnings.extend(cov_warnings)
     except CurvatureError as exc:
         warnings.append(str(exc))
         converged = False
 
-    return EstimationResult(
-        names=names,
-        estimates=x_hat,
-        free=free,
+    return {
+        "names": names,
+        "estimate": z / scale,
+        "se": np.sqrt(np.maximum(np.diag(cov), 0.0)),
+        # kept so that the document's keys do not change; every parameter is free
+        "free": [True] * p,
         # the score pass at the accepted final point already summed it
-        loglik=-float(res.fun),
-        converged=converged,
-        iterations=iterations,
-        n_transitions=design.n_transitions,
-        cov_free=cov_free,
-        warnings=warnings,
-    )
+        "loglik": -float(res.fun),
+        "converged": converged,
+        "iterations": iterations,
+        "n_transitions": design.n_transitions,
+        "covariance": cov,
+        "warnings": warnings,
+    }
 
 
 # ---------------------------------------------------------------------------
 # trend series
 
 
-def extract_trend(result: EstimationResult, structure: ModelStructure) -> TrendSeries:
-    """Slice the wave-dummy block and its covariance out of a fit."""
-    if not result.converged:
+def extract_trend(fit: dict, structure: ModelStructure) -> TrendSeries:
+    """Slice the wave-dummy block and its covariance out of a fit's
+    ``estimate.json`` document, as :func:`fit_msm` returns it or as it is
+    read back."""
+    if not fit["converged"]:
         raise NumericalError("cannot extract trend from a non-converged fit")
-    T = structure.n_waves
-    idx = [result.names.index(f"beta_{k}") for k in range(1, T + 1)]
-    if not np.all(result.free[idx]):
-        raise InvalidArgumentError("wave dummies must be free to extract a trend")
-    cov = result.covariance
+    idx = [fit["names"].index(f"beta_{k}") for k in range(1, structure.n_waves + 1)]
     return TrendSeries(
-        beta=result.estimates[idx],
-        cov=cov[np.ix_(idx, idx)],
-        n_transitions=result.n_transitions,
+        beta=np.asarray(fit["estimate"])[idx],
+        cov=np.asarray(fit["covariance"])[np.ix_(idx, idx)],
+        n_transitions=fit["n_transitions"],
     )

@@ -29,9 +29,12 @@ class TrendSeries:
             raise InvalidSpecError("covariance block does not match series length")
         if not (np.all(np.isfinite(self.beta)) and np.all(np.isfinite(self.cov))):
             raise InvalidSpecError("beta and covariance block must be finite")
-        if np.max(np.abs(self.cov - self.cov.T)) > 1e-10 * max(1.0, np.abs(self.cov).max()):
+        # compared at the scale of its largest entry, where no difference
+        # overflows; eigvalsh reads one triangle of the symmetric block
+        unit = self.cov / max(1.0, np.abs(self.cov).max())
+        if np.max(np.abs(unit - unit.T)) > 1e-10:
             raise InvalidSpecError("covariance block is not symmetric")
-        if np.linalg.eigvalsh(0.5 * (self.cov + self.cov.T)).min() < -1e-8:
+        if np.linalg.eigvalsh(self.cov).min() < -1e-8:
             raise InvalidSpecError("covariance block is not positive semidefinite")
         if np.any(np.diag(self.cov) <= 0):
             raise InvalidSpecError("covariance diagonal must be positive")

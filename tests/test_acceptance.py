@@ -96,11 +96,11 @@ def test_acceptance_03_estimator_recovery_20k():
     truth_vec = est.pack_params(truth, structure)
     inside = 0
     for k in range(1, 9):
-        i = result.names.index(f"beta_{k}")
-        inside += abs(result.estimates[i] - truth_vec[i]) <= 3 * result.se[i]
+        i = result["names"].index(f"beta_{k}")
+        inside += abs(result["estimate"][i] - truth_vec[i]) <= 3 * result["se"][i]
     check(
         "3. 20k-individual recovery within 3 SE",
-        result.converged and inside >= 7 and elapsed < 600.0,
+        result["converged"] and inside >= 7 and elapsed < 600.0,
         f"{inside}/8 wave dummies inside, {elapsed:.0f}s",
     )
 

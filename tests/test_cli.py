@@ -20,8 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msmtrend import cli, estimator, gain, kalman, simulate, trendtests
-from msmtrend.markov import HazardParams, save_model_spec
-from msmtrend.panel import write_panel
+from msmtrend.markov import HazardParams, load_model_spec, save_model_spec
+from msmtrend.panel import read_json, write_json, write_panel
 
 from conftest import paperlike_params, paperlike_structure
 from oracles import legacy_panel
@@ -312,6 +312,17 @@ def test_trend_json_round_trips_exactly(pipeline):
     assert again == doc
     assert len(doc["beta"]) == 8
     assert len(doc["cov"]) == 8
+
+
+def test_trend_json_is_the_trend_of_the_estimate_json(pipeline, spec_file, tmp_path):
+    # extract_trend takes the fit's document as estimate.json gives it
+    # back, and gives trend.json's bytes
+    doc = read_json(pipeline["estimate"])
+    assert list(doc) == ["names", "estimate", "se", "free", "loglik", "converged", "iterations",
+                         "n_transitions", "covariance", "warnings", "structure"]
+    structure, _ = load_model_spec(spec_file)
+    write_json(tmp_path / "trend.json", estimator.extract_trend(doc, structure).to_json_dict())
+    assert (tmp_path / "trend.json").read_bytes() == pipeline["trend"].read_bytes()
 
 
 def test_power_curve_csv(pipeline):
@@ -929,6 +940,62 @@ def test_extreme_magnitudes_end_in_an_answer_or_one_line_error(command, doc, s):
             elif command[0] in ("power-curve", "gain-analysis"):
                 rows = list(csv.DictReader(fh))
                 assert rows and all(math.isfinite(float(v)) for r in rows for v in r.values())
+
+
+# ---------------------------------------------------------------------------
+# fuzz: a valid trend document with one field changed ends, in every command
+# that reads it, in an answer or a one-line error
+
+_TREND_VALUES = [1e308, -1e308, 5e-324, 0, "x", None, True, []]
+_TREND_EDITS = ["beta", "cov", "var_diag", "n_transitions", "T", "truncate"]
+
+
+def _trend_consumers(trend, out):
+    argv = [["fit-filter", "--trend", trend, "--variant", v, "--mode", m, "--out", out]
+            for v in kalman.VARIANTS for m in ("constrained", "free")]
+    argv += [["test-trend", "--trend", trend, "--seed", 1, "--estimator", e, "--mc-reps", 1000,
+              "--out", out] for e in ("hac", "long_run")]
+    return argv + [["gain-analysis", "--trend", trend, "--sigma-eta", 0.148,
+                    "--out-trajectory", out + ".traj", "--out-fixed-point", out]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(edit=st.sampled_from(_TREND_EDITS), at=st.integers(0, 10**6),
+       value=st.sampled_from(_TREND_VALUES), mirror=st.booleans())
+# a symmetric pair of huge covariances overflowed the symmetric part that
+# the semidefiniteness check took: a RuntimeWarning beside the answer
+@example(edit="cov", at=1, value=1.7e308, mirror=True)
+def test_an_edited_trend_document_ends_in_an_answer_or_one_line_error(pipeline, edit, at, value,
+                                                                      mirror):
+    # one entry of beta, cov (with its mirror image, or alone) or var_diag,
+    # n_transitions or T set to the value, or the text cut short at `at`
+    text = pipeline["trend"].read_text()
+    doc = json.loads(text)
+    T = len(doc["beta"])
+    if edit == "truncate":
+        text = text[: at % len(text)]
+    else:
+        if edit == "cov":
+            i, j = divmod(at % T**2, T)
+            doc["cov"][i][j] = value
+            if mirror:
+                doc["cov"][j][i] = value
+        elif edit in ("beta", "var_diag"):
+            doc[edit][at % T] = value
+        else:
+            doc[edit] = value
+        text = json.dumps(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        trend, out = os.path.join(tmp, "trend.json"), os.path.join(tmp, "out")
+        with open(trend, "w") as fh:
+            fh.write(text)
+        for argv in _trend_consumers(trend, out):
+            code, err = run_main(argv)
+            assert code in (0, 1, 2), (argv, code)
+            if code:
+                assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+            else:
+                assert err == [], (argv, err)
 
 
 # ---------------------------------------------------------------------------

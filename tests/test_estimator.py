@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 import msmtrend.estimator as est
@@ -520,11 +521,11 @@ def rejected_point():
 
 def calls_in(design, points, work=None):
     """The bytes of loglik, the score pass and the Hessian at each point,
-    and the arrays returned."""
+    the last two in ``work``, and the arrays returned."""
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for gamma in points:
-            loglik, (total, scores), hessian = (design.loglik(gamma, work),
+            loglik, (total, scores), hessian = (design.loglik(gamma),
                                                design.loglik_and_score(gamma, work),
                                                design.hessian(gamma, work))
             out.append((np.array([loglik, total]).tobytes(), scores.tobytes(), hessian.tobytes(),
@@ -533,12 +534,12 @@ def calls_in(design, points, work=None):
 
 
 def test_one_workspace_serves_interleaved_calls(rejected_point):
-    # a workspace carries nothing from one call into the next: loglik, score
-    # passes and Hessians at three points, the rejected one among them,
-    # interleaved in one workspace and repeated after its buffer is filled
-    # with NaN, give the bytes of calls that each start their own; and no
-    # call touches the arrays that an earlier one returned, which fit_msm
-    # caches
+    # a workspace carries nothing from one call into the next: score passes
+    # and Hessians at three points, the rejected one among them, with loglik
+    # between them, interleaved in one workspace and repeated after its
+    # buffer is filled with NaN, give the bytes of calls that each start
+    # their own; and no call touches the arrays that an earlier one
+    # returned, which fit_msm caches
     _, design, bad = rejected_point
     truth = est.pack_params(paperlike_params(), design.structure)
     points = [truth, truth + np.random.default_rng(4).normal(0.0, 0.2, truth.size), bad]
@@ -573,7 +574,7 @@ def test_a_partial_last_block_uses_views_of_the_workspace(monkeypatch, pipeline_
     assert [got[:3] for got in calls_in(design, [gamma], work)] == fresh
 
 
-def test_fit_rejects_a_point_whose_score_is_not_finite(rejected_point):
+def test_fit_rejects_a_point_whose_score_is_not_finite(monkeypatch, rejected_point):
     # on the individuals whose likelihood is positive at the rejected point,
     # the log likelihood is finite there and the score is not: a fit that
     # starts there refuses it
@@ -585,9 +586,10 @@ def test_fit_rejects_a_point_whose_score_is_not_finite(rejected_point):
     with np.errstate(over="ignore", invalid="ignore"):
         loglik, scores = est.PanelDesign(sub, design.structure).loglik_and_score(bad)
     assert np.isfinite(loglik) and not np.all(np.isfinite(scores))
+    monkeypatch.setattr(est, "_default_start", lambda design, structure: bad.copy())
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match="score is not finite at the start point"):
-        est.fit_msm(sub, design.structure, start=bad)
+        est.fit_msm(sub, design.structure)
 
 
 def test_warm_score_pass_allocates_a_quarter_of_a_cold_one(pipeline_design):
@@ -824,10 +826,21 @@ def test_death_only_mle_matches_closed_form():
         "log_q23_0": -2.0, "female_23": 0.0, "age_23": 0.0, "trend_23": 0.0,
         "logit_e12": -40.0, "logit_e21": -40.0, "logit_p2": -40.0,
     })
-    result = est.fit_msm(panel, structure, fixed=fixed)
-    assert result.converged
-    log_q13 = result.estimates[result.names.index("log_q13_0")]
-    assert log_q13 == pytest.approx(np.log(closed_form), abs=1e-5)
+    # the likelihood maximized over log_q13_0 alone, every other parameter held
+    names = est.param_names(structure)
+    gamma = np.array([fixed.get(name, np.nan) for name in names])
+    k = names.index("log_q13_0")
+    assert np.flatnonzero(np.isnan(gamma)).tolist() == [k]
+    design = est.PanelDesign(panel, structure)
+
+    def nll(log_q13):
+        gamma[k] = log_q13
+        return -design.loglik(gamma)
+
+    best = minimize_scalar(nll, bounds=(np.log(0.01), np.log(0.5)), method="bounded",
+                           options={"xatol": 1e-10})
+    assert best.success
+    assert best.x == pytest.approx(np.log(closed_form), abs=1e-5)
 
 
 @pytest.fixture(scope="module")
@@ -842,17 +855,19 @@ def small_fit():
 
 def test_fit_converges_and_gradient_small(small_fit):
     structure, panel, result = small_fit
-    assert result.converged
+    assert result["converged"]
     design = est.PanelDesign(panel, structure)
-    grad = est.gradient_fd(design.loglik, result.estimates, step=1e-5)
+    grad = est.gradient_fd(design.loglik, result["estimate"], step=1e-5)
     assert np.abs(grad).max() < 1e-4
 
 
-def test_refit_from_optimum_is_immediate(small_fit):
+def test_refit_from_optimum_is_immediate(monkeypatch, small_fit):
     structure, panel, result = small_fit
-    again = est.fit_msm(panel, structure, start=result.estimates)
-    assert again.iterations <= 1
-    assert again.loglik == pytest.approx(result.loglik, abs=1e-10 * max(1.0, abs(result.loglik)))
+    monkeypatch.setattr(est, "_default_start", lambda design, structure: result["estimate"].copy())
+    again = est.fit_msm(panel, structure)
+    assert again["iterations"] <= 1
+    assert again["loglik"] == pytest.approx(result["loglik"],
+                                            abs=1e-10 * max(1.0, abs(result["loglik"])))
 
 
 def test_score_difference_step_leaves_se_unchanged(small_fit):
@@ -864,12 +879,12 @@ def test_score_difference_step_leaves_se_unchanged(small_fit):
 
     def se(step):
         H = jacobian_fd(lambda z: design.loglik_and_score(z / scale)[1].sum(axis=0) / scale,
-                        result.estimates * scale, step)
+                        result["estimate"] * scale, step)
         return np.sqrt(np.diag(np.linalg.inv(-0.5 * (H + H.T)))) / scale
 
     coarse, fine = se(1e-4), se(1e-6)
     np.testing.assert_allclose(coarse, fine, rtol=1e-6)
-    np.testing.assert_allclose(result.se, fine, rtol=1e-6)
+    np.testing.assert_allclose(result["se"], fine, rtol=1e-6)
 
 
 def test_fit_converges_along_flat_wave_dummy():
@@ -880,10 +895,10 @@ def test_fit_converges_along_flat_wave_dummy():
     panel = legacy_panel(SimulationConfig(n=1000, structure=structure,
                                           params=paperlike_params(), seed=3))
     result = est.fit_msm(panel, structure)
-    assert result.converged
-    assert result.loglik >= -1747.0384246692
-    assert np.linalg.eigvalsh(result.cov_free).min() > 0.0
-    _, scores = est.PanelDesign(panel, structure).loglik_and_score(result.estimates)
+    assert result["converged"]
+    assert result["loglik"] >= -1747.0384246692
+    assert np.linalg.eigvalsh(result["covariance"]).min() > 0.0
+    _, scores = est.PanelDesign(panel, structure).loglik_and_score(result["estimate"])
     assert np.abs(scores.sum(axis=0)).max() < 1e-4
 
 
@@ -895,10 +910,10 @@ def test_unidentified_combination_stops_at_the_box():
     panel = legacy_panel(SimulationConfig(n=20, structure=structure,
                                           params=paperlike_params(), seed=2))
     result = est.fit_msm(panel, structure)
-    assert not result.converged
-    assert "does not identify" in result.warnings[0]
-    assert result.iterations < 100
-    assert np.isfinite(result.loglik)
+    assert not result["converged"]
+    assert "does not identify" in result["warnings"][0]
+    assert result["iterations"] < 100
+    assert np.isfinite(result["loglik"])
 
 
 def test_fit_loglik_is_the_likelihood_at_its_estimates(small_fit):
@@ -909,10 +924,10 @@ def test_fit_loglik_is_the_likelihood_at_its_estimates(small_fit):
     box = legacy_panel(SimulationConfig(n=20, structure=structure,
                                         params=paperlike_params(), seed=2))
     boxed, cut = est.fit_msm(box, structure), est.fit_msm(panel, structure, maxiter=1)
-    assert converged.converged and "does not identify" in boxed.warnings[0]
-    assert not cut.converged and cut.iterations == 1
+    assert converged["converged"] and "does not identify" in boxed["warnings"][0]
+    assert not cut["converged"] and cut["iterations"] == 1
     for p, fit in ((panel, converged), (box, boxed), (panel, cut)):
-        assert fit.loglik == est.PanelDesign(p, structure).loglik(fit.estimates)
+        assert fit["loglik"] == est.PanelDesign(p, structure).loglik(fit["estimate"])
 
 
 def test_exact_phase_rejects_points_whose_likelihood_overflows():
@@ -926,8 +941,8 @@ def test_exact_phase_rejects_points_whose_likelihood_overflows():
                                           params=paperlike_params(), seed=5))
     with np.errstate(over="ignore", invalid="ignore"):
         result = est.fit_msm(panel, structure)
-    assert not result.converged and result.warnings
-    assert np.isfinite(result.loglik)
+    assert not result["converged"] and result["warnings"]
+    assert np.isfinite(result["loglik"])
 
 
 def test_wave_without_events_does_not_run_away():
@@ -938,9 +953,9 @@ def test_wave_without_events_does_not_run_away():
     truth.beta[2] = -40.0
     panel = legacy_panel(SimulationConfig(n=1500, structure=structure, params=truth, seed=5))
     result = est.fit_msm(panel, structure)
-    assert result.converged
-    assert -31.0 < result.estimates[result.names.index("beta_3")] < -10.0
-    assert np.all(np.isfinite(result.se))
+    assert result["converged"]
+    assert -31.0 < result["estimate"][result["names"].index("beta_3")] < -10.0
+    assert np.all(np.isfinite(result["se"]))
 
 
 def test_extract_trend_shapes(small_fit):
@@ -949,9 +964,9 @@ def test_extract_trend_shapes(small_fit):
     assert trend.beta.shape == (8,)
     assert trend.cov.shape == (8, 8)
     np.testing.assert_allclose(trend.var_diag, np.diag(trend.cov))
-    assert trend.n_transitions == result.n_transitions
-    idx = [result.names.index(f"beta_{k}") for k in range(1, 9)]
-    np.testing.assert_array_equal(trend.beta, result.estimates[idx])
+    assert trend.n_transitions == result["n_transitions"]
+    idx = [result["names"].index(f"beta_{k}") for k in range(1, 9)]
+    np.testing.assert_array_equal(trend.beta, result["estimate"][idx])
 
 
 def test_trend_json_roundtrip(small_fit):
@@ -961,34 +976,3 @@ def test_trend_json_roundtrip(small_fit):
     back = est.TrendSeries.from_json_dict(doc)
     np.testing.assert_array_equal(back.beta, trend.beta)
     np.testing.assert_array_equal(back.cov, trend.cov)
-
-
-def test_fit_with_fixed_misclassification_takes_the_free_block():
-    # with both misclassification logits held, the exact curvature and the
-    # covariance are those of the free parameters alone
-    structure = paperlike_structure()
-    truth = paperlike_params()
-    panel = simulate_panel(SimulationConfig(n=1000, structure=structure, params=truth, seed=4))
-    fixed = {"logit_e12": truth.logit_e12, "logit_e21": truth.logit_e21}
-    result = est.fit_msm(panel, structure, fixed=fixed)
-    assert result.converged
-    free = np.flatnonzero(result.free)
-    assert free.size == len(result.names) - 2
-    design = est.PanelDesign(panel, structure)
-
-    def free_score(x):
-        gamma = result.estimates.copy()
-        gamma[free] = x
-        return design.loglik_and_score(gamma)[1].sum(axis=0)[free]
-
-    want = jacobian_fd(free_score, result.estimates[free])
-    H = design.hessian(result.estimates)[np.ix_(free, free)]
-    assert np.abs(H - want).max() <= 1e-6 * np.abs(want).max()
-    np.testing.assert_allclose(result.se[free], np.sqrt(np.diag(np.linalg.inv(-want))), rtol=1e-6)
-    assert np.all(result.se[~result.free] == 0.0)
-
-
-def test_fixed_names_validated(small_fit):
-    structure, panel, _ = small_fit
-    with pytest.raises(InvalidArgumentError):
-        est.fit_msm(panel, structure, fixed={"nope": 1.0})
